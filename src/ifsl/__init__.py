@@ -46,8 +46,6 @@ from .heads import (
     ce_loss_and_grad,
     centroids_from_support,
     fit_head,
-    head_logits,
-    head_probs,
 )
 from .knowledge import (
     FeatureDataset,

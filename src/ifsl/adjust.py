@@ -187,7 +187,7 @@ class Predictor:
     def probs_from_inputs(self, heads: Sequence[HeadParams], blocks: Sequence[np.ndarray]) -> np.ndarray:
         """(B, K) mixture probabilities from precomputed per-head input blocks."""
         acc = None
-        # Fixed ascending-stratum summation keeps parallel evaluation reproducible.
+        # Fixed ascending-stratum summation keeps the mixture bit-for-bit reproducible.
         for h, Z in zip(heads, blocks):
             p = softmax_rows(logits_batch(h, Z))
             acc = p if acc is None else acc + p

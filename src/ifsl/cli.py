@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import episode_rng, run_many, sample_episode
+from .episodes import episode_rng, run_arms, run_many, sample_episode
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -44,8 +45,15 @@ from .knowledge import (
     save_kb,
 )
 from .meta import adapt, meta_train, save_meta, zero_meta_init
-from .evalmetrics import Report, accuracy_report, bins_to_csv_rows, hardness_report
-from .synth import SynthConfig, gen_confounded, run_confounded
+from .evalmetrics import (
+    Report,
+    accuracy_report,
+    bins_to_csv_rows,
+    hardness_report,
+    mean_ci,
+    with_bins,
+)
+from .synth import SynthConfig, gen_confounded, sample_confounded_episode
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -174,7 +182,7 @@ def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> 
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads", type=int, default=None,
-        help="parallel episode workers (falls back to IFSL_THREADS, then 1)",
+        help="accepted for compatibility (falls back to IFSL_THREADS); episodes run serially",
     )
 
 
@@ -188,7 +196,7 @@ def cmd_episodes(args) -> int:
     )
     rep = accuracy_report(results)
     if getattr(args, "bins", None):
-        rep = Report(rep.episodes, rep.mean_acc, rep.ci95, hardness_report(results, args.bins))
+        rep = with_bins(rep, hardness_report(results, args.bins))
     config = {
         "command": "hardness" if getattr(args, "bins", None) else "episodes",
         "features": str(args.features),
@@ -314,26 +322,18 @@ def cmd_synth(args) -> int:
                          args.weight_decay, args.seed)
     adj_fit = FitConfig(args.iterations, args.batch_size, 5e-3 if args.lr is None else args.lr,
                         args.weight_decay, args.seed)
-    threads = _threads(args)
-    common = (out.novel, out.novel_strata, out.kb, args.way, args.shot, args.query,
-              args.episodes, args.mismatch, args.classifier)
-    base_results, _ = run_confounded(
-        *common, AdjustmentConfig("none"), base_fit, args.seed, threads
-    )
-    adj_results, _ = run_confounded(*common, adj, adj_fit, args.seed, threads)
+    _threads(args)  # validated for compatibility; episodes run serially
+    sample = partial(sample_confounded_episode, out.novel, out.novel_strata,
+                     args.way, args.shot, args.query, args.mismatch)
+    arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
+    (base_results, adj_results), _ = run_arms(sample, arms, out.kb, args.episodes, args.seed)
     base_rep = accuracy_report(base_results)
     adj_rep = accuracy_report(adj_results)
     if args.bins:
-        base_rep = Report(base_rep.episodes, base_rep.mean_acc, base_rep.ci95,
-                          hardness_report(base_results, args.bins))
-        adj_rep = Report(adj_rep.episodes, adj_rep.mean_acc, adj_rep.ci95,
-                         hardness_report(adj_results, args.bins))
-    diffs = [
-        100.0 * (a.accuracy - b.accuracy) for a, b in zip(adj_results, base_results)
-    ]
-    gap = float(np.mean(diffs))
-    gap_ci = (
-        0.0 if len(diffs) < 2 else 1.96 * float(np.std(diffs, ddof=1)) / float(np.sqrt(len(diffs)))
+        base_rep = with_bins(base_rep, hardness_report(base_results, args.bins))
+        adj_rep = with_bins(adj_rep, hardness_report(adj_results, args.bins))
+    gap, gap_ci = mean_ci(
+        [100.0 * (a.accuracy - b.accuracy) for a, b in zip(adj_results, base_results)]
     )
     duration = time.perf_counter() - started
     base_doc = _report_doc({"adjust": "none"}, base_rep, duration)
@@ -392,11 +392,8 @@ def cmd_meta(args) -> int:
                             trained.inner_lr, trained.inner_steps)
             probs = probe.probs_from_inputs(adapted, blocks)
             accs.append(100.0 * float((probs.argmax(axis=1) == ep.query_y).mean()))
-    meta_arr, zero_arr = np.array(meta_accs), np.array(zero_accs)
-
-    def ci(a: np.ndarray) -> float:
-        return 0.0 if a.size < 2 else 1.96 * float(np.std(a, ddof=1)) / float(np.sqrt(a.size))
-
+    meta_acc, meta_ci = mean_ci(meta_accs)
+    zero_acc, zero_ci = mean_ci(zero_accs)
     doc = {
         "config": {
             "command": "meta", "features": str(args.features), "kb": args.kb,
@@ -405,20 +402,19 @@ def cmd_meta(args) -> int:
             "inner_lr": args.inner_lr, "inner_steps": args.inner_steps,
             "outer_lr": args.outer_lr, "seed": args.seed,
         },
-        "mean_acc": float(meta_arr.mean()),
-        "ci95": ci(meta_arr),
-        "episodes": int(meta_arr.size),
+        "mean_acc": meta_acc,
+        "ci95": meta_ci,
+        "episodes": len(meta_accs),
         "hardness_bins": [],
-        "zero_mean_acc": float(zero_arr.mean()),
-        "zero_ci95": ci(zero_arr),
-        "gap": float(meta_arr.mean() - zero_arr.mean()),
+        "zero_mean_acc": zero_acc,
+        "zero_ci95": zero_ci,
+        "gap": meta_acc - zero_acc,
         "meta": {"duration_s": time.perf_counter() - started, "version": __version__},
     }
     _emit(doc, args.out)
     if args.out is not None:
         print(
-            f"meta_acc={meta_arr.mean():.2f} zero_acc={zero_arr.mean():.2f} "
-            f"gap={meta_arr.mean() - zero_arr.mean():.2f}"
+            f"meta_acc={meta_acc:.2f} zero_acc={zero_acc:.2f} gap={meta_acc - zero_acc:.2f}"
         )
     return 0
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .heads import FitConfig, HeadParams, fit_head, init_heads
+from .heads import FitConfig, fit_head, init_heads
 from .knowledge import FeatureDataset, KnowledgeBase, pretrain_logits
 from .evalmetrics import query_hardness
 from .numerics import as_matrix
@@ -137,6 +137,30 @@ def episode_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
     ])
 
 
+def _evaluate(ep: Episode, arms, kb: KnowledgeBase) -> list[EpisodeResult]:
+    """Fit (if parametric) and evaluate every ``(classifier, adj_cfg, fit_cfg)``
+    arm on one episode; the queries' hardness is scored once for all arms."""
+    if kb.dim != ep.dim:
+        raise ValueError(f"knowledge base dimension {kb.dim} does not match episode ({ep.dim})")
+    predicted = []
+    for classifier, adj_cfg, fit_cfg in arms:
+        predictor = Predictor(adj_cfg, kb, ep.dim, ep.way, classifier)
+        if classifier == "centroid":
+            heads = init_heads(
+                "centroid", ep.way, predictor.support_inputs(ep.support_x), ep.support_y
+            )
+        else:
+            heads = fit_head(ep.support_x, ep.support_y, predictor, fit_cfg)
+        predicted.append(predictor.probs_batch(heads, ep.query_x).argmax(axis=1))
+    hardness = episode_hardness(ep, kb)
+    return [
+        EpisodeResult(
+            predicted=p, true=ep.query_y.copy(), hardness=hardness, correct=p == ep.query_y
+        )
+        for p in predicted
+    ]
+
+
 def run_episode(
     ep: Episode,
     classifier: str,
@@ -145,29 +169,12 @@ def run_episode(
     kb: KnowledgeBase,
 ) -> EpisodeResult:
     """Fit (if parametric) and evaluate one episode; deterministic given configs."""
-    if kb.dim != ep.dim:
-        raise ValueError(f"knowledge base dimension {kb.dim} does not match episode ({ep.dim})")
-    predictor = Predictor(adj_cfg, kb, ep.dim, ep.way, classifier)
-    if classifier == "centroid":
-        heads = init_heads(
-            "centroid", ep.way, predictor.support_inputs(ep.support_x), ep.support_y
-        )
-    else:
-        heads = fit_head(ep.support_x, ep.support_y, predictor, fit_cfg)
-    probs = predictor.probs_batch(heads, ep.query_x)
-    predicted = probs.argmax(axis=1)
-    hardness = episode_hardness(ep, kb)
-    return EpisodeResult(
-        predicted=predicted,
-        true=ep.query_y.copy(),
-        hardness=hardness,
-        correct=predicted == ep.query_y,
-    )
+    return _evaluate(ep, [(classifier, adj_cfg, fit_cfg)], kb)[0]
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
-    """Stream for episode ``index``: independent of every other index, so a
-    parallel run equals the serial one."""
+    """Stream for episode ``index``: independent of every other index, so an
+    episode does not depend on how many episodes or arms a run evaluates."""
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
@@ -175,12 +182,33 @@ def derived_fit_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index, 1)).generate_state(1, np.uint64)[0])
 
 
-def parallel_indexed(fn, count: int, threads: int = 1) -> list:
-    """Apply ``fn`` to 0..count-1, optionally on a thread pool, keeping index order."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def run_arms(
+    sample: Callable[[np.random.Generator], tuple[Episode, Any]],
+    arms: Sequence[tuple[str, AdjustmentConfig, FitConfig]],
+    kb: KnowledgeBase,
+    count: int,
+    seed: int,
+) -> tuple[list[list[EpisodeResult]], list]:
+    """Evaluate every ``(classifier, adj_cfg, fit_cfg)`` arm on the same episodes.
+
+    ``sample(rng)`` returns an episode and any extra output of its sampler.
+    Episode ``i`` is drawn once from ``episode_rng(seed, i)`` and scored for
+    hardness once; every arm fits its heads on it with seed
+    ``derived_fit_seed(seed, i)``, whatever seed its config names. Returns one
+    result list per arm and the sampler's extra outputs, in episode order.
+    """
+    if count < 1:
+        raise ValueError(f"episode count must be >= 1, got {count}")
+    per_arm: list[list[EpisodeResult]] = [[] for _ in arms]
+    extras = []
+    for index in range(count):
+        ep, extra = sample(episode_rng(seed, index))
+        fit_seed = derived_fit_seed(seed, index)
+        seeded = [(c, a, replace(f, seed=fit_seed)) for c, a, f in arms]
+        for results, res in zip(per_arm, _evaluate(ep, seeded, kb)):
+            results.append(res)
+        extras.append(extra)
+    return per_arm, extras
 
 
 def run_many(
@@ -196,13 +224,13 @@ def run_many(
     seed: int,
     threads: int = 1,
 ) -> list[EpisodeResult]:
-    """Sample and evaluate ``count`` episodes under per-index seed streams."""
-    if count < 1:
-        raise ValueError(f"episode count must be >= 1, got {count}")
+    """Sample and evaluate ``count`` episodes under per-index seed streams.
 
-    def one(index: int) -> EpisodeResult:
-        ep = sample_episode(ds, way, shot, query, episode_rng(seed, index))
-        cfg = replace(fit_cfg, seed=derived_fit_seed(seed, index))
-        return run_episode(ep, classifier, adj_cfg, cfg, kb)
+    ``threads`` is accepted for compatibility; episodes run serially.
+    """
 
-    return parallel_indexed(one, count, threads)
+    def sample(rng: np.random.Generator) -> tuple[Episode, None]:
+        return sample_episode(ds, way, shot, query, rng), None
+
+    (results,), _ = run_arms(sample, [(classifier, adj_cfg, fit_cfg)], kb, count, seed)
+    return results

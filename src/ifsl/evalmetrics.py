@@ -50,20 +50,23 @@ class Report:
     hardness_bins: tuple[HardnessBin, ...] = field(default_factory=tuple)
 
 
-def accuracy_report(results) -> Report:
-    """Mean per-episode accuracy (percent) with a normal-theory 95% interval.
+def mean_ci(values) -> tuple[float, float]:
+    """Mean and normal-theory 95% half-width 1.96 * sd / sqrt(n), with the
+    sample standard deviation; a single value has half-width 0."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("no values to aggregate")
+    half = 0.0 if arr.size == 1 else 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+    return float(arr.mean()), half
 
-    The interval half-width is 1.96 * sd / sqrt(T) over per-episode
-    accuracies (sample standard deviation); a single episode reports 0.
-    """
-    accs = np.array([100.0 * r.accuracy for r in results])
-    if accs.size == 0:
+
+def accuracy_report(results) -> Report:
+    """Mean per-episode accuracy (percent) with its 95% interval (``mean_ci``)."""
+    accs = [100.0 * r.accuracy for r in results]
+    if not accs:
         raise ValueError("no episode results to aggregate")
-    if accs.size == 1:
-        ci = 0.0
-    else:
-        ci = 1.96 * float(np.std(accs, ddof=1)) / math.sqrt(accs.size)
-    return Report(episodes=accs.size, mean_acc=float(accs.mean()), ci95=ci)
+    mean, ci = mean_ci(accs)
+    return Report(episodes=len(accs), mean_acc=mean, ci95=ci)
 
 
 def hardness_report(results, bins: int) -> tuple[HardnessBin, ...]:

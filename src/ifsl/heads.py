@@ -126,32 +126,6 @@ def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     return -np.einsum("bkp,bkp->bk", diff, diff)
 
 
-def linear_logits(h: HeadParams, z) -> np.ndarray:
-    if h.kind != "linear":
-        raise ValueError(f"expected a linear head, got {h.kind!r}")
-    return logits_batch(h, as_vector(z)[None, :])[0]
-
-
-def cosine_logits(h: HeadParams, z) -> np.ndarray:
-    if h.kind != "cosine":
-        raise ValueError(f"expected a cosine head, got {h.kind!r}")
-    return logits_batch(h, as_vector(z)[None, :])[0]
-
-
-def centroid_logits(h: HeadParams, z) -> np.ndarray:
-    if h.kind != "centroid":
-        raise ValueError(f"expected a centroid head, got {h.kind!r}")
-    return logits_batch(h, as_vector(z)[None, :])[0]
-
-
-def head_logits(h: HeadParams, z) -> np.ndarray:
-    return logits_batch(h, as_vector(z)[None, :])[0]
-
-
-def head_probs(h: HeadParams, z) -> np.ndarray:
-    return softmax_rows(logits_batch(h, as_vector(z)[None, :]))[0]
-
-
 # --- gradients ---------------------------------------------------------------
 
 
@@ -359,12 +333,13 @@ def fit_head(
         heads = init_heads(predictor.head_kind, predictor.way, blocks, y, coupling)
     rng = np.random.default_rng(cfg.seed)
     cycler = _BatchCycler(X.shape[0], rng)
-    full_batch = np.arange(X.shape[0])
     for it in range(cfg.iterations):
-        idx = full_batch if cfg.batch_size is None else cycler.take(cfg.batch_size)
-        loss, grads = mixture_loss_and_grads(
-            heads, [Z[idx] for Z in blocks], y[idx], cfg.weight_decay
-        )
+        if cfg.batch_size is None:
+            batch, labels = blocks, y
+        else:
+            idx = cycler.take(cfg.batch_size)
+            batch, labels = [Z[idx] for Z in blocks], y[idx]
+        loss, grads = mixture_loss_and_grads(heads, batch, labels, cfg.weight_decay)
         sgd_step(heads, grads, cfg.learning_rate, coupling)
         if loss_callback is not None:
             loss_callback(it, loss)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
 from .episodes import sample_episode
-from .heads import HeadParams, mixture_loss_and_grads, sgd_step
+from .heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
 from .knowledge import FeatureDataset, KnowledgeBase
 
 META_MAGIC = b"IFSLMET1"
@@ -74,18 +74,12 @@ def adapt(
     inner_lr: float,
     inner_steps: int,
 ) -> list[HeadParams]:
-    """Full-batch inner-loop adaptation of a copy of ``theta``.
-
-    Matches ``fit_head`` with ``batch_size=None`` and zero weight decay.
-    """
-    predictor.validate_heads(theta)
-    heads = [h.copy() for h in theta]
-    blocks = predictor.support_inputs(np.asarray(support_x, dtype=np.float64))
-    y = np.asarray(support_y, dtype=np.int64)
-    for _ in range(inner_steps):
-        _, grads = mixture_loss_and_grads(heads, blocks, y, 0.0)
-        sgd_step(heads, grads, inner_lr, predictor.context_coupling)
-    return heads
+    """Full-batch inner-loop adaptation of a copy of ``theta``: ``fit_head``
+    with ``batch_size=None`` and zero weight decay, started from ``theta``."""
+    cfg = FitConfig(
+        iterations=inner_steps, batch_size=None, learning_rate=inner_lr, weight_decay=0.0
+    )
+    return fit_head(support_x, support_y, predictor, cfg, init=theta)
 
 
 def meta_train(

@@ -11,18 +11,12 @@ support class to a single stratum while queries escape with some probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .episodes import (
-    Episode,
-    EpisodeResult,
-    derived_fit_seed,
-    episode_rng,
-    parallel_indexed,
-    run_episode,
-)
+from .episodes import Episode, EpisodeResult, run_arms
 from .heads import FitConfig, fit_head
 from .knowledge import FeatureDataset, KnowledgeBase
 
@@ -218,27 +212,14 @@ def run_confounded(
     seed: int,
     threads: int = 1,
 ) -> tuple[list[EpisodeResult], list[np.ndarray]]:
-    """Evaluate ``count`` confounded episodes; per-index streams keep parallel
-    runs equal to serial ones. Also returns each episode's mismatch mask."""
-    if count < 1:
-        raise ValueError(f"episode count must be >= 1, got {count}")
+    """Evaluate ``count`` confounded episodes under per-index seed streams.
 
-    def one(index: int):
-        rng = episode_rng(seed, index)
-        ep, mismatch = sample_confounded_episode(
-            novel, strata_tags, way, shot, query, mismatch_rate, rng
-        )
-        cfg = FitConfig(
-            fit_cfg.iterations,
-            fit_cfg.batch_size,
-            fit_cfg.learning_rate,
-            fit_cfg.weight_decay,
-            derived_fit_seed(seed, index),
-        )
-        return run_episode(ep, classifier, adj_cfg, cfg, kb), mismatch
-
-    pairs = parallel_indexed(one, count, threads)
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    Also returns each episode's mismatch mask. ``threads`` is accepted for
+    compatibility; episodes run serially.
+    """
+    sample = partial(sample_confounded_episode, novel, strata_tags, way, shot, query, mismatch_rate)
+    (results,), masks = run_arms(sample, [(classifier, adj_cfg, fit_cfg)], kb, count, seed)
+    return results, masks
 
 
 # --- linear-SCM instrument demo ----------------------------------------------

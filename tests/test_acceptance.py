@@ -21,7 +21,7 @@ from ifsl.causal_graph import (
 from ifsl.cli import main
 from ifsl.episodes import episode_rng, sample_episode
 from ifsl.evalmetrics import accuracy_report, hardness_report
-from ifsl.heads import FitConfig, HeadParams, linear_logits, mixture_loss_and_grads
+from ifsl.heads import FitConfig, HeadParams, logits_batch, mixture_loss_and_grads
 from ifsl.knowledge import PartitionConfig, save_features, save_features_csv, save_kb
 from ifsl.meta import adapt, meta_train, zero_meta_init
 from ifsl.numerics import softmax
@@ -72,10 +72,11 @@ def test_criterion_02_linear_head_exactness():
         contexts = rng.standard_normal((m, dim))
         priors = rng.dirichlet(np.ones(m))
         summed = np.sum(
-            [p * linear_logits(head, np.concatenate([x, c])) for p, c in zip(priors, contexts)],
+            [p * logits_batch(head, np.concatenate([x, c])[None, :])[0]
+             for p, c in zip(priors, contexts)],
             axis=0,
         )
-        pooled = linear_logits(head, np.concatenate([x, priors @ contexts]))
+        pooled = logits_batch(head, np.concatenate([x, priors @ contexts])[None, :])[0]
         worst = max(worst, float(np.max(np.abs(summed - pooled))))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-12 and elapsed < 1.0

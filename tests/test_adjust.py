@@ -13,11 +13,16 @@ from ifsl.adjust import (
     predict,
     select,
 )
-from ifsl.heads import HeadParams, head_probs, init_heads
+from ifsl.heads import HeadParams, init_heads, logits_batch
 from ifsl.knowledge import KnowledgeBase, PartitionConfig, active_index_set, feature_partition
-from ifsl.numerics import softmax
+from ifsl.numerics import softmax, softmax_rows
 
 from conftest import make_kb
+
+
+def _head_probs(h: HeadParams, z: np.ndarray) -> np.ndarray:
+    """One head's softmax output for a single input, scored as a one-row batch."""
+    return softmax_rows(logits_batch(h, z[None, :]))[0]
 
 
 # --- select -----------------------------------------------------------------------
@@ -280,7 +285,7 @@ def test_linear_head_stratum_mean_equals_exact_mixture(kb16):
         x = rng.standard_normal(16)
         inputs = p.context_inputs(x)
         manual = np.mean(
-            [head_probs(h, z) for h, z in zip(heads, inputs)], axis=0
+            [_head_probs(h, z) for h, z in zip(heads, inputs)], axis=0
         )
         assert np.max(np.abs(manual - p.probs(heads, x))) < 1e-12
 
@@ -349,10 +354,10 @@ def test_probs_invariant_to_head_stratum_pairing_order(kb16):
     heads = _probe_heads(p, seed=22)
     x = np.random.default_rng(23).standard_normal(16)
     inputs = p.context_inputs(x)
-    base = np.mean([head_probs(h, z) for h, z in zip(heads, inputs)], axis=0)
+    base = np.mean([_head_probs(h, z) for h, z in zip(heads, inputs)], axis=0)
     perm = [2, 0, 3, 1]
     permuted = np.mean(
-        [head_probs(heads[i], inputs[i]) for i in perm], axis=0
+        [_head_probs(heads[i], inputs[i]) for i in perm], axis=0
     )
     assert np.allclose(base, permuted, atol=1e-15)
     assert np.allclose(p.probs(heads, x), base, atol=1e-12)
@@ -365,7 +370,7 @@ def test_empty_stratum_contributes_head_at_zero(kb16):
     p = Predictor(cfg, kb16, 16, 3, "linear")
     heads = _probe_heads(p, seed=24)
     x = np.random.default_rng(25).standard_normal(16)
-    expect = np.mean([head_probs(h, np.zeros(4)) for h in heads], axis=0)
+    expect = np.mean([_head_probs(h, np.zeros(4)) for h in heads], axis=0)
     assert np.allclose(p.probs(heads, x), expect, atol=1e-15)
 
 

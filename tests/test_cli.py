@@ -336,3 +336,14 @@ def test_meta_requires_kb_for_class_adjustment(data_dir, tmp_path):
          "--adjust", "class", "--tasks", "1", "--eval-tasks", "1"]
     )
     assert code == 2
+
+
+def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path):
+    # no held-out task leaves no accuracy to average; the report must not carry NaN
+    out = tmp_path / "meta.json"
+    code = main(
+        ["meta", "--features", str(data_dir / "novel.features"), "--out", str(out),
+         "--way", "3", "--query", "4", "--tasks", "2", "--eval-tasks", "0"]
+    )
+    assert code == 2
+    assert not out.exists()

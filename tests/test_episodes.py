@@ -1,4 +1,4 @@
-"""Episode sampling, evaluation, seed streams, and thread-order stability."""
+"""Episode sampling, evaluation, seed streams, and thread-count independence."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from ifsl.episodes import (
     episode_hardness,
     episode_rng,
     derived_fit_seed,
-    parallel_indexed,
     run_episode,
     run_many,
     sample_episode,
@@ -168,12 +167,6 @@ def test_derived_fit_seed_distinct_from_episode_stream():
     assert len(seeds) == 100
     assert derived_fit_seed(8, 3) == derived_fit_seed(8, 3)
     assert derived_fit_seed(8, 3) != derived_fit_seed(9, 3)
-
-
-def test_parallel_indexed_preserves_order():
-    out = parallel_indexed(lambda i: i * i, 20, threads=4)
-    assert out == [i * i for i in range(20)]
-    assert parallel_indexed(lambda i: i, 5, threads=1) == [0, 1, 2, 3, 4]
 
 
 # --- batch runs --------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ifsl.evalmetrics import (
     accuracy_report,
     bins_to_csv_rows,
     hardness_report,
+    mean_ci,
     query_hardness,
     with_bins,
 )
@@ -116,6 +117,25 @@ def test_accuracy_report_order_invariant():
     b = accuracy_report(results[::-1])
     assert a.mean_acc == b.mean_acc
     assert a.ci95 == pytest.approx(b.ci95, abs=1e-12)
+
+
+# --- mean_ci -------------------------------------------------------------------------
+
+
+def test_mean_ci_single_value_zero_interval():
+    assert mean_ci([42.5]) == (42.5, 0.0)
+
+
+def test_mean_ci_two_value_hand_value():
+    # mean 50, sd 50*sqrt(2), half-width 1.96 * sd / sqrt(2) = 98.0 exactly
+    mean, half = mean_ci([0.0, 100.0])
+    assert mean == 50.0
+    assert half == pytest.approx(98.0, abs=1e-12)
+
+
+def test_mean_ci_empty_rejected():
+    with pytest.raises(ValueError, match="no values"):
+        mean_ci([])
 
 
 # --- hardness_report ----------------------------------------------------------------

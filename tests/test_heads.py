@@ -11,62 +11,61 @@ from ifsl.heads import (
     HeadParams,
     _BatchCycler,
     ce_loss_and_grad,
-    centroid_logits,
     centroids_from_support,
-    cosine_logits,
     fit_head,
-    head_probs,
     init_heads,
-    linear_logits,
+    logits_batch,
     mixture_loss_and_grads,
     tie_context,
 )
 from ifsl.knowledge import PartitionConfig
+from ifsl.numerics import softmax_rows
 
 from conftest import make_kb
 
 
 # --- logits ---------------------------------------------------------------------
+# single inputs are scored as one-row batches
 
 
 def test_linear_logits_examples():
     zero = HeadParams("linear", W=np.zeros((2, 2)), b=np.zeros(2))
-    assert np.array_equal(linear_logits(zero, [5.0, -3.0]), [0.0, 0.0])
+    assert np.array_equal(logits_batch(zero, np.array([[5.0, -3.0]]))[0], [0.0, 0.0])
 
     ident = HeadParams("linear", W=np.eye(2), b=np.zeros(2))
-    assert np.array_equal(linear_logits(ident, [3.0, -1.0]), [3.0, -1.0])
+    assert np.array_equal(logits_batch(ident, np.array([[3.0, -1.0]]))[0], [3.0, -1.0])
 
     h = HeadParams("linear", W=[[1.0, 1.0], [0.0, 2.0]], b=[1.0, 0.0])
-    assert np.array_equal(linear_logits(h, [1.0, 1.0]), [3.0, 2.0])
+    assert np.array_equal(logits_batch(h, np.array([[1.0, 1.0]]))[0], [3.0, 2.0])
 
 
 def test_cosine_logits_examples():
     h = HeadParams("cosine", W=[[1.0, 0.0], [0.0, 1.0]])
-    out = cosine_logits(h, [1.0, 0.0])
+    out = logits_batch(h, np.array([[1.0, 0.0]]))[0]
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(0.0)
 
     scaled = HeadParams("cosine", W=[[2.0, 0.0], [0.0, 1.0]])
-    assert cosine_logits(scaled, [5.0, 0.0])[0] == pytest.approx(1.0)
+    assert logits_batch(scaled, np.array([[5.0, 0.0]]))[0, 0] == pytest.approx(1.0)
 
 
 def test_cosine_rescaling_invariance():
     rng = np.random.default_rng(0)
     W = rng.standard_normal((3, 4))
-    z = rng.standard_normal(4)
-    base = cosine_logits(HeadParams("cosine", W=W), z)
+    z = rng.standard_normal((1, 4))
+    base = logits_batch(HeadParams("cosine", W=W), z)
     scaled_rows = W * rng.uniform(0.5, 4.0, size=(3, 1))
-    assert np.allclose(cosine_logits(HeadParams("cosine", W=scaled_rows), z), base, atol=1e-12)
-    assert np.allclose(cosine_logits(HeadParams("cosine", W=W), 7.3 * z), base, atol=1e-12)
+    assert np.allclose(logits_batch(HeadParams("cosine", W=scaled_rows), z), base, atol=1e-12)
+    assert np.allclose(logits_batch(HeadParams("cosine", W=W), 7.3 * z), base, atol=1e-12)
 
 
 def test_centroid_logits_examples():
     h = HeadParams("centroid", centroids=[[0.0, 0.0], [1.0, 0.0]])
-    out = centroid_logits(h, [1.0, 0.0])
+    out = logits_batch(h, np.array([[1.0, 0.0]]))[0]
     assert np.array_equal(out, [-1.0, 0.0])
     assert out.argmax() == 1
     # sitting on a centroid scores 0, the maximum
-    assert centroid_logits(h, [0.0, 0.0])[0] == 0.0
+    assert logits_batch(h, np.array([[0.0, 0.0]]))[0, 0] == 0.0
 
 
 def test_centroid_equals_expanded_linear_argmax():
@@ -78,8 +77,8 @@ def test_centroid_equals_expanded_linear_argmax():
         "linear", W=2.0 * cents, b=-np.sum(cents * cents, axis=1)
     )
     for _ in range(100):
-        z = rng.standard_normal(6) * rng.uniform(0.1, 5)
-        assert centroid_logits(cent_head, z).argmax() == linear_logits(lin_head, z).argmax()
+        z = rng.standard_normal((1, 6)) * rng.uniform(0.1, 5)
+        assert logits_batch(cent_head, z).argmax() == logits_batch(lin_head, z).argmax()
 
 
 def test_head_probs_sum_to_one():
@@ -90,7 +89,7 @@ def test_head_probs_sum_to_one():
         HeadParams("centroid", centroids=rng.standard_normal((3, 4))),
     ]
     for h in heads:
-        p = head_probs(h, rng.standard_normal(4))
+        p = softmax_rows(logits_batch(h, rng.standard_normal((1, 4))))[0]
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
 
@@ -107,7 +106,7 @@ def test_head_params_validation():
     with pytest.raises(ValueError, match="unknown head kind"):
         HeadParams("mlp", W=np.zeros((2, 3)), b=np.zeros(2))
     with pytest.raises(ValueError):
-        linear_logits(HeadParams("linear", W=np.eye(2), b=np.zeros(2)), [1.0, 2.0, 3.0])
+        logits_batch(HeadParams("linear", W=np.eye(2), b=np.zeros(2)), np.array([[1.0, 2.0, 3.0]]))
 
 
 # --- centroids --------------------------------------------------------------------

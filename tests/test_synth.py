@@ -1,12 +1,14 @@
 """Confounded data generation, stratum-tied episodes, and the linear-SCM demo."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from ifsl.adjust import AdjustmentConfig
-from ifsl.episodes import episode_hardness, episode_rng
+from ifsl.episodes import episode_hardness, episode_rng, run_arms
 from ifsl.heads import FitConfig
-from ifsl.knowledge import FeatureDataset
+from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.synth import (
     IvResult,
     LinearScmConfig,
@@ -219,6 +221,35 @@ def test_run_confounded_threads_match_serial(small_out):
         assert np.array_equal(a.predicted, b.predicted)
     for a, b in zip(serial_masks, thread_masks):
         assert np.array_equal(a, b)
+
+
+def test_paired_arms_match_solo_runs(small_out):
+    # every arm of one paired pass sees the episodes, fit seeds and hardness
+    # that a solo run_confounded call for that arm sees
+    part = PartitionConfig(n=4, t=1e-3)
+    arms = [
+        ("linear", AdjustmentConfig("none"), FitConfig(iterations=20, learning_rate=1e-2)),
+        ("linear", AdjustmentConfig("combined", partition=part), FitConfig(iterations=20)),
+        ("cosine", AdjustmentConfig("feature", partition=part), FitConfig(iterations=20, seed=5)),
+        ("centroid", AdjustmentConfig("class"), FitConfig()),
+    ]
+    sample = partial(
+        sample_confounded_episode, small_out.novel, small_out.novel_strata, 3, 1, 3, 0.5
+    )
+    paired, masks = run_arms(sample, arms, small_out.kb, 6, 19)
+    assert len(paired) == len(arms) and len(masks) == 6
+    for (classifier, adj_cfg, fit_cfg), results in zip(arms, paired):
+        solo, solo_masks = run_confounded(
+            small_out.novel, small_out.novel_strata, small_out.kb, 3, 1, 3, 6, 0.5,
+            classifier, adj_cfg, fit_cfg, seed=19,
+        )
+        assert len(results) == len(solo) == 6
+        for a, b in zip(results, solo):
+            assert np.array_equal(a.predicted, b.predicted)
+            assert np.array_equal(a.hardness, b.hardness)
+            assert np.array_equal(a.correct, b.correct)
+        for a, b in zip(masks, solo_masks):
+            assert np.array_equal(a, b)
 
 
 # --- linear-SCM instrument demo ---------------------------------------------------------
