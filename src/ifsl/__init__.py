@@ -12,10 +12,7 @@ from .adjust import (
     Predictor,
     backdoor_exact_classwise,
     class_context,
-    feature_contexts,
     nwgm,
-    predict,
-    select,
 )
 from .causal_graph import (
     BUILTIN_GRAPHS,
@@ -43,7 +40,6 @@ from .episodes import (
 from .heads import (
     FitConfig,
     HeadParams,
-    ce_loss_and_grad,
     centroids_from_support,
     fit_head,
 )
@@ -52,7 +48,6 @@ from .knowledge import (
     FormatError,
     KnowledgeBase,
     PartitionConfig,
-    active_index_set,
     feature_partition,
     load_features,
     load_features_csv,
@@ -64,7 +59,7 @@ from .knowledge import (
 )
 from .meta import MetaInit, adapt, load_meta, meta_train, save_meta, zero_meta_init
 from .evalmetrics import HardnessBin, Report, accuracy_report, hardness_report, query_hardness
-from .numerics import cosine_similarity, mean_vector, relu, softmax
+from .numerics import softmax
 from .synth import (
     IvResult,
     LinearScmConfig,

@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .heads import HeadParams, logits_batch
-from .knowledge import KnowledgeBase, PartitionConfig, active_index_set, feature_partition, pretrain_probs
-from .numerics import as_matrix, as_vector, softmax, softmax_rows
+from .knowledge import KnowledgeBase, PartitionConfig, pretrain_probs
+from .numerics import as_matrix, as_vector, softmax_rows
 
 STRATEGIES = ("none", "feature", "class", "combined")
 
@@ -49,40 +49,10 @@ class AdjustmentConfig:
             raise ValueError(f"only the uniform stratum prior is supported, got {self.prior!r}")
 
 
-def select(x, indices, block) -> np.ndarray:
-    """Masked slice: block-shaped copy of x with entries outside ``indices`` zeroed.
-
-    ``indices`` must be a subset of ``block``; the result has one entry per
-    block position so head input dimensions stay fixed.
-    """
-    v = as_vector(x)
-    block = np.asarray(block, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if block.size and (block.min() < 0 or block.max() >= v.size):
-        raise ValueError("block indices out of range")
-    if indices.size:
-        if not np.isin(indices, block).all():
-            raise ValueError("selected indices must be a subset of the block")
-    out = np.zeros(block.size)
-    if indices.size:
-        pos = np.searchsorted(block, indices)
-        out[pos] = v[indices]
-    return out
-
-
-def feature_contexts(x, part: PartitionConfig) -> list[np.ndarray]:
-    """Per-stratum index sets c_i: block i intersected with the active set of x."""
-    v = as_vector(x)
-    part.validate_dim(v.size)
-    active = np.abs(v) > part.t
-    blocks = feature_partition(v.size, part.n)
-    return [block[active[block]] for block in blocks]
-
-
-def class_context(kb: KnowledgeBase, x) -> np.ndarray:
-    """Probability-weighted mean context (1/m) sum_j P(a_j | x) * mean_j."""
-    probs = pretrain_probs(kb, x)
-    return (probs @ kb.class_means) / kb.m
+def class_context(kb: KnowledgeBase, X) -> np.ndarray:
+    """Probability-weighted mean context (1/m) sum_j P(a_j | x) * mean_j for
+    every row x of a (B, dim) matrix."""
+    return pretrain_probs(kb, X) @ kb.class_means / kb.m
 
 
 class Predictor:
@@ -122,29 +92,6 @@ class Predictor:
         else:
             self.n_heads, self.head_input_dim = cfg.partition.n, 2 * dim // cfg.partition.n
 
-    def context_inputs(self, x) -> list[np.ndarray]:
-        """Per-head input vectors for one raw feature vector.
-
-        A literal per-stratum construction from ``select``; ``support_inputs``
-        computes the same blocks for a whole matrix at once.
-        """
-        v = as_vector(x, size=self.dim)
-        strategy = self.cfg.strategy
-        if strategy == "none":
-            return [v]
-        if strategy == "class":
-            return [np.concatenate([v, class_context(self.kb, v)])]
-        blocks = feature_partition(self.dim, self.cfg.partition.n)
-        x_ctx = feature_contexts(v, self.cfg.partition)
-        if strategy == "feature":
-            return [select(v, c, blk) for c, blk in zip(x_ctx, blocks)]
-        ctx = class_context(self.kb, v)
-        c_ctx = feature_contexts(ctx, self.cfg.partition)
-        return [
-            np.concatenate([select(v, cx, blk), select(ctx, cc, blk)])
-            for cx, cc, blk in zip(x_ctx, c_ctx, blocks)
-        ]
-
     def support_inputs(self, X: np.ndarray) -> list[np.ndarray]:
         """Stacked per-head input blocks for a (S, dim) feature matrix.
 
@@ -156,8 +103,7 @@ class Predictor:
         if strategy == "none":
             return [X]
         if strategy in ("class", "combined"):
-            kb = self.kb
-            ctx = softmax_rows(X @ kb.pre_weights.T + kb.pre_bias) @ kb.class_means / kb.m
+            ctx = class_context(self.kb, X)
             if strategy == "class":
                 return [np.concatenate([X, ctx], axis=1)]
         n, t = self.cfg.partition.n, self.cfg.partition.t
@@ -193,58 +139,32 @@ class Predictor:
             acc = p if acc is None else acc + p
         return acc / len(heads)
 
-    def probs(self, heads: Sequence[HeadParams], x) -> np.ndarray:
-        self.validate_heads(heads)
-        v = as_vector(x, size=self.dim)
-        return self.probs_from_inputs(heads, self.support_inputs(v[None, :]))[0]
-
     def probs_batch(self, heads: Sequence[HeadParams], X: np.ndarray) -> np.ndarray:
         self.validate_heads(heads)
         return self.probs_from_inputs(heads, self.support_inputs(X))
-
-
-def _normalize_heads(heads) -> list[HeadParams]:
-    if isinstance(heads, HeadParams):
-        return [heads]
-    out = list(heads)
-    if not out:
-        raise ValueError("no heads given")
-    return out
-
-
-def predict(heads, x, kb: KnowledgeBase | None, cfg: AdjustmentConfig) -> np.ndarray:
-    """Adjusted class probabilities for one feature vector.
-
-    ``heads`` is a single head for the ``none``/``class`` strategies or one
-    head per feature stratum otherwise; kind and way are read off the heads.
-    """
-    hs = _normalize_heads(heads)
-    v = as_vector(x)
-    predictor = Predictor(cfg, kb, v.size, hs[0].way, hs[0].kind)
-    return predictor.probs(hs, v)
 
 
 def backdoor_exact_classwise(head: HeadParams, x, kb: KnowledgeBase) -> np.ndarray:
     """Explicit class-stratum backdoor sum sum_d softmax(f(x + c_d)) P(d).
 
     Stratum d contributes the concatenation of x with c_d = P(a_d | x) * mean_d
-    under the uniform prior P(d) = 1/m. The NWGM form used by ``predict`` moves
-    the sum inside the head. For linear heads the prior-weighted per-stratum
-    logits equal the logits of the pooled context exactly, but this function
-    averages probabilities, so for m > 1 it agrees with ``predict`` only
-    approximately (usually in the argmax); for m = 1 the two coincide.
+    under the uniform prior P(d) = 1/m. The ``class`` strategy of
+    :class:`Predictor` moves the sum inside the head (NWGM). For linear heads
+    the prior-weighted per-stratum logits equal the logits of the pooled
+    context exactly, but this function averages probabilities, so for m > 1 it
+    agrees with ``Predictor.probs_batch`` only approximately (usually in the
+    argmax); for m = 1 the two coincide.
     """
     v = as_vector(x, size=kb.dim)
     if head.input_dim != 2 * kb.dim:
         raise ValueError(
             f"head input dimension {head.input_dim} does not match concatenated size {2 * kb.dim}"
         )
-    probs = pretrain_probs(kb, v)
-    acc = np.zeros(head.way)
-    for d in range(kb.m):
-        z = np.concatenate([v, probs[d] * kb.class_means[d]])
-        acc += softmax_rows(logits_batch(head, z[None, :]))[0]
-    return acc / kb.m
+    probs = pretrain_probs(kb, v[None, :])[0]
+    Z = np.concatenate(
+        [np.broadcast_to(v, kb.class_means.shape), probs[:, None] * kb.class_means], axis=1
+    )
+    return softmax_rows(logits_batch(head, Z)).mean(axis=0)
 
 
 def nwgm(logit_sets, priors) -> np.ndarray:

@@ -33,7 +33,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import episode_rng, run_arms, run_many, sample_episode
+from .episodes import run_arms, run_many
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -44,7 +44,7 @@ from .knowledge import (
     save_features,
     save_kb,
 )
-from .meta import adapt, meta_train, save_meta, zero_meta_init
+from .meta import evaluate_inits, meta_train, save_meta, zero_meta_init
 from .evalmetrics import (
     Report,
     accuracy_report,
@@ -382,16 +382,10 @@ def cmd_meta(args) -> int:
     if args.out_init:
         save_meta(trained, args.out_init)
 
-    zero_theta = mi.copy_theta()
-    meta_accs, zero_accs = [], []
-    for e in range(args.eval_tasks):
-        ep = sample_episode(ds, args.way, args.shot, args.query, episode_rng(args.seed + 1, e))
-        blocks = probe.support_inputs(ep.query_x)
-        for theta, accs in ((trained.theta0, meta_accs), (zero_theta, zero_accs)):
-            adapted = adapt(theta, probe, ep.support_x, ep.support_y,
-                            trained.inner_lr, trained.inner_steps)
-            probs = probe.probs_from_inputs(adapted, blocks)
-            accs.append(100.0 * float((probs.argmax(axis=1) == ep.query_y).mean()))
+    meta_accs, zero_accs = evaluate_inits(
+        ds, args.way, args.shot, args.query, probe, [trained.theta0, mi.theta0],
+        trained.inner_lr, trained.inner_steps, args.eval_tasks, args.seed + 1,
+    )
     meta_acc, meta_ci = mean_ci(meta_accs)
     zero_acc, zero_ci = mean_ci(zero_accs)
     doc = {

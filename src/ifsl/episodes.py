@@ -8,7 +8,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .heads import FitConfig, fit_head, init_heads
+from .heads import FitConfig, centroids_from_support, fit_head, init_heads
 from .knowledge import FeatureDataset, KnowledgeBase, pretrain_logits
 from .evalmetrics import query_hardness
 from .numerics import as_matrix
@@ -127,14 +127,10 @@ def sample_episode(ds: FeatureDataset, way: int, shot: int, query: int, rng: np.
 def episode_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
     """Hardness of every query: disagreement between its pre-trained response
     and the averaged pre-trained responses of its class's support samples."""
-    support_logits = np.stack([pretrain_logits(kb, row) for row in ep.support_x])
-    class_profiles = [
-        support_logits[ep.support_y == k].mean(axis=0) for k in range(ep.way)
-    ]
-    return np.array([
-        query_hardness(pretrain_logits(kb, row), class_profiles, int(gt))
-        for row, gt in zip(ep.query_x, ep.query_y)
-    ])
+    logits = pretrain_logits(kb, np.concatenate([ep.support_x, ep.query_x]))
+    support, queries = logits[: ep.support_y.size], logits[ep.support_y.size :]
+    profiles = centroids_from_support(support, ep.support_y, ep.way)
+    return query_hardness(queries, profiles, ep.query_y)
 
 
 def _evaluate(ep: Episode, arms, kb: KnowledgeBase) -> list[EpisodeResult]:

@@ -8,30 +8,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import as_vector, cosine_similarity, relu
+from .numerics import as_matrix, normalize_rows, softmax_rows
 
 _S_CLAMP = 1e-12
 
 
-def query_hardness(r, class_profiles: Sequence[np.ndarray], gt: int) -> float:
-    """Log-odds hardness of a query from pre-trained responses.
+def query_hardness(R, class_profiles, gt) -> np.ndarray:
+    """Log-odds hardness of every query from pre-trained responses.
 
-    ``r`` is the query's pre-trained logit vector and ``class_profiles`` the
-    per-class averaged support logits. With s the softmax (over classes) of
-    the cosine similarities between the rectified vectors, hardness is
-    log((1 - s) / s): 0 when s = 1/2, positive when the true class looks
-    dissimilar. s is clamped to [1e-12, 1 - 1e-12].
+    ``R`` is the (Q, m) matrix of query pre-trained logits, ``class_profiles``
+    the (K, m) per-class averaged support logits and ``gt`` the Q true class
+    indices. With s the softmax (over classes) of the cosine similarities
+    between the rectified vectors, hardness is log((1 - s) / s): 0 when
+    s = 1/2, positive when the true class looks dissimilar. A zero-norm vector
+    has cosine 0 with everything; s is clamped to [1e-12, 1 - 1e-12].
     """
-    rv = relu(as_vector(r))
-    if not class_profiles:
+    if len(class_profiles) == 0:
         raise ValueError("need at least one class profile")
-    if not 0 <= gt < len(class_profiles):
-        raise ValueError(f"ground-truth index {gt} out of range")
-    sims = np.array([cosine_similarity(rv, relu(as_vector(p))) for p in class_profiles])
-    e = np.exp(sims - sims.max())
-    s = float(e[gt] / e.sum())
-    s = min(max(s, _S_CLAMP), 1.0 - _S_CLAMP)
-    return math.log((1.0 - s) / s)
+    R = as_matrix(R)
+    profiles = as_matrix(class_profiles, cols=R.shape[1])
+    gt = np.asarray(gt, dtype=np.int64)
+    if gt.shape != (R.shape[0],):
+        raise ValueError(f"need one ground-truth index per query, got shape {gt.shape}")
+    if gt.size and (gt.min() < 0 or gt.max() >= profiles.shape[0]):
+        raise ValueError(f"ground-truth index out of range [0, {profiles.shape[0] - 1}]")
+    cos = normalize_rows(np.maximum(R, 0.0)) @ normalize_rows(np.maximum(profiles, 0.0)).T
+    s = softmax_rows(cos)[np.arange(gt.size), gt]
+    s = np.clip(s, _S_CLAMP, 1.0 - _S_CLAMP)
+    return np.log((1.0 - s) / s)
 
 
 @dataclass(frozen=True)

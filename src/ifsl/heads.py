@@ -1,7 +1,7 @@
 """Classifier heads over adjusted features: logits, exact gradients, SGD fitting.
 
-A predictor (see :mod:`ifsl.adjust`) turns a raw feature vector into one input
-per stratum head and averages the per-head softmax outputs. The loss fitted
+A predictor (see :mod:`ifsl.adjust`) turns a raw feature matrix into one input
+block per stratum head and averages the per-head softmax outputs. The loss fitted
 here is the negative log of that averaged probability, so gradients are taken
 through the mixture into every head. When the predictor names a context
 coupling c, each head input is [x-part, context-part] and the fitted weights
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, softmax_rows
+from .numerics import as_matrix, as_vector, normalize_rows, softmax_rows
 
 HEAD_KINDS = ("linear", "cosine", "centroid")
 PARAMETRIC_KINDS = ("linear", "cosine")
@@ -106,12 +106,6 @@ class FitConfig:
 # --- logits ------------------------------------------------------------------
 
 
-def _normalize_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    out = np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
-    return out
-
-
 def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     """Logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
     if Z.ndim != 2 or Z.shape[1] != h.input_dim:
@@ -121,7 +115,7 @@ def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     if h.kind == "linear":
         return Z @ h.W.T + h.b
     if h.kind == "cosine":
-        return _normalize_rows(Z) @ _normalize_rows(h.W).T
+        return normalize_rows(Z) @ normalize_rows(h.W).T
     diff = Z[:, None, :] - h.centroids[None, :, :]
     return -np.einsum("bkp,bkp->bk", diff, diff)
 
@@ -134,13 +128,16 @@ def _grads_from_dlogits(h: HeadParams, Z: np.ndarray, G: np.ndarray, weight_deca
     if h.kind == "linear":
         return HeadGrads(W=G.T @ Z + weight_decay * h.W, b=G.sum(axis=0))
     if h.kind == "cosine":
-        V = _normalize_rows(Z)
+        # A zero-norm weight row scores 0 against every input (see logits_batch)
+        # and gets a zero gradient, so it stays zero.
+        V = normalize_rows(Z)
         norms = np.linalg.norm(h.W, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ValueError("cosine head has a zero-norm weight row; gradient undefined")
-        U = h.W / norms
+        U = normalize_rows(h.W)
         F = V @ U.T  # (B, K)
-        dW = (G.T @ V - ((G * F).sum(axis=0))[:, None] * U) / norms
+        dW = np.divide(
+            G.T @ V - ((G * F).sum(axis=0))[:, None] * U, norms,
+            out=np.zeros_like(h.W), where=norms > 0.0,
+        )
         return HeadGrads(W=dW + weight_decay * h.W)
     raise ValueError("centroid heads are non-parametric and have no gradients")
 
@@ -215,15 +212,6 @@ def sgd_step(
             h.b -= learning_rate * g.b
 
 
-def ce_loss_and_grad(h: HeadParams, z, y: int, weight_decay: float = 0.0) -> tuple[float, HeadGrads]:
-    """Single-sample softmax cross-entropy -log p_y + (weight_decay/2)||W||^2."""
-    v = as_vector(z, size=h.input_dim)
-    if not 0 <= y < h.way:
-        raise ValueError(f"label {y} out of range [0, {h.way - 1}]")
-    loss, grads = mixture_loss_and_grads([h], [v[None, :]], np.array([y]), weight_decay)
-    return loss, grads[0]
-
-
 # --- initialization ----------------------------------------------------------
 
 
@@ -252,9 +240,10 @@ def init_heads(
     """Fresh heads, one per input block.
 
     Linear heads start at zero. Cosine heads start from the per-class support
-    centroids rescaled to unit rows, since a zero cosine row is a singularity;
-    with a context coupling the centroids are first projected onto the tied
-    subspace. Centroid heads are non-parametric and ignore the coupling.
+    centroids rescaled to unit rows, since a zero cosine row scores 0 and is
+    never updated; with a context coupling the centroids are first projected
+    onto the tied subspace. Centroid heads are non-parametric and ignore the
+    coupling.
     """
     heads = []
     for Z in support_inputs:
@@ -265,7 +254,7 @@ def init_heads(
             cents = centroids_from_support(Z, labels, way)
             if coupling is not None:
                 cents = tie_context(cents, coupling)
-            heads.append(HeadParams("cosine", W=_normalize_rows(cents)))
+            heads.append(HeadParams("cosine", W=normalize_rows(cents)))
         elif kind == "centroid":
             heads.append(HeadParams("centroid", centroids=centroids_from_support(Z, labels, way)))
         else:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, softmax
+from .numerics import as_matrix, as_vector, softmax_rows
 
 FEATURE_MAGIC = b"IFSLFEA1"
 KB_MAGIC = b"IFSLKB01"
@@ -130,23 +130,14 @@ def feature_partition(dim: int, n: int) -> list[np.ndarray]:
     return [np.arange(i * width, (i + 1) * width) for i in range(n)]
 
 
-def active_index_set(x, t: float) -> np.ndarray:
-    """Indices k with |x_k| > t, ascending."""
-    v = as_vector(x)
-    if t < 0.0:
-        raise ValueError(f"activation threshold must be >= 0, got {t}")
-    return np.flatnonzero(np.abs(v) > t)
+def pretrain_logits(kb: KnowledgeBase, X) -> np.ndarray:
+    """Pre-trained classifier logits X W^T + b: one row of m per row of a (B, dim) matrix."""
+    return as_matrix(X, cols=kb.dim) @ kb.pre_weights.T + kb.pre_bias
 
 
-def pretrain_probs(kb: KnowledgeBase, x) -> np.ndarray:
-    """Pre-trained classifier posterior softmax(W x + b) over the m base classes."""
-    v = as_vector(x, size=kb.dim)
-    return softmax(kb.pre_weights @ v + kb.pre_bias)
-
-
-def pretrain_logits(kb: KnowledgeBase, x) -> np.ndarray:
-    v = as_vector(x, size=kb.dim)
-    return kb.pre_weights @ v + kb.pre_bias
+def pretrain_probs(kb: KnowledgeBase, X) -> np.ndarray:
+    """Pre-trained classifier posteriors softmax(X W^T + b) over the m base classes, per row."""
+    return softmax_rows(pretrain_logits(kb, X))
 
 
 # --- binary feature files ---------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .episodes import sample_episode
+from .episodes import episode_rng, sample_episode
 from .heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
 from .knowledge import FeatureDataset, KnowledgeBase
 
@@ -112,6 +112,35 @@ def meta_train(
     return replace_theta(mi, theta)
 
 
+def evaluate_inits(
+    ds: FeatureDataset,
+    way: int,
+    shot: int,
+    query: int,
+    predictor: Predictor,
+    inits: Sequence[Sequence[HeadParams]],
+    inner_lr: float,
+    inner_steps: int,
+    count: int,
+    seed: int,
+) -> list[list[float]]:
+    """Held-out query accuracy (percent) of every initialization after adaptation.
+
+    Task ``e`` of ``count`` is drawn from ``episode_rng(seed, e)``; each
+    initialization is adapted on its support set with ``adapt`` and scored on
+    its queries. Returns one list of per-task accuracies per initialization.
+    """
+    accs: list[list[float]] = [[] for _ in inits]
+    for e in range(count):
+        ep = sample_episode(ds, way, shot, query, episode_rng(seed, e))
+        blocks = predictor.support_inputs(ep.query_x)
+        for theta, out in zip(inits, accs):
+            adapted = adapt(theta, predictor, ep.support_x, ep.support_y, inner_lr, inner_steps)
+            probs = predictor.probs_from_inputs(adapted, blocks)
+            out.append(100.0 * float((probs.argmax(axis=1) == ep.query_y).mean()))
+    return accs
+
+
 def replace_theta(mi: MetaInit, theta: list[HeadParams]) -> MetaInit:
     return MetaInit(theta, mi.inner_lr, mi.inner_steps, mi.outer_lr, mi.tasks)
 
@@ -153,6 +182,10 @@ def load_meta(path):
         raise FormatError(f"{name}: unknown head kind code {kind_code} at byte 8")
     if n_heads == 0 or way < 2 or dim == 0:
         raise FormatError(f"{name}: degenerate layout in header at byte 12")
+    if not (np.isfinite(inner_lr) and inner_lr > 0.0):
+        raise FormatError(f"{name}: inner_lr {inner_lr!r} must be finite and > 0 at byte 24")
+    if not (np.isfinite(outer_lr) and outer_lr >= 0.0):
+        raise FormatError(f"{name}: outer_lr {outer_lr!r} must be finite and >= 0 at byte 28")
     kind = _KIND_NAMES[kind_code]
     per_head = way * dim + (way if kind == "linear" else 0)
     expected = 40 + 4 * n_heads * per_head

@@ -9,9 +9,7 @@ __all__ = [
     "as_matrix",
     "softmax",
     "softmax_rows",
-    "cosine_similarity",
-    "relu",
-    "mean_vector",
+    "normalize_rows",
 ]
 
 
@@ -56,26 +54,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors; 0.0 if either has zero norm."""
-    va = as_vector(a)
-    vb = as_vector(b, size=va.size)
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(va @ vb / (na * nb))
-
-
-def relu(v) -> np.ndarray:
-    return np.maximum(as_vector(v), 0.0)
-
-
-def mean_vector(vectors) -> np.ndarray:
-    """Arithmetic mean of a non-empty sequence of equal-length vectors."""
-    vs = list(vectors)
-    if not vs:
-        raise ValueError("mean of an empty collection of vectors")
-    first = as_vector(vs[0])
-    stacked = np.stack([as_vector(v, size=first.size) for v in vs])
-    return stacked.mean(axis=0)
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; a zero-norm row stays zero. No input validation."""
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from ifsl.adjust import AdjustmentConfig, Predictor, nwgm, select
+from ifsl.adjust import AdjustmentConfig, Predictor, nwgm
 from ifsl.causal_graph import (
     backdoor_admissible,
     d_separated,
@@ -19,11 +19,10 @@ from ifsl.causal_graph import (
     msl_sampling_graph,
 )
 from ifsl.cli import main
-from ifsl.episodes import episode_rng, sample_episode
 from ifsl.evalmetrics import accuracy_report, hardness_report
 from ifsl.heads import FitConfig, HeadParams, logits_batch, mixture_loss_and_grads
 from ifsl.knowledge import PartitionConfig, save_features, save_features_csv, save_kb
-from ifsl.meta import adapt, meta_train, zero_meta_init
+from ifsl.meta import evaluate_inits, meta_train, zero_meta_init
 from ifsl.numerics import softmax
 from ifsl.synth import LinearScmConfig, iv_demo, run_confounded
 
@@ -136,15 +135,9 @@ def test_criterion_04_adjustment_collapses():
     )
     heads_n = _random_heads("linear", 1, 3, 16, rng)
     heads_c = _random_heads("linear", 1, 3, 32, rng)
-    worst_feat = worst_comb = 0.0
-    for _ in range(200):
-        x = rng.standard_normal(16) * rng.uniform(0.5, 3.0)
-        worst_feat = max(
-            worst_feat, float(np.max(np.abs(base.probs(heads_n, x) - feat.probs(heads_n, x))))
-        )
-        worst_comb = max(
-            worst_comb, float(np.max(np.abs(cls.probs(heads_c, x) - comb.probs(heads_c, x))))
-        )
+    X = np.stack([rng.standard_normal(16) * rng.uniform(0.5, 3.0) for _ in range(200)])
+    worst_feat = float(np.max(np.abs(base.probs_batch(heads_n, X) - feat.probs_batch(heads_n, X))))
+    worst_comb = float(np.max(np.abs(cls.probs_batch(heads_c, X) - comb.probs_batch(heads_c, X))))
     ok = worst_feat <= 1e-15 and worst_comb <= 1e-15
     assert _verdict(
         4, ok,
@@ -264,16 +257,10 @@ def test_criterion_09_meta_initialization_transfers(default_synth):
         novel, 5, 1, 15, cfg, mi, None,
         np.random.default_rng(np.random.SeedSequence((77, 0))),
     )
-    zero_theta = mi.copy_theta()
-    meta_accs, zero_accs = [], []
-    for e in range(500):
-        ep = sample_episode(novel, 5, 1, 15, episode_rng(78, e))
-        blocks = predictor.support_inputs(ep.query_x)
-        for theta, accs in ((trained.theta0, meta_accs), (zero_theta, zero_accs)):
-            adapted = adapt(theta, predictor, ep.support_x, ep.support_y,
-                            trained.inner_lr, trained.inner_steps)
-            probs = predictor.probs_from_inputs(adapted, blocks)
-            accs.append(100.0 * float((probs.argmax(axis=1) == ep.query_y).mean()))
+    meta_accs, zero_accs = evaluate_inits(
+        novel, 5, 1, 15, predictor, [trained.theta0, mi.copy_theta()],
+        trained.inner_lr, trained.inner_steps, 500, 78,
+    )
     meta_acc = float(np.mean(meta_accs))
     zero_acc = float(np.mean(zero_accs))
     gap = meta_acc - zero_acc

@@ -2,22 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsl.adjust import (
+    STRATEGIES,
     AdjustmentConfig,
     Predictor,
     backdoor_exact_classwise,
     class_context,
-    feature_contexts,
     nwgm,
-    predict,
-    select,
 )
 from ifsl.heads import HeadParams, init_heads, logits_batch
-from ifsl.knowledge import KnowledgeBase, PartitionConfig, active_index_set, feature_partition
+from ifsl.knowledge import KnowledgeBase, PartitionConfig
 from ifsl.numerics import softmax, softmax_rows
 
-from conftest import make_kb
+from conftest import make_kb, reference_inputs
 
 
 def _head_probs(h: HeadParams, z: np.ndarray) -> np.ndarray:
@@ -25,35 +25,33 @@ def _head_probs(h: HeadParams, z: np.ndarray) -> np.ndarray:
     return softmax_rows(logits_batch(h, z[None, :]))[0]
 
 
-# --- select -----------------------------------------------------------------------
+def _feature_strata(X, n, t):
+    """Per-stratum input blocks of the ``feature`` strategy for a raw matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=n, t=t))
+    return Predictor(cfg, None, X.shape[1], 2, "linear").support_inputs(X)
+
+
+# --- stratum masks ------------------------------------------------------------------
 
 
 def test_select_masks_outside_intersection():
-    x = np.array([3.0, -1.0, 2.0, 7.0])
-    out = select(x, np.array([0]), np.array([0, 1]))
-    assert np.array_equal(out, [3.0, 0.0])
-    # full block acts as a plain slice
-    out = select(x, np.array([2, 3]), np.array([2, 3]))
-    assert np.array_equal(out, [2.0, 7.0])
-    # empty selection zeroes the block
-    out = select(x, np.array([], dtype=int), np.array([1, 2]))
-    assert np.array_equal(out, [0.0, 0.0])
-
-
-def test_select_requires_subset():
-    x = np.arange(4.0)
-    with pytest.raises(ValueError, match="subset of the block"):
-        select(x, np.array([0, 2]), np.array([0, 1]))
+    # blocks {0,1} and {2,3}; entries at or below t = 1 in magnitude are masked
+    first, second = _feature_strata([[3.0, -1.0, 2.0, 7.0], [3.0, -1.0, 0.5, 1.0]], 2, 1.0)
+    assert np.array_equal(first[0], [3.0, 0.0])
+    # a fully active block is a plain slice
+    assert np.array_equal(second[0], [2.0, 7.0])
+    # a fully inactive block is zeroed
+    assert np.array_equal(second[1], [0.0, 0.0])
 
 
 def test_select_output_dim_is_block_size():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(12)
-    block = np.arange(4, 8)
-    picked = np.array([5, 6])
-    out = select(x, picked, block)
-    assert out.shape == (4,)
-    assert np.array_equal(out, [0.0, x[5], x[6], 0.0])
+    x[[4, 7]] = 0.0  # inactive: block {4..7} keeps only entries 5 and 6
+    blocks = _feature_strata(x[None, :], 3, 1e-3)
+    assert blocks[1].shape == (1, 4)
+    assert np.array_equal(blocks[1][0], [0.0, x[5], x[6], 0.0])
 
 
 # --- contexts ---------------------------------------------------------------------
@@ -61,23 +59,22 @@ def test_select_output_dim_is_block_size():
 
 def test_feature_contexts_example():
     # dim 4, two blocks {0,1} and {2,3}; active set of x is {0, 3}
-    x = np.array([1.0, 0.0, 0.0, 1.0])
-    contexts = feature_contexts(x, PartitionConfig(n=2, t=0.5))
-    assert len(contexts) == 2
-    assert np.array_equal(contexts[0], [0])
-    assert np.array_equal(contexts[1], [3])
+    blocks = _feature_strata([[1.0, 0.0, 0.0, 1.0]], 2, 0.5)
+    assert len(blocks) == 2
+    assert np.array_equal(np.flatnonzero(blocks[0][0]), [0])
+    assert np.array_equal(2 + np.flatnonzero(blocks[1][0]), [3])
 
 
 def test_feature_contexts_threshold_excludes_small_entries():
-    x = np.array([1.0, 0.2, 0.0, 0.0])
-    contexts = feature_contexts(x, PartitionConfig(n=2, t=0.5))
-    assert np.array_equal(contexts[0], [0])
-    assert contexts[1].size == 0
+    blocks = _feature_strata([[1.0, 0.2, 0.0, 0.0]], 2, 0.5)
+    assert np.array_equal(np.flatnonzero(blocks[0][0]), [0])
+    assert np.flatnonzero(blocks[1][0]).size == 0
 
 
 def test_active_index_set_strict_threshold():
-    assert np.array_equal(active_index_set(np.array([0.5, 0.5]), 0.5), [])
-    assert np.array_equal(active_index_set(np.array([-2.0, 0.6]), 0.5), [0, 1])
+    (block,) = _feature_strata([[0.5, 0.5], [-2.0, 0.6]], 1, 0.5)
+    assert np.array_equal(np.flatnonzero(block[0]), [])
+    assert np.array_equal(np.flatnonzero(block[1]), [0, 1])
 
 
 def test_class_context_single_class_is_that_mean():
@@ -86,8 +83,8 @@ def test_class_context_single_class_is_that_mean():
         pre_weights=np.array([[1.0, 0.0]]),
         pre_bias=np.array([0.0]),
     )
-    ctx = class_context(kb, np.array([9.0, 9.0]))
-    assert np.allclose(ctx, [2.0, 4.0], atol=1e-15)
+    ctx = class_context(kb, np.array([[9.0, 9.0]]))
+    assert np.allclose(ctx, [[2.0, 4.0]], atol=1e-15)
 
 
 def test_class_context_symmetric_input_hand_value():
@@ -98,20 +95,20 @@ def test_class_context_symmetric_input_hand_value():
         pre_weights=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         pre_bias=np.zeros(2),
     )
-    ctx = class_context(kb, np.array([0.0, 3.0]))
-    assert np.allclose(ctx, [0.0, 0.0], atol=1e-15)
+    ctx = class_context(kb, np.array([[0.0, 3.0]]))
+    assert np.allclose(ctx, [[0.0, 0.0]], atol=1e-15)
 
 
 def test_class_context_hand_computed_weighted_mean():
-    # logits (0, 0) give probs (0.5, 0.5); context = mean of means / 1
+    # logits (0, 0) give probs (0.5, 0.5); context = mean of means / m = 2
     # then tilt: W x = (ln 9, 0) gives probs (0.9, 0.1)
     kb = KnowledgeBase(
         class_means=np.array([[1.0, 0.0], [0.0, 1.0]]),
         pre_weights=np.array([[np.log(9.0), 0.0], [0.0, 0.0]]),
         pre_bias=np.zeros(2),
     )
-    ctx = class_context(kb, np.array([1.0, 0.0]))
-    assert np.allclose(ctx, [0.45, 0.05], atol=1e-12)
+    ctx = class_context(kb, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert np.allclose(ctx, [[0.45, 0.05], [0.25, 0.25]], atol=1e-12)
 
 
 # --- nwgm -------------------------------------------------------------------------
@@ -187,12 +184,10 @@ def test_predictor_probs_are_distributions(strategy, kb16):
     cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=4, t=1e-3))
     p = Predictor(cfg, kb16, 16, 3, "linear")
     heads = _probe_heads(p)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        probs = p.probs(heads, rng.standard_normal(16))
-        assert probs.shape == (3,)
-        assert abs(probs.sum() - 1.0) < 1e-9
-        assert np.all(probs >= 0)
+    probs = p.probs_batch(heads, np.random.default_rng(2).standard_normal((20, 16)))
+    assert probs.shape == (20, 3)
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
+    assert np.all(probs >= 0)
 
 
 def test_predictor_probs_batch_matches_single(kb16):
@@ -202,7 +197,7 @@ def test_predictor_probs_batch_matches_single(kb16):
     X = np.random.default_rng(4).standard_normal((6, 16))
     batch = p.probs_batch(heads, X)
     for i, x in enumerate(X):
-        assert np.allclose(batch[i], p.probs(heads, x), atol=1e-12)
+        assert np.allclose(batch[i], p.probs_batch(heads, x[None, :])[0], atol=1e-12)
 
 
 def test_predictor_validates_head_shapes(kb16):
@@ -210,10 +205,10 @@ def test_predictor_validates_head_shapes(kb16):
     p = Predictor(cfg, kb16, 16, 3, "linear")
     bad = _probe_heads(Predictor(cfg, kb16, 16, 3, "linear"))[:2]
     with pytest.raises(ValueError, match="expected 4 heads"):
-        p.probs(bad, np.zeros(16))
+        p.probs_batch(bad, np.zeros((1, 16)))
     wrong_dim = [HeadParams("linear", W=np.zeros((3, 5)), b=np.zeros(3)) for _ in range(4)]
     with pytest.raises(ValueError, match="input dim"):
-        p.probs(wrong_dim, np.zeros(16))
+        p.probs_batch(wrong_dim, np.zeros((1, 16)))
 
 
 def test_predictor_requires_kb_when_strategy_uses_it():
@@ -241,11 +236,10 @@ def test_feature_single_stratum_zero_threshold_collapses_to_baseline(kb16):
     )
     heads = _probe_heads(base, seed=6)
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = rng.standard_normal(16) * rng.uniform(0.5, 3.0)
-        pb = base.probs(heads, x)
-        pf = feat.probs(heads, x)
-        assert np.max(np.abs(pb - pf)) <= 1e-15
+    X = np.stack([rng.standard_normal(16) * rng.uniform(0.5, 3.0) for _ in range(50)])
+    pb = base.probs_batch(heads, X)
+    pf = feat.probs_batch(heads, X)
+    assert np.max(np.abs(pb - pf)) <= 1e-15
 
 
 def test_combined_single_class_single_stratum_collapses_to_classwise():
@@ -255,19 +249,17 @@ def test_combined_single_class_single_stratum_collapses_to_classwise():
         AdjustmentConfig("combined", partition=PartitionConfig(n=1, t=0.0)), kb1, 16, 3, "linear"
     )
     heads = _probe_heads(cls, seed=9)
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        x = rng.standard_normal(16)
-        assert np.max(np.abs(cls.probs(heads, x) - comb.probs(heads, x))) <= 1e-15
+    X = np.random.default_rng(10).standard_normal((50, 16))
+    assert np.max(np.abs(cls.probs_batch(heads, X) - comb.probs_batch(heads, X))) <= 1e-15
 
 
 def test_classwise_single_class_context_is_that_mean():
     kb1 = make_kb(m=1, dim=16, seed=12)
     p = Predictor(AdjustmentConfig("class"), kb1, 16, 3, "linear")
     x = np.random.default_rng(13).standard_normal(16)
-    (ctx_input,) = p.context_inputs(x)
-    assert np.allclose(ctx_input[16:], kb1.class_means[0], atol=1e-15)
-    assert np.array_equal(ctx_input[:16], x)
+    (ctx_input,) = p.support_inputs(x[None, :])
+    assert np.allclose(ctx_input[0, 16:], kb1.class_means[0], atol=1e-15)
+    assert np.array_equal(ctx_input[0, :16], x)
 
 
 # --- exact averaging -------------------------------------------------------------------
@@ -280,14 +272,14 @@ def test_linear_head_stratum_mean_equals_exact_mixture(kb16):
     cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=4, t=1e-3))
     p = Predictor(cfg, kb16, 16, 3, "linear")
     heads = _probe_heads(p, seed=14)
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        x = rng.standard_normal(16)
-        inputs = p.context_inputs(x)
+    X = np.random.default_rng(15).standard_normal((100, 16))
+    probs = p.probs_batch(heads, X)
+    for x, fast in zip(X, probs):
+        inputs = reference_inputs(p, x)
         manual = np.mean(
             [_head_probs(h, z) for h, z in zip(heads, inputs)], axis=0
         )
-        assert np.max(np.abs(manual - p.probs(heads, x))) < 1e-12
+        assert np.max(np.abs(manual - fast)) < 1e-12
 
 
 def test_backdoor_exact_classwise_single_class_matches_predict():
@@ -299,7 +291,7 @@ def test_backdoor_exact_classwise_single_class_matches_predict():
     for _ in range(50):
         x = rng.standard_normal(16)
         exact = backdoor_exact_classwise(heads[0], x, kb1)
-        assert np.allclose(exact, predict(heads, x, kb1, cfg), atol=1e-12)
+        assert np.allclose(exact, p.probs_batch(heads, x[None, :])[0], atol=1e-12)
 
 
 def test_backdoor_exact_classwise_symmetric_two_strata():
@@ -335,7 +327,7 @@ def test_backdoor_exact_classwise_argmax_agreement():
         heads = _probe_heads(p, seed=int(rng.integers(0, 2**31)))
         x = rng.standard_normal(8)
         exact = backdoor_exact_classwise(heads[0], x, kb)
-        fast = p.probs(heads, x)
+        fast = p.probs_batch(heads, x[None, :])[0]
         if exact.max() > 0.6:
             confident += 1
             agree += int(exact.argmax() == fast.argmax())
@@ -353,14 +345,14 @@ def test_probs_invariant_to_head_stratum_pairing_order(kb16):
     p = Predictor(cfg, kb16, 16, 3, "linear")
     heads = _probe_heads(p, seed=22)
     x = np.random.default_rng(23).standard_normal(16)
-    inputs = p.context_inputs(x)
+    inputs = [Z[0] for Z in p.support_inputs(x[None, :])]
     base = np.mean([_head_probs(h, z) for h, z in zip(heads, inputs)], axis=0)
     perm = [2, 0, 3, 1]
     permuted = np.mean(
         [_head_probs(heads[i], inputs[i]) for i in perm], axis=0
     )
     assert np.allclose(base, permuted, atol=1e-15)
-    assert np.allclose(p.probs(heads, x), base, atol=1e-12)
+    assert np.allclose(p.probs_batch(heads, x[None, :])[0], base, atol=1e-12)
 
 
 def test_empty_stratum_contributes_head_at_zero(kb16):
@@ -369,9 +361,9 @@ def test_empty_stratum_contributes_head_at_zero(kb16):
     cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=4, t=1e10))
     p = Predictor(cfg, kb16, 16, 3, "linear")
     heads = _probe_heads(p, seed=24)
-    x = np.random.default_rng(25).standard_normal(16)
+    X = np.random.default_rng(25).standard_normal((3, 16))
     expect = np.mean([_head_probs(h, np.zeros(4)) for h in heads], axis=0)
-    assert np.allclose(p.probs(heads, x), expect, atol=1e-15)
+    assert np.allclose(p.probs_batch(heads, X), expect, atol=1e-15)
 
 
 def test_adjustment_config_validation():
@@ -391,3 +383,39 @@ def test_init_heads_matches_predictor_geometry(kb16):
     assert len(heads) == p.n_heads
     for h in heads:
         assert h.W.shape == (3, p.head_input_dim)
+
+
+# --- whole-matrix inputs against the per-row reference -------------------------------
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    n=st.sampled_from([1, 2, 4]),
+    width=st.integers(1, 4),
+    m=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    t=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_inputs_property_matches_per_row_reference(strategy, n, width, m, rows, t, seed):
+    dim = n * width
+    rng = np.random.default_rng(seed)
+    kb = KnowledgeBase(
+        class_means=rng.standard_normal((m, dim)),
+        pre_weights=rng.standard_normal((m, dim)),
+        pre_bias=rng.standard_normal(m),
+    )
+    X = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 3.0)
+    X[rng.random((rows, dim)) < 0.2] = t  # entries on the threshold stay masked
+    X[rng.random(rows) < 0.3] = rng.uniform(-t, t, dim)  # all-inactive rows
+    cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=n, t=t))
+    p = Predictor(cfg, kb, dim, 2, "linear")
+    blocks = p.support_inputs(X)
+    assert len(blocks) == p.n_heads
+    half = p.head_input_dim // 2 if strategy in ("class", "combined") else p.head_input_dim
+    for r, x in enumerate(X):
+        for Z, ref in zip(blocks, reference_inputs(p, x)):
+            assert np.array_equal(Z[r] != 0.0, ref != 0.0)
+            assert np.array_equal(Z[r, :half], ref[:half])
+            assert np.allclose(Z[r, half:], ref[half:], rtol=0.0, atol=1e-12)

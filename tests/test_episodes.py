@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsl.adjust import AdjustmentConfig
 from ifsl.episodes import (
@@ -16,8 +18,9 @@ from ifsl.episodes import (
     sample_episode,
 )
 from ifsl.heads import FitConfig
+from ifsl.knowledge import KnowledgeBase
 
-from conftest import make_blob_dataset, make_kb
+from conftest import make_blob_dataset, make_kb, reference_hardness
 
 
 @pytest.fixture
@@ -150,6 +153,43 @@ def test_episode_hardness_matches_shape_and_seeds(ds, kb):
     assert h.shape == (12,)
     assert np.array_equal(h, episode_hardness(ep, kb))
     assert np.all(np.isfinite(h))
+    assert np.allclose(h, reference_hardness(ep, kb), rtol=0.0, atol=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    way=st.integers(2, 5),
+    shot=st.integers(1, 3),
+    query=st.integers(1, 4),
+    dim=st.integers(1, 8),
+    m=st.integers(1, 5),
+    bias_shift=st.sampled_from([0.0, -2.0, -50.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_episode_hardness_property_matches_per_query_reference(
+    way, shot, query, dim, m, bias_shift, seed
+):
+    # a large negative bias rectifies many responses (or all) to zero
+    rng = np.random.default_rng(seed)
+    kb = KnowledgeBase(
+        class_means=rng.standard_normal((m, dim)),
+        pre_weights=rng.standard_normal((m, dim)),
+        pre_bias=rng.standard_normal(m) + bias_shift,
+    )
+    S, Q = way * shot, way * query
+    ep = Episode(
+        way=way, shot=shot, query_per_class=query,
+        support_x=rng.standard_normal((S, dim)) * rng.uniform(0.1, 5.0),
+        support_y=np.repeat(np.arange(way), shot),
+        query_x=rng.standard_normal((Q, dim)) * rng.uniform(0.1, 5.0),
+        query_y=rng.integers(0, way, Q),
+        class_map=np.arange(way),
+        support_idx=np.arange(S),
+        query_idx=np.arange(S, S + Q),
+    )
+    h = episode_hardness(ep, kb)
+    assert h.shape == (Q,)
+    assert np.allclose(h, reference_hardness(ep, kb), rtol=0.0, atol=1e-12)
 
 
 # --- seed streams ------------------------------------------------------------------

@@ -36,21 +36,21 @@ class FakeResult:
 def test_hardness_is_minus_one_for_unit_similarity_gap():
     # sims are (1, 0): the true-class similarity is perfect, the other
     # orthogonal, so s = sigmoid(1) and log((1-s)/s) = -1 exactly
-    r = [1.0, 0.0]
-    profiles = [np.array([2.0, 0.0]), np.array([0.0, 3.0])]
-    assert query_hardness(r, profiles, 0) == pytest.approx(-1.0, abs=1e-12)
+    R = [[1.0, 0.0]]
+    profiles = [[2.0, 0.0], [0.0, 3.0]]
+    assert query_hardness(R, profiles, [0])[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_hardness_mirrors_to_plus_one_for_wrong_class():
-    r = [1.0, 0.0]
-    profiles = [np.array([2.0, 0.0]), np.array([0.0, 3.0])]
-    assert query_hardness(r, profiles, 1) == pytest.approx(1.0, abs=1e-12)
+    R = [[1.0, 0.0]]
+    profiles = [[2.0, 0.0], [0.0, 3.0]]
+    assert query_hardness(R, profiles, [1])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hardness_zero_when_classes_indistinguishable():
-    r = [1.0, 1.0]
-    profiles = [np.array([1.0, 1.0]), np.array([2.0, 2.0])]
-    assert query_hardness(r, profiles, 0) == pytest.approx(0.0, abs=1e-12)
+    R = [[1.0, 1.0]]
+    profiles = [[1.0, 1.0], [2.0, 2.0]]
+    assert query_hardness(R, profiles, [0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hardness_antisymmetric_over_two_classes():
@@ -58,27 +58,37 @@ def test_hardness_antisymmetric_over_two_classes():
     rng = np.random.default_rng(8)
     for _ in range(100):
         r = rng.standard_normal(6)
-        profiles = [rng.standard_normal(6) for _ in range(2)]
-        h0 = query_hardness(r, profiles, 0)
-        h1 = query_hardness(r, profiles, 1)
+        profiles = rng.standard_normal((2, 6))
+        h0, h1 = query_hardness([r, r], profiles, [0, 1])
         assert h0 + h1 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_hardness_negative_rectified_responses_collapse():
     # all-negative vectors rectify to zero, every cosine is 0, s uniform
-    r = [-1.0, -2.0]
-    profiles = [np.array([-3.0, -1.0]), np.array([-1.0, -1.0]), np.array([-2.0, -5.0])]
-    assert query_hardness(r, profiles, 0) == pytest.approx(math.log(2.0), abs=1e-12)
+    R = [[-1.0, -2.0]]
+    profiles = [[-3.0, -1.0], [-1.0, -1.0], [-2.0, -5.0]]
+    assert query_hardness(R, profiles, [0])[0] == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_hardness_scores_every_query_at_once():
+    # one row per query, each against the same profiles and its own class
+    R = [[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, -2.0]]
+    profiles = [[2.0, 0.0], [0.0, 3.0]]
+    h = query_hardness(R, profiles, [0, 1, 0, 1])
+    assert h.shape == (4,)
+    assert np.allclose(h, [-1.0, 1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_hardness_gt_validation():
     profiles = [np.zeros(2), np.zeros(2)]
     with pytest.raises(ValueError, match="out of range"):
-        query_hardness([1.0, 0.0], profiles, 2)
+        query_hardness([[1.0, 0.0]], profiles, [2])
     with pytest.raises(ValueError, match="out of range"):
-        query_hardness([1.0, 0.0], profiles, -1)
+        query_hardness([[1.0, 0.0]], profiles, [-1])
     with pytest.raises(ValueError, match="at least one"):
-        query_hardness([1.0, 0.0], [], 0)
+        query_hardness([[1.0, 0.0]], [], [0])
+    with pytest.raises(ValueError, match="one ground-truth index per query"):
+        query_hardness([[1.0, 0.0], [0.0, 1.0]], profiles, [0])
 
 
 # --- accuracy_report ---------------------------------------------------------------

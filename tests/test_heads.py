@@ -10,7 +10,7 @@ from ifsl.heads import (
     FitConfig,
     HeadParams,
     _BatchCycler,
-    ce_loss_and_grad,
+    _grads_from_dlogits,
     centroids_from_support,
     fit_head,
     init_heads,
@@ -21,7 +21,7 @@ from ifsl.heads import (
 from ifsl.knowledge import PartitionConfig
 from ifsl.numerics import softmax_rows
 
-from conftest import make_kb
+from conftest import make_kb, reference_inputs
 
 
 # --- logits ---------------------------------------------------------------------
@@ -128,30 +128,36 @@ def test_centroids_from_support():
 
 
 # --- loss and gradients -------------------------------------------------------------
+# a single head on a one-row batch is plain softmax cross-entropy
+
+
+def _ce(h, z, y, weight_decay=0.0):
+    loss, (g,) = mixture_loss_and_grads([h], [np.array([z], dtype=float)], np.array([y]), weight_decay)
+    return loss, g
 
 
 def test_ce_loss_zero_params_ln2():
     h = HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))
-    loss, _ = ce_loss_and_grad(h, [1.0, -4.0, 2.0], 0)
+    loss, _ = _ce(h, [1.0, -4.0, 2.0], 0)
     assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_ce_loss_includes_weight_penalty():
     h = HeadParams("linear", W=np.full((2, 2), 2.0), b=np.zeros(2))
-    loss, _ = ce_loss_and_grad(h, [0.0, 0.0], 0, weight_decay=0.1)
+    loss, _ = _ce(h, [0.0, 0.0], 0, weight_decay=0.1)
     assert loss == pytest.approx(math.log(2.0) + 0.05 * 16.0, abs=1e-12)
 
 
 def test_ce_loss_invalid_label():
     h = HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))
     with pytest.raises(ValueError):
-        ce_loss_and_grad(h, [0.0, 0.0, 0.0], 2)
+        _ce(h, [0.0, 0.0, 0.0], 2)
 
 
 def test_saturated_head_small_loss_and_gradient():
     # logits strongly favor the true class: loss and gradient nearly vanish
     h = HeadParams("linear", W=np.array([[20.0, 0.0], [-20.0, 0.0]]), b=np.zeros(2))
-    loss, g = ce_loss_and_grad(h, [1.0, 0.0], 0, weight_decay=0.0)
+    loss, g = _ce(h, [1.0, 0.0], 0)
     assert loss < 1e-3
     assert np.linalg.norm(g.W) < 1e-2
     assert np.linalg.norm(g.b) < 1e-2
@@ -376,7 +382,7 @@ def test_support_inputs_match_per_sample_reference(strategy):
     batch = predictor.support_inputs(X)
     assert len(batch) == predictor.n_heads
     for i, Z in enumerate(batch):
-        reference = np.stack([predictor.context_inputs(row)[i] for row in X])
+        reference = np.stack([reference_inputs(predictor, row)[i] for row in X])
         assert Z.shape == (7, predictor.head_input_dim)
         # the batched context changes only the matmul's summation order
         assert np.allclose(Z, reference, rtol=0.0, atol=1e-12)
@@ -431,15 +437,52 @@ def test_tied_class_head_is_baseline_head_on_stratum_removed_feature():
     fit = FitConfig(iterations=60, learning_rate=0.05, weight_decay=0.0, seed=5)
     cls = Predictor(AdjustmentConfig("class"), kb, 8, 5, "linear")
     (tied,) = fit_head(X, y, cls, fit)
-    removed = np.stack([x - kb.m * class_context(kb, x) for x in X])
+    removed = X - kb.m * class_context(kb, X)
     base = Predictor(AdjustmentConfig("none"), None, 8, 5, "linear")
     (plain,) = fit_head(removed, y, base, fit)
     assert np.abs(plain.W).max() > 0.1
     assert np.allclose(tied.W[:, :8], plain.W, rtol=0.0, atol=1e-10)
     assert np.allclose(tied.b, plain.b, rtol=0.0, atol=1e-10)
     queries = rng.standard_normal((20, 8))
-    q_removed = np.stack([x - kb.m * class_context(kb, x) for x in queries])
+    q_removed = queries - kb.m * class_context(kb, queries)
     assert np.allclose(
         cls.probs_batch([tied], queries), base.probs_batch([plain], q_removed),
         rtol=0.0, atol=1e-10,
     )
+
+
+# --- zero-norm cosine rows ------------------------------------------------------------
+
+
+def test_cosine_head_fits_with_all_inactive_stratum_block():
+    # rectified 1-shot support whose class-0 row is inactive on block 1: the
+    # block-1 cosine head starts with a zero weight row for class 0
+    rng = np.random.default_rng(40)
+    X = np.maximum(rng.standard_normal((3, 8)), 0.0) + 0.1
+    X[0, 4:] = 0.0
+    y = np.array([0, 1, 2])
+    cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, None, 8, 3, "cosine")
+    start = init_heads("cosine", 3, predictor.support_inputs(X), y)
+    assert np.array_equal(start[1].W[0], np.zeros(4))
+    heads = fit_head(X, y, predictor, FitConfig(iterations=40, learning_rate=0.1))
+    assert np.array_equal(heads[1].W[0], np.zeros(4))
+    assert not np.array_equal(heads[1].W[1:], start[1].W[1:])
+    queries = np.maximum(rng.standard_normal((6, 8)), 0.0)
+    probs = predictor.probs_batch(heads, np.vstack([X, queries]))
+    assert np.all(np.isfinite(probs))
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
+    # a weight row's gradient depends only on that row, so zeroing one row
+    # changes no other row's gradient, bit for bit
+    rng = np.random.default_rng(41)
+    Z = rng.standard_normal((5, 4))
+    G = rng.standard_normal((5, 3))
+    W = rng.standard_normal((3, 4))
+    full = _grads_from_dlogits(HeadParams("cosine", W=W), Z, G, 1e-3)
+    W[1] = 0.0
+    zeroed = _grads_from_dlogits(HeadParams("cosine", W=W), Z, G, 1e-3)
+    assert np.array_equal(zeroed.W[1], np.zeros(4))
+    assert np.array_equal(zeroed.W[[0, 2]], full.W[[0, 2]])

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.knowledge import (
     FEATURE_MAGIC,
     KB_MAGIC,
@@ -12,7 +13,6 @@ from ifsl.knowledge import (
     FormatError,
     KnowledgeBase,
     PartitionConfig,
-    active_index_set,
     csv_header,
     feature_partition,
     load_features,
@@ -72,9 +72,15 @@ def test_partition_config_validation():
 
 
 def test_active_index_set_examples():
-    assert active_index_set([0.0005, -0.5, 2.0], 1e-3).tolist() == [1, 2]
-    assert active_index_set([0.0, 0.0], 1e-3).size == 0
-    assert active_index_set([1.0, 1.0], 0.0).tolist() == [0, 1]
+    # a single feature stratum keeps exactly the entries with |x_k| > t
+    def active(x, t):
+        cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=1, t=t))
+        (block,) = Predictor(cfg, None, len(x), 2, "linear").support_inputs([x])
+        return np.flatnonzero(block[0])
+
+    assert active([0.0005, -0.5, 2.0], 1e-3).tolist() == [1, 2]
+    assert active([0.0, 0.0], 1e-3).size == 0
+    assert active([1.0, 1.0], 0.0).tolist() == [0, 1]
 
 
 # --- pre-trained classifier ------------------------------------------------------
@@ -82,36 +88,37 @@ def test_active_index_set_examples():
 
 def test_pretrain_probs_zero_params_uniform():
     kb = KnowledgeBase(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2))
-    assert np.allclose(pretrain_probs(kb, [1.0, -2.0, 0.5]), [0.5, 0.5], atol=1e-15)
+    assert np.allclose(pretrain_probs(kb, [[1.0, -2.0, 0.5]]), [[0.5, 0.5]], atol=1e-15)
 
 
 def test_pretrain_probs_aligned_class_dominates():
     weights = np.array([[10.0, 0.0], [0.0, 10.0]])
     kb = KnowledgeBase(np.zeros((2, 2)), weights, np.zeros(2))
-    probs = pretrain_probs(kb, [1.0, 0.0])
-    assert probs[0] > 0.99
+    probs = pretrain_probs(kb, [[1.0, 0.0], [0.0, 1.0]])
+    assert probs[0, 0] > 0.99
+    assert probs[1, 1] > 0.99
 
 
 def test_pretrain_probs_single_class():
     kb = KnowledgeBase(np.ones((1, 2)), np.ones((1, 2)), np.zeros(1))
-    assert np.array_equal(pretrain_probs(kb, [3.0, 4.0]), [1.0])
+    assert np.array_equal(pretrain_probs(kb, [[3.0, 4.0]]), [[1.0]])
 
 
 def test_pretrain_probs_bias_shift_invariant():
     kb = make_kb()
     shifted = KnowledgeBase(kb.class_means, kb.pre_weights, kb.pre_bias + 17.5)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = rng.standard_normal(kb.dim)
-        p = pretrain_probs(kb, x)
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert np.allclose(p, pretrain_probs(shifted, x), atol=1e-12)
+    X = np.random.default_rng(3).standard_normal((20, kb.dim))
+    p = pretrain_probs(kb, X)
+    assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
+    assert np.allclose(p, pretrain_probs(shifted, X), atol=1e-12)
 
 
 def test_pretrain_probs_dimension_mismatch():
     kb = make_kb(dim=16)
     with pytest.raises(ValueError):
-        pretrain_probs(kb, np.zeros(15))
+        pretrain_probs(kb, np.zeros((1, 15)))
+    with pytest.raises(ValueError):
+        pretrain_probs(kb, np.zeros(16))  # one vector, not a (B, dim) matrix
 
 
 # --- structure validation --------------------------------------------------------

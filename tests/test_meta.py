@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from ifsl.adjust import AdjustmentConfig, Predictor
+from ifsl.episodes import episode_rng, sample_episode
 from ifsl.heads import FitConfig, HeadParams, fit_head
 from ifsl.knowledge import FormatError
 from ifsl.meta import (
     META_MAGIC,
     MetaInit,
     adapt,
+    evaluate_inits,
     load_meta,
     meta_train,
     replace_theta,
@@ -160,6 +162,21 @@ def test_meta_train_does_not_mutate_input(ds):
     assert np.array_equal(mi.theta0[0].W, np.zeros((3, 8)))
 
 
+def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
+    predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
+    mi = zero_meta_init(3, ds.dim, inner_steps=5)
+    trained = meta_train(ds, 3, 1, 4, AdjustmentConfig("none"), mi, None, np.random.default_rng(3))
+    inits = [trained.theta0, mi.theta0, trained.theta0]
+    accs = evaluate_inits(ds, 3, 1, 4, predictor, inits, 0.01, 5, 6, 21)
+    assert [len(a) for a in accs] == [6, 6, 6]
+    assert accs[0] == accs[2]
+    for e in range(6):
+        ep = sample_episode(ds, 3, 1, 4, episode_rng(21, e))
+        adapted = adapt(mi.theta0, predictor, ep.support_x, ep.support_y, 0.01, 5)
+        pred = predictor.probs_batch(adapted, ep.query_x).argmax(axis=1)
+        assert accs[1][e] == 100.0 * float((pred == ep.query_y).mean())
+
+
 def test_replace_theta_keeps_hyperparameters():
     mi = zero_meta_init(2, 3, inner_lr=0.5, inner_steps=9, outer_lr=0.25, tasks=7)
     new = [HeadParams("linear", W=np.ones((2, 3)), b=np.ones(2))]
@@ -264,3 +281,30 @@ def test_load_meta_non_finite_weight(tmp_path):
     path.write_bytes(payload)
     with pytest.raises(FormatError, match="non-finite weight"):
         load_meta(path)
+
+
+def _patched_rate(tmp_path, offset, value):
+    path = tmp_path / "rate.meta"
+    save_meta(_f32_meta(), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.5])
+def test_load_meta_rejects_bad_inner_lr(tmp_path, value):
+    path = _patched_rate(tmp_path, 24, value)
+    with pytest.raises(FormatError, match="inner_lr .* at byte 24"):
+        load_meta(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.25])
+def test_load_meta_rejects_bad_outer_lr(tmp_path, value):
+    path = _patched_rate(tmp_path, 28, value)
+    with pytest.raises(FormatError, match="outer_lr .* at byte 28"):
+        load_meta(path)
+
+
+def test_load_meta_accepts_zero_outer_lr(tmp_path):
+    assert load_meta(_patched_rate(tmp_path, 28, 0.0)).outer_lr == 0.0

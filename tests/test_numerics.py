@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from ifsl.evalmetrics import query_hardness
+from ifsl.heads import centroids_from_support
 from ifsl.numerics import (
     as_matrix,
     as_vector,
-    cosine_similarity,
-    mean_vector,
-    relu,
+    normalize_rows,
     softmax,
 )
+
+
+def _cosines(A, B):
+    """Cosine matrix of two row sets, as the cosine heads and hardness compute it."""
+    return normalize_rows(np.asarray(A, dtype=float)) @ normalize_rows(np.asarray(B, dtype=float)).T
 
 
 def test_softmax_symmetry():
@@ -51,55 +56,73 @@ def test_softmax_empty_rejected():
 
 
 def test_cosine_similarity_examples():
-    assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_similarity([0, 0], [1, 0]) == 0.0  # zero-norm convention
+    cos = _cosines([[1, 0], [0, 0]], [[1, 0], [0, 1]])
+    assert cos[0, 0] == pytest.approx(1.0)
+    assert cos[0, 1] == pytest.approx(0.0)
+    assert cos[1, 0] == 0.0  # zero-norm convention
+    assert np.array_equal(normalize_rows(np.zeros((1, 3))), np.zeros((1, 3)))
 
 
 def test_cosine_similarity_properties():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        a = rng.standard_normal(6)
-        b = rng.standard_normal(6)
-        s = cosine_similarity(a, b)
-        assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
-        assert s == pytest.approx(cosine_similarity(b, a), abs=1e-15)
-        scale = float(rng.uniform(0.1, 10))
-        assert s == pytest.approx(cosine_similarity(scale * a, b), abs=1e-12)
+    A = rng.standard_normal((200, 6))
+    B = rng.standard_normal((200, 6))
+    scale = rng.uniform(0.1, 10, size=(200, 1))
+    s = np.diag(_cosines(A, B))
+    assert np.all((-1.0 - 1e-12 <= s) & (s <= 1.0 + 1e-12))
+    assert np.allclose(s, np.diag(_cosines(B, A)), rtol=0.0, atol=1e-15)
+    assert np.allclose(s, np.diag(_cosines(scale * A, B)), rtol=0.0, atol=1e-12)
 
 
 def test_cosine_similarity_dimension_mismatch():
     with pytest.raises(ValueError):
-        cosine_similarity([1, 0], [1, 0, 0])
+        query_hardness([[1, 0]], [[1, 0, 0]], [0])
+
+
+# rectification: hardness compares the rectified (ReLU) logits, so a
+# negative entry counts as 0
+
+
+def _rectified_hardness(r):
+    profiles = np.eye(len(r)) + 0.5
+    return query_hardness([r], profiles, [0])[0]
 
 
 def test_relu_examples():
-    assert np.array_equal(relu([-1.0, 2.0]), [0.0, 2.0])
-    assert np.array_equal(relu([0.0, 0.0]), [0.0, 0.0])
-    assert np.array_equal(relu([3.0, -0.5, 0.0]), [3.0, 0.0, 0.0])
+    for v, rectified in (
+        ([-1.0, 2.0], [0.0, 2.0]),
+        ([0.0, 0.0], [0.0, 0.0]),
+        ([3.0, -0.5, 0.0], [3.0, 0.0, 0.0]),
+    ):
+        assert _rectified_hardness(v) == _rectified_hardness(rectified)
 
 
 def test_relu_idempotent():
     rng = np.random.default_rng(2)
     v = rng.standard_normal(50)
-    once = relu(v)
-    assert np.array_equal(relu(once), once)
+    once = np.maximum(v, 0.0)
+    assert _rectified_hardness(v) == _rectified_hardness(once)
+
+
+# class means: hardness profiles and centroid heads average the support rows
+# of each class
 
 
 def test_mean_vector_examples():
-    assert np.array_equal(mean_vector([[0.0, 0.0], [2.0, 2.0]]), [1.0, 1.0])
-    assert np.array_equal(mean_vector([[1.0, 1.0]]), [1.0, 1.0])
-    assert np.allclose(mean_vector([[1, 0], [0, 1], [-1, -1]]), [0.0, 0.0], atol=1e-15)
+    assert np.array_equal(centroids_from_support([[0.0, 0.0], [2.0, 2.0]], [0, 0], 1), [[1.0, 1.0]])
+    assert np.array_equal(centroids_from_support([[1.0, 1.0]], [0], 1), [[1.0, 1.0]])
+    mean = centroids_from_support([[1, 0], [0, 1], [-1, -1]], [0, 0, 0], 1)
+    assert np.allclose(mean, [[0.0, 0.0]], atol=1e-15)
 
 
 def test_mean_vector_empty_rejected():
     with pytest.raises(ValueError):
-        mean_vector([])
+        centroids_from_support(np.zeros((0, 2)), [], 1)
 
 
 def test_mean_vector_mixed_dims_rejected():
     with pytest.raises(ValueError):
-        mean_vector([[1.0, 2.0], [1.0, 2.0, 3.0]])
+        centroids_from_support([[1.0, 2.0], [1.0, 2.0, 3.0]], [0, 0], 1)
 
 
 def test_as_vector_validation():
