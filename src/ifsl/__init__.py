@@ -48,7 +48,6 @@ from .knowledge import (
     FormatError,
     KnowledgeBase,
     PartitionConfig,
-    feature_partition,
     load_features,
     load_features_csv,
     load_kb,

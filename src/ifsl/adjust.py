@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .heads import HeadParams, logits_batch
+from .heads import HeadParams, logits_batch, mixture_probs
 from .knowledge import KnowledgeBase, PartitionConfig, pretrain_probs
 from .numerics import as_matrix, as_vector, softmax_rows
 
@@ -92,8 +92,9 @@ class Predictor:
         else:
             self.n_heads, self.head_input_dim = cfg.partition.n, 2 * dim // cfg.partition.n
 
-    def support_inputs(self, X: np.ndarray) -> list[np.ndarray]:
-        """Stacked per-head input blocks for a (S, dim) feature matrix.
+    def support_inputs(self, X: np.ndarray) -> np.ndarray:
+        """(n_heads, S, head_input_dim) stack of per-head input blocks for a
+        (S, dim) feature matrix; ``blocks[i]`` feeds head i.
 
         A feature stratum is a threshold mask and a reshape: block i of every
         row, with entries at or below ``t`` in magnitude zeroed.
@@ -101,11 +102,11 @@ class Predictor:
         X = as_matrix(X, cols=self.dim)
         strategy = self.cfg.strategy
         if strategy == "none":
-            return [X]
+            return X[None]
         if strategy in ("class", "combined"):
             ctx = class_context(self.kb, X)
             if strategy == "class":
-                return [np.concatenate([X, ctx], axis=1)]
+                return np.concatenate([X, ctx], axis=1)[None]
         n, t = self.cfg.partition.n, self.cfg.partition.t
 
         def strata(M: np.ndarray) -> np.ndarray:
@@ -114,7 +115,7 @@ class Predictor:
         blocks = strata(X)
         if strategy == "combined":
             blocks = np.concatenate([blocks, strata(ctx)], axis=2)
-        return [blocks[:, i, :] for i in range(n)]
+        return np.ascontiguousarray(blocks.transpose(1, 0, 2))
 
     def validate_heads(self, heads: Sequence[HeadParams]) -> None:
         if len(heads) != self.n_heads:
@@ -130,14 +131,9 @@ class Predictor:
                     f"strategy requirement {self.head_input_dim}"
                 )
 
-    def probs_from_inputs(self, heads: Sequence[HeadParams], blocks: Sequence[np.ndarray]) -> np.ndarray:
+    def probs_from_inputs(self, heads: Sequence[HeadParams], blocks) -> np.ndarray:
         """(B, K) mixture probabilities from precomputed per-head input blocks."""
-        acc = None
-        # Fixed ascending-stratum summation keeps the mixture bit-for-bit reproducible.
-        for h, Z in zip(heads, blocks):
-            p = softmax_rows(logits_batch(h, Z))
-            acc = p if acc is None else acc + p
-        return acc / len(heads)
+        return mixture_probs(heads, blocks)
 
     def probs_batch(self, heads: Sequence[HeadParams], X: np.ndarray) -> np.ndarray:
         self.validate_heads(heads)

@@ -6,10 +6,19 @@ here is the negative log of that averaged probability, so gradients are taken
 through the mixture into every head. When the predictor names a context
 coupling c, each head input is [x-part, context-part] and the fitted weights
 stay on the tied subspace W = [U, c * U].
+
+The n heads of a predictor are computed as one stack: weights W (n, K, P),
+linear biases b (n, K) and inputs (n, B, P), with one batched matmul for all
+logits and one for all weight gradients. The mixture is taken in log space,
+as the log-mean-exp over heads of the per-head log-softmax outputs, so the
+loss and its gradients stay finite however small every head's probability
+of the true class is. The list-of-:class:`HeadParams` calls below stack their
+arguments, run the same core and unstack the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,7 +82,7 @@ class HeadParams:
 
 @dataclass
 class HeadGrads:
-    """Parameter gradients mirroring a head's layout."""
+    """Stacked gradients of n heads: ``W`` (n, K, P), ``b`` (n, K) for linear heads."""
 
     W: np.ndarray
     b: np.ndarray | None = None
@@ -103,116 +112,203 @@ class FitConfig:
             raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
 
-# --- logits ------------------------------------------------------------------
+# --- stacked core ------------------------------------------------------------
+# n heads of one kind are fitted and scored as one stack: weights W (n, K, P),
+# linear biases b (n, K) and inputs V (n, B, P). Cosine inputs are row-normalised
+# before they reach the core; centroid heads keep their centroids in W.
 
 
-def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
-    """Logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
-    if Z.ndim != 2 or Z.shape[1] != h.input_dim:
-        raise ValueError(
-            f"head expects inputs of dimension {h.input_dim}, got shape {Z.shape}"
-        )
-    if h.kind == "linear":
-        return Z @ h.W.T + h.b
-    if h.kind == "cosine":
-        return normalize_rows(Z) @ normalize_rows(h.W).T
-    diff = Z[:, None, :] - h.centroids[None, :, :]
-    return -np.einsum("bkp,bkp->bk", diff, diff)
+def _stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
+    """``(kind, W, b)`` of a list of heads as fresh stacked arrays.
+
+    ``W`` is (n, K, P): the weights, or the centroids of centroid heads.
+    ``b`` is (n, K) for linear heads and None otherwise.
+    """
+    if not heads:
+        raise ValueError("need at least one head")
+    kind = heads[0].kind
+    if any(h.kind != kind for h in heads):
+        raise ValueError("heads of one stack must share a kind")
+    W = np.stack([h.centroids if kind == "centroid" else h.W for h in heads])
+    b = np.stack([h.b for h in heads]) if kind == "linear" else None
+    return kind, W, b
 
 
-# --- gradients ---------------------------------------------------------------
+def _unstack_heads(kind: str, W: np.ndarray, b: np.ndarray | None) -> list[HeadParams]:
+    """One :class:`HeadParams` per stack entry, each a view on the stack."""
+    if kind == "centroid":
+        return [HeadParams(kind, centroids=C) for C in W]
+    return [HeadParams(kind, W=W[i], b=None if b is None else b[i]) for i in range(W.shape[0])]
 
 
-def _grads_from_dlogits(h: HeadParams, Z: np.ndarray, G: np.ndarray, weight_decay: float) -> HeadGrads:
-    """Chain dL/dlogits (B, K) back into the head parameters."""
-    if h.kind == "linear":
-        return HeadGrads(W=G.T @ Z + weight_decay * h.W, b=G.sum(axis=0))
-    if h.kind == "cosine":
-        # A zero-norm weight row scores 0 against every input (see logits_batch)
-        # and gets a zero gradient, so it stays zero.
-        V = normalize_rows(Z)
-        norms = np.linalg.norm(h.W, axis=1, keepdims=True)
-        U = normalize_rows(h.W)
-        F = V @ U.T  # (B, K)
+def _stack_inputs(kind: str, inputs, input_dim: int) -> np.ndarray:
+    """(n, B, P) input stack from per-head blocks, row-normalised for cosine heads."""
+    V = np.asarray(inputs, dtype=np.float64)
+    if V.ndim != 3 or V.shape[2] != input_dim:
+        raise ValueError(f"heads expect inputs of dimension {input_dim}, got shape {V.shape}")
+    return normalize_rows(V) if kind == "cosine" else V
+
+
+def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
+    """(n, B, K) logits of stacked heads on stacked inputs from :func:`_stack_inputs`."""
+    if kind == "linear":
+        return V @ W.transpose(0, 2, 1) + b[:, None, :]
+    if kind == "cosine":
+        return V @ normalize_rows(W).transpose(0, 2, 1)
+    diff = V[:, :, None, :] - W[:, None, :, :]
+    return -np.einsum("nbkp,nbkp->nbk", diff, diff)
+
+
+def _grads_from_dlogits(
+    kind: str, W: np.ndarray, V: np.ndarray, G: np.ndarray, weight_decay: float
+) -> np.ndarray:
+    """Chain dL/dlogits G (n, B, K) back into the stacked weights; returns dW (n, K, P).
+
+    The linear bias gradient is ``G.sum(axis=1)``.
+    """
+    if kind == "linear":
+        return G.transpose(0, 2, 1) @ V + weight_decay * W
+    if kind == "cosine":
+        # A zero-norm weight row scores 0 against every input and gets a zero
+        # gradient, so it stays zero.
+        norms = np.linalg.norm(W, axis=2, keepdims=True)
+        U = normalize_rows(W)
+        F = V @ U.transpose(0, 2, 1)  # (n, B, K)
         dW = np.divide(
-            G.T @ V - ((G * F).sum(axis=0))[:, None] * U, norms,
-            out=np.zeros_like(h.W), where=norms > 0.0,
+            G.transpose(0, 2, 1) @ V - (G * F).sum(axis=1)[:, :, None] * U, norms,
+            out=np.zeros_like(W), where=norms > 0.0,
         )
-        return HeadGrads(W=dW + weight_decay * h.W)
+        return dW + weight_decay * W
     raise ValueError("centroid heads are non-parametric and have no gradients")
 
 
-def weight_penalty(heads: Sequence[HeadParams], weight_decay: float) -> float:
-    total = 0.0
-    for h in heads:
-        if h.W is not None:
-            total += float(np.sum(h.W * h.W))
-    return 0.5 * weight_decay * total
+def _mixture(
+    kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, labels: np.ndarray,
+    weight_decay: float,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Loss -mean log((1/n) sum_i p_i(y)) plus the L2 penalty, and its stacked gradients.
 
-
-def mixture_loss_and_grads(
-    heads: Sequence[HeadParams],
-    inputs: Sequence[np.ndarray],
-    labels: np.ndarray,
-    weight_decay: float = 0.0,
-) -> tuple[float, list[HeadGrads]]:
-    """Cross-entropy of the head-averaged probabilities, with exact gradients.
-
-    ``inputs[i]`` is the (B, P_i) block feeding head i; the predicted
-    distribution is the arithmetic mean of the per-head softmax outputs.
-    Returns the batch-mean loss (plus the L2 penalty on every W) and one
-    gradient per head.
+    Per-head log-softmax outputs are mixed as a log-mean-exp over heads, so
+    the loss stays finite when every head gives the true class a vanishing
+    probability. Head i's share of the gradient is its responsibility
+    r_i = softmax_i(log p_i(y)): dL/dlogits_i = (r_i / B) * (p_i - onehot(y)).
     """
-    if len(heads) != len(inputs) or not heads:
-        raise ValueError("need one input block per head")
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(heads)
-    B = labels.size
-    K = heads[0].way
-    if B == 0:
-        raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= K:
-        raise ValueError(f"labels must lie in [0, {K - 1}]")
+    n, B, _ = V.shape
     rows = np.arange(B)
-    per_head = [softmax_rows(logits_batch(h, Z)) for h, Z in zip(heads, inputs)]
-    mix = sum(per_head) / n
-    true_mix = mix[rows, labels]
-    loss = float(-np.mean(np.log(true_mix))) + weight_penalty(heads, weight_decay)
-    grads = []
-    for h, Z, P in zip(heads, inputs, per_head):
-        scale = P[rows, labels] / (n * B * true_mix)  # (B,)
-        G = P * scale[:, None]
-        G[rows, labels] -= scale
-        grads.append(_grads_from_dlogits(h, Z, G, weight_decay))
-    return loss, grads
+    shifted = _logits(kind, W, b, V)
+    shifted -= shifted.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=2)  # (n, B)
+    log_py = shifted[:, rows, labels] - np.log(total)  # log p_i(y), (n, B)
+    top = log_py.max(axis=0)
+    w = np.exp(log_py - top)
+    w_sum = w.sum(axis=0)
+    loss = math.log(n) - float((top + np.log(w_sum)).sum()) / B
+    loss += 0.5 * weight_decay * float(np.vdot(W, W))
+    scale = w / (B * w_sum)  # r_i / B
+    G = e * (scale / total)[:, :, None]
+    G[:, rows, labels] -= scale
+    dW = _grads_from_dlogits(kind, W, V, G, weight_decay)
+    return loss, dW, (G.sum(axis=1) if kind == "linear" else None)
 
 
 def tie_context(M: np.ndarray, coupling: float) -> np.ndarray:
-    """[U, c * U] with U = M_x + c * M_c for a (K, 2h) matrix [M_x, M_c].
+    """[U, c * U] with U = M_x + c * M_c for a (..., K, 2h) array [M_x, M_c].
 
     Applied to a gradient this is the chain rule of the tie W = [U, c * U]
     expanded back to full width, so a step along it keeps a tied head tied.
     Divided by 1 + c^2 it is the orthogonal projection onto the tied subspace.
     """
-    half = M.shape[1] // 2
-    U = M[:, :half] + coupling * M[:, half:]
-    return np.concatenate([U, coupling * U], axis=1)
+    half = M.shape[-1] // 2
+    U = M[..., :half] + coupling * M[..., half:]
+    return np.concatenate([U, coupling * U], axis=-1)
+
+
+def _step(
+    W: np.ndarray, b: np.ndarray | None, dW: np.ndarray, db: np.ndarray | None,
+    learning_rate: float, coupling: float | None,
+) -> None:
+    """In-place step on a stack; with a coupling the weights move on the tied subspace."""
+    W -= learning_rate * (dW if coupling is None else tie_context(dW, coupling))
+    if b is not None:
+        b -= learning_rate * db
+
+
+# --- list-of-heads API -----------------------------------------------------------
+
+
+def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
+    """Logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
+    if Z.ndim != 2:
+        raise ValueError(f"head expects a (B, {h.input_dim}) input block, got shape {Z.shape}")
+    kind, W, b = _stack_heads([h])
+    return _logits(kind, W, b, _stack_inputs(kind, Z[None], h.input_dim))[0]
+
+
+def mixture_probs(heads: Sequence[HeadParams], inputs) -> np.ndarray:
+    """(B, K) head-averaged softmax outputs; ``inputs[i]`` is the (B, P) block of head i."""
+    kind, W, b = _stack_heads(heads)
+    V = _stack_inputs(kind, inputs, W.shape[2])
+    if V.shape[0] != W.shape[0]:
+        raise ValueError("need one input block per head")
+    return softmax_rows(_logits(kind, W, b, V)).mean(axis=0)
+
+
+def mixture_loss_and_grads(
+    heads: Sequence[HeadParams],
+    inputs,
+    labels: np.ndarray,
+    weight_decay: float = 0.0,
+) -> tuple[float, HeadGrads]:
+    """Cross-entropy of the head-averaged probabilities, with exact gradients.
+
+    ``inputs[i]`` is the (B, P) block feeding head i; the predicted
+    distribution is the arithmetic mean of the per-head softmax outputs.
+    Returns the batch-mean loss (plus the L2 penalty on every W) and the
+    stacked gradients of all heads.
+    """
+    if len(heads) != len(inputs) or not heads:
+        raise ValueError("need one input block per head")
+    labels = np.asarray(labels, dtype=np.int64)
+    kind, W, b = _stack_heads(heads)
+    V = _stack_inputs(kind, inputs, W.shape[2])
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    if V.shape[1] != labels.size:
+        raise ValueError("labels must align with inputs")
+    if labels.min() < 0 or labels.max() >= W.shape[1]:
+        raise ValueError(f"labels must lie in [0, {W.shape[1] - 1}]")
+    loss, dW, db = _mixture(kind, W, b, V, labels, weight_decay)
+    return loss, HeadGrads(W=dW, b=db)
 
 
 def sgd_step(
     heads: Sequence[HeadParams],
-    grads: Sequence[HeadGrads],
+    grads: HeadGrads,
     learning_rate: float,
     coupling: float | None = None,
 ) -> None:
     """In-place gradient step; with a coupling the weights move on the tied subspace."""
-    for h, g in zip(heads, grads):
-        h.W -= learning_rate * (g.W if coupling is None else tie_context(g.W, coupling))
-        if g.b is not None:
-            h.b -= learning_rate * g.b
+    _, W, b = _stack_heads(heads)
+    _step(W, b, grads.W, grads.b, learning_rate, coupling)
+    for i, h in enumerate(heads):  # write the stepped stack back into the heads
+        h.W[...] = W[i]
+        if b is not None:
+            h.b[...] = b[i]
 
 
 # --- initialization ----------------------------------------------------------
+
+
+def _class_means(Z: np.ndarray, labels: np.ndarray, way: int) -> np.ndarray:
+    """(..., way, P) per-class means of the rows of a (..., S, P) array."""
+    means = []
+    for k in range(way):
+        mask = labels == k
+        if not mask.any():
+            raise ValueError(f"support has no samples for class {k}")
+        means.append(Z[..., mask, :].mean(axis=-2))
+    return np.stack(means, axis=-2)
 
 
 def centroids_from_support(features: np.ndarray, labels: np.ndarray, way: int) -> np.ndarray:
@@ -221,19 +317,27 @@ def centroids_from_support(features: np.ndarray, labels: np.ndarray, way: int) -
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size != feats.shape[0]:
         raise ValueError("labels must align with features")
-    out = np.zeros((way, feats.shape[1]))
-    for k in range(way):
-        rows = feats[labels == k]
-        if rows.shape[0] == 0:
-            raise ValueError(f"support has no samples for class {k}")
-        out[k] = rows.mean(axis=0)
-    return out
+    return _class_means(feats, labels, way)
+
+
+def _init_stack(
+    kind: str, way: int, Z: np.ndarray, labels: np.ndarray, coupling: float | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fresh stacked ``(W, b)`` for n heads on (n, S, P) support inputs (see :func:`init_heads`)."""
+    if kind not in HEAD_KINDS:
+        raise ValueError(f"unknown head kind {kind!r}")
+    if kind == "linear":
+        return np.zeros((Z.shape[0], way, Z.shape[2])), np.zeros((Z.shape[0], way))
+    cents = _class_means(Z, labels, way)
+    if kind == "centroid":
+        return cents, None
+    return normalize_rows(cents if coupling is None else tie_context(cents, coupling)), None
 
 
 def init_heads(
     kind: str,
     way: int,
-    support_inputs: Sequence[np.ndarray],
+    support_inputs,
     labels: np.ndarray,
     coupling: float | None = None,
 ) -> list[HeadParams]:
@@ -245,21 +349,11 @@ def init_heads(
     onto the tied subspace. Centroid heads are non-parametric and ignore the
     coupling.
     """
-    heads = []
-    for Z in support_inputs:
-        P = Z.shape[1]
-        if kind == "linear":
-            heads.append(HeadParams("linear", W=np.zeros((way, P)), b=np.zeros(way)))
-        elif kind == "cosine":
-            cents = centroids_from_support(Z, labels, way)
-            if coupling is not None:
-                cents = tie_context(cents, coupling)
-            heads.append(HeadParams("cosine", W=normalize_rows(cents)))
-        elif kind == "centroid":
-            heads.append(HeadParams("centroid", centroids=centroids_from_support(Z, labels, way)))
-        else:
-            raise ValueError(f"unknown head kind {kind!r}")
-    return heads
+    Z = np.asarray(support_inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if Z.ndim != 3 or labels.shape != (Z.shape[1],):
+        raise ValueError("need (S, P) input blocks with one label per row")
+    return _unstack_heads(kind, *_init_stack(kind, way, Z, labels, coupling))
 
 
 # --- fitting -----------------------------------------------------------------
@@ -299,11 +393,13 @@ def fit_head(
     """Fit the predictor's heads on a support set by SGD on -log P(y | do(x)).
 
     The predictor supplies per-stratum inputs and the head layout; gradients
-    flow through the probability mixture into every head. When the predictor
-    has a context coupling c, every step keeps W_c = c * W_x, so the heads
-    score the feature with its knowledge-base stratum removed instead of
-    reading the stratum as evidence. Fresh heads start on that subspace; a
-    supplied ``init`` is used as given. Deterministic for a fixed ``cfg.seed``.
+    flow through the probability mixture into every head. All heads step
+    together as one (n, K, P) stack, and a mini-batch is one index into the
+    (n, S, P) input stack. When the predictor has a context coupling c, every
+    step keeps W_c = c * W_x, so the heads score the feature with its
+    knowledge-base stratum removed instead of reading the stratum as
+    evidence. Fresh heads start on that subspace; a supplied ``init`` is used
+    as given. Deterministic for a fixed ``cfg.seed``.
     """
     X = as_matrix(support_x)
     y = np.asarray(support_y, dtype=np.int64)
@@ -311,25 +407,26 @@ def fit_head(
         raise ValueError("support set is empty")
     if y.shape != (X.shape[0],):
         raise ValueError("support labels must align with support features")
-    if predictor.head_kind not in PARAMETRIC_KINDS:
-        raise ValueError(f"head kind {predictor.head_kind!r} is non-parametric; nothing to fit")
-    blocks = predictor.support_inputs(X)
+    kind = predictor.head_kind
+    if kind not in PARAMETRIC_KINDS:
+        raise ValueError(f"head kind {kind!r} is non-parametric; nothing to fit")
+    Z = predictor.support_inputs(X)
     coupling = predictor.context_coupling
     if init is not None:
-        heads = [h.copy() for h in init]
-        predictor.validate_heads(heads)
+        predictor.validate_heads(init)
+        _, W, b = _stack_heads(init)
     else:
-        heads = init_heads(predictor.head_kind, predictor.way, blocks, y, coupling)
-    rng = np.random.default_rng(cfg.seed)
-    cycler = _BatchCycler(X.shape[0], rng)
+        W, b = _init_stack(kind, predictor.way, Z, y, coupling)
+    V = _stack_inputs(kind, Z, W.shape[2])
+    cycler = _BatchCycler(X.shape[0], np.random.default_rng(cfg.seed))
     for it in range(cfg.iterations):
         if cfg.batch_size is None:
-            batch, labels = blocks, y
+            batch, labels = V, y
         else:
             idx = cycler.take(cfg.batch_size)
-            batch, labels = [Z[idx] for Z in blocks], y[idx]
-        loss, grads = mixture_loss_and_grads(heads, batch, labels, cfg.weight_decay)
-        sgd_step(heads, grads, cfg.learning_rate, coupling)
+            batch, labels = V[:, idx], y[idx]
+        loss, dW, db = _mixture(kind, W, b, batch, labels, cfg.weight_decay)
+        _step(W, b, dW, db, cfg.learning_rate, coupling)
         if loss_callback is not None:
             loss_callback(it, loss)
-    return heads
+    return _unstack_heads(kind, W, b)

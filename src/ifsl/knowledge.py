@@ -118,18 +118,6 @@ class FeatureDataset:
         return self.features[self.class_indices(label)]
 
 
-def feature_partition(dim: int, n: int) -> list[np.ndarray]:
-    """Split 0..dim-1 into n consecutive equal-size index blocks."""
-    if dim < 1:
-        raise ValueError(f"feature dimension must be positive, got {dim}")
-    if n < 1:
-        raise ValueError(f"stratum count must be positive, got {n}")
-    if dim % n != 0:
-        raise ValueError(f"stratum count {n} does not divide feature dimension {dim}")
-    width = dim // n
-    return [np.arange(i * width, (i + 1) * width) for i in range(n)]
-
-
 def pretrain_logits(kb: KnowledgeBase, X) -> np.ndarray:
     """Pre-trained classifier logits X W^T + b: one row of m per row of a (B, dim) matrix."""
     return as_matrix(X, cols=kb.dim) @ kb.pre_weights.T + kb.pre_bias

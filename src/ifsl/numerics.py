@@ -49,12 +49,12 @@ def softmax(logits) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a (B, K) logit matrix. No input validation."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Stable softmax over the last axis of a (..., K) logit array. No input validation."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; a zero-norm row stays zero. No input validation."""
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    """Rows (last axis) scaled to unit norm; a zero-norm row stays zero. No input validation."""
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
     return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)

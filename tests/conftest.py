@@ -1,6 +1,7 @@
 """Shared fixtures: a small deterministic dataset/knowledge base pair for unit
 tests, the full default synthetic benchmark shared by the acceptance suite, and
-per-sample reference computations that the whole-matrix code is checked against.
+per-sample and per-head reference computations that the whole-array code is
+checked against.
 """
 
 import math
@@ -11,7 +12,9 @@ import tempfile
 import numpy as np
 import pytest
 
+from ifsl.heads import HeadParams, _BatchCycler
 from ifsl.knowledge import FeatureDataset, KnowledgeBase
+from ifsl.numerics import normalize_rows, softmax_rows
 from ifsl.synth import SynthConfig, gen_confounded
 
 _HYPOTHESIS_DIR = pytest.StashKey[str]()
@@ -78,7 +81,7 @@ def default_synth():
     return gen_confounded(SynthConfig())
 
 
-# --- per-sample references -----------------------------------------------------
+# --- per-sample and per-head references ---------------------------------------
 
 
 def reference_inputs(predictor, x) -> list:
@@ -142,3 +145,103 @@ def reference_hardness(ep, kb) -> np.ndarray:
         s = min(max(float(e[gt] / e.sum()), 1e-12), 1.0 - 1e-12)
         out.append(math.log((1.0 - s) / s))
     return np.array(out)
+
+
+def _reference_logits(h, Z):
+    """One head's (B, K) logits, computed on its own."""
+    if h.kind == "linear":
+        return Z @ h.W.T + h.b
+    if h.kind == "cosine":
+        return normalize_rows(Z) @ normalize_rows(h.W).T
+    diff = Z[:, None, :] - h.centroids[None, :, :]
+    return -np.einsum("bkp,bkp->bk", diff, diff)
+
+
+def reference_probs(heads, blocks) -> np.ndarray:
+    """(B, K) mixture probabilities, summed head by head in ascending order."""
+    acc = sum(softmax_rows(_reference_logits(h, Z)) for h, Z in zip(heads, blocks))
+    return acc / len(heads)
+
+
+def reference_mixture(heads, blocks, labels, weight_decay):
+    """Mixture loss -mean log((1/n) sum_i p_i(y)) and one (dW, db) pair per head.
+
+    Written head by head in probability space: valid only while the mixed
+    probability of every true label stays above the float64 underflow.
+    """
+    labels = np.asarray(labels)
+    n, B = len(heads), labels.size
+    rows = np.arange(B)
+    per_head = [softmax_rows(_reference_logits(h, Z)) for h, Z in zip(heads, blocks)]
+    true_mix = sum(per_head)[rows, labels] / n
+    loss = float(-np.mean(np.log(true_mix)))
+    loss += 0.5 * weight_decay * sum(float(np.sum(h.W * h.W)) for h in heads)
+    grads = []
+    for h, Z, P in zip(heads, blocks, per_head):
+        scale = P[rows, labels] / (n * B * true_mix)
+        G = P * scale[:, None]
+        G[rows, labels] -= scale
+        if h.kind == "linear":
+            grads.append((G.T @ Z + weight_decay * h.W, G.sum(axis=0)))
+            continue
+        V = normalize_rows(Z)
+        norms = np.linalg.norm(h.W, axis=1, keepdims=True)
+        U = normalize_rows(h.W)
+        F = V @ U.T
+        dW = np.divide(
+            G.T @ V - (G * F).sum(axis=0)[:, None] * U, norms,
+            out=np.zeros_like(h.W), where=norms > 0.0,
+        )
+        grads.append((dW + weight_decay * h.W, None))
+    return loss, grads
+
+
+def reference_step(heads, grads, learning_rate, coupling) -> None:
+    """In-place SGD step head by head, on the tied subspace when coupled."""
+    for h, (dW, db) in zip(heads, grads):
+        if coupling is not None:
+            half = dW.shape[1] // 2
+            U = dW[:, :half] + coupling * dW[:, half:]
+            dW = np.concatenate([U, coupling * U], axis=1)
+        h.W -= learning_rate * dW
+        if db is not None:
+            h.b -= learning_rate * db
+
+
+def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
+    """``fit_head`` written head by head: per-head inputs, logits, gradients and steps.
+
+    Fresh heads start as in ``init_heads``: linear at zero, cosine at the
+    per-class support centroids (projected onto the tied subspace when
+    coupled) with unit rows. Mini-batches come from the same seeded cycler.
+    """
+    X = np.asarray(support_x, dtype=np.float64)
+    y = np.asarray(support_y)
+    per_row = [reference_inputs(predictor, x) for x in X]
+    blocks = [np.stack([row[i] for row in per_row]) for i in range(predictor.n_heads)]
+    coupling = predictor.context_coupling
+    if init is not None:
+        heads = [h.copy() for h in init]
+    else:
+        heads = []
+        for Z in blocks:
+            way, width = predictor.way, Z.shape[1]
+            if predictor.head_kind == "linear":
+                heads.append(HeadParams("linear", W=np.zeros((way, width)), b=np.zeros(way)))
+                continue
+            cents = np.stack([Z[y == k].mean(axis=0) for k in range(way)])
+            if coupling is not None:
+                half = cents.shape[1] // 2
+                U = cents[:, :half] + coupling * cents[:, half:]
+                cents = np.concatenate([U, coupling * U], axis=1)
+            heads.append(HeadParams("cosine", W=normalize_rows(cents)))
+    cycler = _BatchCycler(X.shape[0], np.random.default_rng(cfg.seed))
+    for _ in range(cfg.iterations):
+        if cfg.batch_size is None:
+            batch, labels = blocks, y
+        else:
+            idx = cycler.take(cfg.batch_size)
+            batch, labels = [Z[idx] for Z in blocks], y[idx]
+        _, grads = reference_mixture(heads, batch, labels, cfg.weight_decay)
+        reference_step(heads, grads, cfg.learning_rate, coupling)
+    return heads

@@ -28,7 +28,7 @@ from ifsl.synth import LinearScmConfig, iv_demo, run_confounded
 
 from conftest import make_blob_dataset, make_kb
 from test_causal_graph import _random_instance, oracle_d_separated
-from test_heads import _random_heads, fd_gradient
+from test_heads import _random_heads, fd_gradient, flatten_grads
 
 
 def _verdict(n: int, ok: bool, detail: str) -> bool:
@@ -101,12 +101,7 @@ def test_criterion_03_gradients_match_finite_differences():
                 blocks = predictor.support_inputs(X)
                 heads = _random_heads(kind, predictor.n_heads, 3, predictor.head_input_dim, rng)
                 _, grads = mixture_loss_and_grads(heads, blocks, y, 1e-3)
-                analytic = np.concatenate(
-                    [
-                        np.concatenate([g.W.ravel()] + ([g.b] if g.b is not None else []))
-                        for g in grads
-                    ]
-                )
+                analytic = flatten_grads(grads)
                 numeric = fd_gradient(heads, blocks, y, 1e-3)
                 rel = float(
                     np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)

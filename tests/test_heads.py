@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.heads import (
@@ -19,9 +21,10 @@ from ifsl.heads import (
     tie_context,
 )
 from ifsl.knowledge import PartitionConfig
-from ifsl.numerics import softmax_rows
+from ifsl.numerics import normalize_rows, softmax_rows
+from ifsl.synth import sample_confounded_episode
 
-from conftest import make_kb, reference_inputs
+from conftest import make_kb, reference_fit, reference_inputs, reference_probs
 
 
 # --- logits ---------------------------------------------------------------------
@@ -132,8 +135,7 @@ def test_centroids_from_support():
 
 
 def _ce(h, z, y, weight_decay=0.0):
-    loss, (g,) = mixture_loss_and_grads([h], [np.array([z], dtype=float)], np.array([y]), weight_decay)
-    return loss, g
+    return mixture_loss_and_grads([h], [np.array([z], dtype=float)], np.array([y]), weight_decay)
 
 
 def test_ce_loss_zero_params_ln2():
@@ -161,6 +163,14 @@ def test_saturated_head_small_loss_and_gradient():
     assert loss < 1e-3
     assert np.linalg.norm(g.W) < 1e-2
     assert np.linalg.norm(g.b) < 1e-2
+
+
+def flatten_grads(grads):
+    """Stacked gradients in the order of ``_flatten_params``: W then b, head by head."""
+    n = grads.W.shape[0]
+    if grads.b is None:
+        return grads.W.ravel()
+    return np.concatenate([grads.W.reshape(n, -1), grads.b], axis=1).ravel()
 
 
 def _flatten_params(heads):
@@ -222,9 +232,7 @@ def test_gradients_match_finite_differences(kind):
         labels = rng.integers(0, way, size=B)
         wd = float(rng.choice([0.0, 1e-3, 0.1]))
         _, grads = mixture_loss_and_grads(heads, inputs, labels, wd)
-        analytic = np.concatenate(
-            [np.concatenate([g.W.ravel()] + ([g.b] if g.b is not None else [])) for g in grads]
-        )
+        analytic = flatten_grads(grads)
         numeric = fd_gradient(heads, inputs, labels, wd)
         denom = max(np.linalg.norm(numeric), 1e-8)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-5, f"trial {trial}"
@@ -244,9 +252,7 @@ def test_gradients_through_adjustment_predictors(strategy, kind):
         blocks = predictor.support_inputs(X)
         heads = _random_heads(kind, predictor.n_heads, way, predictor.head_input_dim, rng)
         _, grads = mixture_loss_and_grads(heads, blocks, y, 1e-3)
-        analytic = np.concatenate(
-            [np.concatenate([g.W.ravel()] + ([g.b] if g.b is not None else [])) for g in grads]
-        )
+        analytic = flatten_grads(grads)
         numeric = fd_gradient(heads, blocks, y, 1e-3)
         denom = max(np.linalg.norm(numeric), 1e-8)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-5, f"trial {trial}"
@@ -260,6 +266,69 @@ def test_mixture_loss_validation():
         mixture_loss_and_grads([h], [np.zeros((1, 2))], np.array([2]))
     with pytest.raises(ValueError, match="one input block per head"):
         mixture_loss_and_grads([h], [], np.array([0]))
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_large_logit_gap_gives_finite_loss_and_gradients(n_heads):
+    # head i scores the true class 0 at 0 and class 1 at 1000 + 10 i, so the
+    # true class's probability underflows in every head
+    heads = [
+        HeadParams("linear", W=np.array([[0.0], [1.0]]), b=np.array([0.0, 10.0 * i]))
+        for i in range(n_heads)
+    ]
+    inputs = np.full((n_heads, 1, 1), 1000.0)
+    loss, grads = mixture_loss_and_grads(heads, inputs, np.array([0]))
+    # -log((1/n) sum_i exp(-(1000 + 10 i))), in closed form
+    gaps = 1000.0 + 10.0 * np.arange(n_heads)
+    expected = 1000.0 + math.log(n_heads) - math.log(np.sum(np.exp(1000.0 - gaps)))
+    assert np.isfinite(loss)
+    assert loss == pytest.approx(expected, rel=1e-15)
+    assert np.all(np.isfinite(grads.W)) and np.all(np.isfinite(grads.b))
+    # p_i - onehot = (-1, 1) in every head, weighted by the responsibilities
+    # r_i = softmax_i(-gap_i)
+    r = np.exp(gaps.min() - gaps) / np.sum(np.exp(gaps.min() - gaps))
+    assert np.allclose(grads.b, r[:, None] * [-1.0, 1.0], rtol=1e-15, atol=0.0)
+    assert np.allclose(grads.W[:, :, 0], 1000.0 * r[:, None] * [-1.0, 1.0], rtol=1e-15, atol=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    strategy=st.sampled_from(["none", "feature", "class", "combined"]),
+    kind=st.sampled_from(["linear", "cosine"]),
+    n=st.sampled_from([1, 2, 4]),
+    width=st.integers(1, 3),
+    m=st.integers(1, 3),
+    batch=st.integers(1, 5),
+    weight_decay=st.sampled_from([0.0, 1e-3, 0.1]),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_gradients_match_finite_differences_property(
+    strategy, kind, n, width, m, batch, weight_decay, zero_row, seed
+):
+    dim, way = n * width, 3
+    rng = np.random.default_rng(seed)
+    kb = make_kb(m=m, dim=dim, seed=seed % 1000)
+    cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=n, t=1e-3))
+    predictor = Predictor(cfg, kb, dim, way, kind)
+    blocks = predictor.support_inputs(rng.standard_normal((batch, dim)) + 0.2)
+    y = rng.integers(0, way, size=batch)
+    heads = _random_heads(kind, predictor.n_heads, way, predictor.head_input_dim, rng)
+    zeroed = zero_row and kind == "cosine"
+    if zeroed:
+        heads[-1].W[1] = 0.0  # a zero-norm cosine row scores 0 and must not move
+    _, grads = mixture_loss_and_grads(heads, blocks, y, weight_decay)
+    analytic = flatten_grads(grads)
+    numeric = fd_gradient(heads, blocks, y, weight_decay)
+    if zeroed:
+        assert np.array_equal(grads.W[-1, 1], np.zeros(predictor.head_input_dim))
+        # the loss has no derivative at a zero row: compare every other entry
+        keep = np.ones(analytic.size, dtype=bool)
+        row = analytic.size - grads.W[-1].size + predictor.head_input_dim
+        keep[row : row + predictor.head_input_dim] = False
+        analytic, numeric = analytic[keep], numeric[keep]
+    denom = max(np.linalg.norm(numeric), 1e-8)
+    assert np.linalg.norm(analytic - numeric) / denom < 1e-5
 
 
 # --- batch cycling -------------------------------------------------------------------
@@ -367,6 +436,45 @@ def test_fit_config_validation():
         FitConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         FitConfig(weight_decay=float("nan"))
+
+
+def _random_init(kind, n_heads, way, width, rng):
+    heads = _random_heads(kind, n_heads, way, width, rng)
+    if kind == "linear":
+        for h in heads:
+            h.W *= 0.1
+    return heads
+
+
+@pytest.mark.parametrize("strategy", ["none", "feature", "class", "combined"])
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+def test_fit_head_matches_per_head_reference(default_synth, strategy, kind):
+    # the stacked fit against the head-by-head one on fixed confounded episodes,
+    # mini-batch and full batch, fresh heads and a supplied init
+    novel, tags, kb = default_synth.novel, default_synth.novel_strata, default_synth.kb
+    predictor = Predictor(AdjustmentConfig(strategy), kb, novel.dim, 5, kind)
+    n, width = predictor.n_heads, predictor.head_input_dim
+    rng = np.random.default_rng(50)
+    worst, flips = 0.0, 0
+    for e in range(3):
+        ep, _ = sample_confounded_episode(novel, tags, 5, 1, 15, 1.0, np.random.default_rng(60 + e))
+        X, y = ep.support_x, ep.support_y
+        per_row = [reference_inputs(predictor, x) for x in ep.query_x]
+        query_blocks = [np.stack([row[i] for row in per_row]) for i in range(n)]
+        for batch_size in (4, None):
+            cfg = FitConfig(batch_size=batch_size, seed=e)
+            for init in (None, _random_init(kind, n, 5, width, rng)):
+                fitted = fit_head(X, y, predictor, cfg, init=init)
+                expected = reference_fit(X, y, predictor, cfg, init=init)
+                for h, r in zip(fitted, expected):
+                    worst = max(worst, float(np.max(np.abs(h.W - r.W))))
+                    if kind == "linear":
+                        worst = max(worst, float(np.max(np.abs(h.b - r.b))))
+                predicted = predictor.probs_batch(fitted, ep.query_x).argmax(axis=1)
+                reference = reference_probs(expected, query_blocks).argmax(axis=1)
+                flips += int(np.sum(predicted != reference))
+    assert worst <= 1e-12
+    assert flips == 0
 
 
 # --- predictor inputs and the context tie ------------------------------------------------
@@ -478,11 +586,11 @@ def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
     # a weight row's gradient depends only on that row, so zeroing one row
     # changes no other row's gradient, bit for bit
     rng = np.random.default_rng(41)
-    Z = rng.standard_normal((5, 4))
-    G = rng.standard_normal((5, 3))
-    W = rng.standard_normal((3, 4))
-    full = _grads_from_dlogits(HeadParams("cosine", W=W), Z, G, 1e-3)
-    W[1] = 0.0
-    zeroed = _grads_from_dlogits(HeadParams("cosine", W=W), Z, G, 1e-3)
-    assert np.array_equal(zeroed.W[1], np.zeros(4))
-    assert np.array_equal(zeroed.W[[0, 2]], full.W[[0, 2]])
+    V = normalize_rows(rng.standard_normal((1, 5, 4)))
+    G = rng.standard_normal((1, 5, 3))
+    W = rng.standard_normal((1, 3, 4))
+    full = _grads_from_dlogits("cosine", W, V, G, 1e-3)
+    W[0, 1] = 0.0
+    zeroed = _grads_from_dlogits("cosine", W, V, G, 1e-3)
+    assert np.array_equal(zeroed[0, 1], np.zeros(4))
+    assert np.array_equal(zeroed[0, [0, 2]], full[0, [0, 2]])

@@ -14,7 +14,6 @@ from ifsl.knowledge import (
     KnowledgeBase,
     PartitionConfig,
     csv_header,
-    feature_partition,
     load_features,
     load_features_csv,
     load_kb,
@@ -30,26 +29,34 @@ from conftest import make_kb
 # --- partitions ----------------------------------------------------------------
 
 
+def _index_blocks(dim, n):
+    """Feature indices of each stratum block, read off the ``feature`` predictor's
+    inputs for the row 1, 2, ..., dim (every entry above the threshold)."""
+    cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=n, t=0.5))
+    blocks = Predictor(cfg, None, dim, 2, "linear").support_inputs(np.arange(1.0, dim + 1.0)[None])
+    return [Z[0].astype(np.int64) - 1 for Z in blocks]
+
+
 def test_feature_partition_512_by_8():
-    blocks = feature_partition(512, 8)
+    blocks = _index_blocks(512, 8)
     assert len(blocks) == 8
     assert np.array_equal(blocks[0], np.arange(0, 64))
     assert np.array_equal(blocks[7], np.arange(448, 512))
 
 
 def test_feature_partition_single_stratum():
-    (block,) = feature_partition(4, 1)
+    (block,) = _index_blocks(4, 1)
     assert np.array_equal(block, [0, 1, 2, 3])
 
 
 def test_feature_partition_singletons():
-    blocks = feature_partition(4, 4)
+    blocks = _index_blocks(4, 4)
     assert [b.tolist() for b in blocks] == [[0], [1], [2], [3]]
 
 
 def test_feature_partition_is_a_partition():
     for dim, n in [(512, 8), (64, 4), (12, 3), (6, 6)]:
-        blocks = feature_partition(dim, n)
+        blocks = _index_blocks(dim, n)
         sizes = {b.size for b in blocks}
         assert sizes == {dim // n}
         joined = np.concatenate(blocks)
@@ -58,7 +65,7 @@ def test_feature_partition_is_a_partition():
 
 def test_feature_partition_divisibility_required():
     with pytest.raises(ValueError, match="does not divide"):
-        feature_partition(512, 7)
+        _index_blocks(512, 7)
 
 
 def test_partition_config_validation():

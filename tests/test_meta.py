@@ -8,7 +8,7 @@ import pytest
 from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_rng, sample_episode
 from ifsl.heads import FitConfig, HeadParams, fit_head
-from ifsl.knowledge import FormatError
+from ifsl.knowledge import FormatError, PartitionConfig
 from ifsl.meta import (
     META_MAGIC,
     MetaInit,
@@ -21,7 +21,14 @@ from ifsl.meta import (
     zero_meta_init,
 )
 
-from conftest import make_blob_dataset, make_kb
+from conftest import (
+    make_blob_dataset,
+    make_kb,
+    reference_fit,
+    reference_inputs,
+    reference_mixture,
+    reference_step,
+)
 
 
 @pytest.fixture
@@ -160,6 +167,32 @@ def test_meta_train_does_not_mutate_input(ds):
     mi = zero_meta_init(3, 8, tasks=5, inner_steps=2)
     _train(ds, mi, 7)
     assert np.array_equal(mi.theta0[0].W, np.zeros((3, 8)))
+
+
+@pytest.mark.parametrize("strategy", ["none", "combined"])
+def test_meta_train_matches_per_head_reference_loop(ds, strategy):
+    # the same tasks adapted and stepped head by head, in probability space
+    kb = make_kb(m=3, dim=8, seed=43)
+    cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, "linear")
+    mi = zero_meta_init(3, predictor.head_input_dim, predictor.n_heads, inner_steps=5, tasks=4)
+    trained = meta_train(ds, 3, 2, 4, cfg, mi, kb, np.random.default_rng(44))
+    theta = mi.copy_theta()
+    inner = FitConfig(iterations=5, batch_size=None, learning_rate=mi.inner_lr, weight_decay=0.0)
+    rng = np.random.default_rng(44)
+    for _ in range(mi.tasks):
+        ep = sample_episode(ds, 3, 2, 4, rng)
+        adapted = reference_fit(ep.support_x, ep.support_y, predictor, inner, init=theta)
+        blocks = [
+            np.stack([reference_inputs(predictor, x)[i] for x in ep.query_x])
+            for i in range(predictor.n_heads)
+        ]
+        _, grads = reference_mixture(adapted, blocks, ep.query_y, 0.0)
+        reference_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+    assert np.abs(trained.theta0[0].W).max() > 0.0
+    for a, b in zip(trained.theta0, theta):
+        assert np.allclose(a.W, b.W, rtol=0.0, atol=1e-12)
+        assert np.allclose(a.b, b.b, rtol=0.0, atol=1e-12)
 
 
 def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
