@@ -31,7 +31,7 @@ import numpy as np
 
 from .heads import HeadParams, logits_batch, mixture_probs
 from .knowledge import KnowledgeBase, PartitionConfig, pretrain_probs
-from .numerics import as_matrix, as_vector, softmax_rows
+from .numerics import as_rows, as_vector, softmax_rows
 
 STRATEGIES = ("none", "feature", "class", "combined")
 
@@ -51,7 +51,7 @@ class AdjustmentConfig:
 
 def class_context(kb: KnowledgeBase, X) -> np.ndarray:
     """Probability-weighted mean context (1/m) sum_j P(a_j | x) * mean_j for
-    every row x of a (B, dim) matrix."""
+    every row x of a (..., B, dim) array."""
     return pretrain_probs(kb, X) @ kb.class_means / kb.m
 
 
@@ -93,29 +93,31 @@ class Predictor:
             self.n_heads, self.head_input_dim = cfg.partition.n, 2 * dim // cfg.partition.n
 
     def support_inputs(self, X: np.ndarray) -> np.ndarray:
-        """(n_heads, S, head_input_dim) stack of per-head input blocks for a
-        (S, dim) feature matrix; ``blocks[i]`` feeds head i.
+        """(..., n_heads, S, head_input_dim) stack of per-head input blocks for a
+        (..., S, dim) feature array; ``blocks[i]`` of an (S, dim) matrix feeds head i.
 
         A feature stratum is a threshold mask and a reshape: block i of every
-        row, with entries at or below ``t`` in magnitude zeroed.
+        row, with entries at or below ``t`` in magnitude zeroed. Leading axes
+        (one per episode) are carried through, and each (S, dim) matrix gets
+        the numbers it would get on its own.
         """
-        X = as_matrix(X, cols=self.dim)
+        X = as_rows(X, cols=self.dim)
         strategy = self.cfg.strategy
         if strategy == "none":
-            return X[None]
+            return X[..., None, :, :]
         if strategy in ("class", "combined"):
             ctx = class_context(self.kb, X)
             if strategy == "class":
-                return np.concatenate([X, ctx], axis=1)[None]
+                return np.concatenate([X, ctx], axis=-1)[..., None, :, :]
         n, t = self.cfg.partition.n, self.cfg.partition.t
 
         def strata(M: np.ndarray) -> np.ndarray:
-            return np.where(np.abs(M) > t, M, 0.0).reshape(M.shape[0], n, -1)
+            return np.where(np.abs(M) > t, M, 0.0).reshape(*M.shape[:-1], n, -1)
 
         blocks = strata(X)
         if strategy == "combined":
-            blocks = np.concatenate([blocks, strata(ctx)], axis=2)
-        return np.ascontiguousarray(blocks.transpose(1, 0, 2))
+            blocks = np.concatenate([blocks, strata(ctx)], axis=-1)
+        return np.ascontiguousarray(np.moveaxis(blocks, -2, -3))
 
     def validate_heads(self, heads: Sequence[HeadParams]) -> None:
         if len(heads) != self.n_heads:

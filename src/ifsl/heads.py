@@ -7,19 +7,22 @@ through the mixture into every head. When the predictor names a context
 coupling c, each head input is [x-part, context-part] and the fitted weights
 stay on the tied subspace W = [U, c * U].
 
-The n heads of a predictor are computed as one stack: weights W (n, K, P),
-linear biases b (n, K) and inputs (n, B, P), with one batched matmul for all
-logits and one for all weight gradients. The mixture is taken in log space,
-as the log-mean-exp over heads of the per-head log-softmax outputs, so the
-loss and its gradients stay finite however small every head's probability
-of the true class is. The list-of-:class:`HeadParams` calls below stack their
-arguments, run the same core and unstack the result.
+The n heads of a predictor, for each of E episodes, are computed as one
+stack: weights W (E, n, K, P), linear biases b (E, n, K) and inputs
+(E, n, B, P), with one batched matmul for all logits and one for all weight
+gradients. The mixture is taken in log space, as the log-mean-exp over each
+episode's heads of the per-head log-softmax outputs, so the loss and its
+gradients stay finite however small every head's probability of the true
+class is. :func:`fit_stack` fits many episodes at once; :func:`fit_head` and
+the list-of-:class:`HeadParams` calls below are its one-episode case: they
+stack their arguments, run the same core and unstack the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,13 +116,15 @@ class FitConfig:
 
 
 # --- stacked core ------------------------------------------------------------
-# n heads of one kind are fitted and scored as one stack: weights W (n, K, P),
-# linear biases b (n, K) and inputs V (n, B, P). Cosine inputs are row-normalised
-# before they reach the core; centroid heads keep their centroids in W.
+# The n heads of each of E episodes are fitted and scored as one stack: weights
+# W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P). Cosine
+# inputs are row-normalised before they reach the core; centroid heads keep
+# their centroids in W. Every episode's heads only ever meet its own inputs,
+# so an episode's numbers do not depend on the others in its stack.
 
 
 def _stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """``(kind, W, b)`` of a list of heads as fresh stacked arrays.
+    """``(kind, W, b)`` of one episode's list of heads as fresh stacked arrays.
 
     ``W`` is (n, K, P): the weights, or the centroids of centroid heads.
     ``b`` is (n, K) for linear heads and None otherwise.
@@ -135,81 +140,108 @@ def _stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarr
 
 
 def _unstack_heads(kind: str, W: np.ndarray, b: np.ndarray | None) -> list[HeadParams]:
-    """One :class:`HeadParams` per stack entry, each a view on the stack."""
+    """One :class:`HeadParams` per entry of an (n, K, P) stack, each a view on it."""
     if kind == "centroid":
         return [HeadParams(kind, centroids=C) for C in W]
     return [HeadParams(kind, W=W[i], b=None if b is None else b[i]) for i in range(W.shape[0])]
 
 
-def _stack_inputs(kind: str, inputs, input_dim: int) -> np.ndarray:
-    """(n, B, P) input stack from per-head blocks, row-normalised for cosine heads."""
+def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarray:
+    """Input stack of rank ``ndim`` ((n, B, P) per episode), row-normalised for cosine heads."""
     V = np.asarray(inputs, dtype=np.float64)
-    if V.ndim != 3 or V.shape[2] != input_dim:
+    if V.ndim != ndim or V.shape[-1] != input_dim:
         raise ValueError(f"heads expect inputs of dimension {input_dim}, got shape {V.shape}")
     return normalize_rows(V) if kind == "cosine" else V
 
 
 def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """(n, B, K) logits of stacked heads on stacked inputs from :func:`_stack_inputs`."""
+    """(..., n, B, K) logits of stacked heads on stacked inputs from :func:`_stack_inputs`."""
     if kind == "linear":
-        return V @ W.transpose(0, 2, 1) + b[:, None, :]
+        return V @ W.swapaxes(-1, -2) + b[..., None, :]
     if kind == "cosine":
-        return V @ normalize_rows(W).transpose(0, 2, 1)
-    diff = V[:, :, None, :] - W[:, None, :, :]
-    return -np.einsum("nbkp,nbkp->nbk", diff, diff)
+        return V @ normalize_rows(W).swapaxes(-1, -2)
+    diff = V[..., :, None, :] - W[..., None, :, :]
+    return -np.einsum("...bkp,...bkp->...bk", diff, diff)
+
+
+def _probs(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
+    """(..., B, K) head-averaged softmax outputs: the mean over the head axis."""
+    return softmax_rows(_logits(kind, W, b, V)).mean(axis=-3)
+
+
+def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.ndarray:
+    """(E, B, K) mixture probabilities of E episodes' stacked heads on (E, n, B, P) inputs."""
+    V = _stack_inputs(kind, inputs, W.shape[-1], ndim=4)
+    if V.shape[:2] != W.shape[:2]:
+        raise ValueError("need one input block per head of every episode")
+    return _probs(kind, W, b, V)
 
 
 def _grads_from_dlogits(
     kind: str, W: np.ndarray, V: np.ndarray, G: np.ndarray, weight_decay: float
 ) -> np.ndarray:
-    """Chain dL/dlogits G (n, B, K) back into the stacked weights; returns dW (n, K, P).
+    """Chain dL/dlogits G (..., n, B, K) back into the stacked weights; returns dW (..., n, K, P).
 
-    The linear bias gradient is ``G.sum(axis=1)``.
+    The linear bias gradient is ``G.sum(axis=-2)``.
     """
     if kind == "linear":
-        return G.transpose(0, 2, 1) @ V + weight_decay * W
+        return G.swapaxes(-1, -2) @ V + weight_decay * W
     if kind == "cosine":
         # A zero-norm weight row scores 0 against every input and gets a zero
         # gradient, so it stays zero.
-        norms = np.linalg.norm(W, axis=2, keepdims=True)
+        norms = np.linalg.norm(W, axis=-1, keepdims=True)
         U = normalize_rows(W)
-        F = V @ U.transpose(0, 2, 1)  # (n, B, K)
+        F = V @ U.swapaxes(-1, -2)  # (..., n, B, K)
         dW = np.divide(
-            G.transpose(0, 2, 1) @ V - (G * F).sum(axis=1)[:, :, None] * U, norms,
+            G.swapaxes(-1, -2) @ V - (G * F).sum(axis=-2)[..., None] * U, norms,
             out=np.zeros_like(W), where=norms > 0.0,
         )
         return dW + weight_decay * W
     raise ValueError("centroid heads are non-parametric and have no gradients")
 
 
-def _mixture(
-    kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, labels: np.ndarray,
-    weight_decay: float,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Loss -mean log((1/n) sum_i p_i(y)) plus the L2 penalty, and its stacked gradients.
+def _label_index(labels: np.ndarray, n: int, K: int) -> np.ndarray:
+    """Flat indices (..., E, n, B) of the true-label entries of (E, n, B, K) logits.
 
-    Per-head log-softmax outputs are mixed as a log-mean-exp over heads, so
-    the loss stays finite when every head gives the true class a vanishing
-    probability. Head i's share of the gradient is its responsibility
-    r_i = softmax_i(log p_i(y)): dL/dlogits_i = (r_i / B) * (p_i - onehot(y)).
+    ``labels`` is (..., E, B); leading axes index whole batches, one per iteration.
     """
-    n, B, _ = V.shape
-    rows = np.arange(B)
+    E, B = labels.shape[-2:]
+    return np.arange(0, E * n * B * K, K).reshape(E, n, B) + labels[..., None, :]
+
+
+def _mixture(
+    kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
+    weight_decay: float, with_loss: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Per-episode loss -mean log((1/n) sum_i p_i(y)) plus the L2 penalty,
+    and the stacked gradients.
+
+    ``at_label`` locates the true labels (see :func:`_label_index`). Per-head
+    log-softmax outputs are mixed as a log-mean-exp over each episode's
+    heads, so the loss stays finite when every head gives the true class a
+    vanishing probability. Head i's share of the gradient is its
+    responsibility r_i = softmax_i(log p_i(y)):
+    dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). Returns the (E,) losses,
+    or None without ``with_loss``.
+    """
+    E, n, B, _ = V.shape
     shifted = _logits(kind, W, b, V)
-    shifted -= shifted.max(axis=2, keepdims=True)
+    shifted -= shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=2)  # (n, B)
-    log_py = shifted[:, rows, labels] - np.log(total)  # log p_i(y), (n, B)
-    top = log_py.max(axis=0)
+    total = e.sum(axis=-1)  # (E, n, B)
+    log_py = shifted.take(at_label) - np.log(total)  # log p_i(y), (E, n, B)
+    top = log_py.max(axis=1, keepdims=True)
     w = np.exp(log_py - top)
-    w_sum = w.sum(axis=0)
-    loss = math.log(n) - float((top + np.log(w_sum)).sum()) / B
-    loss += 0.5 * weight_decay * float(np.vdot(W, W))
+    w_sum = w.sum(axis=1, keepdims=True)  # (E, 1, B)
     scale = w / (B * w_sum)  # r_i / B
-    G = e * (scale / total)[:, :, None]
-    G[:, rows, labels] -= scale
+    G = e * (scale / total)[..., None]
+    G.reshape(-1)[at_label] -= scale
     dW = _grads_from_dlogits(kind, W, V, G, weight_decay)
-    return loss, dW, (G.sum(axis=1) if kind == "linear" else None)
+    loss = None
+    if with_loss:
+        loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B
+        loss += 0.5 * weight_decay * np.square(W).reshape(E, -1).sum(axis=1)
+    return loss, dW, (G.sum(axis=-2) if kind == "linear" else None)
 
 
 def tie_context(M: np.ndarray, coupling: float) -> np.ndarray:
@@ -251,7 +283,7 @@ def mixture_probs(heads: Sequence[HeadParams], inputs) -> np.ndarray:
     V = _stack_inputs(kind, inputs, W.shape[2])
     if V.shape[0] != W.shape[0]:
         raise ValueError("need one input block per head")
-    return softmax_rows(_logits(kind, W, b, V)).mean(axis=0)
+    return _probs(kind, W, b, V)
 
 
 def mixture_loss_and_grads(
@@ -278,8 +310,11 @@ def mixture_loss_and_grads(
         raise ValueError("labels must align with inputs")
     if labels.min() < 0 or labels.max() >= W.shape[1]:
         raise ValueError(f"labels must lie in [0, {W.shape[1] - 1}]")
-    loss, dW, db = _mixture(kind, W, b, V, labels, weight_decay)
-    return loss, HeadGrads(W=dW, b=db)
+    loss, dW, db = _mixture(
+        kind, W[None], None if b is None else b[None], V[None],
+        _label_index(labels[None], *W.shape[:2]), weight_decay,
+    )
+    return float(loss[0]), HeadGrads(W=dW[0], b=None if db is None else db[0])
 
 
 def sgd_step(
@@ -320,15 +355,28 @@ def centroids_from_support(features: np.ndarray, labels: np.ndarray, way: int) -
     return _class_means(feats, labels, way)
 
 
-def _init_stack(
-    kind: str, way: int, Z: np.ndarray, labels: np.ndarray, coupling: float | None
+def init_stack(
+    kind: str,
+    way: int,
+    support_inputs: np.ndarray,
+    labels: np.ndarray,
+    coupling: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fresh stacked ``(W, b)`` for n heads on (n, S, P) support inputs (see :func:`init_heads`)."""
+    """Fresh stacked ``(W, b)`` for E episodes on (E, n, S, P) support inputs with (E, S) labels.
+
+    ``W`` is (E, n, K, P) and ``b`` (E, n, K) for linear heads, else None;
+    see :func:`init_heads` for how each kind starts.
+    """
+    Z = np.asarray(support_inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if Z.ndim != 4 or labels.shape != (Z.shape[0], Z.shape[2]):
+        raise ValueError("need (E, n, S, P) input stacks with one label per support row")
     if kind not in HEAD_KINDS:
         raise ValueError(f"unknown head kind {kind!r}")
+    E, n, _, P = Z.shape
     if kind == "linear":
-        return np.zeros((Z.shape[0], way, Z.shape[2])), np.zeros((Z.shape[0], way))
-    cents = _class_means(Z, labels, way)
+        return np.zeros((E, n, way, P)), np.zeros((E, n, way))
+    cents = np.stack([_class_means(Z[e], labels[e], way) for e in range(E)])
     if kind == "centroid":
         return cents, None
     return normalize_rows(cents if coupling is None else tie_context(cents, coupling)), None
@@ -353,33 +401,81 @@ def init_heads(
     labels = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 3 or labels.shape != (Z.shape[1],):
         raise ValueError("need (S, P) input blocks with one label per row")
-    return _unstack_heads(kind, *_init_stack(kind, way, Z, labels, coupling))
+    W, b = init_stack(kind, way, Z[None], labels[None], coupling)
+    return _unstack_heads(kind, W[0], None if b is None else b[0])
 
 
 # --- fitting -----------------------------------------------------------------
 
 
-class _BatchCycler:
-    """Yields mini-batches by consuming a seeded global shuffle, reshuffling on exhaustion."""
+def batch_rows(n: int, iterations: int, batch_size: int, seed: int) -> np.ndarray:
+    """(iterations, batch_size) support rows of every mini-batch of one fit.
 
-    def __init__(self, n: int, rng: np.random.Generator):
-        self._n = n
-        self._rng = rng
-        self._order = rng.permutation(n)
-        self._pos = 0
+    The rows are read in order off a stream of permutations of range(n),
+    drawn from ``default_rng(seed)`` one after another (``permuted`` shuffles
+    the rows of its tile in turn, as successive ``permutation`` calls do), so
+    every row is visited once before any repeats.
+    """
+    total = iterations * batch_size
+    tiles = np.tile(np.arange(n), (max(1, -(-total // n)), 1))
+    stream = np.random.default_rng(seed).permuted(tiles, axis=1).reshape(-1)
+    return stream[:total].reshape(iterations, batch_size)
 
-    def take(self, count: int) -> np.ndarray:
-        picked = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            if self._pos == self._n:
-                self._order = self._rng.permutation(self._n)
-                self._pos = 0
-            grab = min(count - filled, self._n - self._pos)
-            picked[filled : filled + grab] = self._order[self._pos : self._pos + grab]
-            self._pos += grab
-            filled += grab
-        return picked
+
+def fit_stack(
+    support_x: np.ndarray,
+    support_y: np.ndarray,
+    predictor,
+    cfg: FitConfig,
+    seeds: Sequence[int],
+    init: tuple[np.ndarray, np.ndarray | None] | None = None,
+    loss_callback: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fit the predictor's heads on E support sets at once; returns stacked ``(W, b)``.
+
+    ``support_x`` is (E, S, dim) and ``support_y`` (E, S). Episode e draws its
+    mini-batches with :func:`batch_rows` from ``seeds[e]`` (``cfg.seed`` is
+    not read), and its heads step on its own rows only, so its weights do not
+    depend on the other episodes of the stack. ``init``, an ``(n, K, P)``
+    weight stack and its ``(n, K)`` biases (or None), is every episode's
+    start; fresh heads start as in :func:`init_stack`. ``loss_callback``
+    gets each iteration's (E,) losses. See :func:`fit_head`.
+    """
+    kind = predictor.head_kind
+    if kind not in PARAMETRIC_KINDS:
+        raise ValueError(f"head kind {kind!r} is non-parametric; nothing to fit")
+    y = np.asarray(support_y, dtype=np.int64)
+    Z = predictor.support_inputs(support_x)
+    if Z.ndim != 4 or y.shape != (Z.shape[0], Z.shape[2]) or len(seeds) != Z.shape[0]:
+        raise ValueError("need (E, S, dim) support sets with (E, S) labels and E seeds")
+    E, n, S, _ = Z.shape
+    if S == 0:
+        raise ValueError("support set is empty")
+    coupling = predictor.context_coupling
+    if init is None:
+        W, b = init_stack(kind, predictor.way, Z, y, coupling)
+    else:
+        W = np.stack([init[0]] * E)
+        b = None if init[1] is None else np.stack([init[1]] * E)
+    V = _stack_inputs(kind, Z, W.shape[-1], ndim=4)
+    K = W.shape[2]
+    if cfg.batch_size is None:
+        batches = repeat((V, _label_index(y, n, K)), cfg.iterations)
+    else:
+        # every iteration's mini-batch as flat rows of V and flat label indices
+        rows = np.stack([batch_rows(S, cfg.iterations, cfg.batch_size, s) for s in seeds], axis=1)
+        at_rows = (np.arange(E * n) * S).reshape(E, n, 1) + rows[:, :, None, :]
+        at_labels = _label_index(y[np.arange(E)[:, None], rows], n, K)
+        flat = V.reshape(E * n * S, -1)
+        batches = ((flat.take(r, axis=0), a) for r, a in zip(at_rows, at_labels))
+    for it, (batch, at_label) in enumerate(batches):
+        loss, dW, db = _mixture(
+            kind, W, b, batch, at_label, cfg.weight_decay, with_loss=loss_callback is not None
+        )
+        _step(W, b, dW, db, cfg.learning_rate, coupling)
+        if loss_callback is not None:
+            loss_callback(it, loss)
+    return W, b
 
 
 def fit_head(
@@ -393,10 +489,11 @@ def fit_head(
     """Fit the predictor's heads on a support set by SGD on -log P(y | do(x)).
 
     The predictor supplies per-stratum inputs and the head layout; gradients
-    flow through the probability mixture into every head. All heads step
-    together as one (n, K, P) stack, and a mini-batch is one index into the
-    (n, S, P) input stack. When the predictor has a context coupling c, every
-    step keeps W_c = c * W_x, so the heads score the feature with its
+    flow through the probability mixture into every head. This is the
+    one-episode case of :func:`fit_stack`: all heads step together as one
+    (1, n, K, P) stack, and a mini-batch is one index into the (1, n, S, P)
+    input stack. When the predictor has a context coupling c, every step
+    keeps W_c = c * W_x, so the heads score the feature with its
     knowledge-base stratum removed instead of reading the stratum as
     evidence. Fresh heads start on that subspace; a supplied ``init`` is used
     as given. Deterministic for a fixed ``cfg.seed``.
@@ -407,26 +504,10 @@ def fit_head(
         raise ValueError("support set is empty")
     if y.shape != (X.shape[0],):
         raise ValueError("support labels must align with support features")
-    kind = predictor.head_kind
-    if kind not in PARAMETRIC_KINDS:
-        raise ValueError(f"head kind {kind!r} is non-parametric; nothing to fit")
-    Z = predictor.support_inputs(X)
-    coupling = predictor.context_coupling
+    start = None
     if init is not None:
         predictor.validate_heads(init)
-        _, W, b = _stack_heads(init)
-    else:
-        W, b = _init_stack(kind, predictor.way, Z, y, coupling)
-    V = _stack_inputs(kind, Z, W.shape[2])
-    cycler = _BatchCycler(X.shape[0], np.random.default_rng(cfg.seed))
-    for it in range(cfg.iterations):
-        if cfg.batch_size is None:
-            batch, labels = V, y
-        else:
-            idx = cycler.take(cfg.batch_size)
-            batch, labels = V[:, idx], y[idx]
-        loss, dW, db = _mixture(kind, W, b, batch, labels, cfg.weight_decay)
-        _step(W, b, dW, db, cfg.learning_rate, coupling)
-        if loss_callback is not None:
-            loss_callback(it, loss)
-    return _unstack_heads(kind, W, b)
+        start = _stack_heads(init)[1:]
+    callback = None if loss_callback is None else lambda it, loss: loss_callback(it, float(loss[0]))
+    W, b = fit_stack(X[None], y[None], predictor, cfg, [cfg.seed], start, callback)
+    return _unstack_heads(predictor.head_kind, W[0], None if b is None else b[0])

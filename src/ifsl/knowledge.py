@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, softmax_rows
+from .numerics import as_matrix, as_rows, as_vector, softmax_rows
 
 FEATURE_MAGIC = b"IFSLFEA1"
 KB_MAGIC = b"IFSLKB01"
@@ -96,8 +96,13 @@ class FeatureDataset:
             )
         present = np.unique(labels)
         if present.size != self.n_classes:
-            missing = sorted(set(range(self.n_classes)) - set(present.tolist()))
-            raise ValueError(f"every class must be non-empty; missing classes {missing}")
+            # the three smallest missing ids lie below present.size + 3, so a
+            # huge class count is never enumerated
+            missing = np.setdiff1d(np.arange(min(self.n_classes, present.size + 3)), present)
+            more = " and more" if self.n_classes - present.size > missing.size else ""
+            raise ValueError(
+                f"every class must be non-empty; missing classes {missing.tolist()}{more}"
+            )
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -119,8 +124,8 @@ class FeatureDataset:
 
 
 def pretrain_logits(kb: KnowledgeBase, X) -> np.ndarray:
-    """Pre-trained classifier logits X W^T + b: one row of m per row of a (B, dim) matrix."""
-    return as_matrix(X, cols=kb.dim) @ kb.pre_weights.T + kb.pre_bias
+    """Pre-trained classifier logits X W^T + b: one row of m per row of a (..., B, dim) array."""
+    return as_rows(X, cols=kb.dim) @ kb.pre_weights.T + kb.pre_bias
 
 
 def pretrain_probs(kb: KnowledgeBase, X) -> np.ndarray:
@@ -156,27 +161,30 @@ def load_features(path) -> FeatureDataset:
         raise FormatError(f"{name}: zero feature dimension at byte 8")
     if n_classes == 0:
         raise FormatError(f"{name}: zero class count at byte 12")
-    rec = np.dtype([("label", "<u4"), ("feat", "<f4", (dim,))])
-    expected = header_end + n_samples * rec.itemsize
+    if n_samples == 0:
+        raise FormatError(f"{name}: zero sample count at byte 16")
+    # sizes in Python integers: a huge dim must fail here, not in numpy
+    record = 4 + 4 * dim  # u32 label, then dim x f32
+    expected = header_end + n_samples * record
     if len(raw) != expected:
         raise FormatError(
-            f"{name}: expected {expected} bytes for {n_samples} records, "
-            f"found {len(raw)} (payload ends at byte {len(raw)})"
+            f"{name}: expected {expected} bytes for {n_samples} records of dimension {dim} "
+            f"(header at byte 8), found {len(raw)} (payload ends at byte {len(raw)})"
         )
-    records = np.frombuffer(raw, dtype=rec, count=n_samples, offset=header_end)
-    labels = records["label"].astype(np.int64)
+    words = np.frombuffer(raw, dtype="<u4", offset=header_end).reshape(n_samples, 1 + dim)
+    labels = words[:, 0].astype(np.int64)
     bad = np.flatnonzero(labels >= n_classes)
     if bad.size:
         r = int(bad[0])
-        off = header_end + r * rec.itemsize
+        off = header_end + r * record
         raise FormatError(
             f"{name}: label {int(labels[r])} out of range [0, {n_classes - 1}] at byte {off}"
         )
-    feats = records["feat"].astype(np.float64)
+    feats = words[:, 1:].view("<f4").astype(np.float64)
     nonfinite = np.argwhere(~np.isfinite(feats))
     if nonfinite.size:
         r, k = (int(v) for v in nonfinite[0])
-        off = header_end + r * rec.itemsize + 4 + 4 * k
+        off = header_end + r * record + 4 + 4 * k
         raise FormatError(f"{name}: non-finite feature value at byte {off}")
     try:
         return FeatureDataset(feats, labels, int(n_classes))

@@ -8,6 +8,7 @@ initialization (no second-order terms).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +42,14 @@ class MetaInit:
         kinds = {h.kind for h in self.theta0}
         if len(kinds) != 1 or next(iter(kinds)) not in _KIND_CODES:
             raise ValueError("meta initialization needs parametric heads of one kind")
-        if self.inner_lr <= 0.0 or self.outer_lr < 0.0:
-            raise ValueError("learning rates must be positive (outer may be 0)")
+        if not (math.isfinite(self.inner_lr) and self.inner_lr > 0.0):
+            raise ValueError(
+                f"learning rates must be finite with inner_lr > 0, got inner_lr={self.inner_lr!r}"
+            )
+        if not (math.isfinite(self.outer_lr) and self.outer_lr >= 0.0):
+            raise ValueError(
+                f"learning rates must be finite with outer_lr >= 0, got outer_lr={self.outer_lr!r}"
+            )
         if self.inner_steps < 0 or self.tasks < 0:
             raise ValueError("step and task counts must be >= 0")
 

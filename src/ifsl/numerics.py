@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "as_vector",
     "as_matrix",
+    "as_rows",
     "softmax",
     "softmax_rows",
     "normalize_rows",
@@ -32,8 +33,16 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if rows is not None and m.shape[0] != rows:
         raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} columns, got {m.shape[1]}")
+    return as_rows(m, cols)
+
+
+def as_rows(values, cols: int | None = None) -> np.ndarray:
+    """Coerce to a finite float64 array of rows, (..., R, C) with at least 2 axes."""
+    m = np.asarray(values, dtype=np.float64)
+    if m.ndim < 2:
+        raise ValueError(f"expected rows of a matrix, got shape {m.shape}")
+    if cols is not None and m.shape[-1] != cols:
+        raise ValueError(f"expected {cols} columns, got {m.shape[-1]}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m

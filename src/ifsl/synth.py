@@ -148,40 +148,41 @@ def sample_confounded_episode(
     chosen = np.sort(rng.choice(novel.n_classes, size=way, replace=False))
     # spread assigned strata over a fresh permutation so collisions only occur
     # when the episode has more classes than strata
-    perm = rng.permutation(n_strata)
-    assigned = np.array([perm[k % n_strata] for k in range(way)])
+    assigned = rng.permutation(n_strata)[np.arange(way) % n_strata]
 
     mismatch = rng.random(way * query) < mismatch_rate
     query_strata = np.repeat(assigned, query)
-    for i in np.flatnonzero(mismatch):
-        others = np.delete(np.arange(n_strata), query_strata[i])
-        query_strata[i] = rng.choice(others)
+    # a mismatched query draws one of the n_strata - 1 other strata: j skips its own
+    j = rng.integers(0, n_strata - 1, size=int(mismatch.sum()))
+    query_strata[mismatch] = j + (j >= query_strata[mismatch])
 
-    support_rows, query_rows = [], []
-    for k, cls in enumerate(chosen):
+    # rows each (class, stratum) cell gives: the class's support rows and its queries
+    cells = np.repeat(np.arange(way), query) * n_strata + query_strata
+    needed = np.bincount(cells, minlength=way * n_strata)
+    own = np.arange(way) * n_strata + assigned
+    needed[own] += shot
+    # one draw per cell in (class, stratum) order
+    drawn = []
+    for cls, per_stratum in zip(chosen, needed.reshape(way, n_strata)):
         cls_rows = np.flatnonzero(novel.labels == cls)
-        needed = {int(assigned[k]): shot}
-        qs = query_strata[k * query : (k + 1) * query]
-        for s in qs:
-            needed[int(s)] = needed.get(int(s), 0) + 1
-        picked: dict[int, list[int]] = {}
-        for s, need in sorted(needed.items()):
-            cell = cls_rows[tags[cls_rows] == s]
+        cls_tags = tags[cls_rows]
+        for s in np.flatnonzero(per_stratum):
+            cell = cls_rows[cls_tags == s]
+            need = int(per_stratum[s])
             if cell.size < need:
                 raise ValueError(
                     f"class {int(cls)} stratum {s} holds {cell.size} samples, "
                     f"episode needs {need}"
                 )
-            drawn = rng.choice(cell, size=need, replace=False)
-            picked[s] = list(drawn)
-        support_rows.extend(picked[int(assigned[k])][:shot])
-        cursor = {s: (shot if s == int(assigned[k]) else 0) for s in picked}
-        for s in qs:
-            query_rows.append(picked[int(s)][cursor[int(s)]])
-            cursor[int(s)] += 1
+            drawn.append(rng.choice(cell, size=need, replace=False))
+    drawn = np.concatenate(drawn)
+    # a class's support rows lead its own cell's draw; the queries take the
+    # rest of every cell in turn
+    support_pos = ((np.cumsum(needed) - needed)[own][:, None] + np.arange(shot)).ravel()
+    si = drawn[support_pos]
+    qi = np.empty(way * query, dtype=np.int64)
+    qi[np.argsort(cells, kind="stable")] = np.delete(drawn, support_pos)
 
-    si = np.array(support_rows, dtype=np.int64)
-    qi = np.array(query_rows, dtype=np.int64)
     ep = Episode(
         way=way,
         shot=shot,

@@ -1,7 +1,7 @@
 """Shared fixtures: a small deterministic dataset/knowledge base pair for unit
 tests, the full default synthetic benchmark shared by the acceptance suite, and
-per-sample and per-head reference computations that the whole-array code is
-checked against.
+per-sample, per-head, per-batch and per-query reference computations that the
+whole-array code is checked against.
 """
 
 import math
@@ -12,7 +12,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from ifsl.heads import HeadParams, _BatchCycler
+from ifsl.episodes import Episode
+from ifsl.heads import HeadParams
 from ifsl.knowledge import FeatureDataset, KnowledgeBase
 from ifsl.numerics import normalize_rows, softmax_rows
 from ifsl.synth import SynthConfig, gen_confounded
@@ -208,12 +209,37 @@ def reference_step(heads, grads, learning_rate, coupling) -> None:
             h.b -= learning_rate * db
 
 
+class ReferenceCycler:
+    """Mini-batches taken one at a time off a seeded permutation of the rows,
+    reshuffled when it is used up; ``batch_rows`` draws the same rows at once."""
+
+    def __init__(self, n: int, rng: np.random.Generator):
+        self._n = n
+        self._rng = rng
+        self._order = rng.permutation(n)
+        self._pos = 0
+
+    def take(self, count: int) -> np.ndarray:
+        picked = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            if self._pos == self._n:
+                self._order = self._rng.permutation(self._n)
+                self._pos = 0
+            grab = min(count - filled, self._n - self._pos)
+            picked[filled : filled + grab] = self._order[self._pos : self._pos + grab]
+            self._pos += grab
+            filled += grab
+        return picked
+
+
 def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
     """``fit_head`` written head by head: per-head inputs, logits, gradients and steps.
 
     Fresh heads start as in ``init_heads``: linear at zero, cosine at the
     per-class support centroids (projected onto the tied subspace when
-    coupled) with unit rows. Mini-batches come from the same seeded cycler.
+    coupled) with unit rows. Mini-batches come from a :class:`ReferenceCycler`
+    seeded with ``cfg.seed``.
     """
     X = np.asarray(support_x, dtype=np.float64)
     y = np.asarray(support_y)
@@ -235,7 +261,7 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
                 U = cents[:, :half] + coupling * cents[:, half:]
                 cents = np.concatenate([U, coupling * U], axis=1)
             heads.append(HeadParams("cosine", W=normalize_rows(cents)))
-    cycler = _BatchCycler(X.shape[0], np.random.default_rng(cfg.seed))
+    cycler = ReferenceCycler(X.shape[0], np.random.default_rng(cfg.seed))
     for _ in range(cfg.iterations):
         if cfg.batch_size is None:
             batch, labels = blocks, y
@@ -245,3 +271,50 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
         _, grads = reference_mixture(heads, batch, labels, cfg.weight_decay)
         reference_step(heads, grads, cfg.learning_rate, coupling)
     return heads
+
+
+def reference_confounded_episode(novel, strata_tags, way, shot, query, mismatch_rate, rng):
+    """``sample_confounded_episode`` one query at a time.
+
+    Each mismatched query picks one of the other strata by ``rng.choice``;
+    each class then draws, stratum by ascending stratum, the rows its support
+    and queries need from that (class, stratum) cell, and hands them out in
+    query order from per-stratum cursors.
+    """
+    tags = np.asarray(strata_tags, dtype=np.int64)
+    n_strata = int(tags.max()) + 1
+    chosen = np.sort(rng.choice(novel.n_classes, size=way, replace=False))
+    perm = rng.permutation(n_strata)
+    assigned = np.array([perm[k % n_strata] for k in range(way)])
+    mismatch = rng.random(way * query) < mismatch_rate
+    query_strata = np.repeat(assigned, query)
+    for i in np.flatnonzero(mismatch):
+        others = np.delete(np.arange(n_strata), query_strata[i])
+        query_strata[i] = rng.choice(others)
+    support_rows, query_rows = [], []
+    for k, cls in enumerate(chosen):
+        cls_rows = np.flatnonzero(novel.labels == cls)
+        needed = {int(assigned[k]): shot}
+        qs = query_strata[k * query : (k + 1) * query]
+        for s in qs:
+            needed[int(s)] = needed.get(int(s), 0) + 1
+        picked = {}
+        for s, need in sorted(needed.items()):
+            cell = cls_rows[tags[cls_rows] == s]
+            if cell.size < need:
+                raise ValueError(f"class {int(cls)} stratum {s} holds {cell.size} samples")
+            picked[s] = list(rng.choice(cell, size=need, replace=False))
+        support_rows.extend(picked[int(assigned[k])][:shot])
+        cursor = {s: (shot if s == int(assigned[k]) else 0) for s in picked}
+        for s in qs:
+            query_rows.append(picked[int(s)][cursor[int(s)]])
+            cursor[int(s)] += 1
+    si = np.array(support_rows, dtype=np.int64)
+    qi = np.array(query_rows, dtype=np.int64)
+    ep = Episode(
+        way=way, shot=shot, query_per_class=query,
+        support_x=novel.features[si], support_y=np.repeat(np.arange(way), shot),
+        query_x=novel.features[qi], query_y=np.repeat(np.arange(way), query),
+        class_map=chosen, support_idx=si, query_idx=qi,
+    )
+    return ep, mismatch

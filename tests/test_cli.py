@@ -3,12 +3,16 @@
 import csv
 import json
 
+import struct
+
 import jsonschema
 import numpy as np
 import pytest
 
 from ifsl.cli import REPORT_SCHEMA, main
-from ifsl.knowledge import save_features, save_features_csv, save_kb, load_features, load_kb
+from ifsl.knowledge import (
+    FEATURE_MAGIC, load_features, load_kb, save_features, save_features_csv, save_kb,
+)
 from ifsl.meta import load_meta
 
 from conftest import make_blob_dataset, make_kb
@@ -347,3 +351,33 @@ def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path):
     )
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--inner-lr", "--outer-lr"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_meta_non_finite_rate_is_a_config_error(
+    data_dir, tmp_path, capsys, monkeypatch, flag, value
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("meta-training started")
+
+    monkeypatch.setattr("ifsl.cli.meta_train", no_training)
+    out = tmp_path / "meta.json"
+    code = main(
+        ["meta", "--features", str(data_dir / "novel.features"), "--out", str(out),
+         "--way", "3", "--query", "4", "--tasks", "2", "--eval-tasks", "2", f"{flag}={value}"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{flag[2:].replace('-', '_')}={value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [2**29, 2**30, 2**31, 2**32 - 1])
+def test_huge_feature_dimension_exits_3(data_dir, tmp_path, capsys, dim):
+    bad = tmp_path / "huge.features"
+    bad.write_bytes(FEATURE_MAGIC + struct.pack("<IIQ", dim, 2, 3) + bytes(3 * 12))
+    code = main(["episodes", "--features", str(bad), "--kb", str(data_dir / "kb.bin"),
+                 *EPISODE_ARGS])
+    assert code == 3
+    assert f"dimension {dim} (header at byte 8)" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from ifsl.episodes import (
     episode_hardness,
     episode_rng,
     derived_fit_seed,
+    run_arms,
     run_episode,
     run_many,
     sample_episode,
@@ -233,6 +234,27 @@ def test_run_many_uses_per_episode_fit_seeds(ds, kb):
                  FitConfig(iterations=20, seed=999), kb, seed=61)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.predicted, rb.predicted)
+
+
+def test_results_share_one_read_only_label_row(ds, kb):
+    # episodes labelled alike share one read-only `true` row; a sampler that
+    # reorders its queries gets each episode's own labels back
+    arms = [("linear", AdjustmentConfig("none"), FitConfig(iterations=5))]
+
+    def shuffled(rng):
+        ep = sample_episode(ds, 3, 1, 4, rng)
+        order = rng.permutation(ep.query_y.size)
+        return dataclasses.replace(
+            ep, query_x=ep.query_x[order], query_y=ep.query_y[order], query_idx=ep.query_idx[order]
+        ), order
+
+    alike = run_many(ds, 3, 1, 4, 5, *arms[0], kb, seed=63)
+    assert all(not r.true.flags.writeable for r in alike)
+    assert all(np.shares_memory(alike[0].true, r.true) for r in alike)
+    (results,), orders = run_arms(shuffled, arms, kb, 5, 63)
+    for r, order in zip(results, orders):
+        assert np.array_equal(r.true, np.repeat(np.arange(3), 4)[order])
+        assert np.array_equal(r.correct, r.predicted == r.true)
 
 
 def test_run_many_rejects_zero_count(ds, kb):

@@ -1,6 +1,7 @@
 """Head logits, analytic gradients against finite differences, and the SGD fit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.heads import (
     FitConfig,
     HeadParams,
-    _BatchCycler,
     _grads_from_dlogits,
+    batch_rows,
     centroids_from_support,
     fit_head,
+    fit_stack,
     init_heads,
     logits_batch,
     mixture_loss_and_grads,
@@ -24,7 +26,7 @@ from ifsl.knowledge import PartitionConfig
 from ifsl.numerics import normalize_rows, softmax_rows
 from ifsl.synth import sample_confounded_episode
 
-from conftest import make_kb, reference_fit, reference_inputs, reference_probs
+from conftest import ReferenceCycler, make_kb, reference_fit, reference_inputs, reference_probs
 
 
 # --- logits ---------------------------------------------------------------------
@@ -335,19 +337,28 @@ def test_mixture_gradients_match_finite_differences_property(
 
 
 def test_batch_cycler_visits_all_before_repeating():
-    rng = np.random.default_rng(3)
-    cycler = _BatchCycler(5, rng)
-    draws = np.concatenate([cycler.take(4) for _ in range(10)])
+    draws = batch_rows(5, 10, 4, 3).reshape(-1)
+    assert draws.size == 40
     for start in range(0, 40, 5):
         window = draws[start : start + 5]
         assert sorted(window.tolist()) == [0, 1, 2, 3, 4]
 
 
 def test_batch_cycler_deterministic():
-    a = _BatchCycler(6, np.random.default_rng(9))
-    b = _BatchCycler(6, np.random.default_rng(9))
-    for _ in range(7):
-        assert np.array_equal(a.take(4), b.take(4))
+    a = batch_rows(6, 7, 4, 9)
+    b = batch_rows(6, 7, 4, 9)
+    assert a.shape == (7, 4)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 16])
+@pytest.mark.parametrize("batch", [1, 3, 4, 9])
+def test_batch_rows_equal_one_batch_at_a_time_cycler(n, batch):
+    for seed in (0, 9, 123):
+        cycler = ReferenceCycler(n, np.random.default_rng(seed))
+        expect = np.stack([cycler.take(batch) for _ in range(11)])
+        assert np.array_equal(batch_rows(n, 11, batch, seed), expect)
+    assert batch_rows(n, 0, batch, 0).shape == (0, batch)
 
 
 # --- fitting ------------------------------------------------------------------------
@@ -478,6 +489,45 @@ def test_fit_head_matches_per_head_reference(default_synth, strategy, kind):
 
 
 # --- predictor inputs and the context tie ------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", ["none", "feature", "class", "combined"])
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+@pytest.mark.parametrize("batch_size", [4, None])
+def test_stacked_fit_equals_per_episode_fit_head(default_synth, strategy, kind, batch_size):
+    # E episodes fitted as one (E, n, K, P) stack give each episode the very
+    # weights fit_head gives it alone, with its own seed
+    novel, tags, kb = default_synth.novel, default_synth.novel_strata, default_synth.kb
+    predictor = Predictor(AdjustmentConfig(strategy), kb, novel.dim, 5, kind)
+    eps = [
+        sample_confounded_episode(novel, tags, 5, 1, 15, 1.0, np.random.default_rng(70 + e))[0]
+        for e in range(6)
+    ]
+    seeds = [1000 + 17 * e for e in range(6)]
+    cfg = FitConfig(iterations=40, batch_size=batch_size, learning_rate=5e-3)
+    W, b = fit_stack(
+        np.stack([ep.support_x for ep in eps]), np.stack([ep.support_y for ep in eps]),
+        predictor, cfg, seeds,
+    )
+    assert W.shape == (6, predictor.n_heads, 5, predictor.head_input_dim)
+    assert (b is None) == (kind == "cosine")
+    for e, (ep, seed) in enumerate(zip(eps, seeds)):
+        alone = fit_head(ep.support_x, ep.support_y, predictor, replace(cfg, seed=seed))
+        assert np.array_equal(W[e], np.stack([h.W for h in alone]))
+        if kind == "linear":
+            assert np.array_equal(b[e], np.stack([h.b for h in alone]))
+
+
+def test_fit_stack_validates_its_stack():
+    predictor = Predictor(AdjustmentConfig("none"), None, 4, 2, "linear")
+    X, y = np.zeros((3, 2, 4)), np.zeros((3, 2), dtype=int)
+    with pytest.raises(ValueError, match="E seeds"):
+        fit_stack(X, y, predictor, FitConfig(), [0, 1])
+    with pytest.raises(ValueError, match="labels"):
+        fit_stack(X, y[:, :1], predictor, FitConfig(), [0, 1, 2])
+    centroid = Predictor(AdjustmentConfig("none"), None, 4, 2, "centroid")
+    with pytest.raises(ValueError, match="non-parametric"):
+        fit_stack(X, y, centroid, FitConfig(), [0, 1, 2])
 
 
 @pytest.mark.parametrize("strategy", ["none", "feature", "class", "combined"])

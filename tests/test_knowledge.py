@@ -229,6 +229,32 @@ def test_features_zero_dim_rejected(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("dim", [2**29, 2**30, 2**31, 2**32 - 1])
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_features_huge_dim_is_format_error_at_byte_8(tmp_path, dim, n_samples):
+    # the record size is checked in Python integers, before numpy sees it
+    path = tmp_path / "huge.features"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<IIQ", dim, 2, n_samples) + bytes(12 * n_samples))
+    with pytest.raises(FormatError, match=f"dimension {dim} \\(header at byte 8\\)"):
+        load_features(path)
+
+
+def test_features_zero_samples_rejected(tmp_path):
+    path = tmp_path / "empty.features"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<IIQ", 2**32 - 1, 1, 0))
+    with pytest.raises(FormatError, match="zero sample count at byte 16"):
+        load_features(path)
+
+
+def test_features_huge_class_count_is_not_enumerated(tmp_path):
+    header = FEATURE_MAGIC + struct.pack("<IIQ", 1, 2**32 - 1, 2)
+    rec = struct.Struct("<If")
+    path = tmp_path / "classes.features"
+    path.write_bytes(header + rec.pack(0, 1.0) + rec.pack(2, 2.0))
+    with pytest.raises(FormatError, match=r"missing classes \[1, 3, 4\] and more"):
+        load_features(path)
+
+
 def test_features_missing_class_is_format_error(tmp_path):
     dim = 1
     header = FEATURE_MAGIC + struct.pack("<IIQ", dim, 3, 2)

@@ -78,6 +78,14 @@ def test_copy_theta_is_deep():
 # --- adaptation ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("rate", ["inner_lr", "outer_lr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_meta_init_rejects_non_finite_rates(rate, value):
+    with pytest.raises(ValueError, match=f"finite .* got {rate}={value!r}"):
+        zero_meta_init(5, 8, **{rate: value})
+
+
+
 def test_adapt_matches_full_batch_fit(ds):
     # the inner loop is exactly the head fit with full batches and no decay
     predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")

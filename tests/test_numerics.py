@@ -9,6 +9,7 @@ from ifsl.evalmetrics import query_hardness
 from ifsl.heads import centroids_from_support
 from ifsl.numerics import (
     as_matrix,
+    as_rows,
     as_vector,
     normalize_rows,
     softmax,
@@ -145,3 +146,17 @@ def test_as_matrix_validation():
         as_matrix(np.zeros((2, 3)), rows=3)
     with pytest.raises(ValueError):
         as_matrix(np.zeros((2, 3)), cols=2)
+    with pytest.raises(ValueError, match="2-D"):
+        as_matrix(np.zeros((1, 2, 3)))
+
+
+def test_as_rows_validation():
+    stack = as_rows(np.ones((4, 2, 3), dtype=np.float32), cols=3)
+    assert stack.dtype == np.float64 and stack.shape == (4, 2, 3)
+    assert as_rows([[1.0, 2.0]]).shape == (1, 2)
+    with pytest.raises(ValueError, match="rows of a matrix"):
+        as_rows([1.0, 2.0])
+    with pytest.raises(ValueError, match="expected 2 columns"):
+        as_rows(np.zeros((4, 2, 3)), cols=2)
+    with pytest.raises(ValueError, match="finite"):
+        as_rows(np.full((2, 2, 2), np.inf))

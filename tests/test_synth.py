@@ -1,12 +1,16 @@
 """Confounded data generation, stratum-tied episodes, and the linear-SCM demo."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ifsl.episodes
 from ifsl.adjust import AdjustmentConfig
-from ifsl.episodes import episode_hardness, episode_rng, run_arms
+from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
 from ifsl.heads import FitConfig
 from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.synth import (
@@ -19,6 +23,7 @@ from ifsl.synth import (
     sample_confounded_episode,
 )
 
+from conftest import reference_confounded_episode
 
 SMALL = SynthConfig(
     dim=16,
@@ -250,6 +255,99 @@ def test_paired_arms_match_solo_runs(small_out):
             assert np.array_equal(a.correct, b.correct)
         for a, b in zip(masks, solo_masks):
             assert np.array_equal(a, b)
+
+
+def _tagged_dataset(n_classes: int, strata: int, per_cell: int):
+    """Random features with round-robin stratum tags, ``per_cell`` rows per (class, stratum)."""
+    per = strata * per_cell
+    rng = np.random.default_rng(strata)
+    ds = FeatureDataset(
+        rng.standard_normal((n_classes * per, 4)), np.repeat(np.arange(n_classes), per), n_classes
+    )
+    return ds, np.tile(np.arange(per) % strata, n_classes)
+
+
+_TAGGED = {m: _tagged_dataset(7, m, 10) for m in range(2, 6)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    way=st.integers(2, 7),
+    shot=st.integers(1, 3),
+    query=st.integers(1, 6),
+    strata=st.integers(2, 5),
+    mismatch_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_confounded_sampler_equals_per_query_reference(
+    way, shot, query, strata, mismatch_rate, seed
+):
+    novel, tags = _TAGGED[strata]
+    args = (novel, tags, way, shot, query, mismatch_rate)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ep, mask = sample_confounded_episode(*args, rng_new)
+    ref, ref_mask = reference_confounded_episode(*args, rng_ref)
+    for name in ("support_idx", "query_idx", "support_x", "query_x", "support_y", "query_y",
+                 "class_map"):
+        a, b = getattr(ep, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert mask.tobytes() == ref_mask.tobytes()
+    # both consumed the same stream
+    assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+
+def _arrays(per_arm, masks) -> list:
+    """Every array a run returns, in a fixed order."""
+    out = list(masks)
+    for results in per_arm:
+        for r in results:
+            out += [r.predicted, r.true, r.hardness, r.correct]
+    return out
+
+
+def test_results_do_not_depend_on_chunk_size(small_out, monkeypatch):
+    # 17 episodes cross every chunk boundary of chunk sizes 1, 7 and the default
+    novel, tags, kb = small_out.novel, small_out.novel_strata, small_out.kb
+    part = PartitionConfig(n=4, t=1e-3)
+    arms = [
+        ("linear", AdjustmentConfig("none"), FitConfig(iterations=15)),
+        ("linear", AdjustmentConfig("combined", partition=part),
+         FitConfig(iterations=15, learning_rate=5e-3)),
+        ("cosine", AdjustmentConfig("feature", partition=part),
+         FitConfig(iterations=15, batch_size=None)),
+        ("centroid", AdjustmentConfig("class"), FitConfig()),
+    ]
+    sample = partial(sample_confounded_episode, novel, tags, 3, 1, 3, 1.0)
+    runs = []
+    for chunk in (1, 7, ifsl.episodes._CHUNK):
+        monkeypatch.setattr(ifsl.episodes, "_CHUNK", chunk)
+        paired = _arrays(*run_arms(sample, arms, kb, 17, 23))
+        solo, solo_masks = run_confounded(novel, tags, kb, 3, 1, 3, 17, 1.0, *arms[1], seed=23)
+        many = run_many(novel, 3, 2, 4, 17, *arms[2], kb, 23)
+        runs.append(paired + _arrays([solo], solo_masks) + _arrays([many], []))
+    first, *others = runs
+    assert len(first) == 17 * (1 + 4 * len(arms)) + 17 * (1 + 4) + 17 * 4
+    for other in others:
+        assert len(other) == len(first)
+        for a, b in zip(first, other):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_run_confounded_memory_does_not_grow_with_count(default_synth):
+    # chunks of a fixed size: the traced peak of 256 episodes stays under
+    # 4 MB, so no chunk grows with the count and no per-dataset table is built
+    novel, tags, kb = default_synth.novel, default_synth.novel_strata, default_synth.kb
+    args = (5, 1, 15)
+    adj = AdjustmentConfig("combined", partition=PartitionConfig(n=8))
+    tracemalloc.start()
+    try:
+        run_confounded(
+            novel, tags, kb, *args, 256, 1.0, "linear", adj, FitConfig(learning_rate=5e-3), 31
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 # --- linear-SCM instrument demo ---------------------------------------------------------
