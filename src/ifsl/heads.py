@@ -10,12 +10,17 @@ stay on the tied subspace W = [U, c * U].
 The n heads of a predictor, for each of E episodes, are computed as one
 stack: weights W (E, n, K, P), linear biases b (E, n, K) and inputs
 (E, n, B, P), with one batched matmul for all logits and one for all weight
-gradients. The mixture is taken in log space, as the log-mean-exp over each
-episode's heads of the per-head log-softmax outputs, so the loss and its
-gradients stay finite however small every head's probability of the true
-class is. :func:`fit_stack` fits many episodes at once; :func:`fit_head` and
-the list-of-:class:`HeadParams` calls below are its one-episode case: they
-stack their arguments, run the same core and unstack the result.
+gradients. The logits are class-major, (E, n, K, B) = W @ V^T: the softmax
+reduces over the class axis -2, whose K rows are contiguous runs of B
+entries, and a fitting step turns that one buffer into the exponentials and
+then into dL/dlogits in place, so dW = G @ V and the bias gradient is
+G.sum(-1); probabilities handed out stay (B, K). The mixture is taken in log
+space, as the log-mean-exp over each episode's heads of the per-head
+log-softmax outputs, so the loss and its gradients stay finite however small
+every head's probability of the true class is. :func:`fit_stack` fits many
+episodes at once; :func:`fit_head` and the list-of-:class:`HeadParams` calls
+below are its one-episode case: they stack their arguments, run the same core
+and unstack the result.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, normalize_rows, softmax_rows
+from .numerics import as_matrix, as_vector, normalize_rows
 
 HEAD_KINDS = ("linear", "cosine", "centroid")
 PARAMETRIC_KINDS = ("linear", "cosine")
@@ -117,10 +122,11 @@ class FitConfig:
 
 # --- stacked core ------------------------------------------------------------
 # The n heads of each of E episodes are fitted and scored as one stack: weights
-# W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P). Cosine
-# inputs are row-normalised before they reach the core; centroid heads keep
-# their centroids in W. Every episode's heads only ever meet its own inputs,
-# so an episode's numbers do not depend on the others in its stack.
+# W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P); logits
+# and their gradients are class-major, (E, n, K, B). Cosine inputs are
+# row-normalised before they reach the core; centroid heads keep their
+# centroids in W. Every episode's heads only ever meet its own inputs, so an
+# episode's numbers do not depend on the others in its stack.
 
 
 def _stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
@@ -155,18 +161,25 @@ def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarra
 
 
 def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """(..., n, B, K) logits of stacked heads on stacked inputs from :func:`_stack_inputs`."""
+    """(..., n, K, B) class-major logits of stacked heads on stacked inputs from
+    :func:`_stack_inputs`: row k of head i holds class k's score of every input."""
     if kind == "linear":
-        return V @ W.swapaxes(-1, -2) + b[..., None, :]
+        z = W @ V.swapaxes(-1, -2)
+        z += b[..., :, None]
+        return z
     if kind == "cosine":
-        return V @ normalize_rows(W).swapaxes(-1, -2)
-    diff = V[..., :, None, :] - W[..., None, :, :]
-    return -np.einsum("...bkp,...bkp->...bk", diff, diff)
+        return normalize_rows(W) @ V.swapaxes(-1, -2)
+    diff = V[..., None, :, :] - W[..., :, None, :]
+    return -np.einsum("...kbp,...kbp->...kb", diff, diff)
 
 
 def _probs(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     """(..., B, K) head-averaged softmax outputs: the mean over the head axis."""
-    return softmax_rows(_logits(kind, W, b, V)).mean(axis=-3)
+    z = _logits(kind, W, b, V)
+    z -= z.max(axis=-2, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-2, keepdims=True)
+    return z.mean(axis=-3).swapaxes(-1, -2)
 
 
 def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.ndarray:
@@ -180,20 +193,21 @@ def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.nd
 def _grads_from_dlogits(
     kind: str, W: np.ndarray, V: np.ndarray, G: np.ndarray, weight_decay: float
 ) -> np.ndarray:
-    """Chain dL/dlogits G (..., n, B, K) back into the stacked weights; returns dW (..., n, K, P).
+    """Chain class-major dL/dlogits G (..., n, K, B) back into the stacked weights;
+    returns dW = G @ V (..., n, K, P) plus the weight decay.
 
-    The linear bias gradient is ``G.sum(axis=-2)``.
+    The linear bias gradient is ``G.sum(axis=-1)``.
     """
     if kind == "linear":
-        return G.swapaxes(-1, -2) @ V + weight_decay * W
+        return G @ V + weight_decay * W
     if kind == "cosine":
         # A zero-norm weight row scores 0 against every input and gets a zero
         # gradient, so it stays zero.
         norms = np.linalg.norm(W, axis=-1, keepdims=True)
         U = normalize_rows(W)
-        F = V @ U.swapaxes(-1, -2)  # (..., n, B, K)
+        F = U @ V.swapaxes(-1, -2)  # (..., n, K, B)
         dW = np.divide(
-            G.swapaxes(-1, -2) @ V - (G * F).sum(axis=-2)[..., None] * U, norms,
+            G @ V - (G * F).sum(axis=-1)[..., None] * U, norms,
             out=np.zeros_like(W), where=norms > 0.0,
         )
         return dW + weight_decay * W
@@ -201,12 +215,14 @@ def _grads_from_dlogits(
 
 
 def _label_index(labels: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Flat indices (..., E, n, B) of the true-label entries of (E, n, B, K) logits.
+    """Flat indices (..., E, n, B) of the true-label entries of (E, n, K, B) logits:
+    entry [e, i, b] locates ``logits[e, i, labels[e, b], b]``.
 
     ``labels`` is (..., E, B); leading axes index whole batches, one per iteration.
     """
     E, B = labels.shape[-2:]
-    return np.arange(0, E * n * B * K, K).reshape(E, n, B) + labels[..., None, :]
+    head_starts = np.arange(0, E * n * K * B, K * B).reshape(E, n, 1)
+    return head_starts + (labels * B + np.arange(B))[..., None, :]
 
 
 def _mixture(
@@ -221,27 +237,29 @@ def _mixture(
     heads, so the loss stays finite when every head gives the true class a
     vanishing probability. Head i's share of the gradient is its
     responsibility r_i = softmax_i(log p_i(y)):
-    dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). Returns the (E,) losses,
-    or None without ``with_loss``.
+    dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). The class-major logits
+    buffer becomes the exponentials and then that gradient in place. Returns
+    the (E,) losses, or None without ``with_loss``.
     """
     E, n, B, _ = V.shape
-    shifted = _logits(kind, W, b, V)
-    shifted -= shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1)  # (E, n, B)
-    log_py = shifted.take(at_label) - np.log(total)  # log p_i(y), (E, n, B)
+    G = _logits(kind, W, b, V)  # (E, n, K, B): shifted, exponentiated, then scaled in place
+    G -= G.max(axis=-2, keepdims=True)
+    shifted_y = G.take(at_label)
+    np.exp(G, out=G)
+    total = G.sum(axis=-2)  # (E, n, B)
+    log_py = shifted_y - np.log(total)  # log p_i(y), (E, n, B)
     top = log_py.max(axis=1, keepdims=True)
     w = np.exp(log_py - top)
     w_sum = w.sum(axis=1, keepdims=True)  # (E, 1, B)
     scale = w / (B * w_sum)  # r_i / B
-    G = e * (scale / total)[..., None]
+    G *= (scale / total)[..., None, :]
     G.reshape(-1)[at_label] -= scale
     dW = _grads_from_dlogits(kind, W, V, G, weight_decay)
     loss = None
     if with_loss:
         loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B
         loss += 0.5 * weight_decay * np.square(W).reshape(E, -1).sum(axis=1)
-    return loss, dW, (G.sum(axis=-2) if kind == "linear" else None)
+    return loss, dW, (G.sum(axis=-1) if kind == "linear" else None)
 
 
 def tie_context(M: np.ndarray, coupling: float) -> np.ndarray:
@@ -270,11 +288,11 @@ def _step(
 
 
 def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
-    """Logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
+    """(B, K) logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
     if Z.ndim != 2:
         raise ValueError(f"head expects a (B, {h.input_dim}) input block, got shape {Z.shape}")
     kind, W, b = _stack_heads([h])
-    return _logits(kind, W, b, _stack_inputs(kind, Z[None], h.input_dim))[0]
+    return _logits(kind, W, b, _stack_inputs(kind, Z[None], h.input_dim))[0].T
 
 
 def mixture_probs(heads: Sequence[HeadParams], inputs) -> np.ndarray:

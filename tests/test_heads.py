@@ -13,6 +13,7 @@ from ifsl.heads import (
     FitConfig,
     HeadParams,
     _grads_from_dlogits,
+    _label_index,
     batch_rows,
     centroids_from_support,
     fit_head,
@@ -333,6 +334,32 @@ def test_mixture_gradients_match_finite_differences_property(
     assert np.linalg.norm(analytic - numeric) / denom < 1e-5
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    E=st.integers(1, 4),
+    n=st.integers(1, 4),
+    B=st.integers(1, 6),
+    K=st.integers(2, 6),
+    iterations=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_label_index_locates_class_major_true_labels(E, n, B, K, iterations, seed):
+    # the flat index of entry [e, i, b] is logits[e, i, y[e, b], b] of (E, n, K, B)
+    # logits, for one batch and for a leading axis of one batch per iteration
+    rng = np.random.default_rng(seed)
+    lead = () if iterations is None else (iterations,)
+    y = rng.integers(0, K, size=lead + (E, B))
+    idx = _label_index(y, n, K)
+    assert idx.shape == lead + (E, n, B)
+    logits = rng.standard_normal((E, n, K, B))
+    for at, labels in zip(idx.reshape(-1, E, n, B), y.reshape(-1, E, B)):
+        expected = [
+            [[logits[e, i, labels[e, b], b] for b in range(B)] for i in range(n)]
+            for e in range(E)
+        ]
+        assert np.array_equal(logits.reshape(-1)[at], expected)
+
+
 # --- batch cycling -------------------------------------------------------------------
 
 
@@ -637,7 +664,7 @@ def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
     # changes no other row's gradient, bit for bit
     rng = np.random.default_rng(41)
     V = normalize_rows(rng.standard_normal((1, 5, 4)))
-    G = rng.standard_normal((1, 5, 3))
+    G = rng.standard_normal((1, 5, 3)).swapaxes(-1, -2)  # class-major (1, K, B)
     W = rng.standard_normal((1, 3, 4))
     full = _grads_from_dlogits("cosine", W, V, G, 1e-3)
     W[0, 1] = 0.0

@@ -9,21 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifsl.episodes
-from ifsl.adjust import AdjustmentConfig
+from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
 from ifsl.heads import FitConfig
 from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.synth import (
+    _KB_FIT,
     IvResult,
     LinearScmConfig,
     SynthConfig,
+    fit_kb,
     gen_confounded,
     iv_demo,
     run_confounded,
     sample_confounded_episode,
 )
 
-from conftest import reference_confounded_episode
+from conftest import reference_confounded_episode, reference_fit
 
 SMALL = SynthConfig(
     dim=16,
@@ -348,6 +350,35 @@ def test_run_confounded_memory_does_not_grow_with_count(default_synth):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+# --- knowledge-base fit -----------------------------------------------------------------
+
+
+def test_fit_kb_matches_reference_fit(small_out):
+    # one linear head fitted full batch on the whole pretrain set, against the
+    # head-by-head reference fit with the same settings
+    pretrain = small_out.pretrain
+    assert _KB_FIT.batch_size is None and _KB_FIT.weight_decay == 1e-4
+    kb = fit_kb(pretrain)
+    predictor = Predictor(
+        AdjustmentConfig("none"), None, pretrain.dim, pretrain.n_classes, "linear"
+    )
+    (expected,) = reference_fit(pretrain.features, pretrain.labels, predictor, _KB_FIT)
+    assert np.allclose(kb.pre_weights, expected.W, rtol=0.0, atol=1e-12)
+    assert np.allclose(kb.pre_bias, expected.b, rtol=0.0, atol=1e-12)
+
+
+def test_fit_kb_memory_stays_small(default_synth):
+    # 500 full-batch steps on the 8000 x 64 default pretrain set: each step's
+    # (16, 8000) logits buffer is reused for its exponentials and gradient
+    tracemalloc.start()
+    try:
+        fit_kb(default_synth.pretrain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 # --- linear-SCM instrument demo ---------------------------------------------------------
