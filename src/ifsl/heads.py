@@ -14,13 +14,15 @@ gradients. The logits are class-major, (E, n, K, B) = W @ V^T: the softmax
 reduces over the class axis -2, whose K rows are contiguous runs of B
 entries, and a fitting step turns that one buffer into the exponentials and
 then into dL/dlogits in place, so dW = G @ V and the bias gradient is
-G.sum(-1); probabilities handed out stay (B, K). The mixture is taken in log
-space, as the log-mean-exp over each episode's heads of the per-head
-log-softmax outputs, so the loss and its gradients stay finite however small
-every head's probability of the true class is. :func:`fit_stack` fits many
-episodes at once; :func:`fit_head` and the list-of-:class:`HeadParams` calls
-below are its one-episode case: they stack their arguments, run the same core
-and unstack the result.
+G.sum(-1); probabilities handed out stay (B, K). A cosine step normalises
+its weight rows once: the unit rows U and norms |w| give both the logits
+U @ V^T and the gradient (GV - (GV . u) u) / |w|, which reads G only through
+GV = G @ V. The mixture is taken in log space, as the log-mean-exp over each
+episode's heads of the per-head log-softmax outputs, so the loss and its
+gradients stay finite however small every head's probability of the true
+class is. :func:`fit_stack` fits many episodes at once; :func:`fit_head` and
+the list-of-:class:`HeadParams` calls below are its one-episode case: they
+stack their arguments, run the same core and unstack the result.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, normalize_rows
+from .numerics import as_matrix, as_vector, normalize_rows, normalize_rows_with_divisors
 
 HEAD_KINDS = ("linear", "cosine", "centroid")
 PARAMETRIC_KINDS = ("linear", "cosine")
@@ -124,9 +126,11 @@ class FitConfig:
 # The n heads of each of E episodes are fitted and scored as one stack: weights
 # W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P); logits
 # and their gradients are class-major, (E, n, K, B). Cosine inputs are
-# row-normalised before they reach the core; centroid heads keep their
-# centroids in W. Every episode's heads only ever meet its own inputs, so an
-# episode's numbers do not depend on the others in its stack.
+# row-normalised before they reach the core, and cosine weights once per step,
+# by normalize_rows_with_divisors: its (U, d) pair feeds both the logits and the
+# gradient. Centroid heads keep their centroids in W. Every episode's heads only
+# ever meet its own inputs, so an episode's numbers do not depend on the others
+# in its stack.
 
 
 def _stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
@@ -160,15 +164,24 @@ def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarra
     return normalize_rows(V) if kind == "cosine" else V
 
 
-def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
+def _logits(
+    kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray,
+    unit: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """(..., n, K, B) class-major logits of stacked heads on stacked inputs from
-    :func:`_stack_inputs`: row k of head i holds class k's score of every input."""
+    :func:`_stack_inputs`: row k of head i holds class k's score of every input.
+
+    Cosine heads score U @ V^T with U the unit rows of W; ``unit``, the
+    ``normalize_rows_with_divisors(W)`` pair of a caller that also needs the
+    divisors, saves normalising W a second time.
+    """
     if kind == "linear":
         z = W @ V.swapaxes(-1, -2)
         z += b[..., :, None]
         return z
     if kind == "cosine":
-        return normalize_rows(W) @ V.swapaxes(-1, -2)
+        U = normalize_rows(W) if unit is None else unit[0]
+        return U @ V.swapaxes(-1, -2)
     diff = V[..., None, :, :] - W[..., :, None, :]
     return -np.einsum("...kbp,...kbp->...kb", diff, diff)
 
@@ -191,26 +204,28 @@ def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.nd
 
 
 def _grads_from_dlogits(
-    kind: str, W: np.ndarray, V: np.ndarray, G: np.ndarray, weight_decay: float
+    kind: str, W: np.ndarray, unit: tuple[np.ndarray, np.ndarray] | None,
+    V: np.ndarray, G: np.ndarray, weight_decay: float,
 ) -> np.ndarray:
-    """Chain class-major dL/dlogits G (..., n, K, B) back into the stacked weights;
-    returns dW = G @ V (..., n, K, P) plus the weight decay.
+    """Chain class-major dL/dlogits G (..., n, K, B) back into the stacked weights
+    (..., n, K, P), plus the weight decay.
 
-    The linear bias gradient is ``G.sum(axis=-1)``.
+    Linear heads take dW = G @ V; their bias gradient is ``G.sum(axis=-1)``.
+    Cosine heads read ``unit``, the ``(U, d)`` pair of
+    ``normalize_rows_with_divisors(W)`` that their logits were scored with
+    (None for linear heads). Row u = w / |w| of the logits U @ V^T has the
+    Jacobian (I - u u^T) / |w|, so with GV = G @ V the gradient is
+    dW = (GV - (GV . u) u) / |w|: one pass over G, since the row sums of
+    G * (U @ V^T) equal those of GV * U.
     """
     if kind == "linear":
         return G @ V + weight_decay * W
     if kind == "cosine":
-        # A zero-norm weight row scores 0 against every input and gets a zero
-        # gradient, so it stays zero.
-        norms = np.linalg.norm(W, axis=-1, keepdims=True)
-        U = normalize_rows(W)
-        F = U @ V.swapaxes(-1, -2)  # (..., n, K, B)
-        dW = np.divide(
-            G @ V - (G * F).sum(axis=-1)[..., None] * U, norms,
-            out=np.zeros_like(W), where=norms > 0.0,
-        )
-        return dW + weight_decay * W
+        # A zero-norm weight row has d = inf: it scores 0 against every input
+        # and gets a zero gradient, so it stays zero.
+        U, d = unit
+        GV = G @ V
+        return (GV - (GV * U).sum(axis=-1, keepdims=True) * U) / d + weight_decay * W
     raise ValueError("centroid heads are non-parametric and have no gradients")
 
 
@@ -242,7 +257,8 @@ def _mixture(
     the (E,) losses, or None without ``with_loss``.
     """
     E, n, B, _ = V.shape
-    G = _logits(kind, W, b, V)  # (E, n, K, B): shifted, exponentiated, then scaled in place
+    unit = normalize_rows_with_divisors(W) if kind == "cosine" else None  # once per step
+    G = _logits(kind, W, b, V, unit)  # (E, n, K, B): shifted, exponentiated, then scaled in place
     G -= G.max(axis=-2, keepdims=True)
     shifted_y = G.take(at_label)
     np.exp(G, out=G)
@@ -254,7 +270,7 @@ def _mixture(
     scale = w / (B * w_sum)  # r_i / B
     G *= (scale / total)[..., None, :]
     G.reshape(-1)[at_label] -= scale
-    dW = _grads_from_dlogits(kind, W, V, G, weight_decay)
+    dW = _grads_from_dlogits(kind, W, unit, V, G, weight_decay)
     loss = None
     if with_loss:
         loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B

@@ -11,6 +11,7 @@ __all__ = [
     "softmax",
     "softmax_rows",
     "normalize_rows",
+    "normalize_rows_with_divisors",
 ]
 
 
@@ -65,5 +66,18 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Rows (last axis) scaled to unit norm; a zero-norm row stays zero. No input validation."""
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
+    return normalize_rows_with_divisors(m)[0]
+
+
+def normalize_rows_with_divisors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, d)`` with ``U = m / d``: the rows of ``m`` scaled to unit norm, and
+    their (..., 1) divisors.
+
+    ``d`` is the row norm, with ``np.linalg.norm``'s bits, and the division is
+    true division, so a width-1 row whose square is a normal float comes out
+    exactly +-1. Where a norm is 0 (or its square underflows to 0), ``d`` is
+    +inf, so that row maps to zero. No input validation.
+    """
+    norms = np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))
+    d = np.where(norms > 0.0, norms, np.inf)
+    return m / d, d

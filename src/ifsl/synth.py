@@ -11,7 +11,7 @@ support class to a single stratum while queries escape with some probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,13 +50,24 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthOutput:
+    """Generated pretrain and tagged novel data, with the generator's directions.
+
+    The knowledge base is fitted on ``pretrain`` the first time ``kb`` is
+    read and kept from then on, so a caller that fits its own (on other
+    features) never pays for this one.
+    """
+
     pretrain: FeatureDataset
-    kb: KnowledgeBase
     novel: FeatureDataset
     novel_strata: np.ndarray  # (novel samples,) stratum tags
     class_dirs: np.ndarray  # (pretrain+novel classes, dim) unit rows
     conf_dirs: np.ndarray  # (strata, dim) unit rows
     mixtures: np.ndarray  # (pretrain classes, strata)
+
+    @cached_property
+    def kb(self) -> KnowledgeBase:
+        """``fit_kb(self.pretrain)``, fitted on first read."""
+        return fit_kb(self.pretrain)
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -65,10 +76,12 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def gen_confounded(cfg: SynthConfig, rng: np.random.Generator | None = None) -> SynthOutput:
-    """Generate pretrain data, a fitted knowledge base, and tagged novel data.
+    """Generate pretrain data and tagged novel data.
 
-    Deterministic for a fixed config seed: equal seeds give byte-identical
-    datasets after serialization.
+    The knowledge base is not fitted here: ``SynthOutput.kb`` fits it on the
+    pretrain data when it is first read. Deterministic for a fixed config
+    seed: equal seeds give byte-identical datasets (and knowledge bases) after
+    serialization.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -101,8 +114,7 @@ def gen_confounded(cfg: SynthConfig, rng: np.random.Generator | None = None) -> 
     novel = FeatureDataset(nov_feats, nov_labels, cfg.novel_classes)
     novel_strata = np.tile(tags, cfg.novel_classes)
 
-    kb = fit_kb(pretrain)
-    return SynthOutput(pretrain, kb, novel, novel_strata, class_dirs, conf_dirs, mixtures)
+    return SynthOutput(pretrain, novel, novel_strata, class_dirs, conf_dirs, mixtures)
 
 
 def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:

@@ -15,7 +15,7 @@ import pytest
 from ifsl.episodes import Episode
 from ifsl.heads import HeadParams
 from ifsl.knowledge import FeatureDataset, KnowledgeBase
-from ifsl.numerics import normalize_rows, softmax_rows
+from ifsl.numerics import softmax_rows
 from ifsl.synth import SynthConfig, gen_confounded
 
 _HYPOTHESIS_DIR = pytest.StashKey[str]()
@@ -148,12 +148,19 @@ def reference_hardness(ep, kb) -> np.ndarray:
     return np.array(out)
 
 
+def reference_unit_rows(m):
+    """Rows scaled to unit norm by ``np.linalg.norm``, a zero-norm row left at
+    zero: the literal form, independent of the package's normalisation."""
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0.0)
+
+
 def _reference_logits(h, Z):
     """One head's (B, K) logits, computed on its own."""
     if h.kind == "linear":
         return Z @ h.W.T + h.b
     if h.kind == "cosine":
-        return normalize_rows(Z) @ normalize_rows(h.W).T
+        return reference_unit_rows(Z) @ reference_unit_rows(h.W).T
     diff = Z[:, None, :] - h.centroids[None, :, :]
     return -np.einsum("bkp,bkp->bk", diff, diff)
 
@@ -185,9 +192,10 @@ def reference_mixture(heads, blocks, labels, weight_decay):
         if h.kind == "linear":
             grads.append((G.T @ Z + weight_decay * h.W, G.sum(axis=0)))
             continue
-        V = normalize_rows(Z)
+        # two passes: the scores F again, then the row sums of G * F
+        V = reference_unit_rows(Z)
         norms = np.linalg.norm(h.W, axis=1, keepdims=True)
-        U = normalize_rows(h.W)
+        U = reference_unit_rows(h.W)
         F = V @ U.T
         dW = np.divide(
             G.T @ V - (G * F).sum(axis=0)[:, None] * U, norms,
@@ -260,7 +268,7 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
                 half = cents.shape[1] // 2
                 U = cents[:, :half] + coupling * cents[:, half:]
                 cents = np.concatenate([U, coupling * U], axis=1)
-            heads.append(HeadParams("cosine", W=normalize_rows(cents)))
+            heads.append(HeadParams("cosine", W=reference_unit_rows(cents)))
     cycler = ReferenceCycler(X.shape[0], np.random.default_rng(cfg.seed))
     for _ in range(cfg.iterations):
         if cfg.batch_size is None:

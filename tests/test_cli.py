@@ -14,6 +14,7 @@ from ifsl.knowledge import (
     FEATURE_MAGIC, load_features, load_kb, save_features, save_features_csv, save_kb,
 )
 from ifsl.meta import load_meta
+from ifsl.synth import SynthConfig, fit_kb, gen_confounded
 
 from conftest import make_blob_dataset, make_kb
 
@@ -311,6 +312,15 @@ def test_synth_rerun_identical_outside_meta(tmp_path):
     # the generated binaries are byte-identical too
     for name in ("pretrain.features", "novel.features", "kb.bin", "synth.json"):
         assert (tmp_path / "g1" / name).read_bytes() == (tmp_path / "g2" / name).read_bytes()
+
+
+def test_synth_kb_file_is_the_pretrain_knowledge_base(tmp_path):
+    # kb.bin holds fit_kb of the generated pretrain set, byte for byte
+    outdir = tmp_path / "gen"
+    assert main(["synth", "--out-dir", str(outdir), "--out", str(tmp_path / "r.json"), *SYNTH_ARGS]) == 0
+    cfg = SynthConfig(**json.loads((outdir / "synth.json").read_text())["config"])
+    save_kb(fit_kb(gen_confounded(cfg).pretrain), tmp_path / "expected.kb")
+    assert (outdir / "kb.bin").read_bytes() == (tmp_path / "expected.kb").read_bytes()
 
 
 # --- meta --------------------------------------------------------------------------

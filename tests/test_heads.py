@@ -14,6 +14,8 @@ from ifsl.heads import (
     HeadParams,
     _grads_from_dlogits,
     _label_index,
+    _mixture,
+    _stack_inputs,
     batch_rows,
     centroids_from_support,
     fit_head,
@@ -24,10 +26,17 @@ from ifsl.heads import (
     tie_context,
 )
 from ifsl.knowledge import PartitionConfig
-from ifsl.numerics import normalize_rows, softmax_rows
+from ifsl.numerics import normalize_rows, normalize_rows_with_divisors, softmax_rows
 from ifsl.synth import sample_confounded_episode
 
-from conftest import ReferenceCycler, make_kb, reference_fit, reference_inputs, reference_probs
+from conftest import (
+    ReferenceCycler,
+    make_kb,
+    reference_fit,
+    reference_inputs,
+    reference_mixture,
+    reference_probs,
+)
 
 
 # --- logits ---------------------------------------------------------------------
@@ -666,8 +675,51 @@ def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
     V = normalize_rows(rng.standard_normal((1, 5, 4)))
     G = rng.standard_normal((1, 5, 3)).swapaxes(-1, -2)  # class-major (1, K, B)
     W = rng.standard_normal((1, 3, 4))
-    full = _grads_from_dlogits("cosine", W, V, G, 1e-3)
+    full = _grads_from_dlogits("cosine", W, normalize_rows_with_divisors(W), V, G, 1e-3)
     W[0, 1] = 0.0
-    zeroed = _grads_from_dlogits("cosine", W, V, G, 1e-3)
+    zeroed = _grads_from_dlogits("cosine", W, normalize_rows_with_divisors(W), V, G, 1e-3)
     assert np.array_equal(zeroed[0, 1], np.zeros(4))
     assert np.array_equal(zeroed[0, [0, 2]], full[0, [0, 2]])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    E=st.integers(1, 3),
+    n=st.integers(1, 4),
+    K=st.integers(2, 5),
+    B=st.integers(1, 6),
+    width=st.integers(1, 6),
+    weight_decay=st.sampled_from([0.0, 1e-3, 0.1]),
+    zero_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_cosine_gradients_match_two_pass_reference(
+    E, n, K, B, width, weight_decay, zero_rows, seed
+):
+    # the one-pass stacked gradient against the head-by-head reference, which
+    # normalises on its own and recomputes the scores F for the row sums of G * F
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((E, n, K, width))
+    Z = rng.standard_normal((E, n, B, width))
+    if zero_rows:
+        W[rng.random((E, n, K)) < 0.3] = 0.0
+        W[:, 0, K - 1] = 0.0
+        Z[rng.random((E, n, B)) < 0.3] = 0.0
+    y = rng.integers(0, K, size=(E, B))
+    V = _stack_inputs("cosine", Z, width, ndim=4)
+    _, dW, db = _mixture("cosine", W, None, V, _label_index(y, n, K), weight_decay)
+    assert db is None
+    expected = np.empty_like(W)
+    for e in range(E):
+        heads = [HeadParams("cosine", W=W[e, i].copy()) for i in range(n)]
+        _, grads = reference_mixture(heads, list(Z[e]), y[e], weight_decay)
+        expected[e] = [g for g, _ in grads]
+    norms = np.linalg.norm(W, axis=-1)
+    live = norms > 0.0
+    # both terms of a row's projected gradient are at most 1/|w| (each row of
+    # |dL/dlogits| sums to at most 1 and the inputs are unit rows), and they
+    # cancel exactly at width 1, so rounding is measured against that scale
+    err = np.abs(dW - expected).max(axis=-1)
+    scale = 1.0 / norms[live] + np.abs(expected).max(axis=-1)[live]
+    assert np.all(err[live] <= 1e-12 * scale)
+    assert np.array_equal(dW[~live], np.zeros(((~live).sum(), width)))

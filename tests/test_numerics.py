@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsl.evalmetrics import query_hardness
 from ifsl.heads import centroids_from_support
@@ -12,8 +14,11 @@ from ifsl.numerics import (
     as_rows,
     as_vector,
     normalize_rows,
+    normalize_rows_with_divisors,
     softmax,
 )
+
+from conftest import reference_unit_rows
 
 
 def _cosines(A, B):
@@ -62,6 +67,32 @@ def test_cosine_similarity_examples():
     assert cos[0, 1] == pytest.approx(0.0)
     assert cos[1, 0] == 0.0  # zero-norm convention
     assert np.array_equal(normalize_rows(np.zeros((1, 3))), np.zeros((1, 3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    width=st.integers(1, 8),
+    log_scale=st.integers(-170, 150),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normalize_rows_equals_literal_form(lead, width, log_scale, zero_share, seed):
+    # the same values as np.linalg.norm plus divide-where, zero rows (and rows
+    # whose squared norm underflows to 0) staying zero; width-1 rows whose
+    # square is a normal float come out exactly +-1
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((*lead, width)) * 10.0**log_scale
+    m[rng.random(lead) < zero_share] = 0.0
+    expected = reference_unit_rows(m)
+    U, d = normalize_rows_with_divisors(m)
+    assert np.array_equal(normalize_rows(m), expected)
+    assert np.array_equal(U, expected)
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    assert np.array_equal(d, np.where(norms > 0.0, norms, np.inf))
+    if width == 1:
+        normal = m * m >= np.finfo(float).tiny
+        assert np.array_equal(np.abs(U[normal]), np.ones(normal.sum()))
 
 
 def test_cosine_similarity_properties():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifsl.episodes
+import ifsl.synth
 from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
 from ifsl.heads import FitConfig
@@ -379,6 +380,27 @@ def test_fit_kb_memory_stays_small(default_synth):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+def test_knowledge_base_is_fitted_on_first_read(monkeypatch):
+    # gen_confounded fits nothing; the first read of .kb fits once and the
+    # result is kept, equal to the knowledge base of the pretrain set
+    calls = []
+
+    def counting_fit_kb(pretrain):
+        calls.append(pretrain)
+        return fit_kb(pretrain)
+
+    monkeypatch.setattr(ifsl.synth, "fit_kb", counting_fit_kb)
+    out = gen_confounded(SMALL)
+    assert calls == []
+    kb = out.kb
+    assert len(calls) == 1 and calls[0] is out.pretrain
+    assert out.kb is kb and len(calls) == 1
+    expected = fit_kb(out.pretrain)
+    for name in ("class_means", "pre_weights", "pre_bias"):
+        a, b = getattr(kb, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # --- linear-SCM instrument demo ---------------------------------------------------------
