@@ -117,7 +117,7 @@ class Predictor:
         blocks = strata(X)
         if strategy == "combined":
             blocks = np.concatenate([blocks, strata(ctx)], axis=-1)
-        return np.ascontiguousarray(np.moveaxis(blocks, -2, -3))
+        return np.ascontiguousarray(blocks.swapaxes(-2, -3))
 
     def validate_heads(self, heads: Sequence[HeadParams]) -> None:
         if len(heads) != self.n_heads:

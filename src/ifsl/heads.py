@@ -20,9 +20,18 @@ U @ V^T and the gradient (GV - (GV . u) u) / |w|, which reads G only through
 GV = G @ V. The mixture is taken in log space, as the log-mean-exp over each
 episode's heads of the per-head log-softmax outputs, so the loss and its
 gradients stay finite however small every head's probability of the true
-class is. :func:`fit_stack` fits many episodes at once; :func:`fit_head` and
-the list-of-:class:`HeadParams` calls below are its one-episode case: they
-stack their arguments, run the same core and unstack the result.
+class is; a lone head skips it, since its responsibility is exp(0) = 1.
+
+One step is one core: a fit allocates a single :class:`_Workspace` (the
+logit/gradient buffer, the per-row vectors and the gradients) and every
+iteration writes into it, and :func:`stack_sgd_step` applies the context tie
+and the learning rate to those gradient buffers in place before stepping the
+weights. :func:`fit_stack` (episode chunks, the knowledge-base fit and
+meta-learning adaptation), :func:`stack_loss_and_grads` (the meta-learning
+outer step) and the list-of-:class:`HeadParams` calls below all run it; the
+list calls are the one-episode case: they stack their arguments, run the
+same core and unstack the result. The outputs are the same bits whichever
+of these routes a step takes.
 """
 
 from __future__ import annotations
@@ -133,7 +142,7 @@ class FitConfig:
 # in its stack.
 
 
-def _stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
+def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
     """``(kind, W, b)`` of one episode's list of heads as fresh stacked arrays.
 
     ``W`` is (n, K, P): the weights, or the centroids of centroid heads.
@@ -164,24 +173,16 @@ def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarra
     return normalize_rows(V) if kind == "cosine" else V
 
 
-def _logits(
-    kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray,
-    unit: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
     """(..., n, K, B) class-major logits of stacked heads on stacked inputs from
     :func:`_stack_inputs`: row k of head i holds class k's score of every input.
-
-    Cosine heads score U @ V^T with U the unit rows of W; ``unit``, the
-    ``normalize_rows_with_divisors(W)`` pair of a caller that also needs the
-    divisors, saves normalising W a second time.
-    """
+    Cosine heads score U @ V^T with U the unit rows of W."""
     if kind == "linear":
         z = W @ V.swapaxes(-1, -2)
         z += b[..., :, None]
         return z
     if kind == "cosine":
-        U = normalize_rows(W) if unit is None else unit[0]
-        return U @ V.swapaxes(-1, -2)
+        return normalize_rows(W) @ V.swapaxes(-1, -2)
     diff = V[..., None, :, :] - W[..., :, None, :]
     return -np.einsum("...kbp,...kbp->...kb", diff, diff)
 
@@ -203,32 +204,6 @@ def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.nd
     return _probs(kind, W, b, V)
 
 
-def _grads_from_dlogits(
-    kind: str, W: np.ndarray, unit: tuple[np.ndarray, np.ndarray] | None,
-    V: np.ndarray, G: np.ndarray, weight_decay: float,
-) -> np.ndarray:
-    """Chain class-major dL/dlogits G (..., n, K, B) back into the stacked weights
-    (..., n, K, P), plus the weight decay.
-
-    Linear heads take dW = G @ V; their bias gradient is ``G.sum(axis=-1)``.
-    Cosine heads read ``unit``, the ``(U, d)`` pair of
-    ``normalize_rows_with_divisors(W)`` that their logits were scored with
-    (None for linear heads). Row u = w / |w| of the logits U @ V^T has the
-    Jacobian (I - u u^T) / |w|, so with GV = G @ V the gradient is
-    dW = (GV - (GV . u) u) / |w|: one pass over G, since the row sums of
-    G * (U @ V^T) equal those of GV * U.
-    """
-    if kind == "linear":
-        return G @ V + weight_decay * W
-    if kind == "cosine":
-        # A zero-norm weight row has d = inf: it scores 0 against every input
-        # and gets a zero gradient, so it stays zero.
-        U, d = unit
-        GV = G @ V
-        return (GV - (GV * U).sum(axis=-1, keepdims=True) * U) / d + weight_decay * W
-    raise ValueError("centroid heads are non-parametric and have no gradients")
-
-
 def _label_index(labels: np.ndarray, n: int, K: int) -> np.ndarray:
     """Flat indices (..., E, n, B) of the true-label entries of (E, n, K, B) logits:
     entry [e, i, b] locates ``logits[e, i, labels[e, b], b]``.
@@ -240,46 +215,130 @@ def _label_index(labels: np.ndarray, n: int, K: int) -> np.ndarray:
     return head_starts + (labels * B + np.arange(B))[..., None, :]
 
 
-def _mixture(
-    kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
-    weight_decay: float, with_loss: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Per-episode loss -mean log((1/n) sum_i p_i(y)) plus the L2 penalty,
-    and the stacked gradients.
+def _check_labels(labels: np.ndarray, way: int) -> None:
+    """Reject labels outside [0, way): their flat indices would read other heads' rows."""
+    if labels.size and (labels.min() < 0 or labels.max() >= way):
+        raise ValueError(f"labels must lie in [0, {way - 1}]")
 
-    ``at_label`` locates the true labels (see :func:`_label_index`). Per-head
-    log-softmax outputs are mixed as a log-mean-exp over each episode's
-    heads, so the loss stays finite when every head gives the true class a
-    vanishing probability. Head i's share of the gradient is its
-    responsibility r_i = softmax_i(log p_i(y)):
-    dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). The class-major logits
-    buffer becomes the exponentials and then that gradient in place. Returns
-    the (E,) losses, or None without ``with_loss``.
+
+class _Workspace:
+    """Every array that one step of a stacked fit writes, allocated once per fit.
+
+    For weights (E, n, K, P) and batches of B rows: the class-major (E, n, K, B)
+    logits ``G``, which become the exponentials and then dL/dlogits in place;
+    the (E, n, 1, B) class maxima; three (E, n, B) vectors (the true-label
+    terms, the class sums, a scratch); the (E, 1, B) maximum and sum of the
+    log-mean-exp over heads; the gradients ``dW`` (E, n, K, P) and ``db``
+    (E, n, K); and, for cosine heads, the unit rows, their divisors and a
+    weight-shaped scratch. Each op of a step writes into one of these:
+    reductions and ``take`` through ``out=``, elementwise ufuncs through their
+    third positional argument. Only the loss (when asked for), the cosine
+    zero-norm mask and the half-width tie in :func:`stack_sgd_step` allocate.
     """
-    E, n, B, _ = V.shape
-    unit = normalize_rows_with_divisors(W) if kind == "cosine" else None  # once per step
-    G = _logits(kind, W, b, V, unit)  # (E, n, K, B): shifted, exponentiated, then scaled in place
-    G -= G.max(axis=-2, keepdims=True)
-    shifted_y = G.take(at_label)
-    np.exp(G, out=G)
-    total = G.sum(axis=-2)  # (E, n, B)
-    log_py = shifted_y - np.log(total)  # log p_i(y), (E, n, B)
-    top = log_py.max(axis=1, keepdims=True)
-    w = np.exp(log_py - top)
-    w_sum = w.sum(axis=1, keepdims=True)  # (E, 1, B)
-    scale = w / (B * w_sum)  # r_i / B
-    G *= (scale / total)[..., None, :]
-    G.reshape(-1)[at_label] -= scale
-    dW = _grads_from_dlogits(kind, W, unit, V, G, weight_decay)
-    loss = None
-    if with_loss:
-        loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B
-        loss += 0.5 * weight_decay * np.square(W).reshape(E, -1).sum(axis=1)
-    return loss, dW, (G.sum(axis=-1) if kind == "linear" else None)
+
+    def __init__(self, kind: str, shape: tuple[int, ...], rows: int, weight_decay: float):
+        if kind not in PARAMETRIC_KINDS:
+            raise ValueError("centroid heads are non-parametric and have no gradients")
+        E, n, K, _ = shape
+        self.kind, self.weight_decay = kind, weight_decay
+        self.G = np.empty((E, n, K, rows))
+        self.col_max = np.empty((E, n, 1, rows))
+        self.at_y, self.total, self.tmp = np.empty((3, E, n, rows))
+        self.scale_by_row = self.total[..., None, :]  # (E, n, 1, B) view, broadcast over classes
+        self.top, self.w_sum = np.empty((2, E, 1, rows))
+        self.dW = np.empty(shape)
+        self.db = np.empty((E, n, K)) if kind == "linear" else None
+        if kind == "cosine" or weight_decay:
+            self.tmp_W = np.empty(shape)
+        if kind == "cosine":
+            self.U = np.empty(shape)
+            self.d, self.row_dot = np.empty((2, E, n, K, 1))
+
+    def grads(
+        self, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
+        with_loss: bool = True,
+    ) -> np.ndarray | None:
+        """Fill ``dW``/``db`` with the stacked gradients of the per-episode loss
+        -mean log((1/n) sum_i p_i(y)) plus the L2 penalty; returns the (E,)
+        losses, or None without ``with_loss``. ``at_label`` locates the true
+        labels (see :func:`_label_index`)."""
+        loss = self.dlogits(W, b, V, at_label, with_loss)
+        self.weight_grads(W, V)
+        if with_loss and self.weight_decay:
+            loss += 0.5 * self.weight_decay * np.square(W).reshape(W.shape[0], -1).sum(axis=1)
+        return loss
+
+    def dlogits(
+        self, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
+        with_loss: bool,
+    ) -> np.ndarray | None:
+        """Fill ``G`` with class-major dL/dlogits; returns the unpenalised losses.
+
+        Per-head log-softmax outputs are mixed as a log-mean-exp over each
+        episode's heads, so the loss stays finite when every head gives the
+        true class a vanishing probability. Head i's share of the gradient is
+        its responsibility r_i = softmax_i(log p_i(y)):
+        dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). A lone head has
+        r = exp(0) = 1, so its log-mean-exp is skipped. Cosine heads score
+        U @ V^T with the unit rows U = W / |w|, computed here once per step; a
+        zero-norm row has |w| = inf and scores 0.
+        """
+        G, at_y, total, tmp = self.G, self.at_y, self.total, self.tmp
+        n, B = G.shape[1], G.shape[-1]
+        if self.kind == "linear":
+            np.add(np.matmul(W, V.swapaxes(-1, -2), G), b[..., None], G)
+        else:
+            U = normalize_rows_with_divisors(W, out=(self.U, self.d))[0]
+            np.matmul(U, V.swapaxes(-1, -2), G)
+        np.subtract(G, np.maximum.reduce(G, axis=-2, keepdims=True, out=self.col_max), G)
+        G.take(at_label, out=at_y, mode="clip")  # shifted true-label logits
+        np.exp(G, G)
+        np.add.reduce(G, axis=-2, out=total)
+        log_py = np.subtract(at_y, np.log(total, tmp), at_y)  # log p_i(y), (E, n, B)
+        loss = None
+        if n == 1:
+            if with_loss:
+                loss = math.log(n) - log_py[:, 0].sum(axis=1) / B
+            scale = 1.0 / B
+        else:
+            top = np.maximum.reduce(log_py, axis=1, keepdims=True, out=self.top)
+            w = np.exp(np.subtract(log_py, top, log_py), log_py)
+            w_sum = np.add.reduce(w, axis=1, keepdims=True, out=self.w_sum)
+            if with_loss:
+                loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B
+            scale = np.divide(w, np.multiply(w_sum, B, w_sum), w)  # r_i / B
+        np.divide(scale, total, total)
+        np.multiply(G, self.scale_by_row, G)
+        G.take(at_label, out=tmp, mode="clip")
+        G.put(at_label, np.subtract(tmp, scale, tmp), mode="clip")
+        return loss
+
+    def weight_grads(self, W: np.ndarray, V: np.ndarray) -> None:
+        """Chain ``G`` back into ``dW`` (and the bias gradient ``db = G.sum(-1)``),
+        plus the weight decay.
+
+        Linear heads take dW = G @ V. Cosine row u = w / |w| of the logits
+        U @ V^T has the Jacobian (I - u u^T) / |w|, so with GV = G @ V the
+        gradient is dW = (GV - (GV . u) u) / |w|: one pass over G, since the
+        row sums of G * (U @ V^T) equal those of GV * U. A zero-norm row gets a
+        zero gradient, so it stays zero. Reads the unit rows that
+        :meth:`dlogits` left.
+        """
+        dW = np.matmul(self.G, V, self.dW)
+        if self.kind == "linear":
+            np.add.reduce(self.G, axis=-1, out=self.db)
+        else:
+            U, tmp_W = self.U, self.tmp_W
+            np.add.reduce(np.multiply(dW, U, tmp_W), axis=-1, keepdims=True, out=self.row_dot)
+            np.subtract(dW, np.multiply(self.row_dot, U, tmp_W), dW)
+            np.divide(dW, self.d, dW)
+        if self.weight_decay:
+            np.add(dW, np.multiply(W, self.weight_decay, self.tmp_W), dW)
 
 
-def tie_context(M: np.ndarray, coupling: float) -> np.ndarray:
-    """[U, c * U] with U = M_x + c * M_c for a (..., K, 2h) array [M_x, M_c].
+def tie_context(M: np.ndarray, coupling: float, out: np.ndarray | None = None) -> np.ndarray:
+    """[U, c * U] with U = M_x + c * M_c for a (..., K, 2h) array [M_x, M_c],
+    written into ``out`` when given (which may be ``M`` itself).
 
     Applied to a gradient this is the chain rule of the tie W = [U, c * U]
     expanded back to full width, so a step along it keeps a tied head tied.
@@ -287,17 +346,43 @@ def tie_context(M: np.ndarray, coupling: float) -> np.ndarray:
     """
     half = M.shape[-1] // 2
     U = M[..., :half] + coupling * M[..., half:]
-    return np.concatenate([U, coupling * U], axis=-1)
+    return np.concatenate([U, coupling * U], axis=-1, out=out)
 
 
-def _step(
+def stack_sgd_step(
     W: np.ndarray, b: np.ndarray | None, dW: np.ndarray, db: np.ndarray | None,
-    learning_rate: float, coupling: float | None,
+    learning_rate: float, coupling: float | None = None,
 ) -> None:
-    """In-place step on a stack; with a coupling the weights move on the tied subspace."""
-    W -= learning_rate * (dW if coupling is None else tie_context(dW, coupling))
+    """In-place step W -= lr * dW, b -= lr * db on a stack; with a coupling the
+    weights move on the tied subspace. ``dW``/``db`` serve as scratch: the tie
+    and the learning rate are applied to them in place."""
+    if coupling is not None:
+        tie_context(dW, coupling, out=dW)
+    np.subtract(W, np.multiply(dW, learning_rate, dW), W)
     if b is not None:
-        b -= learning_rate * db
+        np.subtract(b, np.multiply(db, learning_rate, db), b)
+
+
+def stack_loss_and_grads(
+    kind: str, W: np.ndarray, b: np.ndarray | None, inputs, labels: np.ndarray,
+    weight_decay: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(E,) mixture losses and fresh stacked gradients ``(dW, db)`` of E
+    episodes' heads ``W`` (E, n, K, P), ``b`` (E, n, K) on (E, n, B, P) inputs
+    with (E, B) labels."""
+    V = _stack_inputs(kind, inputs, W.shape[-1], ndim=4)
+    labels = np.asarray(labels, dtype=np.int64)
+    E, n, K, _ = W.shape
+    if V.shape[:2] != (E, n):
+        raise ValueError("need one input block per head of every episode")
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    if labels.shape != (E, V.shape[2]):
+        raise ValueError("labels must align with inputs")
+    _check_labels(labels, K)
+    ws = _Workspace(kind, W.shape, V.shape[2], weight_decay)
+    loss = ws.grads(W, b, V, _label_index(labels, n, K))
+    return loss, ws.dW, ws.db
 
 
 # --- list-of-heads API -----------------------------------------------------------
@@ -307,13 +392,13 @@ def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     """(B, K) logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
     if Z.ndim != 2:
         raise ValueError(f"head expects a (B, {h.input_dim}) input block, got shape {Z.shape}")
-    kind, W, b = _stack_heads([h])
+    kind, W, b = stack_heads([h])
     return _logits(kind, W, b, _stack_inputs(kind, Z[None], h.input_dim))[0].T
 
 
 def mixture_probs(heads: Sequence[HeadParams], inputs) -> np.ndarray:
     """(B, K) head-averaged softmax outputs; ``inputs[i]`` is the (B, P) block of head i."""
-    kind, W, b = _stack_heads(heads)
+    kind, W, b = stack_heads(heads)
     V = _stack_inputs(kind, inputs, W.shape[2])
     if V.shape[0] != W.shape[0]:
         raise ValueError("need one input block per head")
@@ -335,18 +420,11 @@ def mixture_loss_and_grads(
     """
     if len(heads) != len(inputs) or not heads:
         raise ValueError("need one input block per head")
-    labels = np.asarray(labels, dtype=np.int64)
-    kind, W, b = _stack_heads(heads)
-    V = _stack_inputs(kind, inputs, W.shape[2])
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    if V.shape[1] != labels.size:
-        raise ValueError("labels must align with inputs")
-    if labels.min() < 0 or labels.max() >= W.shape[1]:
-        raise ValueError(f"labels must lie in [0, {W.shape[1] - 1}]")
-    loss, dW, db = _mixture(
-        kind, W[None], None if b is None else b[None], V[None],
-        _label_index(labels[None], *W.shape[:2]), weight_decay,
+    kind, W, b = stack_heads(heads)
+    loss, dW, db = stack_loss_and_grads(
+        kind, W[None], None if b is None else b[None],
+        np.asarray(inputs, dtype=np.float64)[None], np.asarray(labels, dtype=np.int64)[None],
+        weight_decay,
     )
     return float(loss[0]), HeadGrads(W=dW[0], b=None if db is None else db[0])
 
@@ -357,9 +435,11 @@ def sgd_step(
     learning_rate: float,
     coupling: float | None = None,
 ) -> None:
-    """In-place gradient step; with a coupling the weights move on the tied subspace."""
-    _, W, b = _stack_heads(heads)
-    _step(W, b, grads.W, grads.b, learning_rate, coupling)
+    """In-place gradient step; with a coupling the weights move on the tied
+    subspace. ``grads`` is left as it is."""
+    _, W, b = stack_heads(heads)
+    db = None if grads.b is None else np.array(grads.b, dtype=np.float64)
+    stack_sgd_step(W, b, np.array(grads.W, dtype=np.float64), db, learning_rate, coupling)
     for i, h in enumerate(heads):  # write the stepped stack back into the heads
         h.W[...] = W[i]
         if b is not None:
@@ -485,28 +565,32 @@ def fit_stack(
     E, n, S, _ = Z.shape
     if S == 0:
         raise ValueError("support set is empty")
+    _check_labels(y, predictor.way)
     coupling = predictor.context_coupling
     if init is None:
         W, b = init_stack(kind, predictor.way, Z, y, coupling)
     else:
-        W = np.stack([init[0]] * E)
-        b = None if init[1] is None else np.stack([init[1]] * E)
+        W, b = (None if a is None else np.repeat(np.asarray(a, dtype=np.float64)[None], E, axis=0)
+                for a in init)
     V = _stack_inputs(kind, Z, W.shape[-1], ndim=4)
     K = W.shape[2]
+    ws = _Workspace(kind, W.shape, S if cfg.batch_size is None else cfg.batch_size, cfg.weight_decay)
     if cfg.batch_size is None:
         batches = repeat((V, _label_index(y, n, K)), cfg.iterations)
     else:
-        # every iteration's mini-batch as flat rows of V and flat label indices
+        # every iteration's mini-batch as flat rows of V and flat label indices,
+        # gathered into one reused batch buffer
         rows = np.stack([batch_rows(S, cfg.iterations, cfg.batch_size, s) for s in seeds], axis=1)
         at_rows = (np.arange(E * n) * S).reshape(E, n, 1) + rows[:, :, None, :]
         at_labels = _label_index(y[np.arange(E)[:, None], rows], n, K)
         flat = V.reshape(E * n * S, -1)
-        batches = ((flat.take(r, axis=0), a) for r, a in zip(at_rows, at_labels))
-    for it, (batch, at_label) in enumerate(batches):
-        loss, dW, db = _mixture(
-            kind, W, b, batch, at_label, cfg.weight_decay, with_loss=loss_callback is not None
+        buf = np.empty((E, n, cfg.batch_size, V.shape[-1]))
+        batches = (
+            (flat.take(r, axis=0, out=buf, mode="clip"), a) for r, a in zip(at_rows, at_labels)
         )
-        _step(W, b, dW, db, cfg.learning_rate, coupling)
+    for it, (batch, at_label) in enumerate(batches):
+        loss = ws.grads(W, b, batch, at_label, with_loss=loss_callback is not None)
+        stack_sgd_step(W, b, ws.dW, ws.db, cfg.learning_rate, coupling)
         if loss_callback is not None:
             loss_callback(it, loss)
     return W, b
@@ -541,7 +625,7 @@ def fit_head(
     start = None
     if init is not None:
         predictor.validate_heads(init)
-        start = _stack_heads(init)[1:]
+        start = stack_heads(init)[1:]
     callback = None if loss_callback is None else lambda it, loss: loss_callback(it, float(loss[0]))
     W, b = fit_stack(X[None], y[None], predictor, cfg, [cfg.seed], start, callback)
     return _unstack_heads(predictor.head_kind, W[0], None if b is None else b[0])

@@ -84,7 +84,9 @@ class FeatureDataset:
 
     def __post_init__(self):
         feats = as_matrix(self.features)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        # an owned, read-only copy: the per-class index below must not go stale
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.flags.writeable = False
         if labels.ndim != 1 or labels.size != feats.shape[0]:
             raise ValueError("labels must be a 1-D array aligned with features")
         if self.n_classes < 1:
@@ -105,6 +107,12 @@ class FeatureDataset:
             )
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
+        # rows of class c, ascending: _class_rows[_class_starts[c]:_class_starts[c + 1]]
+        rows = np.argsort(labels, kind="stable")
+        rows.flags.writeable = False
+        starts = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=self.n_classes))])
+        object.__setattr__(self, "_class_rows", rows)
+        object.__setattr__(self, "_class_starts", starts)
 
     @property
     def n_samples(self) -> int:
@@ -115,9 +123,11 @@ class FeatureDataset:
         return self.features.shape[1]
 
     def class_indices(self, label: int) -> np.ndarray:
+        """Ascending row indices of one class: a read-only view of an index
+        built with the dataset, equal to ``np.flatnonzero(labels == label)``."""
         if not 0 <= label < self.n_classes:
             raise ValueError(f"class {label} out of range [0, {self.n_classes - 1}]")
-        return np.flatnonzero(self.labels == label)
+        return self._class_rows[self._class_starts[label] : self._class_starts[label + 1]]
 
     def vectors_of(self, label: int) -> np.ndarray:
         return self.features[self.class_indices(label)]

@@ -3,7 +3,10 @@
 The inner loop adapts a copy of the shared initialization with full-batch
 gradient steps on each task's support set; the outer loop applies the query
 loss gradient, taken at the adapted parameters, directly to the
-initialization (no second-order terms).
+initialization (no second-order terms). The training loop holds the
+initialization as an (n, K, P) weight stack and (n, K) biases throughout:
+it adapts with :func:`~ifsl.heads.fit_stack` and steps the stack in place,
+and builds :class:`~ifsl.heads.HeadParams` only for the result.
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
 from .episodes import episode_rng, sample_episode
-from .heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
+from .heads import (
+    FitConfig,
+    HeadParams,
+    fit_head,
+    fit_stack,
+    stack_heads,
+    stack_loss_and_grads,
+    stack_probs,
+    stack_sgd_step,
+)
 from .knowledge import FeatureDataset, KnowledgeBase
 
 META_MAGIC = b"IFSLMET1"
@@ -73,6 +85,12 @@ def zero_meta_init(
     return MetaInit(heads, inner_lr, inner_steps, outer_lr, tasks)
 
 
+def _inner_config(inner_lr: float, inner_steps: int) -> FitConfig:
+    return FitConfig(
+        iterations=inner_steps, batch_size=None, learning_rate=inner_lr, weight_decay=0.0
+    )
+
+
 def adapt(
     theta: Sequence[HeadParams],
     predictor: Predictor,
@@ -83,10 +101,9 @@ def adapt(
 ) -> list[HeadParams]:
     """Full-batch inner-loop adaptation of a copy of ``theta``: ``fit_head``
     with ``batch_size=None`` and zero weight decay, started from ``theta``."""
-    cfg = FitConfig(
-        iterations=inner_steps, batch_size=None, learning_rate=inner_lr, weight_decay=0.0
+    return fit_head(
+        support_x, support_y, predictor, _inner_config(inner_lr, inner_steps), init=theta
     )
-    return fit_head(support_x, support_y, predictor, cfg, init=theta)
 
 
 def meta_train(
@@ -102,20 +119,26 @@ def meta_train(
     """Run ``mi.tasks`` meta-iterations and return the updated initialization.
 
     Each task is a fresh episode; the initialization moves by ``outer_lr``
-    times the query-loss gradient at the task-adapted parameters. With
-    ``outer_lr=0`` the initialization is returned unchanged (aside from a
-    copy). Deterministic for a fixed rng state.
+    times the query-loss gradient at the task-adapted parameters, on the
+    tied subspace when the predictor couples a context. The same numbers as
+    :func:`adapt`, ``mixture_loss_and_grads`` and ``sgd_step`` task by task,
+    on one stack. With ``outer_lr=0`` the initialization is returned
+    unchanged (aside from a copy). Deterministic for a fixed rng state.
     """
     kind = mi.theta0[0].kind
     predictor = Predictor(adj_cfg, kb, ds.dim, way, kind)
-    theta = mi.copy_theta()
-    predictor.validate_heads(theta)
+    predictor.validate_heads(mi.theta0)
+    _, W, b = stack_heads(mi.theta0)
+    cfg = _inner_config(mi.inner_lr, mi.inner_steps)
     for _ in range(mi.tasks):
         ep = sample_episode(ds, way, shot, query, rng)
-        adapted = adapt(theta, predictor, ep.support_x, ep.support_y, mi.inner_lr, mi.inner_steps)
-        blocks = predictor.support_inputs(ep.query_x)
-        _, grads = mixture_loss_and_grads(adapted, blocks, ep.query_y, 0.0)
-        sgd_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+        adapted = fit_stack(ep.support_x[None], ep.support_y[None], predictor, cfg, [0], (W, b))
+        query_inputs = predictor.support_inputs(ep.query_x[None])
+        _, dW, db = stack_loss_and_grads(kind, *adapted, query_inputs, ep.query_y[None])
+        stack_sgd_step(
+            W, b, dW[0], None if db is None else db[0], mi.outer_lr, predictor.context_coupling
+        )
+    theta = [HeadParams(kind, W=W[i], b=None if b is None else b[i]) for i in range(len(W))]
     return replace_theta(mi, theta)
 
 
@@ -134,16 +157,20 @@ def evaluate_inits(
     """Held-out query accuracy (percent) of every initialization after adaptation.
 
     Task ``e`` of ``count`` is drawn from ``episode_rng(seed, e)``; each
-    initialization is adapted on its support set with ``adapt`` and scored on
-    its queries. Returns one list of per-task accuracies per initialization.
+    initialization is adapted on its support set as by ``adapt`` and scored
+    on its queries. Returns one list of per-task accuracies per initialization.
     """
+    for theta in inits:
+        predictor.validate_heads(theta)
+    stacks = [stack_heads(theta)[1:] for theta in inits]
+    cfg = _inner_config(inner_lr, inner_steps)
     accs: list[list[float]] = [[] for _ in inits]
     for e in range(count):
         ep = sample_episode(ds, way, shot, query, episode_rng(seed, e))
-        blocks = predictor.support_inputs(ep.query_x)
-        for theta, out in zip(inits, accs):
-            adapted = adapt(theta, predictor, ep.support_x, ep.support_y, inner_lr, inner_steps)
-            probs = predictor.probs_from_inputs(adapted, blocks)
+        query_inputs = predictor.support_inputs(ep.query_x[None])
+        for start, out in zip(stacks, accs):
+            W, b = fit_stack(ep.support_x[None], ep.support_y[None], predictor, cfg, [0], start)
+            probs = stack_probs(predictor.head_kind, W, b, query_inputs)[0]
             out.append(100.0 * float((probs.argmax(axis=1) == ep.query_y).mean()))
     return accs
 

@@ -22,7 +22,7 @@ def as_vector(values, size: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if size is not None and v.size != size:
         raise ValueError(f"expected a vector of length {size}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -44,7 +44,7 @@ def as_rows(values, cols: int | None = None) -> np.ndarray:
         raise ValueError(f"expected rows of a matrix, got shape {m.shape}")
     if cols is not None and m.shape[-1] != cols:
         raise ValueError(f"expected {cols} columns, got {m.shape[-1]}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -60,8 +60,8 @@ def softmax(logits) -> np.ndarray:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis of a (..., K) logit array. No input validation."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -69,15 +69,22 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return normalize_rows_with_divisors(m)[0]
 
 
-def normalize_rows_with_divisors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normalize_rows_with_divisors(
+    m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``(U, d)`` with ``U = m / d``: the rows of ``m`` scaled to unit norm, and
     their (..., 1) divisors.
 
     ``d`` is the row norm, with ``np.linalg.norm``'s bits, and the division is
     true division, so a width-1 row whose square is a normal float comes out
     exactly +-1. Where a norm is 0 (or its square underflows to 0), ``d`` is
-    +inf, so that row maps to zero. No input validation.
+    +inf, so that row maps to zero. ``out``, a ``(U, d)`` pair of buffers of
+    those shapes, receives the result. No input validation.
     """
-    norms = np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))
-    d = np.where(norms > 0.0, norms, np.inf)
-    return m / d, d
+    if out is None:
+        out = np.empty(m.shape), np.empty((*m.shape[:-1], 1))
+    U, d = out
+    np.add.reduce(np.multiply(m, m, out=U), axis=-1, keepdims=True, out=d)
+    np.sqrt(d, out=d)
+    np.copyto(d, np.inf, where=~(d > 0.0))
+    return np.divide(m, d, out=U), d

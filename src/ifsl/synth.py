@@ -176,7 +176,7 @@ def sample_confounded_episode(
     # one draw per cell in (class, stratum) order
     drawn = []
     for cls, per_stratum in zip(chosen, needed.reshape(way, n_strata)):
-        cls_rows = np.flatnonzero(novel.labels == cls)
+        cls_rows = novel.class_indices(int(cls))
         cls_tags = tags[cls_rows]
         for s in np.flatnonzero(per_stratum):
             cell = cls_rows[cls_tags == s]

@@ -12,10 +12,8 @@ from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.heads import (
     FitConfig,
     HeadParams,
-    _grads_from_dlogits,
+    _Workspace,
     _label_index,
-    _mixture,
-    _stack_inputs,
     batch_rows,
     centroids_from_support,
     fit_head,
@@ -23,10 +21,12 @@ from ifsl.heads import (
     init_heads,
     logits_batch,
     mixture_loss_and_grads,
+    sgd_step,
+    stack_loss_and_grads,
     tie_context,
 )
 from ifsl.knowledge import PartitionConfig
-from ifsl.numerics import normalize_rows, normalize_rows_with_divisors, softmax_rows
+from ifsl.numerics import normalize_rows, softmax_rows
 from ifsl.synth import sample_confounded_episode
 
 from conftest import (
@@ -566,6 +566,67 @@ def test_fit_stack_validates_its_stack():
         fit_stack(X, y, centroid, FitConfig(), [0, 1, 2])
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("batch_size", [2, None])
+def test_fits_reject_labels_outside_way(bad, batch_size):
+    # a label's flat index would land in another head's or episode's rows
+    # (or past the end), so it is rejected before any step
+    adj = AdjustmentConfig("feature", partition=PartitionConfig(n=2))
+    predictor = Predictor(adj, None, 4, 3, "linear")
+    X = np.random.default_rng(51).standard_normal((6, 4))
+    y = np.array([0, 1, 2, 0, 1, bad])
+    cfg = FitConfig(iterations=3, batch_size=batch_size)
+    match = r"labels must lie in \[0, 2\]"
+    with pytest.raises(ValueError, match=match):
+        fit_head(X, y, predictor, cfg)
+    # the bad label in the first episode of an E = 2 stack
+    good = np.array([0, 1, 2, 0, 1, 2])
+    with pytest.raises(ValueError, match=match):
+        fit_stack(np.stack([X, X]), np.stack([y, good]), predictor, cfg, [0, 1])
+    with pytest.raises(ValueError, match=match):
+        fit_stack(np.stack([X, X]), np.stack([good, y]), predictor, cfg, [0, 1])
+
+
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+def test_fits_leave_init_unchanged(kind):
+    # steps write into the fit's own copy and gradient buffers, never the caller's init
+    kb = make_kb(m=3, dim=8, seed=52)
+    adj = AdjustmentConfig("combined", partition=PartitionConfig(n=2))
+    predictor = Predictor(adj, kb, 8, 3, kind)
+    rng = np.random.default_rng(53)
+    X = rng.standard_normal((6, 8))
+    y = np.array([0, 1, 2] * 2)
+    cfg = FitConfig(iterations=5, batch_size=None, learning_rate=0.05)
+    W = rng.standard_normal((predictor.n_heads, 3, predictor.head_input_dim))
+    b = rng.standard_normal((predictor.n_heads, 3)) if kind == "linear" else None
+    init = (W.copy(), None if b is None else b.copy())
+    fitted, _ = fit_stack(np.stack([X, X]), np.stack([y, y]), predictor, cfg, [0, 1], init)
+    assert not np.array_equal(fitted[0], W)
+    assert np.array_equal(init[0], W) and (b is None or np.array_equal(init[1], b))
+    heads = [
+        HeadParams(kind, W=W[i].copy(), b=None if b is None else b[i].copy()) for i in range(len(W))
+    ]
+    fit_head(X, y, predictor, cfg, init=heads)
+    for i, h in enumerate(heads):
+        assert np.array_equal(h.W, W[i]) and (b is None or np.array_equal(h.b, b[i]))
+
+
+def test_sgd_step_leaves_grads_unchanged():
+    # the tie and the learning rate are applied to the step's own copy of the grads
+    kb = make_kb(m=3, dim=8, seed=54)
+    predictor = Predictor(AdjustmentConfig("class"), kb, 8, 3, "linear")
+    rng = np.random.default_rng(55)
+    heads = _random_heads("linear", 1, 3, predictor.head_input_dim, rng)
+    X = rng.standard_normal((5, 8))
+    y = np.array([0, 1, 2, 0, 1])
+    _, grads = mixture_loss_and_grads(heads, predictor.support_inputs(X), y, 1e-3)
+    dW, db = grads.W.copy(), grads.b.copy()
+    W0 = heads[0].W.copy()
+    sgd_step(heads, grads, 0.1, predictor.context_coupling)
+    assert np.array_equal(grads.W, dW) and np.array_equal(grads.b, db)
+    assert not np.array_equal(heads[0].W, W0)
+
+
 @pytest.mark.parametrize("strategy", ["none", "feature", "class", "combined"])
 def test_support_inputs_match_per_sample_reference(strategy):
     kb = make_kb(m=4, dim=16, seed=30)
@@ -672,14 +733,23 @@ def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
     # a weight row's gradient depends only on that row, so zeroing one row
     # changes no other row's gradient, bit for bit
     rng = np.random.default_rng(41)
-    V = normalize_rows(rng.standard_normal((1, 5, 4)))
-    G = rng.standard_normal((1, 5, 3)).swapaxes(-1, -2)  # class-major (1, K, B)
-    W = rng.standard_normal((1, 3, 4))
-    full = _grads_from_dlogits("cosine", W, normalize_rows_with_divisors(W), V, G, 1e-3)
-    W[0, 1] = 0.0
-    zeroed = _grads_from_dlogits("cosine", W, normalize_rows_with_divisors(W), V, G, 1e-3)
-    assert np.array_equal(zeroed[0, 1], np.zeros(4))
-    assert np.array_equal(zeroed[0, [0, 2]], full[0, [0, 2]])
+    V = normalize_rows(rng.standard_normal((1, 1, 5, 4)))
+    G = rng.standard_normal((1, 1, 5, 3)).swapaxes(-1, -2)  # class-major (1, 1, K, B)
+    W = rng.standard_normal((1, 1, 3, 4))
+    ws = _Workspace("cosine", W.shape, 5, 1e-3)
+    at_label = _label_index(np.zeros((1, 5), dtype=np.int64), 1, 3)
+
+    def chained(W):
+        ws.dlogits(W, None, V, at_label, with_loss=False)  # leaves the unit rows of W
+        ws.G[...] = G
+        ws.weight_grads(W, V)
+        return ws.dW[0, 0].copy()
+
+    full = chained(W)
+    W[0, 0, 1] = 0.0
+    zeroed = chained(W)
+    assert np.array_equal(zeroed[1], np.zeros(4))
+    assert np.array_equal(zeroed[[0, 2]], full[[0, 2]])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -706,8 +776,7 @@ def test_stacked_cosine_gradients_match_two_pass_reference(
         W[:, 0, K - 1] = 0.0
         Z[rng.random((E, n, B)) < 0.3] = 0.0
     y = rng.integers(0, K, size=(E, B))
-    V = _stack_inputs("cosine", Z, width, ndim=4)
-    _, dW, db = _mixture("cosine", W, None, V, _label_index(y, n, K), weight_decay)
+    _, dW, db = stack_loss_and_grads("cosine", W, None, Z, y, weight_decay)
     assert db is None
     expected = np.empty_like(W)
     for e in range(E):

@@ -1,6 +1,7 @@
 """Knowledge-base structures, feature partitions, and file format round-trips."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -143,6 +144,31 @@ def test_feature_dataset_validation():
     assert ds.class_indices(1).tolist() == [2, 3]
     with pytest.raises(ValueError):
         ds.class_indices(2)
+
+
+def test_class_indices_is_a_read_only_row_index():
+    # shuffled labels: the index built with the dataset equals a scan of the
+    # labels for every class, and hands out read-only views of itself
+    rng = np.random.default_rng(60)
+    labels = rng.permutation(np.repeat(np.arange(7), [1, 5, 2, 9, 3, 1, 4]))
+    ds = FeatureDataset(rng.standard_normal((labels.size, 2)), labels, n_classes=7)
+    for c in range(7):
+        rows = ds.class_indices(c)
+        assert np.array_equal(rows, np.flatnonzero(labels == c))
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
+    assert np.array_equal(ds.vectors_of(3), ds.features[labels == 3])
+    # the dataset owns its labels: the caller's array may change, the index may not
+    labels[:] = 0
+    assert np.array_equal(ds.class_indices(0), np.flatnonzero(ds.labels == 0))
+    assert ds.class_indices(0).size == 1
+    with pytest.raises(ValueError, match="read-only"):
+        ds.labels[0] = 1
+    # the public face of the dataclass is unchanged
+    assert [f.name for f in fields(FeatureDataset)] == ["features", "labels", "n_classes"]
+    assert repr(ds).startswith("FeatureDataset(features=array(")
+    assert repr(ds).endswith("n_classes=7)") and "_class_rows" not in repr(ds)
 
 
 def test_knowledge_base_validation():

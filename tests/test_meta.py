@@ -7,7 +7,7 @@ import pytest
 
 from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_rng, sample_episode
-from ifsl.heads import FitConfig, HeadParams, fit_head
+from ifsl.heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
 from ifsl.knowledge import FormatError, PartitionConfig
 from ifsl.meta import (
     META_MAGIC,
@@ -201,6 +201,70 @@ def test_meta_train_matches_per_head_reference_loop(ds, strategy):
     for a, b in zip(trained.theta0, theta):
         assert np.allclose(a.W, b.W, rtol=0.0, atol=1e-12)
         assert np.allclose(a.b, b.b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "strategy,kind",
+    [("none", "linear"), ("class", "linear"), ("combined", "linear"), ("combined", "cosine")],
+)
+def test_meta_train_equals_list_api_loop(ds, strategy, kind, tmp_path):
+    # the stacked task loop against adapt -> mixture_loss_and_grads -> sgd_step
+    # on lists of heads, task by task: the same bits and the same file
+    kb = make_kb(m=3, dim=8, seed=45)
+    cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, kind)
+    if kind == "linear":
+        mi = zero_meta_init(
+            3, predictor.head_input_dim, predictor.n_heads, inner_steps=5, outer_lr=0.05, tasks=6
+        )
+    else:
+        start = fit_head(
+            ds.features[:6], np.array([0, 1, 2] * 2), predictor,
+            FitConfig(iterations=4, learning_rate=0.05),
+        )
+        mi = MetaInit(start, inner_steps=5, outer_lr=0.05, tasks=6)
+    trained = meta_train(ds, 3, 2, 3, cfg, mi, kb, np.random.default_rng(46))
+    theta = mi.copy_theta()
+    rng = np.random.default_rng(46)
+    for _ in range(mi.tasks):
+        ep = sample_episode(ds, 3, 2, 3, rng)
+        adapted = adapt(theta, predictor, ep.support_x, ep.support_y, mi.inner_lr, mi.inner_steps)
+        blocks = predictor.support_inputs(ep.query_x)
+        _, grads = mixture_loss_and_grads(adapted, blocks, ep.query_y, 0.0)
+        sgd_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+    assert not np.array_equal(trained.theta0[0].W, mi.theta0[0].W)
+    for a, b in zip(trained.theta0, theta):
+        assert np.array_equal(a.W, b.W)
+        assert (a.b is None and b.b is None) or np.array_equal(a.b, b.b)
+    save_meta(trained, tmp_path / "stacked.meta")
+    save_meta(replace_theta(mi, theta), tmp_path / "list.meta")
+    assert (tmp_path / "stacked.meta").read_bytes() == (tmp_path / "list.meta").read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["none", "class"])
+def test_adapt_leaves_theta_unchanged(ds, strategy):
+    # the fit steps its own copy; the gradient buffers it ties in place are its own
+    kb = make_kb(m=3, dim=8, seed=47)
+    predictor = Predictor(AdjustmentConfig(strategy), kb, ds.dim, 3, "linear")
+    rng = np.random.default_rng(48)
+    theta = [
+        HeadParams(
+            "linear", W=rng.standard_normal((3, predictor.head_input_dim)), b=rng.standard_normal(3)
+        )
+    ]
+    before = [(h.W.copy(), h.b.copy()) for h in theta]
+    adapted = adapt(theta, predictor, ds.features[:6], np.array([0, 1, 2] * 2), 0.05, 4)
+    assert not np.array_equal(adapted[0].W, theta[0].W)
+    for h, (W, b) in zip(theta, before):
+        assert np.array_equal(h.W, W) and np.array_equal(h.b, b)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_adapt_rejects_labels_outside_way(ds, bad):
+    predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
+    theta = zero_meta_init(3, ds.dim).theta0
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\]"):
+        adapt(theta, predictor, ds.features[:6], np.array([0, 1, 2, 0, 1, bad]), 0.05, 2)
 
 
 def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
