@@ -44,7 +44,7 @@ from .knowledge import (
     save_features,
     save_kb,
 )
-from .meta import evaluate_inits, meta_train, save_meta, zero_meta_init
+from .meta import evaluate_inits, meta_bytes, meta_train, save_meta, zero_meta_init
 from .evalmetrics import (
     Report,
     accuracy_report,
@@ -377,6 +377,8 @@ def cmd_meta(args) -> int:
         inner_lr=args.inner_lr, inner_steps=args.inner_steps,
         outer_lr=args.outer_lr, tasks=args.tasks,
     )
+    if args.out_init:
+        meta_bytes(mi)  # refuse, before training, rates or counts the file cannot hold
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     trained = meta_train(ds, args.way, args.shot, args.query, adj, mi, kb, rng)
     if args.out_init:

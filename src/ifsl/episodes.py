@@ -20,7 +20,9 @@ class Episode:
 
     Episode labels run 0..way-1; ``class_map`` maps them back to dataset class
     ids. ``support_idx``/``query_idx`` record the originating sample rows so
-    disjointness stays auditable.
+    disjointness stays auditable. ``Episode(...)`` checks every field; the
+    samplers build theirs with the private :meth:`_sampled`, which skips the
+    checks that their construction guarantees.
     """
 
     way: int
@@ -64,6 +66,36 @@ class Episode:
         ):
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _sampled(
+        cls, features: np.ndarray, way: int, shot: int, query: int,
+        class_map: np.ndarray, support_idx: np.ndarray, query_idx: np.ndarray,
+    ) -> "Episode":
+        """The episode of rows ``support_idx``/``query_idx`` of a dataset's
+        ``features``, labelled by class in order (``shot`` then ``query`` rows
+        per class), built without the checks of ``Episode(...)``.
+
+        For the samplers only: they draw ``way`` distinct classes and disjoint
+        rows, so the shapes, labels, class map and disjointness hold by
+        construction. The features are not checked for finiteness here;
+        every consumer reads them through ``as_rows`` (``support_inputs``,
+        ``pretrain_logits``), which rejects a non-finite entry.
+        """
+        ep = object.__new__(cls)
+        ep.__dict__.update(
+            way=way,
+            shot=shot,
+            query_per_class=query,
+            support_x=features[support_idx],
+            support_y=np.repeat(np.arange(way), shot),
+            query_x=features[query_idx],
+            query_y=np.repeat(np.arange(way), query),
+            class_map=class_map,
+            support_idx=support_idx,
+            query_idx=query_idx,
+        )
+        return ep
+
     @property
     def dim(self) -> int:
         return self.support_x.shape[1]
@@ -103,30 +135,20 @@ def sample_episode(ds: FeatureDataset, way: int, shot: int, query: int, rng: np.
             f"dataset has {ds.n_classes} classes but the episode needs {way}"
         )
     chosen = np.sort(rng.choice(ds.n_classes, size=way, replace=False))
+    need = shot + query
     support_rows, query_rows = [], []
     for cls in chosen:
         pool = ds.class_indices(int(cls))
-        need = shot + query
         if pool.size < need:
             raise ValueError(
                 f"class {int(cls)} has {pool.size} samples, episode needs {need}"
             )
-        picked = rng.choice(pool, size=need, replace=False)
+        picked = pool[rng.choice(pool.size, size=need, replace=False)]
         support_rows.append(picked[:shot])
         query_rows.append(picked[shot:])
-    si = np.concatenate(support_rows)
-    qi = np.concatenate(query_rows)
-    return Episode(
-        way=way,
-        shot=shot,
-        query_per_class=query,
-        support_x=ds.features[si],
-        support_y=np.repeat(np.arange(way), shot),
-        query_x=ds.features[qi],
-        query_y=np.repeat(np.arange(way), query),
-        class_map=chosen,
-        support_idx=si,
-        query_idx=qi,
+    return Episode._sampled(
+        ds.features, way, shot, query, chosen,
+        np.concatenate(support_rows), np.concatenate(query_rows),
     )
 
 

@@ -26,12 +26,14 @@ One step is one core: a fit allocates a single :class:`_Workspace` (the
 logit/gradient buffer, the per-row vectors and the gradients) and every
 iteration writes into it, and :func:`stack_sgd_step` applies the context tie
 and the learning rate to those gradient buffers in place before stepping the
-weights. :func:`fit_stack` (episode chunks, the knowledge-base fit and
-meta-learning adaptation), :func:`stack_loss_and_grads` (the meta-learning
-outer step) and the list-of-:class:`HeadParams` calls below all run it; the
-list calls are the one-episode case: they stack their arguments, run the
-same core and unstack the result. The outputs are the same bits whichever
-of these routes a step takes.
+weights. One loop, :func:`_fit_steps`, runs the iterations of every fit:
+those of :func:`fit_stack` (episode chunks and the knowledge-base fit) and
+those of each task that ``meta.meta_train`` adapts, whose workspaces are
+allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and the
+list-of-:class:`HeadParams` calls below run the same core; the list calls
+are the one-episode case: they stack their arguments, run the same core and
+unstack the result. The outputs are the same bits whichever of these routes
+a step takes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -159,10 +161,26 @@ def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarra
 
 
 def _unstack_heads(kind: str, W: np.ndarray, b: np.ndarray | None) -> list[HeadParams]:
-    """One :class:`HeadParams` per entry of an (n, K, P) stack, each a view on it."""
-    if kind == "centroid":
-        return [HeadParams(kind, centroids=C) for C in W]
-    return [HeadParams(kind, W=W[i], b=None if b is None else b[i]) for i in range(W.shape[0])]
+    """One :class:`HeadParams` per entry of an (n, K, P) float64 stack, each a view on it.
+
+    The stack is checked once, for finiteness and at least 2 classes, and the
+    heads are built without re-checking each: the other checks of
+    ``HeadParams(...)`` hold by the stack's layout (``b`` is (n, K) for
+    linear heads and None otherwise).
+    """
+    if W.shape[-2] < 2:
+        raise ValueError("heads need at least 2 classes")
+    if not (np.isfinite(W).all() and (b is None or np.isfinite(b).all())):
+        raise ValueError("matrix entries must be finite")
+    heads = []
+    for i in range(W.shape[0]):
+        h = object.__new__(HeadParams)
+        if kind == "centroid":
+            h.__dict__.update(kind=kind, W=None, b=None, centroids=W[i])
+        else:
+            h.__dict__.update(kind=kind, W=W[i], b=None if b is None else b[i], centroids=None)
+        heads.append(h)
+    return heads
 
 
 def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarray:
@@ -553,7 +571,9 @@ def fit_stack(
     depend on the other episodes of the stack. ``init``, an ``(n, K, P)``
     weight stack and its ``(n, K)`` biases (or None), is every episode's
     start; fresh heads start as in :func:`init_stack`. ``loss_callback``
-    gets each iteration's (E,) losses. See :func:`fit_head`.
+    gets each iteration's (E,) losses. The set-up (stratum inputs, start,
+    one workspace, label indices and mini-batch rows) is done here and the
+    iterations run in :func:`_fit_steps`. See :func:`fit_head`.
     """
     kind = predictor.head_kind
     if kind not in PARAMETRIC_KINDS:
@@ -588,12 +608,29 @@ def fit_stack(
         batches = (
             (flat.take(r, axis=0, out=buf, mode="clip"), a) for r, a in zip(at_rows, at_labels)
         )
+    _fit_steps(ws, W, b, batches, cfg.learning_rate, coupling, loss_callback)
+    return W, b
+
+
+def _fit_steps(
+    ws: _Workspace,
+    W: np.ndarray,
+    b: np.ndarray | None,
+    batches: Iterable[tuple[np.ndarray, np.ndarray]],
+    learning_rate: float,
+    coupling: float | None,
+    loss_callback: Callable[[int, np.ndarray], None] | None = None,
+) -> None:
+    """The fitting loop: one SGD step of ``W``/``b`` in place, through the
+    workspace ``ws``, per ``(inputs, label index)`` batch of ``batches``.
+
+    :func:`fit_stack` and the meta-learning task loop both step through it.
+    """
     for it, (batch, at_label) in enumerate(batches):
         loss = ws.grads(W, b, batch, at_label, with_loss=loss_callback is not None)
-        stack_sgd_step(W, b, ws.dW, ws.db, cfg.learning_rate, coupling)
+        stack_sgd_step(W, b, ws.dW, ws.db, learning_rate, coupling)
         if loss_callback is not None:
             loss_callback(it, loss)
-    return W, b
 
 
 def fit_head(

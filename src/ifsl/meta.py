@@ -4,9 +4,15 @@ The inner loop adapts a copy of the shared initialization with full-batch
 gradient steps on each task's support set; the outer loop applies the query
 loss gradient, taken at the adapted parameters, directly to the
 initialization (no second-order terms). The training loop holds the
-initialization as an (n, K, P) weight stack and (n, K) biases throughout:
-it adapts with :func:`~ifsl.heads.fit_stack` and steps the stack in place,
-and builds :class:`~ifsl.heads.HeadParams` only for the result.
+initialization as an (n, K, P) weight stack and (n, K) biases throughout and
+pays its set-up once per call: it draws tasks in chunks, builds each chunk's
+stratum inputs in two calls (support rows, query rows), and steps every task
+through one inner and one outer workspace and one set of label indices, with
+the fitting loop of :func:`~ifsl.heads.fit_stack`. It builds
+:class:`~ifsl.heads.HeadParams` only for the result. Held-out evaluation
+fits its tasks in stacks of the same chunk size with
+:func:`~ifsl.heads.fit_stack`. :func:`save_meta` refuses, before it opens
+the file, any initialization that :func:`load_meta` would reject.
 """
 
 from __future__ import annotations
@@ -14,20 +20,25 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .episodes import episode_rng, sample_episode
+from .episodes import _CHUNK, episode_rng, sample_episode
 from .heads import (
     FitConfig,
     HeadParams,
+    _fit_steps,
+    _label_index,
+    _stack_inputs,
+    _unstack_heads,
+    _Workspace,
     fit_head,
     fit_stack,
     stack_heads,
-    stack_loss_and_grads,
     stack_probs,
     stack_sgd_step,
 )
@@ -120,26 +131,50 @@ def meta_train(
 
     Each task is a fresh episode; the initialization moves by ``outer_lr``
     times the query-loss gradient at the task-adapted parameters, on the
-    tied subspace when the predictor couples a context. The same numbers as
-    :func:`adapt`, ``mixture_loss_and_grads`` and ``sgd_step`` task by task,
-    on one stack. With ``outer_lr=0`` the initialization is returned
-    unchanged (aside from a copy). Deterministic for a fixed rng state.
+    tied subspace when the predictor couples a context. Tasks are drawn from
+    ``rng`` one after another, in chunks of the episode engine's chunk size:
+    each chunk's support and query rows get their stratum inputs in one
+    call each, and then its tasks adapt and step in turn. Every task adapts
+    through the same full-batch loop as :func:`~ifsl.heads.fit_stack`, in
+    one inner and one outer workspace allocated once per call. The result
+    is the same bits as :func:`adapt`, ``mixture_loss_and_grads`` and
+    ``sgd_step`` task by task, and k calls that share one rng equal one call
+    with their tasks added up. With ``outer_lr=0`` the initialization is
+    returned unchanged (aside from a copy). Deterministic for a fixed rng
+    state.
     """
     kind = mi.theta0[0].kind
     predictor = Predictor(adj_cfg, kb, ds.dim, way, kind)
     predictor.validate_heads(mi.theta0)
     _, W, b = stack_heads(mi.theta0)
-    cfg = _inner_config(mi.inner_lr, mi.inner_steps)
-    for _ in range(mi.tasks):
-        ep = sample_episode(ds, way, shot, query, rng)
-        adapted = fit_stack(ep.support_x[None], ep.support_y[None], predictor, cfg, [0], (W, b))
-        query_inputs = predictor.support_inputs(ep.query_x[None])
-        _, dW, db = stack_loss_and_grads(kind, *adapted, query_inputs, ep.query_y[None])
-        stack_sgd_step(
-            W, b, dW[0], None if db is None else db[0], mi.outer_lr, predictor.context_coupling
+    n, K, P = W.shape
+    coupling = predictor.context_coupling
+    # one task's adapted copy, workspaces and label indices serve every task;
+    # sample_episode labels each episode's rows 0..way-1 in class order
+    W_task = np.empty((1, n, K, P))
+    b_task = None if b is None else np.empty((1, n, K))
+    inner = _Workspace(kind, W_task.shape, way * shot, 0.0)
+    outer = _Workspace(kind, W_task.shape, way * query, 0.0)
+    at_support = _label_index(np.repeat(np.arange(way), shot)[None], n, K)
+    at_query = _label_index(np.repeat(np.arange(way), query)[None], n, K)
+    for start in range(0, mi.tasks, _CHUNK):
+        eps = [sample_episode(ds, way, shot, query, rng) for _ in range(min(_CHUNK, mi.tasks - start))]
+        # support and query rows get separate stacks: slices of one joint
+        # stack change the weights in the last bits
+        support, queries = (
+            _stack_inputs(kind, predictor.support_inputs(np.stack(rows)), P, ndim=4)
+            for rows in ([ep.support_x for ep in eps], [ep.query_x for ep in eps])
         )
-    theta = [HeadParams(kind, W=W[i], b=None if b is None else b[i]) for i in range(len(W))]
-    return replace_theta(mi, theta)
+        for t in range(len(eps)):
+            W_task[0] = W
+            if b is not None:
+                b_task[0] = b
+            batches = repeat((support[t : t + 1], at_support), mi.inner_steps)
+            _fit_steps(inner, W_task, b_task, batches, mi.inner_lr, coupling)
+            outer.grads(W_task, b_task, queries[t : t + 1], at_query, with_loss=False)
+            db = None if b is None else outer.db[0]
+            stack_sgd_step(W, b, outer.dW[0], db, mi.outer_lr, coupling)
+    return replace_theta(mi, _unstack_heads(kind, W, b))
 
 
 def evaluate_inits(
@@ -158,20 +193,28 @@ def evaluate_inits(
 
     Task ``e`` of ``count`` is drawn from ``episode_rng(seed, e)``; each
     initialization is adapted on its support set as by ``adapt`` and scored
-    on its queries. Returns one list of per-task accuracies per initialization.
+    on its queries. The tasks are fitted from each initialization in stacks
+    of the episode engine's chunk size, which gives each task the same bits
+    as alone. Returns one list of per-task accuracies per initialization.
     """
     for theta in inits:
         predictor.validate_heads(theta)
     stacks = [stack_heads(theta)[1:] for theta in inits]
     cfg = _inner_config(inner_lr, inner_steps)
     accs: list[list[float]] = [[] for _ in inits]
-    for e in range(count):
-        ep = sample_episode(ds, way, shot, query, episode_rng(seed, e))
-        query_inputs = predictor.support_inputs(ep.query_x[None])
-        for start, out in zip(stacks, accs):
-            W, b = fit_stack(ep.support_x[None], ep.support_y[None], predictor, cfg, [0], start)
-            probs = stack_probs(predictor.head_kind, W, b, query_inputs)[0]
-            out.append(100.0 * float((probs.argmax(axis=1) == ep.query_y).mean()))
+    for start in range(0, count, _CHUNK):
+        eps = [
+            sample_episode(ds, way, shot, query, episode_rng(seed, e))
+            for e in range(start, min(start + _CHUNK, count))
+        ]
+        support_x = np.stack([ep.support_x for ep in eps])
+        support_y = np.stack([ep.support_y for ep in eps])
+        query_inputs = predictor.support_inputs(np.stack([ep.query_x for ep in eps]))
+        query_y = np.stack([ep.query_y for ep in eps])
+        for init, out in zip(stacks, accs):
+            W, b = fit_stack(support_x, support_y, predictor, cfg, [0] * len(eps), init)
+            probs = stack_probs(predictor.head_kind, W, b, query_inputs)
+            out.extend((100.0 * (probs.argmax(axis=-1) == query_y).mean(axis=1)).tolist())
     return accs
 
 
@@ -182,23 +225,53 @@ def replace_theta(mi: MetaInit, theta: list[HeadParams]) -> MetaInit:
 # --- serialization -----------------------------------------------------------
 
 
-def save_meta(mi: MetaInit, path) -> None:
-    """Binary blob: magic, layout header, then f32 parameter payload per head."""
+def meta_bytes(mi: MetaInit) -> bytes:
+    """The bytes :func:`save_meta` writes for ``mi``: magic, layout header, then
+    the f32 parameter payload per head.
+
+    Raises ValueError for an initialization that :func:`load_meta` would
+    reject once written: a learning rate that leaves its range when rounded
+    to f32 (``inner_lr=1e-50`` becomes 0), a step or task count outside the
+    header's unsigned 32-bit fields, heads of unequal shapes or of input
+    dimension 0, or a weight that overflows f32.
+    """
     kind = mi.theta0[0].kind
-    way = mi.theta0[0].way
-    dim = mi.theta0[0].input_dim
-    with open(path, "wb") as fh:
-        fh.write(META_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII", _KIND_CODES[kind], len(mi.theta0), way, dim
-            )
+    way, dim = mi.theta0[0].W.shape
+    parts = [p for h in mi.theta0 for p in ((h.W, h.b) if kind == "linear" else (h.W,))]
+    with np.errstate(over="ignore"):  # what overflows f32 is refused below
+        inner_lr, outer_lr = (float(np.float32(r)) for r in (mi.inner_lr, mi.outer_lr))
+        payload = np.concatenate([p.ravel() for p in parts]).astype("<f4")
+    if not (math.isfinite(inner_lr) and inner_lr > 0.0):
+        raise ValueError(
+            f"inner_lr={mi.inner_lr!r} is stored as the f32 {inner_lr!r}, "
+            "which must be finite and > 0"
         )
-        fh.write(struct.pack("<ffII", mi.inner_lr, mi.outer_lr, mi.inner_steps, mi.tasks))
-        for h in mi.theta0:
-            fh.write(h.W.astype("<f4").tobytes())
-            if kind == "linear":
-                fh.write(h.b.astype("<f4").tobytes())
+    if not (math.isfinite(outer_lr) and outer_lr >= 0.0):
+        raise ValueError(
+            f"outer_lr={mi.outer_lr!r} is stored as the f32 {outer_lr!r}, "
+            "which must be finite and >= 0"
+        )
+    for name, count in (("inner_steps", mi.inner_steps), ("tasks", mi.tasks)):
+        if not 0 <= count <= 0xFFFFFFFF:
+            raise ValueError(f"{name}={count} does not fit the file's unsigned 32-bit field")
+    if dim == 0 or any(h.kind != kind or h.W.shape != (way, dim) for h in mi.theta0):
+        raise ValueError("the heads must share their kind and a (way, dim) shape with dim >= 1")
+    if not np.isfinite(payload).all():
+        raise ValueError("every weight must be finite once rounded to f32")
+    return (
+        META_MAGIC
+        + struct.pack("<IIII", _KIND_CODES[kind], len(mi.theta0), way, dim)
+        + struct.pack("<ffII", inner_lr, outer_lr, mi.inner_steps, mi.tasks)
+        + payload.tobytes()
+    )
+
+
+def save_meta(mi: MetaInit, path) -> None:
+    """Write ``mi`` as :func:`meta_bytes`; raises its ValueError before the
+    file is opened, so a refused initialization leaves no file behind."""
+    blob = meta_bytes(mi)
+    with open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_meta(path):

@@ -69,22 +69,44 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return normalize_rows_with_divisors(m)[0]
 
 
+# Row norms below sqrt(smallest normal) may come from squares that underflow:
+# such rows are rescaled by an exact power of two before they are normalised.
+_TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+_UPSCALE = 2.0**600
+
+
 def normalize_rows_with_divisors(
     m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(U, d)`` with ``U = m / d``: the rows of ``m`` scaled to unit norm, and
     their (..., 1) divisors.
 
-    ``d`` is the row norm, with ``np.linalg.norm``'s bits, and the division is
+    ``d`` is the row norm, with ``np.linalg.norm``'s bits wherever that norm
+    is at least sqrt(smallest normal) (about 1.5e-154), and the division is
     true division, so a width-1 row whose square is a normal float comes out
-    exactly +-1. Where a norm is 0 (or its square underflows to 0), ``d`` is
-    +inf, so that row maps to zero. ``out``, a ``(U, d)`` pair of buffers of
-    those shapes, receives the result. No input validation.
+    exactly +-1. A row of smaller norm, whose squares may underflow, is
+    normalised after scaling it by 2**600, so every nonzero row comes out
+    unit, down to subnormal entries; its ``d`` is its scaled norm divided by
+    2**600. A zero row has ``d = +inf`` and maps to zero. ``out``, a
+    ``(U, d)`` pair of buffers of those shapes, receives the result. No
+    input validation.
     """
     if out is None:
         out = np.empty(m.shape), np.empty((*m.shape[:-1], 1))
     U, d = out
     np.add.reduce(np.multiply(m, m, out=U), axis=-1, keepdims=True, out=d)
     np.sqrt(d, out=d)
-    np.copyto(d, np.inf, where=~(d > 0.0))
+    small = d < _TINY_NORM
+    if np.count_nonzero(small):
+        np.copyto(d, np.inf, where=small)  # right for zero rows, the common case
+        np.divide(m, d, out=U)
+        rows = small[..., 0]
+        flagged = m[rows]
+        if np.count_nonzero(flagged):
+            scaled = flagged * _UPSCALE
+            norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
+            norms[norms == 0.0] = np.inf
+            d[rows] = norms / _UPSCALE
+            U[rows] = scaled / norms
+        return U, d
     return np.divide(m, d, out=U), d

@@ -154,6 +154,8 @@ def sample_confounded_episode(
         raise ValueError(f"mismatch rate must lie in [0, 1], got {mismatch_rate}")
     if way < 2:
         raise ValueError(f"episodes need at least 2 classes, got way={way}")
+    if shot < 1 or query < 1:
+        raise ValueError("shot and query counts must be >= 1")
     if novel.n_classes < way:
         raise ValueError(f"dataset has {novel.n_classes} classes but the episode needs {way}")
 
@@ -186,7 +188,7 @@ def sample_confounded_episode(
                     f"class {int(cls)} stratum {s} holds {cell.size} samples, "
                     f"episode needs {need}"
                 )
-            drawn.append(rng.choice(cell, size=need, replace=False))
+            drawn.append(cell[rng.choice(cell.size, size=need, replace=False)])
     drawn = np.concatenate(drawn)
     # a class's support rows lead its own cell's draw; the queries take the
     # rest of every cell in turn
@@ -195,19 +197,7 @@ def sample_confounded_episode(
     qi = np.empty(way * query, dtype=np.int64)
     qi[np.argsort(cells, kind="stable")] = np.delete(drawn, support_pos)
 
-    ep = Episode(
-        way=way,
-        shot=shot,
-        query_per_class=query,
-        support_x=novel.features[si],
-        support_y=np.repeat(np.arange(way), shot),
-        query_x=novel.features[qi],
-        query_y=np.repeat(np.arange(way), query),
-        class_map=chosen,
-        support_idx=si,
-        query_idx=qi,
-    )
-    return ep, mismatch
+    return Episode._sampled(novel.features, way, shot, query, chosen, si, qi), mismatch
 
 
 def run_confounded(

@@ -4,6 +4,7 @@ per-sample, per-head, per-batch and per-query reference computations that the
 whole-array code is checked against.
 """
 
+import dataclasses
 import math
 import os
 import shutil
@@ -116,6 +117,26 @@ def reference_inputs(predictor, x) -> list:
     if strategy == "feature":
         return [stratum(x, i) for i in range(n)]
     return [np.concatenate([stratum(x, i), stratum(ctx, i)]) for i in range(n)]
+
+
+def check_sampled_episode(ep, ds, way, shot, query):
+    """Every invariant that ``Episode(...)`` checks, which the samplers skip,
+    on an episode sampled from ``ds``."""
+    assert (ep.way, ep.shot, ep.query_per_class) == (way, shot, query)
+    assert ep.support_idx.dtype == ep.query_idx.dtype == ep.class_map.dtype == np.int64
+    assert ep.support_x.dtype == ep.query_x.dtype == np.float64
+    assert np.array_equal(ep.support_y, np.repeat(np.arange(way), shot))
+    assert np.array_equal(ep.query_y, np.repeat(np.arange(way), query))
+    assert np.intersect1d(ep.support_idx, ep.query_idx).size == 0
+    assert np.unique(ep.class_map).size == way
+    assert np.array_equal(ds.labels[ep.support_idx], np.repeat(ep.class_map, shot))
+    assert np.array_equal(np.sort(ds.labels[ep.query_idx]), np.repeat(ep.class_map, query))
+    assert np.array_equal(ep.support_x, ds.features[ep.support_idx])
+    assert np.array_equal(ep.query_x, ds.features[ep.query_idx])
+    # the public constructor, which checks everything, accepts it unchanged
+    checked = Episode(**{f.name: getattr(ep, f.name) for f in dataclasses.fields(ep)})
+    for f in dataclasses.fields(ep):
+        assert np.array_equal(getattr(checked, f.name), getattr(ep, f.name))
 
 
 def reference_hardness(ep, kb) -> np.ndarray:

@@ -383,6 +383,24 @@ def test_meta_non_finite_rate_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--inner-lr=1e-50"], ["--tasks", str(2**32)]])
+def test_meta_init_the_file_cannot_hold_is_refused_before_training(
+    data_dir, tmp_path, capsys, monkeypatch, flags
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("meta-training started")
+
+    monkeypatch.setattr("ifsl.cli.meta_train", no_training)
+    out, blob = tmp_path / "meta.json", tmp_path / "init.meta"
+    code = main(
+        ["meta", "--features", str(data_dir / "novel.features"), "--out", str(out),
+         "--out-init", str(blob), "--way", "3", "--query", "4", "--eval-tasks", "2", *flags]
+    )
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() and not blob.exists()
+
+
 @pytest.mark.parametrize("dim", [2**29, 2**30, 2**31, 2**32 - 1])
 def test_huge_feature_dimension_exits_3(data_dir, tmp_path, capsys, dim):
     bad = tmp_path / "huge.features"

@@ -21,7 +21,7 @@ from ifsl.episodes import (
 from ifsl.heads import FitConfig
 from ifsl.knowledge import KnowledgeBase
 
-from conftest import make_blob_dataset, make_kb, reference_hardness
+from conftest import check_sampled_episode, make_blob_dataset, make_kb, reference_hardness
 
 
 @pytest.fixture
@@ -95,6 +95,27 @@ def test_episode_validation():
         Episode(**{**kwargs, "class_map": np.array([3, 3])})
     with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
         Episode(**{**kwargs, "query_y": np.array([0, 0, 1, 2])})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    way=st.integers(2, 8), shot=st.integers(1, 5), query=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_episodes_keep_the_constructor_invariants(way, shot, query, seed):
+    ds = make_blob_dataset(n_classes=8, per_class=25, dim=16, seed=31)
+    ep = sample_episode(ds, way, shot, query, np.random.default_rng(seed))
+    check_sampled_episode(ep, ds, way, shot, query)
+
+
+def test_nan_written_after_construction_is_still_rejected(kb):
+    # the samplers skip the finiteness check; the stratum inputs and the
+    # knowledge-base logits read every sampled row through as_rows
+    ds = make_blob_dataset(n_classes=4, per_class=6, dim=16, seed=32)
+    ds.features[:, 3] = np.nan
+    for classifier in ("linear", "centroid"):
+        with pytest.raises(ValueError, match="finite"):
+            run_many(ds, 3, 1, 2, 2, classifier, AdjustmentConfig("none"), FitConfig(), kb, seed=0)
 
 
 # --- evaluation -------------------------------------------------------------------

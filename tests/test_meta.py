@@ -1,12 +1,17 @@
 """Meta-learned head initializations: adaptation, training loop, serialization."""
 
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsl.adjust import AdjustmentConfig, Predictor
-from ifsl.episodes import episode_rng, sample_episode
+from ifsl.episodes import _CHUNK, episode_rng, sample_episode
 from ifsl.heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
 from ifsl.knowledge import FormatError, PartitionConfig
 from ifsl.meta import (
@@ -241,6 +246,71 @@ def test_meta_train_equals_list_api_loop(ds, strategy, kind, tmp_path):
     assert (tmp_path / "stacked.meta").read_bytes() == (tmp_path / "list.meta").read_bytes()
 
 
+def _list_api_loop(ds, predictor, mi, rng, shot=1, query=4):
+    """``mi.tasks`` meta-iterations task by task through the list API."""
+    theta = mi.copy_theta()
+    for _ in range(mi.tasks):
+        ep = sample_episode(ds, 3, shot, query, rng)
+        adapted = adapt(theta, predictor, ep.support_x, ep.support_y, mi.inner_lr, mi.inner_steps)
+        blocks = predictor.support_inputs(ep.query_x)
+        _, grads = mixture_loss_and_grads(adapted, blocks, ep.query_y, 0.0)
+        sgd_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+    return theta
+
+
+@pytest.mark.parametrize("tasks", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+def test_meta_train_equals_list_api_loop_across_chunks(ds, kind, tasks):
+    # tasks are drawn in chunks; the weights and the rng state left behind
+    # are those of the task-by-task loop
+    kb = make_kb(m=3, dim=8, seed=45)
+    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, kind)
+    start = fit_head(
+        ds.features[:6], np.array([0, 1, 2] * 2), predictor,
+        FitConfig(iterations=4, learning_rate=0.05),
+    )
+    mi = MetaInit(start, inner_steps=3, outer_lr=0.05, tasks=tasks)
+    rng = np.random.default_rng(50)
+    trained = meta_train(ds, 3, 1, 4, cfg, mi, kb, rng)
+    ref_rng = np.random.default_rng(50)
+    theta = _list_api_loop(ds, predictor, mi, ref_rng)
+    for a, b in zip(trained.theta0, theta):
+        assert np.array_equal(a.W, b.W)
+        assert (a.b is None and b.b is None) or np.array_equal(a.b, b.b)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("split", [[1, 1, 1], [3, 5, 9], [_CHUNK, 2, _CHUNK + 3]])
+def test_meta_train_calls_sharing_one_rng_equal_one_call(ds, split):
+    kb = make_kb(m=3, dim=8, seed=45)
+    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, "linear")
+    whole = zero_meta_init(
+        3, predictor.head_input_dim, predictor.n_heads, inner_steps=3, tasks=sum(split)
+    )
+    one = meta_train(ds, 3, 1, 4, cfg, whole, kb, np.random.default_rng(51))
+    rng = np.random.default_rng(51)
+    part = replace_theta(whole, whole.copy_theta())
+    for tasks in split:
+        part.tasks = tasks
+        part = meta_train(ds, 3, 1, 4, cfg, part, kb, rng)
+    for a, b in zip(one.theta0, part.theta0):
+        assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
+
+
+@pytest.mark.parametrize("rows", ["support", "query"])
+def test_meta_train_rejects_nan_written_after_construction(rows):
+    # sampled episodes are not checked; the stratum inputs of both row sets are
+    ds = make_blob_dataset(n_classes=3, per_class=2, dim=8, seed=52)
+    mi = zero_meta_init(3, 8, tasks=1, inner_steps=2)
+    rng = np.random.default_rng(53)
+    first = sample_episode(ds, 3, 1, 1, np.random.default_rng(53))
+    ds.features[first.support_idx if rows == "support" else first.query_idx, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        meta_train(ds, 3, 1, 1, AdjustmentConfig("none"), mi, None, rng)
+
+
 @pytest.mark.parametrize("strategy", ["none", "class"])
 def test_adapt_leaves_theta_unchanged(ds, strategy):
     # the fit steps its own copy; the gradient buffers it ties in place are its own
@@ -280,6 +350,26 @@ def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
         adapted = adapt(mi.theta0, predictor, ep.support_x, ep.support_y, 0.01, 5)
         pred = predictor.probs_batch(adapted, ep.query_x).argmax(axis=1)
         assert accs[1][e] == 100.0 * float((pred == ep.query_y).mean())
+
+
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+def test_evaluate_inits_in_chunks_equals_one_task_at_a_time(ds, kind):
+    kb = make_kb(m=3, dim=8, seed=45)
+    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, kind)
+    start = fit_head(
+        ds.features[:6], np.array([0, 1, 2] * 2), predictor,
+        FitConfig(iterations=4, learning_rate=0.05),
+    )
+    count = 2 * _CHUNK + 3
+    (accs,) = evaluate_inits(ds, 3, 1, 4, predictor, [start], 0.05, 5, count, 22)
+    expected = []
+    for e in range(count):
+        ep = sample_episode(ds, 3, 1, 4, episode_rng(22, e))
+        adapted = adapt(start, predictor, ep.support_x, ep.support_y, 0.05, 5)
+        pred = predictor.probs_batch(adapted, ep.query_x).argmax(axis=1)
+        expected.append(100.0 * float((pred == ep.query_y).mean()))
+    assert accs == expected
 
 
 def test_replace_theta_keeps_hyperparameters():
@@ -413,3 +503,77 @@ def test_load_meta_rejects_bad_outer_lr(tmp_path, value):
 
 def test_load_meta_accepts_zero_outer_lr(tmp_path):
     assert load_meta(_patched_rate(tmp_path, 28, 0.0)).outer_lr == 0.0
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (dict(inner_lr=1e-50), "inner_lr=1e-50 is stored as the f32 0.0"),
+        (dict(inner_lr=1e39), "inner_lr=1e\\+39 is stored as the f32 inf"),
+        (dict(outer_lr=1e39), "outer_lr=1e\\+39 is stored as the f32 inf"),
+        (dict(tasks=2**32), "tasks=4294967296 does not fit"),
+        (dict(inner_steps=2**40), "inner_steps=1099511627776 does not fit"),
+    ],
+)
+def test_save_meta_refuses_what_load_meta_would_reject(tmp_path, change, message):
+    mi = _f32_meta()
+    for name, value in change.items():
+        setattr(mi, name, value)
+    path = tmp_path / "init.meta"
+    with pytest.raises(ValueError, match=message):
+        save_meta(mi, path)
+    assert not path.exists()
+
+
+def test_save_meta_refuses_weights_beyond_f32_and_bad_layouts(tmp_path):
+    path = tmp_path / "init.meta"
+    big = _f32_meta()
+    big.theta0[1].W[0, 0] = 1e39
+    with pytest.raises(ValueError, match="finite once rounded to f32"):
+        save_meta(big, path)
+    mixed = _f32_meta()
+    mixed.theta0[1] = HeadParams("linear", W=np.zeros((3, 5)), b=np.zeros(3))
+    with pytest.raises(ValueError, match="must share their kind"):
+        save_meta(mixed, path)
+    empty = MetaInit([HeadParams("linear", W=np.zeros((3, 0)), b=np.zeros(3))])
+    with pytest.raises(ValueError, match="dim >= 1"):
+        save_meta(empty, path)
+    assert not path.exists()
+
+
+def _f32_or_inf(value: float) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.float32(value))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    inner_lr=st.floats(5e-324, 1e300) | st.sampled_from([1e-45, 7e-46, 3.4028235e38, 3.5e38]),
+    outer_lr=st.floats(0.0, 1e300) | st.sampled_from([0.0, 1e-50, 3.4028235e38, 3.5e38]),
+    inner_steps=st.integers(0, 2**33),
+    tasks=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40]),
+    weight=st.sampled_from([0.25, -3.4e38, 3.4028235e38, 3.5e38, 1e39]),
+    kind=st.sampled_from(["linear", "cosine"]),
+)
+def test_a_written_meta_file_always_loads(inner_lr, outer_lr, inner_steps, tasks, weight, kind):
+    mi = _f32_meta(kind=kind)
+    mi.theta0[0].W[1, 2] = weight
+    mi = MetaInit(mi.theta0, inner_lr, inner_steps, outer_lr, tasks)
+    f32_inner, f32_outer = _f32_or_inf(inner_lr), _f32_or_inf(outer_lr)
+    storable = (
+        0.0 < f32_inner < math.inf and f32_outer < math.inf
+        and inner_steps < 2**32 and tasks < 2**32 and abs(_f32_or_inf(weight)) < math.inf
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "init.meta"
+        if not storable:
+            with pytest.raises(ValueError):
+                save_meta(mi, path)
+            assert not path.exists()
+            return
+        save_meta(mi, path)
+        back = load_meta(path)
+    assert (back.inner_lr, back.outer_lr) == (f32_inner, f32_outer)
+    assert (back.inner_steps, back.tasks) == (inner_steps, tasks)
+    for a, b in zip(back.theta0, mi.theta0):
+        assert np.array_equal(a.W, b.W.astype(np.float32))

@@ -78,21 +78,53 @@ def test_cosine_similarity_examples():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_normalize_rows_equals_literal_form(lead, width, log_scale, zero_share, seed):
-    # the same values as np.linalg.norm plus divide-where, zero rows (and rows
-    # whose squared norm underflows to 0) staying zero; width-1 rows whose
-    # square is a normal float come out exactly +-1
+    # the same values as np.linalg.norm plus divide-where wherever that form
+    # is exact: on zero rows, which stay zero, and on rows whose nonzero
+    # squares are all normal floats (smaller squares lose bits, and such rows
+    # are rescaled instead); width-1 rows whose square is a normal float come
+    # out exactly +-1
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((*lead, width)) * 10.0**log_scale
     m[rng.random(lead) < zero_share] = 0.0
-    expected = reference_unit_rows(m)
+    exact = ((m * m >= np.finfo(float).tiny) | (m == 0.0)).all(axis=-1)
+    expected = reference_unit_rows(m)[exact]
     U, d = normalize_rows_with_divisors(m)
-    assert np.array_equal(normalize_rows(m), expected)
-    assert np.array_equal(U, expected)
+    assert np.array_equal(normalize_rows(m)[exact], expected)
+    assert np.array_equal(U[exact], expected)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    assert np.array_equal(d, np.where(norms > 0.0, norms, np.inf))
+    assert np.array_equal(d[exact], np.where(norms > 0.0, norms, np.inf)[exact])
     if width == 1:
         normal = m * m >= np.finfo(float).tiny
         assert np.array_equal(np.abs(U[normal]), np.ones(normal.sum()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    width=st.integers(1, 8),
+    log_scale=st.floats(-324.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normalize_rows_every_nonzero_row_is_unit(width, log_scale, seed):
+    # down to subnormal entries (5e-324), whose squares underflow to 0
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3, width)) * 10.0**log_scale
+    m[0, 0] = 5e-324
+    m[1] = 0.0
+    nonzero = (m != 0.0).any(axis=-1)
+    U, d = normalize_rows_with_divisors(m)
+    assert np.array_equal(normalize_rows(m), U)
+    assert np.all(np.abs(np.linalg.norm(U[nonzero], axis=-1) - 1.0) <= 1e-15)
+    assert np.array_equal(U[~nonzero], np.zeros_like(U[~nonzero]))
+    # the divisors are the row norms (rounded where those are subnormal)
+    assert np.all(np.isinf(d[~nonzero])) and np.all(d[nonzero] > 0.0)
+    assert np.allclose(U[nonzero] * d[nonzero], m[nonzero], rtol=1e-15, atol=1e-320)
+
+
+def test_normalize_rows_tiny_rows_come_out_unit():
+    tiny = np.array([[1e-162], [-5e-324], [3e-160]])
+    assert np.array_equal(normalize_rows(tiny), [[1.0], [-1.0], [1.0]])
+    U = normalize_rows(np.array([[5e-324, 5e-324], [3e-170, 4e-170]]))
+    assert np.allclose(U, [[0.5**0.5, 0.5**0.5], [0.6, 0.8]], rtol=0.0, atol=3e-16)
 
 
 def test_cosine_similarity_properties():

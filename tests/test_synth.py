@@ -26,7 +26,7 @@ from ifsl.synth import (
     sample_confounded_episode,
 )
 
-from conftest import reference_confounded_episode, reference_fit
+from conftest import check_sampled_episode, reference_confounded_episode, reference_fit
 
 SMALL = SynthConfig(
     dim=16,
@@ -175,6 +175,15 @@ def test_confounded_episode_rows_are_distinct(small_out):
         assert len(set(rows.tolist())) == rows.size
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+def test_confounded_episodes_keep_the_constructor_invariants(small_out, rate):
+    for i in range(20):
+        ep, _ = sample_confounded_episode(
+            small_out.novel, small_out.novel_strata, 3, 2, 4, rate, episode_rng(17, i)
+        )
+        check_sampled_episode(ep, small_out.novel, 3, 2, 4)
+
+
 def test_confounded_cell_deficit_error():
     # 2 strata and 4 samples per class leaves 2 per cell; one support plus
     # three matched queries needs 4 from a single cell
@@ -195,6 +204,11 @@ def test_confounded_episode_validation(small_out):
         sample_confounded_episode(small_out.novel, tags, 2, 1, 1, -0.1, episode_rng(0, 0))
     with pytest.raises(ValueError, match="at least 2 classes"):
         sample_confounded_episode(small_out.novel, tags, 1, 1, 1, 0.5, episode_rng(0, 0))
+    for shot, query in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="shot and query counts must be >= 1"):
+            sample_confounded_episode(
+                small_out.novel, tags, 2, shot, query, 0.5, episode_rng(0, 0)
+            )
     with pytest.raises(ValueError, match="at least 2 strata"):
         sample_confounded_episode(
             small_out.novel, np.zeros_like(tags), 2, 1, 1, 0.5, episode_rng(0, 0)
