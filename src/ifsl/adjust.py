@@ -6,20 +6,19 @@ Strategies
 ``feature``   the feature indices are split into n equal blocks; head i sees
               block i masked to its active entries, and the per-head softmax
               outputs are averaged under a uniform stratum prior.
-``class``     one head on x concatenated with the probability-weighted mean of
-              the pre-trained class means (the sum moved inside the head via
+``class``     one head on x - m * ctx: the feature with its knowledge-base
+              strata removed (the sum over strata moved inside the head via
               the normalized weighted geometric mean).
-``combined``  the feature-wise split applied on top of the class-wise context:
-              head i sees block i of x joined with block i of the context.
+``combined``  the feature-wise split of both terms: head i sees block i of
+              mask(x) - m * mask(ctx).
 
-The class-wise context is a proxy for the knowledge-base stratum of x, and a
-head that reads it as one more feature only adds stratum evidence to the
-conditional prediction. Fitted heads of the ``class`` and ``combined``
-strategies therefore tie their context weights to their feature weights,
-W_c = -m * W_x (see :attr:`Predictor.context_coupling`). Under the tie the
-stratum-d term of the backdoor sum scores x - m * P(a_d | x) * mean_d, the
-feature with the stratum's contribution removed, and the uniform-prior
-average over the m strata scores x - sum_d P(a_d | x) * mean_d.
+The class-wise context ctx = (1/m) sum_j P(a_j | x) * mean_j is a proxy for
+the knowledge-base stratum of x. Under the uniform prior the stratum-d term
+of the backdoor sum scores x - m * P(a_d | x) * mean_d, and the m terms
+average to x - m * ctx, so the stratum is adjusted for rather than read as
+evidence for a class. A head U on x - m * ctx is the head [U, -m * U] on
+[x, ctx], whose L2 penalty is (1 + m^2) |U|^2: fitted heads of these
+strategies scale their weight decay by :attr:`Predictor.weight_decay_scale`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .heads import HeadParams, logits_batch, mixture_probs
+from .heads import HEAD_KINDS, HeadParams, logits_batch, mixture_probs
 from .knowledge import KnowledgeBase, PartitionConfig, pretrain_probs
 from .numerics import as_rows, as_vector, softmax_rows
 
@@ -70,6 +69,8 @@ class Predictor:
             raise ValueError(f"need at least 2 classes, got {way}")
         if dim < 1:
             raise ValueError(f"feature dimension must be positive, got {dim}")
+        if head_kind not in HEAD_KINDS:
+            raise ValueError(f"unknown head kind {head_kind!r}, expected one of {HEAD_KINDS}")
         if cfg.strategy in ("class", "combined") and kb is None:
             raise ValueError(f"strategy {cfg.strategy!r} requires a knowledge base")
         if kb is not None and kb.dim != dim:
@@ -81,34 +82,34 @@ class Predictor:
         self.dim = dim
         self.way = way
         self.head_kind = head_kind
-        # Fitted heads keep W_c = context_coupling * W_x; None when heads see no context.
-        self.context_coupling = -float(kb.m) if cfg.strategy in ("class", "combined") else None
-        if cfg.strategy == "none":
+        # Always None: heads read the context folded into their input. Kept
+        # for the benchmark's traced replicas, which pass it to init_heads
+        # and sgd_step, until the benchmark's next change.
+        self.context_coupling = None
+        # x - m * ctx carries the weights [U, -m * U] on [x, ctx], whose penalty is (1 + m^2) |U|^2
+        self.weight_decay_scale = 1.0 + kb.m**2 if cfg.strategy in ("class", "combined") else 1.0
+        if cfg.strategy in ("none", "class"):
             self.n_heads, self.head_input_dim = 1, dim
-        elif cfg.strategy == "feature":
-            self.n_heads, self.head_input_dim = cfg.partition.n, dim // cfg.partition.n
-        elif cfg.strategy == "class":
-            self.n_heads, self.head_input_dim = 1, 2 * dim
         else:
-            self.n_heads, self.head_input_dim = cfg.partition.n, 2 * dim // cfg.partition.n
+            self.n_heads, self.head_input_dim = cfg.partition.n, dim // cfg.partition.n
 
     def support_inputs(self, X: np.ndarray) -> np.ndarray:
         """(..., n_heads, S, head_input_dim) stack of per-head input blocks for a
         (..., S, dim) feature array; ``blocks[i]`` of an (S, dim) matrix feeds head i.
 
         A feature stratum is a threshold mask and a reshape: block i of every
-        row, with entries at or below ``t`` in magnitude zeroed. Leading axes
-        (one per episode) are carried through, and each (S, dim) matrix gets
-        the numbers it would get on its own.
+        row, with entries at or below ``t`` in magnitude zeroed. ``class``
+        feeds x - m * ctx and ``combined`` block i of mask(x) - m * mask(ctx),
+        with ctx the :func:`class_context`. Leading axes (one per episode)
+        are carried through, and each (S, dim) matrix gets the numbers it
+        would get on its own.
         """
         X = as_rows(X, cols=self.dim)
         strategy = self.cfg.strategy
         if strategy == "none":
             return X[..., None, :, :]
-        if strategy in ("class", "combined"):
-            ctx = class_context(self.kb, X)
-            if strategy == "class":
-                return np.concatenate([X, ctx], axis=-1)[..., None, :, :]
+        if strategy == "class":
+            return (X - self.kb.m * class_context(self.kb, X))[..., None, :, :]
         n, t = self.cfg.partition.n, self.cfg.partition.t
 
         def strata(M: np.ndarray) -> np.ndarray:
@@ -116,7 +117,7 @@ class Predictor:
 
         blocks = strata(X)
         if strategy == "combined":
-            blocks = np.concatenate([blocks, strata(ctx)], axis=-1)
+            blocks -= self.kb.m * strata(class_context(self.kb, X))
         return np.ascontiguousarray(blocks.swapaxes(-2, -3))
 
     def validate_heads(self, heads: Sequence[HeadParams]) -> None:
@@ -143,25 +144,24 @@ class Predictor:
 
 
 def backdoor_exact_classwise(head: HeadParams, x, kb: KnowledgeBase) -> np.ndarray:
-    """Explicit class-stratum backdoor sum sum_d softmax(f(x + c_d)) P(d).
+    """Explicit class-stratum backdoor sum sum_d softmax(f(x - m * c_d)) P(d).
 
-    Stratum d contributes the concatenation of x with c_d = P(a_d | x) * mean_d
-    under the uniform prior P(d) = 1/m. The ``class`` strategy of
+    Stratum d contributes x with c_d = P(a_d | x) * mean_d removed, scaled by
+    m so that the strata average to the ``class`` input x - m * ctx, under
+    the uniform prior P(d) = 1/m. The ``class`` strategy of
     :class:`Predictor` moves the sum inside the head (NWGM). For linear heads
     the prior-weighted per-stratum logits equal the logits of the pooled
-    context exactly, but this function averages probabilities, so for m > 1 it
+    input exactly, but this function averages probabilities, so for m > 1 it
     agrees with ``Predictor.probs_batch`` only approximately (usually in the
     argmax); for m = 1 the two coincide.
     """
     v = as_vector(x, size=kb.dim)
-    if head.input_dim != 2 * kb.dim:
+    if head.input_dim != kb.dim:
         raise ValueError(
-            f"head input dimension {head.input_dim} does not match concatenated size {2 * kb.dim}"
+            f"head input dimension {head.input_dim} does not match the feature size {kb.dim}"
         )
     probs = pretrain_probs(kb, v[None, :])[0]
-    Z = np.concatenate(
-        [np.broadcast_to(v, kb.class_means.shape), probs[:, None] * kb.class_means], axis=1
-    )
+    Z = v - kb.m * probs[:, None] * kb.class_means
     return softmax_rows(logits_batch(head, Z)).mean(axis=0)
 
 

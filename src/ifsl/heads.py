@@ -3,9 +3,10 @@
 A predictor (see :mod:`ifsl.adjust`) turns a raw feature matrix into one input
 block per stratum head and averages the per-head softmax outputs. The loss fitted
 here is the negative log of that averaged probability, so gradients are taken
-through the mixture into every head. When the predictor names a context
-coupling c, each head input is [x-part, context-part] and the fitted weights
-stay on the tied subspace W = [U, c * U].
+through the mixture into every head. The class-wise context is already folded
+into the inputs of the ``class`` and ``combined`` strategies, so every
+strategy and kind fits, steps and starts the same way; only the weight decay
+is scaled by the predictor's ``weight_decay_scale``.
 
 The n heads of a predictor, for each of E episodes, are computed as one
 stack: weights W (E, n, K, P), linear biases b (E, n, K) and inputs
@@ -24,9 +25,9 @@ class is; a lone head skips it, since its responsibility is exp(0) = 1.
 
 One step is one core: a fit allocates a single :class:`_Workspace` (the
 logit/gradient buffer, the per-row vectors and the gradients) and every
-iteration writes into it, and :func:`stack_sgd_step` applies the context tie
-and the learning rate to those gradient buffers in place before stepping the
-weights. One loop, :func:`_fit_steps`, runs the iterations of every fit:
+iteration writes into it, and :func:`stack_sgd_step` applies the learning
+rate to those gradient buffers in place before stepping the weights. One
+loop, :func:`_fit_steps`, runs the iterations of every fit:
 those of :func:`fit_stack` (episode chunks and the knowledge-base fit) and
 those of each task that ``meta.meta_train`` adapts, whose workspaces are
 allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and the
@@ -250,8 +251,8 @@ class _Workspace:
     (E, n, K); and, for cosine heads, the unit rows, their divisors and a
     weight-shaped scratch. Each op of a step writes into one of these:
     reductions and ``take`` through ``out=``, elementwise ufuncs through their
-    third positional argument. Only the loss (when asked for), the cosine
-    zero-norm mask and the half-width tie in :func:`stack_sgd_step` allocate.
+    third positional argument. Only the loss (when asked for) and the cosine
+    zero-norm mask allocate.
     """
 
     def __init__(self, kind: str, shape: tuple[int, ...], rows: int, weight_decay: float):
@@ -354,28 +355,23 @@ class _Workspace:
             np.add(dW, np.multiply(W, self.weight_decay, self.tmp_W), dW)
 
 
-def tie_context(M: np.ndarray, coupling: float, out: np.ndarray | None = None) -> np.ndarray:
-    """[U, c * U] with U = M_x + c * M_c for a (..., K, 2h) array [M_x, M_c],
-    written into ``out`` when given (which may be ``M`` itself).
-
-    Applied to a gradient this is the chain rule of the tie W = [U, c * U]
-    expanded back to full width, so a step along it keeps a tied head tied.
-    Divided by 1 + c^2 it is the orthogonal projection onto the tied subspace.
-    """
-    half = M.shape[-1] // 2
-    U = M[..., :half] + coupling * M[..., half:]
-    return np.concatenate([U, coupling * U], axis=-1, out=out)
+def _no_coupling(coupling) -> None:
+    """Reject a context coupling: the context is folded into the head inputs.
+    ``init_heads`` and ``sgd_step`` keep the parameter only for the benchmark's
+    traced replicas, which pass ``Predictor.context_coupling`` (always None)."""
+    if coupling is not None:
+        raise ValueError(
+            f"context coupling {coupling!r} is not supported; "
+            "the class-wise context is folded into the head inputs"
+        )
 
 
 def stack_sgd_step(
     W: np.ndarray, b: np.ndarray | None, dW: np.ndarray, db: np.ndarray | None,
-    learning_rate: float, coupling: float | None = None,
+    learning_rate: float,
 ) -> None:
-    """In-place step W -= lr * dW, b -= lr * db on a stack; with a coupling the
-    weights move on the tied subspace. ``dW``/``db`` serve as scratch: the tie
-    and the learning rate are applied to them in place."""
-    if coupling is not None:
-        tie_context(dW, coupling, out=dW)
+    """In-place step W -= lr * dW, b -= lr * db on a stack. ``dW``/``db``
+    serve as scratch: the learning rate is applied to them in place."""
     np.subtract(W, np.multiply(dW, learning_rate, dW), W)
     if b is not None:
         np.subtract(b, np.multiply(db, learning_rate, db), b)
@@ -453,11 +449,12 @@ def sgd_step(
     learning_rate: float,
     coupling: float | None = None,
 ) -> None:
-    """In-place gradient step; with a coupling the weights move on the tied
-    subspace. ``grads`` is left as it is."""
+    """In-place gradient step; ``grads`` is left as it is. ``coupling`` must
+    be None (see :func:`_no_coupling`)."""
+    _no_coupling(coupling)
     _, W, b = stack_heads(heads)
     db = None if grads.b is None else np.array(grads.b, dtype=np.float64)
-    stack_sgd_step(W, b, np.array(grads.W, dtype=np.float64), db, learning_rate, coupling)
+    stack_sgd_step(W, b, np.array(grads.W, dtype=np.float64), db, learning_rate)
     for i, h in enumerate(heads):  # write the stepped stack back into the heads
         h.W[...] = W[i]
         if b is not None:
@@ -492,7 +489,6 @@ def init_stack(
     way: int,
     support_inputs: np.ndarray,
     labels: np.ndarray,
-    coupling: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Fresh stacked ``(W, b)`` for E episodes on (E, n, S, P) support inputs with (E, S) labels.
 
@@ -511,7 +507,7 @@ def init_stack(
     cents = np.stack([_class_means(Z[e], labels[e], way) for e in range(E)])
     if kind == "centroid":
         return cents, None
-    return normalize_rows(cents if coupling is None else tie_context(cents, coupling)), None
+    return normalize_rows(cents), None
 
 
 def init_heads(
@@ -525,15 +521,15 @@ def init_heads(
 
     Linear heads start at zero. Cosine heads start from the per-class support
     centroids rescaled to unit rows, since a zero cosine row scores 0 and is
-    never updated; with a context coupling the centroids are first projected
-    onto the tied subspace. Centroid heads are non-parametric and ignore the
-    coupling.
+    never updated. Centroid heads are the per-class support centroids.
+    ``coupling`` must be None (see :func:`_no_coupling`).
     """
+    _no_coupling(coupling)
     Z = np.asarray(support_inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 3 or labels.shape != (Z.shape[1],):
         raise ValueError("need (S, P) input blocks with one label per row")
-    W, b = init_stack(kind, way, Z[None], labels[None], coupling)
+    W, b = init_stack(kind, way, Z[None], labels[None])
     return _unstack_heads(kind, W[0], None if b is None else b[0])
 
 
@@ -571,8 +567,9 @@ def fit_stack(
     depend on the other episodes of the stack. ``init``, an ``(n, K, P)``
     weight stack and its ``(n, K)`` biases (or None), is every episode's
     start; fresh heads start as in :func:`init_stack`. ``loss_callback``
-    gets each iteration's (E,) losses. The set-up (stratum inputs, start,
-    one workspace, label indices and mini-batch rows) is done here and the
+    gets each iteration's (E,) losses. The weight decay is scaled by
+    ``predictor.weight_decay_scale``. The set-up (stratum inputs, start, one
+    workspace, label indices and mini-batch rows) is done here and the
     iterations run in :func:`_fit_steps`. See :func:`fit_head`.
     """
     kind = predictor.head_kind
@@ -586,15 +583,15 @@ def fit_stack(
     if S == 0:
         raise ValueError("support set is empty")
     _check_labels(y, predictor.way)
-    coupling = predictor.context_coupling
     if init is None:
-        W, b = init_stack(kind, predictor.way, Z, y, coupling)
+        W, b = init_stack(kind, predictor.way, Z, y)
     else:
         W, b = (None if a is None else np.repeat(np.asarray(a, dtype=np.float64)[None], E, axis=0)
                 for a in init)
     V = _stack_inputs(kind, Z, W.shape[-1], ndim=4)
     K = W.shape[2]
-    ws = _Workspace(kind, W.shape, S if cfg.batch_size is None else cfg.batch_size, cfg.weight_decay)
+    weight_decay = cfg.weight_decay * predictor.weight_decay_scale
+    ws = _Workspace(kind, W.shape, S if cfg.batch_size is None else cfg.batch_size, weight_decay)
     if cfg.batch_size is None:
         batches = repeat((V, _label_index(y, n, K)), cfg.iterations)
     else:
@@ -608,7 +605,7 @@ def fit_stack(
         batches = (
             (flat.take(r, axis=0, out=buf, mode="clip"), a) for r, a in zip(at_rows, at_labels)
         )
-    _fit_steps(ws, W, b, batches, cfg.learning_rate, coupling, loss_callback)
+    _fit_steps(ws, W, b, batches, cfg.learning_rate, loss_callback)
     return W, b
 
 
@@ -618,7 +615,6 @@ def _fit_steps(
     b: np.ndarray | None,
     batches: Iterable[tuple[np.ndarray, np.ndarray]],
     learning_rate: float,
-    coupling: float | None,
     loss_callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> None:
     """The fitting loop: one SGD step of ``W``/``b`` in place, through the
@@ -628,7 +624,7 @@ def _fit_steps(
     """
     for it, (batch, at_label) in enumerate(batches):
         loss = ws.grads(W, b, batch, at_label, with_loss=loss_callback is not None)
-        stack_sgd_step(W, b, ws.dW, ws.db, learning_rate, coupling)
+        stack_sgd_step(W, b, ws.dW, ws.db, learning_rate)
         if loss_callback is not None:
             loss_callback(it, loss)
 
@@ -647,11 +643,8 @@ def fit_head(
     flow through the probability mixture into every head. This is the
     one-episode case of :func:`fit_stack`: all heads step together as one
     (1, n, K, P) stack, and a mini-batch is one index into the (1, n, S, P)
-    input stack. When the predictor has a context coupling c, every step
-    keeps W_c = c * W_x, so the heads score the feature with its
-    knowledge-base stratum removed instead of reading the stratum as
-    evidence. Fresh heads start on that subspace; a supplied ``init`` is used
-    as given. Deterministic for a fixed ``cfg.seed``.
+    input stack. Fresh heads start as in :func:`init_stack`; a supplied
+    ``init`` is used as given. Deterministic for a fixed ``cfg.seed``.
     """
     X = as_matrix(support_x)
     y = np.asarray(support_y, dtype=np.int64)

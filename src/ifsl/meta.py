@@ -12,7 +12,8 @@ the fitting loop of :func:`~ifsl.heads.fit_stack`. It builds
 :class:`~ifsl.heads.HeadParams` only for the result. Held-out evaluation
 fits its tasks in stacks of the same chunk size with
 :func:`~ifsl.heads.fit_stack`. :func:`save_meta` refuses, before it opens
-the file, any initialization that :func:`load_meta` would reject.
+the file, any initialization that :func:`load_meta` would reject. A head
+is ``head_input_dim`` wide; an init of another width is refused, not misread.
 """
 
 from __future__ import annotations
@@ -130,13 +131,12 @@ def meta_train(
     """Run ``mi.tasks`` meta-iterations and return the updated initialization.
 
     Each task is a fresh episode; the initialization moves by ``outer_lr``
-    times the query-loss gradient at the task-adapted parameters, on the
-    tied subspace when the predictor couples a context. Tasks are drawn from
-    ``rng`` one after another, in chunks of the episode engine's chunk size:
-    each chunk's support and query rows get their stratum inputs in one
-    call each, and then its tasks adapt and step in turn. Every task adapts
-    through the same full-batch loop as :func:`~ifsl.heads.fit_stack`, in
-    one inner and one outer workspace allocated once per call. The result
+    times the query-loss gradient at the task-adapted parameters. Tasks are
+    drawn from ``rng`` one after another, in chunks of the episode engine's
+    chunk size: each chunk's support and query rows get their stratum inputs
+    in one call each, and then its tasks adapt and step in turn. Every task
+    adapts through the same full-batch loop as :func:`~ifsl.heads.fit_stack`,
+    in one inner and one outer workspace allocated once per call. The result
     is the same bits as :func:`adapt`, ``mixture_loss_and_grads`` and
     ``sgd_step`` task by task, and k calls that share one rng equal one call
     with their tasks added up. With ``outer_lr=0`` the initialization is
@@ -148,7 +148,6 @@ def meta_train(
     predictor.validate_heads(mi.theta0)
     _, W, b = stack_heads(mi.theta0)
     n, K, P = W.shape
-    coupling = predictor.context_coupling
     # one task's adapted copy, workspaces and label indices serve every task;
     # sample_episode labels each episode's rows 0..way-1 in class order
     W_task = np.empty((1, n, K, P))
@@ -170,10 +169,10 @@ def meta_train(
             if b is not None:
                 b_task[0] = b
             batches = repeat((support[t : t + 1], at_support), mi.inner_steps)
-            _fit_steps(inner, W_task, b_task, batches, mi.inner_lr, coupling)
+            _fit_steps(inner, W_task, b_task, batches, mi.inner_lr)
             outer.grads(W_task, b_task, queries[t : t + 1], at_query, with_loss=False)
             db = None if b is None else outer.db[0]
-            stack_sgd_step(W, b, outer.dW[0], db, mi.outer_lr, coupling)
+            stack_sgd_step(W, b, outer.dW[0], db, mi.outer_lr)
     return replace_theta(mi, _unstack_heads(kind, W, b))
 
 

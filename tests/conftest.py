@@ -91,7 +91,9 @@ def reference_inputs(predictor, x) -> list:
 
     Block i of a vector keeps the entries whose magnitude exceeds the
     threshold t and zeroes the rest; the class-wise context is
-    (1/m) sum_j P(a_j | x) * mean_j with P the pre-trained softmax.
+    ctx = (1/m) sum_j P(a_j | x) * mean_j with P the pre-trained softmax.
+    ``class`` reads x - m * ctx and ``combined`` block i of x minus m times
+    block i of ctx, each block masked on its own.
     """
     x = np.asarray(x, dtype=np.float64)
     strategy = predictor.cfg.strategy
@@ -103,7 +105,7 @@ def reference_inputs(predictor, x) -> list:
     if strategy == "none":
         return [x]
     if strategy == "class":
-        return [np.concatenate([x, ctx])]
+        return [x - kb.m * ctx]
     n, t = predictor.cfg.partition.n, predictor.cfg.partition.t
     width = x.size // n
 
@@ -116,7 +118,7 @@ def reference_inputs(predictor, x) -> list:
 
     if strategy == "feature":
         return [stratum(x, i) for i in range(n)]
-    return [np.concatenate([stratum(x, i), stratum(ctx, i)]) for i in range(n)]
+    return [stratum(x, i) - kb.m * stratum(ctx, i) for i in range(n)]
 
 
 def check_sampled_episode(ep, ds, way, shot, query):
@@ -226,13 +228,9 @@ def reference_mixture(heads, blocks, labels, weight_decay):
     return loss, grads
 
 
-def reference_step(heads, grads, learning_rate, coupling) -> None:
-    """In-place SGD step head by head, on the tied subspace when coupled."""
+def reference_step(heads, grads, learning_rate) -> None:
+    """In-place SGD step head by head."""
     for h, (dW, db) in zip(heads, grads):
-        if coupling is not None:
-            half = dW.shape[1] // 2
-            U = dW[:, :half] + coupling * dW[:, half:]
-            dW = np.concatenate([U, coupling * U], axis=1)
         h.W -= learning_rate * dW
         if db is not None:
             h.b -= learning_rate * db
@@ -266,15 +264,18 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
     """``fit_head`` written head by head: per-head inputs, logits, gradients and steps.
 
     Fresh heads start as in ``init_heads``: linear at zero, cosine at the
-    per-class support centroids (projected onto the tied subspace when
-    coupled) with unit rows. Mini-batches come from a :class:`ReferenceCycler`
-    seeded with ``cfg.seed``.
+    per-class support centroids with unit rows. Mini-batches come from a
+    :class:`ReferenceCycler` seeded with ``cfg.seed``. A ``class`` or
+    ``combined`` head U on x - m * ctx is the head [U, -m * U] on [x, ctx],
+    so its weight decay is ``cfg.weight_decay`` times 1 + m^2.
     """
     X = np.asarray(support_x, dtype=np.float64)
     y = np.asarray(support_y)
     per_row = [reference_inputs(predictor, x) for x in X]
     blocks = [np.stack([row[i] for row in per_row]) for i in range(predictor.n_heads)]
-    coupling = predictor.context_coupling
+    weight_decay = cfg.weight_decay
+    if predictor.cfg.strategy in ("class", "combined"):
+        weight_decay *= 1 + predictor.kb.m**2
     if init is not None:
         heads = [h.copy() for h in init]
     else:
@@ -285,10 +286,6 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
                 heads.append(HeadParams("linear", W=np.zeros((way, width)), b=np.zeros(way)))
                 continue
             cents = np.stack([Z[y == k].mean(axis=0) for k in range(way)])
-            if coupling is not None:
-                half = cents.shape[1] // 2
-                U = cents[:, :half] + coupling * cents[:, half:]
-                cents = np.concatenate([U, coupling * U], axis=1)
             heads.append(HeadParams("cosine", W=reference_unit_rows(cents)))
     cycler = ReferenceCycler(X.shape[0], np.random.default_rng(cfg.seed))
     for _ in range(cfg.iterations):
@@ -297,8 +294,8 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
         else:
             idx = cycler.take(cfg.batch_size)
             batch, labels = [Z[idx] for Z in blocks], y[idx]
-        _, grads = reference_mixture(heads, batch, labels, cfg.weight_decay)
-        reference_step(heads, grads, cfg.learning_rate, coupling)
+        _, grads = reference_mixture(heads, batch, labels, weight_decay)
+        reference_step(heads, grads, cfg.learning_rate)
     return heads
 
 

@@ -129,7 +129,7 @@ def test_criterion_04_adjustment_collapses():
         AdjustmentConfig("combined", partition=PartitionConfig(n=1, t=0.0)), kb1, 16, 3, "linear"
     )
     heads_n = _random_heads("linear", 1, 3, 16, rng)
-    heads_c = _random_heads("linear", 1, 3, 32, rng)
+    heads_c = _random_heads("linear", 1, 3, cls.head_input_dim, rng)
     X = np.stack([rng.standard_normal(16) * rng.uniform(0.5, 3.0) for _ in range(200)])
     worst_feat = float(np.max(np.abs(base.probs_batch(heads_n, X) - feat.probs_batch(heads_n, X))))
     worst_comb = float(np.max(np.abs(cls.probs_batch(heads_c, X) - comb.probs_batch(heads_c, X))))

@@ -170,7 +170,7 @@ def _probe_heads(predictor, seed=0):
 
 @pytest.mark.parametrize(
     "strategy,n_heads,in_dim",
-    [("none", 1, 16), ("feature", 4, 4), ("class", 1, 32), ("combined", 4, 8)],
+    [("none", 1, 16), ("feature", 4, 4), ("class", 1, 16), ("combined", 4, 4)],
 )
 def test_predictor_head_geometry(strategy, n_heads, in_dim, kb16):
     cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=4, t=1e-3))
@@ -209,6 +209,13 @@ def test_predictor_validates_head_shapes(kb16):
     wrong_dim = [HeadParams("linear", W=np.zeros((3, 5)), b=np.zeros(3)) for _ in range(4)]
     with pytest.raises(ValueError, match="input dim"):
         p.probs_batch(wrong_dim, np.zeros((1, 16)))
+
+
+def test_predictor_rejects_unknown_head_kind(kb16):
+    with pytest.raises(ValueError, match=r"unknown head kind 'bogus', expected one of \('linear'"):
+        Predictor(AdjustmentConfig("none"), None, 16, 3, "bogus")
+    with pytest.raises(ValueError, match="unknown head kind"):
+        Predictor(AdjustmentConfig("class"), kb16, 16, 3, "Linear")
 
 
 def test_predictor_requires_kb_when_strategy_uses_it():
@@ -257,9 +264,10 @@ def test_classwise_single_class_context_is_that_mean():
     kb1 = make_kb(m=1, dim=16, seed=12)
     p = Predictor(AdjustmentConfig("class"), kb1, 16, 3, "linear")
     x = np.random.default_rng(13).standard_normal(16)
+    # with one class the context is that class's mean, and the head reads x without it
     (ctx_input,) = p.support_inputs(x[None, :])
-    assert np.allclose(ctx_input[0, 16:], kb1.class_means[0], atol=1e-15)
-    assert np.array_equal(ctx_input[0, :16], x)
+    assert ctx_input.shape == (1, 16)
+    assert np.allclose(ctx_input[0], x - kb1.class_means[0], rtol=0.0, atol=1e-15)
 
 
 # --- exact averaging -------------------------------------------------------------------
@@ -302,11 +310,7 @@ def test_backdoor_exact_classwise_symmetric_two_strata():
         pre_weights=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         pre_bias=np.zeros(2),
     )
-    head = HeadParams(
-        "linear",
-        W=np.array([[1.0, 0.0, 1.0, 0.0], [-1.0, 0.0, -1.0, 0.0]]),
-        b=np.zeros(2),
-    )
+    head = HeadParams("linear", W=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.zeros(2))
     out = backdoor_exact_classwise(head, np.array([0.0, 2.0]), kb)
     assert out[0] == pytest.approx(0.5, abs=1e-12)
     assert out[1] == pytest.approx(0.5, abs=1e-12)
@@ -413,9 +417,11 @@ def test_support_inputs_property_matches_per_row_reference(strategy, n, width, m
     p = Predictor(cfg, kb, dim, 2, "linear")
     blocks = p.support_inputs(X)
     assert len(blocks) == p.n_heads
-    half = p.head_input_dim // 2 if strategy in ("class", "combined") else p.head_input_dim
     for r, x in enumerate(X):
         for Z, ref in zip(blocks, reference_inputs(p, x)):
-            assert np.array_equal(Z[r] != 0.0, ref != 0.0)
-            assert np.array_equal(Z[r, :half], ref[:half])
-            assert np.allclose(Z[r, half:], ref[half:], rtol=0.0, atol=1e-12)
+            if strategy in ("none", "feature"):
+                assert np.array_equal(Z[r], ref)
+            else:
+                # the batched context changes only the matmul's summation order;
+                # an entry masked wrongly would be off by at least m * t
+                assert np.allclose(Z[r], ref, rtol=0.0, atol=1e-12)

@@ -163,6 +163,13 @@ def test_run_episode_label_permutation_equivariance(ds, kb):
     assert res.accuracy == res_p.accuracy
 
 
+def test_run_episode_rejects_unknown_head_kind(ds, kb):
+    # named as an unknown kind, not as a non-parametric one with nothing to fit
+    ep = sample_episode(ds, 2, 1, 1, episode_rng(6, 0))
+    with pytest.raises(ValueError, match=r"unknown head kind 'bogus', expected one of"):
+        run_episode(ep, "bogus", AdjustmentConfig("none"), FitConfig(), kb)
+
+
 def test_run_episode_kb_dim_mismatch(ds):
     ep = sample_episode(ds, 2, 1, 1, episode_rng(6, 0))
     with pytest.raises(ValueError, match="does not match episode"):

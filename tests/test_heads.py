@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsl.adjust import AdjustmentConfig, Predictor, class_context
+from ifsl.adjust import STRATEGIES, AdjustmentConfig, Predictor, class_context
 from ifsl.heads import (
     FitConfig,
     HeadParams,
@@ -23,7 +23,7 @@ from ifsl.heads import (
     mixture_loss_and_grads,
     sgd_step,
     stack_loss_and_grads,
-    tie_context,
+    stack_probs,
 )
 from ifsl.knowledge import PartitionConfig
 from ifsl.numerics import normalize_rows, softmax_rows
@@ -612,7 +612,7 @@ def test_fits_leave_init_unchanged(kind):
 
 
 def test_sgd_step_leaves_grads_unchanged():
-    # the tie and the learning rate are applied to the step's own copy of the grads
+    # the learning rate is applied to the step's own copy of the grads
     kb = make_kb(m=3, dim=8, seed=54)
     predictor = Predictor(AdjustmentConfig("class"), kb, 8, 3, "linear")
     rng = np.random.default_rng(55)
@@ -622,9 +622,22 @@ def test_sgd_step_leaves_grads_unchanged():
     _, grads = mixture_loss_and_grads(heads, predictor.support_inputs(X), y, 1e-3)
     dW, db = grads.W.copy(), grads.b.copy()
     W0 = heads[0].W.copy()
-    sgd_step(heads, grads, 0.1, predictor.context_coupling)
+    sgd_step(heads, grads, 0.1)
     assert np.array_equal(grads.W, dW) and np.array_equal(grads.b, db)
     assert not np.array_equal(heads[0].W, W0)
+
+
+@pytest.mark.parametrize("coupling", [-3.0, 0.0])
+def test_list_calls_reject_a_context_coupling(coupling):
+    # the context is folded into the head inputs; only None is accepted
+    heads = [HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))]
+    grads = mixture_loss_and_grads(heads, np.ones((1, 2, 3)), np.array([0, 1]))[1]
+    with pytest.raises(ValueError, match="coupling"):
+        sgd_step(heads, grads, 0.1, coupling)
+    with pytest.raises(ValueError, match="coupling"):
+        init_heads("linear", 2, np.ones((1, 2, 3)), np.array([0, 1]), coupling)
+    init_heads("linear", 2, np.ones((1, 2, 3)), np.array([0, 1]), None)
+    sgd_step(heads, grads, 0.1, None)
 
 
 @pytest.mark.parametrize("strategy", ["none", "feature", "class", "combined"])
@@ -645,59 +658,127 @@ def test_support_inputs_match_per_sample_reference(strategy):
             assert np.array_equal(Z, reference)
 
 
-def test_tie_context_chain_rule_and_projection():
-    rng = np.random.default_rng(32)
-    M = rng.standard_normal((3, 8))
-    c = -4.0
-    tied = tie_context(M, c)
-    assert np.array_equal(tied[:, 4:], c * tied[:, :4])
-    # dividing by 1 + c^2 projects orthogonally: idempotent, residual orthogonal
-    proj = tied / (1.0 + c * c)
-    assert np.allclose(tie_context(proj, c) / (1.0 + c * c), proj, atol=1e-12)
-    assert abs(float(np.sum((M - proj) * proj))) < 1e-12
+def _tied_inputs(predictor, X):
+    """(n, B, 2w) concatenated inputs of the tied design: [x, ctx] for
+    ``class``, block i of [mask(x), mask(ctx)] for ``combined``."""
+    ctx = class_context(predictor.kb, X)
+    if predictor.cfg.strategy == "class":
+        return np.concatenate([X, ctx], axis=-1)[None]
+    n, t = predictor.cfg.partition.n, predictor.cfg.partition.t
+
+    def strata(M):
+        return np.where(np.abs(M) > t, M, 0.0).reshape(len(M), n, -1).swapaxes(0, 1)
+
+    return np.concatenate([strata(X), strata(ctx)], axis=-1)
+
+
+def _tied_fit(predictor, X, y, cfg):
+    """Linear heads W = [U, -m * U] on the concatenated inputs, from zero: each
+    step's gradient goes through the tie, dU = dW_x - m * dW_c, and the
+    weights move by lr * [dU, -m * dU] under the unscaled weight decay."""
+    Z, m = _tied_inputs(predictor, X), predictor.kb.m
+    n, S, P = Z.shape
+    W, b = np.zeros((n, predictor.way, P)), np.zeros((n, predictor.way))
+    if cfg.batch_size is None:
+        rows = np.tile(np.arange(S), (cfg.iterations, 1))
+    else:
+        rows = batch_rows(S, cfg.iterations, cfg.batch_size, cfg.seed)
+    for r in rows:
+        _, dW, db = stack_loss_and_grads(
+            "linear", W[None], b[None], Z[None][:, :, r], y[None, r], cfg.weight_decay
+        )
+        dU = dW[0, ..., : P // 2] - m * dW[0, ..., P // 2 :]
+        W -= cfg.learning_rate * np.concatenate([dU, -m * dU], axis=-1)
+        b -= cfg.learning_rate * db[0]
+    return W, b
+
+
+@pytest.mark.parametrize("strategy", ["class", "combined"])
+@pytest.mark.parametrize("batch_size", [4, None])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_folded_fit_matches_tied_oracle(default_synth, strategy, batch_size, weight_decay):
+    # a head U on x - m * ctx, with its weight decay scaled by 1 + m^2, takes
+    # the SGD path of the tied head [U, -m * U] on [x, ctx]
+    novel, tags, kb = default_synth.novel, default_synth.novel_strata, default_synth.kb
+    adj = AdjustmentConfig(strategy, partition=PartitionConfig(n=8, t=1e-3))
+    predictor = Predictor(adj, kb, novel.dim, 5, "linear")
+    worst, flips, largest = 0.0, 0, 0.0
+    for e in range(3):
+        ep, _ = sample_confounded_episode(novel, tags, 5, 1, 15, 1.0, np.random.default_rng(80 + e))
+        cfg = FitConfig(batch_size=batch_size, learning_rate=5e-3, weight_decay=weight_decay, seed=e)
+        heads = fit_head(ep.support_x, ep.support_y, predictor, cfg)
+        W, b = _tied_fit(predictor, ep.support_x, ep.support_y, cfg)
+        U = np.stack([h.W for h in heads])
+        assert U.shape[-1] == W.shape[-1] // 2 == predictor.head_input_dim
+        worst = max(
+            worst,
+            float(np.abs(U - W[..., : U.shape[-1]]).max()),
+            float(np.abs(np.stack([h.b for h in heads]) - b).max()),
+        )
+        largest = max(largest, float(np.abs(U).max()))
+        predicted = predictor.probs_batch(heads, ep.query_x).argmax(axis=1)
+        tied = stack_probs("linear", W[None], b[None], _tied_inputs(predictor, ep.query_x)[None])
+        flips += int(np.sum(predicted != tied[0].argmax(axis=1)))
+    assert largest > 1e-3
+    assert worst <= 1e-15
+    assert flips == 0
 
 
 @pytest.mark.parametrize("strategy", ["class", "combined"])
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
 def test_fitted_context_weights_are_tied(strategy, kind):
+    # a fitted head U on the folded input is the tied head [U, -m * U] on the
+    # concatenated input: the same linear logits, and for a cosine head the
+    # same class ranking, since the two differ by a positive factor per row
     kb = make_kb(m=3, dim=8, seed=33)
     cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=2, t=1e-3))
     predictor = Predictor(cfg, kb, 8, 3, kind)
-    assert predictor.context_coupling == -3.0
     rng = np.random.default_rng(34)
     X = rng.standard_normal((6, 8)) + 0.2
     y = np.array([0, 0, 1, 1, 2, 2])
     heads = fit_head(X, y, predictor, FitConfig(iterations=30, learning_rate=0.05))
-    for h in heads:
-        half = h.input_dim // 2
-        assert np.allclose(h.W[:, half:], -3.0 * h.W[:, :half], rtol=1e-12, atol=1e-14)
+    Q = rng.standard_normal((40, 8))
+    for h, Z, C in zip(heads, predictor.support_inputs(Q), _tied_inputs(predictor, Q)):
         assert np.abs(h.W).max() > 0.0
+        tied = HeadParams(kind, W=np.concatenate([h.W, -3.0 * h.W], axis=1), b=h.b)
+        folded, concat = logits_batch(h, Z), logits_batch(tied, C)
+        if kind == "linear":
+            assert np.allclose(folded, concat, rtol=0.0, atol=1e-12)
+        else:
+            assert np.array_equal(folded.argmax(axis=1), concat.argmax(axis=1))
 
 
 def test_unadjusted_strategies_have_no_context_coupling():
+    # no strategy couples a context any more; the adjusted ones scale their
+    # weight decay by 1 + m^2 instead
     kb = make_kb(m=3, dim=8, seed=35)
-    for strategy in ("none", "feature"):
+    for strategy in STRATEGIES:
         cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=2, t=1e-3))
-        assert Predictor(cfg, kb, 8, 3, "linear").context_coupling is None
+        predictor = Predictor(cfg, kb, 8, 3, "linear")
+        assert predictor.context_coupling is None
+        adjusted = strategy in ("class", "combined")
+        assert predictor.weight_decay_scale == (10.0 if adjusted else 1.0)
 
 
 def test_tied_class_head_is_baseline_head_on_stratum_removed_feature():
-    # Under the tie a class-wise linear head scores x - m * ctx(x), so its
-    # SGD path equals a plain head's path on that feature. Weight decay is off
-    # because the tie scales the penalty on the shared weights by 1 + m^2.
+    # a class-wise linear head scores x - m * ctx(x) with the weight decay of
+    # the tied head [U, -m * U], (1 + m^2) times the setting, so its SGD path
+    # is a plain head's path on that feature under the scaled decay
     kb = make_kb(m=4, dim=8, seed=36)
     rng = np.random.default_rng(37)
     X = rng.standard_normal((10, 8))
     y = np.repeat(np.arange(5), 2)
-    fit = FitConfig(iterations=60, learning_rate=0.05, weight_decay=0.0, seed=5)
+    fit = FitConfig(iterations=60, learning_rate=0.05, weight_decay=1e-3, seed=5)
     cls = Predictor(AdjustmentConfig("class"), kb, 8, 5, "linear")
     (tied,) = fit_head(X, y, cls, fit)
     removed = X - kb.m * class_context(kb, X)
     base = Predictor(AdjustmentConfig("none"), None, 8, 5, "linear")
-    (plain,) = fit_head(removed, y, base, fit)
+    (plain,) = fit_head(removed, y, base, replace(fit, weight_decay=1e-3 * (1 + kb.m**2)))
+    (unscaled,) = fit_head(removed, y, base, fit)
     assert np.abs(plain.W).max() > 0.1
-    assert np.allclose(tied.W[:, :8], plain.W, rtol=0.0, atol=1e-10)
-    assert np.allclose(tied.b, plain.b, rtol=0.0, atol=1e-10)
+    assert np.array_equal(tied.W, plain.W)
+    assert np.array_equal(tied.b, plain.b)
+    assert not np.allclose(tied.W, unscaled.W, rtol=0.0, atol=1e-6)
     queries = rng.standard_normal((20, 8))
     q_removed = queries - kb.m * class_context(kb, queries)
     assert np.allclose(

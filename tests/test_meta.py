@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsl.adjust import AdjustmentConfig, Predictor
+from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.episodes import _CHUNK, episode_rng, sample_episode
 from ifsl.heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
 from ifsl.knowledge import FormatError, PartitionConfig
@@ -109,7 +109,8 @@ def test_adapt_matches_full_batch_fit(ds):
 
 
 def test_adapt_matches_full_batch_fit_with_tied_context(ds):
-    # class-wise heads step on the tied subspace in both routines
+    # class-wise heads read the context folded into their input in both
+    # routines, so they adapt as plain heads on x - m * ctx
     kb = make_kb(m=3, dim=8, seed=42)
     predictor = Predictor(AdjustmentConfig("class"), kb, ds.dim, 3, "linear")
     X = ds.features[:9]
@@ -123,7 +124,11 @@ def test_adapt_matches_full_batch_fit_with_tied_context(ds):
     )
     assert np.array_equal(adapted[0].W, fitted[0].W)
     assert np.array_equal(adapted[0].b, fitted[0].b)
-    assert np.allclose(adapted[0].W[:, 8:], -3.0 * adapted[0].W[:, :8], rtol=1e-12, atol=1e-14)
+    base = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
+    plain = adapt(theta, base, X - kb.m * class_context(kb, X), y, inner_lr=0.05, inner_steps=7)
+    assert np.abs(plain[0].W).max() > 0.0
+    assert np.array_equal(adapted[0].W, plain[0].W)
+    assert np.array_equal(adapted[0].b, plain[0].b)
 
 
 def test_adapt_zero_steps_returns_copy(ds):
@@ -201,7 +206,7 @@ def test_meta_train_matches_per_head_reference_loop(ds, strategy):
             for i in range(predictor.n_heads)
         ]
         _, grads = reference_mixture(adapted, blocks, ep.query_y, 0.0)
-        reference_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+        reference_step(theta, grads, mi.outer_lr)
     assert np.abs(trained.theta0[0].W).max() > 0.0
     for a, b in zip(trained.theta0, theta):
         assert np.allclose(a.W, b.W, rtol=0.0, atol=1e-12)
@@ -236,7 +241,7 @@ def test_meta_train_equals_list_api_loop(ds, strategy, kind, tmp_path):
         adapted = adapt(theta, predictor, ep.support_x, ep.support_y, mi.inner_lr, mi.inner_steps)
         blocks = predictor.support_inputs(ep.query_x)
         _, grads = mixture_loss_and_grads(adapted, blocks, ep.query_y, 0.0)
-        sgd_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+        sgd_step(theta, grads, mi.outer_lr)
     assert not np.array_equal(trained.theta0[0].W, mi.theta0[0].W)
     for a, b in zip(trained.theta0, theta):
         assert np.array_equal(a.W, b.W)
@@ -254,7 +259,7 @@ def _list_api_loop(ds, predictor, mi, rng, shot=1, query=4):
         adapted = adapt(theta, predictor, ep.support_x, ep.support_y, mi.inner_lr, mi.inner_steps)
         blocks = predictor.support_inputs(ep.query_x)
         _, grads = mixture_loss_and_grads(adapted, blocks, ep.query_y, 0.0)
-        sgd_step(theta, grads, mi.outer_lr, predictor.context_coupling)
+        sgd_step(theta, grads, mi.outer_lr)
     return theta
 
 
@@ -313,7 +318,7 @@ def test_meta_train_rejects_nan_written_after_construction(rows):
 
 @pytest.mark.parametrize("strategy", ["none", "class"])
 def test_adapt_leaves_theta_unchanged(ds, strategy):
-    # the fit steps its own copy; the gradient buffers it ties in place are its own
+    # the fit steps its own copy with its own gradient buffers
     kb = make_kb(m=3, dim=8, seed=47)
     predictor = Predictor(AdjustmentConfig(strategy), kb, ds.dim, 3, "linear")
     rng = np.random.default_rng(48)
@@ -423,6 +428,23 @@ def test_meta_file_size_matches_layout(tmp_path):
     path = tmp_path / "init.meta"
     save_meta(mi, path)
     assert path.stat().st_size == 40 + 4 * 3 * (2 * 5)
+
+
+@pytest.mark.parametrize("strategy", ["class", "combined"])
+def test_concatenated_width_init_is_rejected(ds, strategy, tmp_path):
+    # a class/combined file written when heads read [x, ctx] holds twice the
+    # folded width; it loads, and is refused wherever it would be used
+    kb = make_kb(m=3, dim=8, seed=42)
+    cfg = AdjustmentConfig(strategy, partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, "linear")
+    old = zero_meta_init(3, 2 * predictor.head_input_dim, predictor.n_heads, tasks=2)
+    save_meta(old, tmp_path / "old.meta")
+    loaded = load_meta(tmp_path / "old.meta")
+    match = f"head input dimension {2 * predictor.head_input_dim} does not match"
+    with pytest.raises(ValueError, match=match):
+        predictor.validate_heads(loaded.theta0)
+    with pytest.raises(ValueError, match=match):
+        meta_train(ds, 3, 1, 2, cfg, loaded, kb, np.random.default_rng(0))
 
 
 def test_load_meta_bad_magic(tmp_path):
