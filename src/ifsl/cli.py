@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,7 @@ from .evalmetrics import (
     mean_ci,
     with_bins,
 )
-from .synth import SynthConfig, gen_confounded, sample_confounded_episode
+from .synth import SynthConfig, _ConfoundedSampler, gen_confounded
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -323,8 +322,8 @@ def cmd_synth(args) -> int:
     adj_fit = FitConfig(args.iterations, args.batch_size, 5e-3 if args.lr is None else args.lr,
                         args.weight_decay, args.seed)
     _threads(args)  # validated for compatibility; episodes run serially
-    sample = partial(sample_confounded_episode, out.novel, out.novel_strata,
-                     args.way, args.shot, args.query, args.mismatch)
+    sample = _ConfoundedSampler(out.novel, out.novel_strata,
+                                args.way, args.shot, args.query, args.mismatch)
     arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
     (base_results, adj_results), _ = run_arms(sample, arms, out.kb, args.episodes, args.seed)
     base_rep = accuracy_report(base_results)

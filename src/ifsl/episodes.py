@@ -8,7 +8,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .heads import FitConfig, centroids_from_support, fit_stack, init_stack, stack_probs
+from .heads import FitConfig, _class_means, fit_stack, init_stack, stack_probs
 from .knowledge import FeatureDataset, KnowledgeBase, pretrain_logits
 from .evalmetrics import query_hardness
 from .numerics import as_matrix
@@ -152,13 +152,28 @@ def sample_episode(ds: FeatureDataset, way: int, shot: int, query: int, rng: np.
     )
 
 
+def _hardness(
+    support_x: np.ndarray, support_y: np.ndarray, query_x: np.ndarray, query_y: np.ndarray,
+    way: int, kb: KnowledgeBase,
+) -> np.ndarray:
+    """(E, Q) hardness of the queries of E episodes of one shape, from their
+    (E, S, dim)/(E, Q, dim) rows and (E, S)/(E, Q) labels, in one pass: the
+    pre-trained logits of every episode's ``[support; query]`` rows, the
+    per-class support profiles and the cosine softmax of
+    :func:`query_hardness`. Each episode gets the bits it gets on its own.
+    """
+    logits = pretrain_logits(kb, np.concatenate([support_x, query_x], axis=-2))
+    S = support_y.shape[-1]
+    profiles = _class_means(logits[:, :S], support_y, way)
+    return query_hardness(logits[:, S:], profiles, query_y)
+
+
 def episode_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
     """Hardness of every query: disagreement between its pre-trained response
     and the averaged pre-trained responses of its class's support samples."""
-    logits = pretrain_logits(kb, np.concatenate([ep.support_x, ep.query_x]))
-    support, queries = logits[: ep.support_y.size], logits[ep.support_y.size :]
-    profiles = centroids_from_support(support, ep.support_y, ep.way)
-    return query_hardness(queries, profiles, ep.query_y)
+    return _hardness(
+        ep.support_x[None], ep.support_y[None], ep.query_x[None], ep.query_y[None], ep.way, kb
+    )[0]
 
 
 def _evaluate(
@@ -167,19 +182,22 @@ def _evaluate(
     """Fit (if parametric) and evaluate every ``(classifier, adj_cfg, fit_cfg)``
     arm on episodes of one shape; episode e fits with seed ``seeds[e]``.
 
-    Each arm fits the heads of all the episodes as one stack, then scores
-    each episode's queries; the queries' hardness is scored once for all
-    arms. Returns one result list per arm, in episode order.
+    The chunk is prepared once: its rows are stacked and the queries'
+    hardness is scored for all episodes and arms in one pass. Each arm
+    builds the chunk's stratum inputs of support and query rows once, fits
+    the heads of all the episodes as one stack, then scores each episode's
+    queries. Returns one result list per arm, in episode order.
     """
     first = eps[0]
     if kb.dim != first.dim:
         raise ValueError(f"knowledge base dimension {kb.dim} does not match episode ({first.dim})")
     support_x = np.stack([ep.support_x for ep in eps])
     support_y = np.stack([ep.support_y for ep in eps])
+    query_x = np.stack([ep.query_x for ep in eps])
     true = np.stack([ep.query_y for ep in eps])
+    hardness = _hardness(support_x, support_y, query_x, true, first.way, kb)
     if (true == first.query_y).all():  # samplers label every episode's queries alike
         true = np.broadcast_to(first.query_y.copy(), true.shape)  # one read-only row for all
-    hardness = np.stack([episode_hardness(ep, kb) for ep in eps])
     shared = list(zip(true, hardness))  # one pair of row views for every arm
     per_arm = []
     for classifier, adj_cfg, fit_cfg in arms:
@@ -190,14 +208,14 @@ def _evaluate(
             )
         else:
             W, b = fit_stack(support_x, support_y, predictor, fit_cfg, seeds)
+        queries = predictor.support_inputs(query_x)
         # queries are scored one episode at a time: scoring a whole chunk at
         # once held about 1 MB more at peak to save 2% of the time
         predicted = np.stack([
             stack_probs(
-                classifier, W[e : e + 1], None if b is None else b[e : e + 1],
-                predictor.support_inputs(ep.query_x[None]),
+                classifier, W[e : e + 1], None if b is None else b[e : e + 1], queries[e : e + 1]
             )[0]
-            for e, ep in enumerate(eps)
+            for e in range(len(eps))
         ]).argmax(axis=-1)
         per_arm.append([
             EpisodeResult(p, t, h, c) for p, (t, h), c in zip(predicted, shared, predicted == true)

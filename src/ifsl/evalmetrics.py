@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, normalize_rows, softmax_rows
+from .numerics import as_rows, normalize_rows, softmax_rows
 
 _S_CLAMP = 1e-12
 
@@ -22,18 +22,27 @@ def query_hardness(R, class_profiles, gt) -> np.ndarray:
     between the rectified vectors, hardness is log((1 - s) / s): 0 when
     s = 1/2, positive when the true class looks dissimilar. A zero-norm vector
     has cosine 0 with everything; s is clamped to [1e-12, 1 - 1e-12].
+    Leading axes, one per episode, are carried through: (E, Q, m) logits,
+    (E, K, m) profiles and (E, Q) indices give (E, Q) hardness, each
+    episode the bits it gets on its own.
     """
-    if len(class_profiles) == 0:
+    shape = np.shape(class_profiles)
+    if shape[:1] == (0,) or (len(shape) > 1 and shape[-2] == 0):
         raise ValueError("need at least one class profile")
-    R = as_matrix(R)
-    profiles = as_matrix(class_profiles, cols=R.shape[1])
+    R = as_rows(R)
+    profiles = as_rows(class_profiles, cols=R.shape[-1])
+    if profiles.shape[:-2] != R.shape[:-2]:
+        raise ValueError(
+            f"profiles {profiles.shape} and queries {R.shape} need the same leading axes"
+        )
     gt = np.asarray(gt, dtype=np.int64)
-    if gt.shape != (R.shape[0],):
+    if gt.shape != R.shape[:-1]:
         raise ValueError(f"need one ground-truth index per query, got shape {gt.shape}")
-    if gt.size and (gt.min() < 0 or gt.max() >= profiles.shape[0]):
-        raise ValueError(f"ground-truth index out of range [0, {profiles.shape[0] - 1}]")
-    cos = normalize_rows(np.maximum(R, 0.0)) @ normalize_rows(np.maximum(profiles, 0.0)).T
-    s = softmax_rows(cos)[np.arange(gt.size), gt]
+    if gt.size and (gt.min() < 0 or gt.max() >= profiles.shape[-2]):
+        raise ValueError(f"ground-truth index out of range [0, {profiles.shape[-2] - 1}]")
+    unit = normalize_rows(np.maximum(profiles, 0.0)).swapaxes(-1, -2)
+    cos = normalize_rows(np.maximum(R, 0.0)) @ unit
+    s = np.take_along_axis(softmax_rows(cos), gt[..., None], axis=-1)[..., 0]
     s = np.clip(s, _S_CLAMP, 1.0 - _S_CLAMP)
     return np.log((1.0 - s) / s)
 

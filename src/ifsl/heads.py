@@ -11,17 +11,20 @@ is scaled by the predictor's ``weight_decay_scale``.
 The n heads of a predictor, for each of E episodes, are computed as one
 stack: weights W (E, n, K, P), linear biases b (E, n, K) and inputs
 (E, n, B, P), with one batched matmul for all logits and one for all weight
-gradients. The logits are class-major, (E, n, K, B) = W @ V^T: the softmax
-reduces over the class axis -2, whose K rows are contiguous runs of B
-entries, and a fitting step turns that one buffer into the exponentials and
-then into dL/dlogits in place, so dW = G @ V and the bias gradient is
-G.sum(-1); probabilities handed out stay (B, K). A cosine step normalises
-its weight rows once: the unit rows U and norms |w| give both the logits
-U @ V^T and the gradient (GV - (GV . u) u) / |w|, which reads G only through
-GV = G @ V. The mixture is taken in log space, as the log-mean-exp over each
-episode's heads of the per-head log-softmax outputs, so the loss and its
-gradients stay finite however small every head's probability of the true
-class is; a lone head skips it, since its responsibility is exp(0) = 1.
+gradients. A fitting step holds its logits class-outermost, in a
+(K, E, n, B) buffer G that the matmuls write and read through its
+(E, n, K, B) view W @ V^T: the softmax's maximum and sum over classes are
+each one pass over K contiguous blocks of E*n*B entries, and the step turns
+that one buffer into the exponentials and then into dL/dlogits in place,
+so dW = G @ V and the bias gradient is G.sum(-1), both on the view.
+Scoring keeps (..., n, K, B) logits per head; probabilities handed out
+stay (B, K). A cosine step normalises its weight rows once: the unit rows U
+and norms |w| give both the logits U @ V^T and the gradient
+(GV - (GV . u) u) / |w|, which reads G only through GV = G @ V. The mixture
+is taken in log space, as the log-mean-exp over each episode's heads of
+the per-head log-softmax outputs, so the loss and its gradients stay finite
+however small every head's probability of the true class is; a lone head
+skips it, since its responsibility is exp(0) = 1.
 
 One step is one core: a fit allocates a single :class:`_Workspace` (the
 logit/gradient buffer, the per-row vectors and the gradients) and every
@@ -137,7 +140,8 @@ class FitConfig:
 # --- stacked core ------------------------------------------------------------
 # The n heads of each of E episodes are fitted and scored as one stack: weights
 # W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P); logits
-# and their gradients are class-major, (E, n, K, B). Cosine inputs are
+# are (E, n, K, B), and a fitting step holds them and their gradients
+# class-outermost, (K, E, n, B) (see _Workspace). Cosine inputs are
 # row-normalised before they reach the core, and cosine weights once per step,
 # by normalize_rows_with_divisors: its (U, d) pair feeds both the logits and the
 # gradient. Centroid heads keep their centroids in W. Every episode's heads only
@@ -193,7 +197,7 @@ def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarra
 
 
 def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """(..., n, K, B) class-major logits of stacked heads on stacked inputs from
+    """(..., n, K, B) logits of stacked heads on stacked inputs from
     :func:`_stack_inputs`: row k of head i holds class k's score of every input.
     Cosine heads score U @ V^T with U the unit rows of W."""
     if kind == "linear":
@@ -224,14 +228,15 @@ def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.nd
 
 
 def _label_index(labels: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Flat indices (..., E, n, B) of the true-label entries of (E, n, K, B) logits:
-    entry [e, i, b] locates ``logits[e, i, labels[e, b], b]``.
+    """Flat indices (..., E, n, B) of the true-label entries of the
+    class-outermost (K, E, n, B) logit buffer of :class:`_Workspace`: entry
+    [e, i, b] locates ``G[labels[e, b], e, i, b]``.
 
     ``labels`` is (..., E, B); leading axes index whole batches, one per iteration.
     """
     E, B = labels.shape[-2:]
-    head_starts = np.arange(0, E * n * K * B, K * B).reshape(E, n, 1)
-    return head_starts + (labels * B + np.arange(B))[..., None, :]
+    head_starts = np.arange(0, E * n * B, B).reshape(E, n, 1)
+    return head_starts + (labels * (E * n * B) + np.arange(B))[..., None, :]
 
 
 def _check_labels(labels: np.ndarray, way: int) -> None:
@@ -243,16 +248,17 @@ def _check_labels(labels: np.ndarray, way: int) -> None:
 class _Workspace:
     """Every array that one step of a stacked fit writes, allocated once per fit.
 
-    For weights (E, n, K, P) and batches of B rows: the class-major (E, n, K, B)
-    logits ``G``, which become the exponentials and then dL/dlogits in place;
-    the (E, n, 1, B) class maxima; three (E, n, B) vectors (the true-label
-    terms, the class sums, a scratch); the (E, 1, B) maximum and sum of the
-    log-mean-exp over heads; the gradients ``dW`` (E, n, K, P) and ``db``
-    (E, n, K); and, for cosine heads, the unit rows, their divisors and a
-    weight-shaped scratch. Each op of a step writes into one of these:
-    reductions and ``take`` through ``out=``, elementwise ufuncs through their
-    third positional argument. Only the loss (when asked for) and the cosine
-    zero-norm mask allocate.
+    For weights (E, n, K, P) and batches of B rows: the logits ``G``, which
+    become the exponentials and then dL/dlogits in place, held
+    class-outermost as (K, E, n, B) and written and read by the matmuls
+    through the (E, n, K, B) view ``G_heads``; the (E, n, B) class maxima;
+    three (E, n, B) vectors (the true-label terms, the class sums, a
+    scratch); the (E, 1, B) maximum and sum of the log-mean-exp over heads;
+    the gradients ``dW`` (E, n, K, P) and ``db`` (E, n, K); and, for cosine
+    heads, the unit rows, their divisors and a weight-shaped scratch. Each
+    op of a step writes into one of these: reductions and ``take`` through
+    ``out=``, elementwise ufuncs through their third positional argument.
+    Only the loss (when asked for) and the cosine zero-norm mask allocate.
     """
 
     def __init__(self, kind: str, shape: tuple[int, ...], rows: int, weight_decay: float):
@@ -260,10 +266,9 @@ class _Workspace:
             raise ValueError("centroid heads are non-parametric and have no gradients")
         E, n, K, _ = shape
         self.kind, self.weight_decay = kind, weight_decay
-        self.G = np.empty((E, n, K, rows))
-        self.col_max = np.empty((E, n, 1, rows))
-        self.at_y, self.total, self.tmp = np.empty((3, E, n, rows))
-        self.scale_by_row = self.total[..., None, :]  # (E, n, 1, B) view, broadcast over classes
+        self.G = np.empty((K, E, n, rows))
+        self.G_heads = self.G.transpose(1, 2, 0, 3)
+        self.col_max, self.at_y, self.total, self.tmp = np.empty((4, E, n, rows))
         self.top, self.w_sum = np.empty((2, E, 1, rows))
         self.dW = np.empty(shape)
         self.db = np.empty((E, n, K)) if kind == "linear" else None
@@ -291,29 +296,34 @@ class _Workspace:
         self, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
         with_loss: bool,
     ) -> np.ndarray | None:
-        """Fill ``G`` with class-major dL/dlogits; returns the unpenalised losses.
+        """Fill ``G`` with dL/dlogits; returns the unpenalised losses.
 
         Per-head log-softmax outputs are mixed as a log-mean-exp over each
         episode's heads, so the loss stays finite when every head gives the
         true class a vanishing probability. Head i's share of the gradient is
         its responsibility r_i = softmax_i(log p_i(y)):
         dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). A lone head has
-        r = exp(0) = 1, so its log-mean-exp is skipped. Cosine heads score
-        U @ V^T with the unit rows U = W / |w|, computed here once per step; a
-        zero-norm row has |w| = inf and scores 0.
+        r = exp(0) = 1, so its log-mean-exp is skipped, and so, without
+        ``with_loss``, is its log p(y). Cosine heads score U @ V^T with the
+        unit rows U = W / |w|, computed here once per step; a zero-norm row
+        has |w| = inf and scores 0. The class axis of ``G`` is outermost, so
+        each class maximum and sum is one pass over K contiguous blocks.
         """
         G, at_y, total, tmp = self.G, self.at_y, self.total, self.tmp
-        n, B = G.shape[1], G.shape[-1]
+        _, _, n, B = G.shape
         if self.kind == "linear":
-            np.add(np.matmul(W, V.swapaxes(-1, -2), G), b[..., None], G)
+            np.add(np.matmul(W, V.swapaxes(-1, -2), self.G_heads), b[..., None], self.G_heads)
         else:
             U = normalize_rows_with_divisors(W, out=(self.U, self.d))[0]
-            np.matmul(U, V.swapaxes(-1, -2), G)
-        np.subtract(G, np.maximum.reduce(G, axis=-2, keepdims=True, out=self.col_max), G)
-        G.take(at_label, out=at_y, mode="clip")  # shifted true-label logits
+            np.matmul(U, V.swapaxes(-1, -2), self.G_heads)
+        np.subtract(G, np.maximum.reduce(G, axis=0, out=self.col_max), G)
+        read_py = n > 1 or with_loss  # log p_i(y) feeds only the loss and the mixture
+        if read_py:
+            G.take(at_label, out=at_y, mode="clip")  # shifted true-label logits
         np.exp(G, G)
-        np.add.reduce(G, axis=-2, out=total)
-        log_py = np.subtract(at_y, np.log(total, tmp), at_y)  # log p_i(y), (E, n, B)
+        np.add.reduce(G, axis=0, out=total)
+        if read_py:
+            log_py = np.subtract(at_y, np.log(total, tmp), at_y)  # log p_i(y), (E, n, B)
         loss = None
         if n == 1:
             if with_loss:
@@ -327,7 +337,7 @@ class _Workspace:
                 loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B
             scale = np.divide(w, np.multiply(w_sum, B, w_sum), w)  # r_i / B
         np.divide(scale, total, total)
-        np.multiply(G, self.scale_by_row, G)
+        np.multiply(G, total, G)
         G.take(at_label, out=tmp, mode="clip")
         G.put(at_label, np.subtract(tmp, scale, tmp), mode="clip")
         return loss
@@ -343,9 +353,9 @@ class _Workspace:
         zero gradient, so it stays zero. Reads the unit rows that
         :meth:`dlogits` left.
         """
-        dW = np.matmul(self.G, V, self.dW)
+        dW = np.matmul(self.G_heads, V, self.dW)
         if self.kind == "linear":
-            np.add.reduce(self.G, axis=-1, out=self.db)
+            np.add.reduce(self.G_heads, axis=-1, out=self.db)
         else:
             U, tmp_W = self.U, self.tmp_W
             np.add.reduce(np.multiply(dW, U, tmp_W), axis=-1, keepdims=True, out=self.row_dot)
@@ -465,14 +475,30 @@ def sgd_step(
 
 
 def _class_means(Z: np.ndarray, labels: np.ndarray, way: int) -> np.ndarray:
-    """(..., way, P) per-class means of the rows of a (..., S, P) array."""
-    means = []
-    for k in range(way):
-        mask = labels == k
-        if not mask.any():
-            raise ValueError(f"support has no samples for class {k}")
-        means.append(Z[..., mask, :].mean(axis=-2))
-    return np.stack(means, axis=-2)
+    """(E, ..., way, P) per-class means of the rows of an (E, ..., S, P) stack
+    with (E, S) labels: entry [e, ..., k] averages, in row order, the rows of
+    ``Z[e]`` that ``labels[e]`` marks k.
+
+    When every episode has the same number of rows of every class (as every
+    sampled chunk has, whatever order each episode lists them in), the rows
+    are gathered class by class into one (E, ..., way, c, P) array and
+    averaged in one call; other label sets average each (episode, class)
+    mask in turn. Both give the bits of ``Z[e][..., labels[e] == k, :].mean(-2)``.
+    """
+    counts = (labels[..., None] == np.arange(way)).sum(axis=-2)  # (E, way)
+    missing = np.argwhere(counts == 0)
+    if missing.size:
+        raise ValueError(f"support has no samples for class {int(missing[0, 1])}")
+    E, S = labels.shape
+    c = int(counts[0, 0])
+    if way * c != S or (counts != c).any():
+        return np.stack([
+            np.stack([Z[e][..., labels[e] == k, :].mean(axis=-2) for k in range(way)], axis=-2)
+            for e in range(E)
+        ])
+    rows = np.argsort(labels, axis=-1, kind="stable").reshape(E, *(1,) * (Z.ndim - 3), S, 1)
+    grouped = np.take_along_axis(Z, rows, axis=-2)
+    return grouped.reshape(*Z.shape[:-2], way, c, Z.shape[-1]).mean(axis=-2)
 
 
 def centroids_from_support(features: np.ndarray, labels: np.ndarray, way: int) -> np.ndarray:
@@ -481,7 +507,7 @@ def centroids_from_support(features: np.ndarray, labels: np.ndarray, way: int) -
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size != feats.shape[0]:
         raise ValueError("labels must align with features")
-    return _class_means(feats, labels, way)
+    return _class_means(feats[None], labels[None], way)[0]
 
 
 def init_stack(
@@ -504,7 +530,7 @@ def init_stack(
     E, n, _, P = Z.shape
     if kind == "linear":
         return np.zeros((E, n, way, P)), np.zeros((E, n, way))
-    cents = np.stack([_class_means(Z[e], labels[e], way) for e in range(E)])
+    cents = _class_means(Z, labels, way)
     if kind == "centroid":
         return cents, None
     return normalize_rows(cents), None

@@ -150,12 +150,14 @@ def save_features(ds: FeatureDataset, path) -> None:
     """Write a dataset as magic/header plus per-sample (u32 label, dim x f32) records."""
     rec = np.dtype([("label", "<u4"), ("feat", "<f4", (ds.dim,))])
     out = np.empty(ds.n_samples, dtype=rec)
-    out["label"] = ds.labels.astype(np.uint32)
-    out["feat"] = ds.features.astype(np.float32)
+    # field assignment casts in small buffered blocks, so no full-size
+    # f32 copy is made, and the records go to the file without a bytes copy
+    out["label"] = ds.labels
+    out["feat"] = ds.features
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(_FEATURE_HEADER.pack(ds.dim, ds.n_classes, ds.n_samples))
-        fh.write(out.tobytes())
+        fh.write(out)
 
 
 def load_features(path) -> FeatureDataset:

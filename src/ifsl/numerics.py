@@ -69,8 +69,9 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return normalize_rows_with_divisors(m)[0]
 
 
-# Row norms below sqrt(smallest normal) may come from squares that underflow:
-# such rows are rescaled by an exact power of two before they are normalised.
+# Row norms below sqrt(smallest normal) may come from squares that underflow,
+# and norms of inf from squares that overflow: such rows are rescaled by an
+# exact power of two before they are normalised.
 _TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 _UPSCALE = 2.0**600
 
@@ -82,12 +83,15 @@ def normalize_rows_with_divisors(
     their (..., 1) divisors.
 
     ``d`` is the row norm, with ``np.linalg.norm``'s bits wherever that norm
-    is at least sqrt(smallest normal) (about 1.5e-154), and the division is
-    true division, so a width-1 row whose square is a normal float comes out
-    exactly +-1. A row of smaller norm, whose squares may underflow, is
-    normalised after scaling it by 2**600, so every nonzero row comes out
-    unit, down to subnormal entries; its ``d`` is its scaled norm divided by
-    2**600. A zero row has ``d = +inf`` and maps to zero. ``out``, a
+    is at least sqrt(smallest normal) (about 1.5e-154) and its sum of
+    squares does not overflow (a norm below about 1.3e154), and the division
+    is true division, so a width-1 row whose square is a normal float comes
+    out exactly +-1. A row of smaller norm, whose squares may underflow, is
+    normalised after scaling it by 2**600, and a row whose squares overflow
+    after scaling it by 2**-600, so every nonzero finite row comes out unit,
+    from subnormal entries up to the largest floats; its ``d`` is its scaled
+    norm divided by the scale (inf only where the norm itself exceeds the
+    float range). A zero row has ``d = +inf`` and maps to zero. ``out``, a
     ``(U, d)`` pair of buffers of those shapes, receives the result. No
     input validation.
     """
@@ -96,17 +100,21 @@ def normalize_rows_with_divisors(
     U, d = out
     np.add.reduce(np.multiply(m, m, out=U), axis=-1, keepdims=True, out=d)
     np.sqrt(d, out=d)
-    small = d < _TINY_NORM
-    if np.count_nonzero(small):
+    # fmin/fmax skip NaN rows (from non-finite input), as an elementwise test would
+    if d.size and (np.fmin.reduce(d, axis=None) < _TINY_NORM
+                   or np.fmax.reduce(d, axis=None) == np.inf):
+        huge = d == np.inf
+        small = d < _TINY_NORM
         np.copyto(d, np.inf, where=small)  # right for zero rows, the common case
         np.divide(m, d, out=U)
-        rows = small[..., 0]
+        rows = (small | huge)[..., 0]
         flagged = m[rows]
         if np.count_nonzero(flagged):
-            scaled = flagged * _UPSCALE
+            scale = np.where(huge[rows], 1.0 / _UPSCALE, _UPSCALE)
+            scaled = flagged * scale
             norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
             norms[norms == 0.0] = np.inf
-            d[rows] = norms / _UPSCALE
+            d[rows] = norms / scale
             U[rows] = scaled / norms
         return U, d
     return np.divide(m, d, out=U), d

@@ -11,7 +11,7 @@ support class to a single stratum while queries escape with some probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +128,89 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     return KnowledgeBase(means, head.W, head.b)
 
 
+class _ConfoundedSampler:
+    """``sample_confounded_episode`` for fixed arguments, as a callable of the rng.
+
+    The arguments are checked and the cell index is built once: the rows of
+    every (class, stratum) cell, ascending, as one slice of ``rows``, cell
+    ``c * n_strata + s`` running from ``starts[c * n_strata + s]`` to the
+    next start. A run of episodes (``run_confounded``, ``ifsl synth``)
+    builds one sampler, so it pays for the index once.
+    """
+
+    def __init__(
+        self, novel: FeatureDataset, strata_tags: np.ndarray, way: int, shot: int, query: int,
+        mismatch_rate: float,
+    ):
+        tags = np.asarray(strata_tags, dtype=np.int64)
+        if tags.shape != (novel.n_samples,):
+            raise ValueError("stratum tags must align with the dataset samples")
+        if tags.min() < 0:
+            raise ValueError(f"stratum tags must be >= 0, found {int(tags.min())}")
+        n_strata = int(tags.max()) + 1
+        if n_strata < 2:
+            raise ValueError("need at least 2 strata to mismatch queries")
+        if not 0.0 <= mismatch_rate <= 1.0:
+            raise ValueError(f"mismatch rate must lie in [0, 1], got {mismatch_rate}")
+        if way < 2:
+            raise ValueError(f"episodes need at least 2 classes, got way={way}")
+        if shot < 1 or query < 1:
+            raise ValueError("shot and query counts must be >= 1")
+        if novel.n_classes < way:
+            raise ValueError(f"dataset has {novel.n_classes} classes but the episode needs {way}")
+        self.novel, self.n_strata = novel, n_strata
+        self.way, self.shot, self.query, self.mismatch_rate = way, shot, query, mismatch_rate
+        cells = novel.n_classes * n_strata
+        key = novel.labels * n_strata + tags
+        # a stable sort keeps each cell's rows ascending; a key of at most
+        # 16 bits sorts by radix
+        self.rows = np.argsort(key.astype(np.min_scalar_type(cells - 1)), kind="stable")
+        self.starts = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=cells))])
+
+    def __call__(self, rng: np.random.Generator) -> tuple[Episode, np.ndarray]:
+        way, shot, query, n_strata = self.way, self.shot, self.query, self.n_strata
+        chosen = np.sort(rng.choice(self.novel.n_classes, size=way, replace=False))
+        # spread assigned strata over a fresh permutation so collisions only occur
+        # when the episode has more classes than strata
+        assigned = rng.permutation(n_strata)[np.arange(way) % n_strata]
+
+        mismatch = rng.random(way * query) < self.mismatch_rate
+        query_strata = np.repeat(assigned, query)
+        # a mismatched query draws one of the n_strata - 1 other strata: j skips its own
+        j = rng.integers(0, n_strata - 1, size=int(mismatch.sum()))
+        query_strata[mismatch] = j + (j >= query_strata[mismatch])
+
+        # rows each (class, stratum) cell gives: the class's support rows and its queries
+        cells = np.repeat(np.arange(way), query) * n_strata + query_strata
+        needed = np.bincount(cells, minlength=way * n_strata)
+        own = np.arange(way) * n_strata + assigned
+        needed[own] += shot
+        # one draw per nonempty cell in (class, stratum) order, read off the index
+        live = np.flatnonzero(needed)
+        at = chosen[live // n_strata] * n_strata + live % n_strata  # the dataset's cells
+        first = self.starts[at]
+        sizes, need = self.starts[at + 1] - first, needed[live]
+        short = np.flatnonzero(sizes < need)
+        if short.size:
+            c = short[0]
+            raise ValueError(
+                f"class {at[c] // n_strata} stratum {at[c] % n_strata} holds {sizes[c]} "
+                f"samples, episode needs {need[c]}"
+            )
+        drawn = self.rows[np.concatenate([
+            lo + rng.choice(size, size=k, replace=False)
+            for lo, size, k in zip(first.tolist(), sizes.tolist(), need.tolist())
+        ])]
+        # a class's support rows lead its own cell's draw; the queries take the
+        # rest of every cell in turn
+        support_pos = ((np.cumsum(needed) - needed)[own][:, None] + np.arange(shot)).ravel()
+        si = drawn[support_pos]
+        qi = np.empty(way * query, dtype=np.int64)
+        qi[np.argsort(cells, kind="stable")] = np.delete(drawn, support_pos)
+
+        return Episode._sampled(self.novel.features, way, shot, query, chosen, si, qi), mismatch
+
+
 def sample_confounded_episode(
     novel: FeatureDataset,
     strata_tags: np.ndarray,
@@ -141,63 +224,13 @@ def sample_confounded_episode(
 
     Every support sample of a class comes from that class's assigned stratum;
     each query keeps the class stratum with probability 1 - mismatch_rate and
-    otherwise lands in a uniformly chosen different stratum. Returns the
-    episode plus a boolean mask marking mismatched queries.
+    otherwise lands in a uniformly chosen different stratum. Stratum tags
+    are non-negative; strata run 0..max(tag). Each (class, stratum) cell
+    the episode needs is drawn by one ``rng.choice`` without replacement, in
+    (class, stratum) order. Returns the episode plus a boolean mask marking
+    mismatched queries.
     """
-    tags = np.asarray(strata_tags, dtype=np.int64)
-    if tags.shape != (novel.n_samples,):
-        raise ValueError("stratum tags must align with the dataset samples")
-    n_strata = int(tags.max()) + 1
-    if n_strata < 2:
-        raise ValueError("need at least 2 strata to mismatch queries")
-    if not 0.0 <= mismatch_rate <= 1.0:
-        raise ValueError(f"mismatch rate must lie in [0, 1], got {mismatch_rate}")
-    if way < 2:
-        raise ValueError(f"episodes need at least 2 classes, got way={way}")
-    if shot < 1 or query < 1:
-        raise ValueError("shot and query counts must be >= 1")
-    if novel.n_classes < way:
-        raise ValueError(f"dataset has {novel.n_classes} classes but the episode needs {way}")
-
-    chosen = np.sort(rng.choice(novel.n_classes, size=way, replace=False))
-    # spread assigned strata over a fresh permutation so collisions only occur
-    # when the episode has more classes than strata
-    assigned = rng.permutation(n_strata)[np.arange(way) % n_strata]
-
-    mismatch = rng.random(way * query) < mismatch_rate
-    query_strata = np.repeat(assigned, query)
-    # a mismatched query draws one of the n_strata - 1 other strata: j skips its own
-    j = rng.integers(0, n_strata - 1, size=int(mismatch.sum()))
-    query_strata[mismatch] = j + (j >= query_strata[mismatch])
-
-    # rows each (class, stratum) cell gives: the class's support rows and its queries
-    cells = np.repeat(np.arange(way), query) * n_strata + query_strata
-    needed = np.bincount(cells, minlength=way * n_strata)
-    own = np.arange(way) * n_strata + assigned
-    needed[own] += shot
-    # one draw per cell in (class, stratum) order
-    drawn = []
-    for cls, per_stratum in zip(chosen, needed.reshape(way, n_strata)):
-        cls_rows = novel.class_indices(int(cls))
-        cls_tags = tags[cls_rows]
-        for s in np.flatnonzero(per_stratum):
-            cell = cls_rows[cls_tags == s]
-            need = int(per_stratum[s])
-            if cell.size < need:
-                raise ValueError(
-                    f"class {int(cls)} stratum {s} holds {cell.size} samples, "
-                    f"episode needs {need}"
-                )
-            drawn.append(cell[rng.choice(cell.size, size=need, replace=False)])
-    drawn = np.concatenate(drawn)
-    # a class's support rows lead its own cell's draw; the queries take the
-    # rest of every cell in turn
-    support_pos = ((np.cumsum(needed) - needed)[own][:, None] + np.arange(shot)).ravel()
-    si = drawn[support_pos]
-    qi = np.empty(way * query, dtype=np.int64)
-    qi[np.argsort(cells, kind="stable")] = np.delete(drawn, support_pos)
-
-    return Episode._sampled(novel.features, way, shot, query, chosen, si, qi), mismatch
+    return _ConfoundedSampler(novel, strata_tags, way, shot, query, mismatch_rate)(rng)
 
 
 def run_confounded(
@@ -220,7 +253,7 @@ def run_confounded(
     Also returns each episode's mismatch mask. ``threads`` is accepted for
     compatibility; episodes run serially.
     """
-    sample = partial(sample_confounded_episode, novel, strata_tags, way, shot, query, mismatch_rate)
+    sample = _ConfoundedSampler(novel, strata_tags, way, shot, query, mismatch_rate)
     (results,), masks = run_arms(sample, [(classifier, adj_cfg, fit_cfg)], kb, count, seed)
     return results, masks
 

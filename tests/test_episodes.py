@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ifsl.adjust import AdjustmentConfig
 from ifsl.episodes import (
     Episode,
+    _hardness,
     episode_hardness,
     episode_rng,
     derived_fit_seed,
@@ -19,7 +20,8 @@ from ifsl.episodes import (
     sample_episode,
 )
 from ifsl.heads import FitConfig
-from ifsl.knowledge import KnowledgeBase
+from ifsl.evalmetrics import query_hardness
+from ifsl.knowledge import KnowledgeBase, pretrain_logits
 
 from conftest import check_sampled_episode, make_blob_dataset, make_kb, reference_hardness
 
@@ -219,6 +221,62 @@ def test_episode_hardness_property_matches_per_query_reference(
     h = episode_hardness(ep, kb)
     assert h.shape == (Q,)
     assert np.allclose(h, reference_hardness(ep, kb), rtol=0.0, atol=1e-12)
+
+
+def _literal_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
+    """One episode's hardness as it was computed before chunks: its own
+    logits, a masked mean per class and the two-dimensional cosine softmax."""
+    logits = pretrain_logits(kb, np.concatenate([ep.support_x, ep.query_x]))
+    S = ep.support_y.size
+    profiles = np.stack([logits[:S][ep.support_y == k].mean(axis=0) for k in range(ep.way)])
+    return query_hardness(logits[S:], profiles, ep.query_y)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    E=st.integers(1, 5),
+    way=st.integers(2, 5),
+    shot=st.integers(1, 9),
+    query=st.integers(1, 4),
+    dim=st.integers(1, 8),
+    m=st.integers(1, 5),
+    balanced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunk_hardness_equals_per_episode_hardness(
+    E, way, shot, query, dim, m, balanced, seed
+):
+    # one stacked pass gives every episode of a chunk the bits it gets on its
+    # own, when the episodes list their support rows in different orders and
+    # when their classes hold different numbers of support rows
+    rng = np.random.default_rng(seed)
+    kb = KnowledgeBase(
+        class_means=rng.standard_normal((m, dim)),
+        pre_weights=rng.standard_normal((m, dim)),
+        pre_bias=rng.standard_normal(m),
+    )
+    S, Q = way * shot, way * query
+    eps = []
+    for _ in range(E):
+        labels = np.repeat(np.arange(way), shot)
+        if not balanced and shot > 1:
+            labels = np.concatenate([np.arange(way), rng.integers(0, way, S - way)])
+        eps.append(Episode(
+            way=way, shot=shot, query_per_class=query,
+            support_x=rng.standard_normal((S, dim)),
+            support_y=rng.permutation(labels),
+            query_x=rng.standard_normal((Q, dim)),
+            query_y=rng.integers(0, way, Q),
+            class_map=np.arange(way),
+            support_idx=np.arange(S),
+            query_idx=np.arange(S, S + Q),
+        ))
+    fields = ("support_x", "support_y", "query_x", "query_y")
+    chunk = _hardness(*(np.stack([getattr(ep, f) for ep in eps]) for f in fields), way, kb)
+    assert chunk.shape == (E, Q)
+    for h, ep in zip(chunk, eps):
+        assert h.tobytes() == episode_hardness(ep, kb).tobytes()
+        assert h.tobytes() == _literal_hardness(ep, kb).tobytes()
 
 
 # --- seed streams ------------------------------------------------------------------

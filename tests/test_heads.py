@@ -13,6 +13,7 @@ from ifsl.heads import (
     FitConfig,
     HeadParams,
     _Workspace,
+    _class_means,
     _label_index,
     batch_rows,
     centroids_from_support,
@@ -140,6 +141,46 @@ def test_centroids_from_support():
     assert np.allclose(cents, cents2, atol=1e-15)
     with pytest.raises(ValueError, match="no samples for class"):
         centroids_from_support(feats, labels, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    E=st.integers(1, 4),
+    n=st.sampled_from([None, 1, 3]),
+    way=st.integers(1, 5),
+    shot=st.integers(1, 10),
+    width=st.integers(1, 6),
+    balanced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_class_means_equal_per_episode_masks(E, n, way, shot, width, balanced, seed):
+    # one gather for a chunk gives each (episode, class) the bits of its own
+    # masked mean, whatever order each episode lists its rows in; up to 10
+    # rows a class and width 1, where numpy may sum a class's rows pairwise
+    rng = np.random.default_rng(seed)
+    S = way * shot
+    labels = np.empty((E, S), dtype=np.int64)
+    for e in range(E):
+        row = np.repeat(np.arange(way), shot)
+        if not balanced and S > way:
+            row = np.concatenate([np.arange(way), rng.integers(0, way, S - way)])
+        labels[e] = rng.permutation(row)
+    mid = () if n is None else (n,)
+    Z = rng.standard_normal((E, *mid, S, width)) * 10.0 ** rng.integers(-3, 4)
+    means = _class_means(Z, labels, way)
+    assert means.shape == (E, *mid, way, width)
+    for e in range(E):
+        for k in range(way):
+            expected = Z[e][..., labels[e] == k, :].mean(axis=-2)
+            assert means[e, ..., k, :].tobytes() == expected.tobytes()
+
+
+def test_stacked_class_means_name_the_missing_class():
+    labels = np.array([[0, 1, 2, 2], [0, 1, 1, 2]])
+    with pytest.raises(ValueError, match="no samples for class 3"):
+        _class_means(np.zeros((2, 4, 3)), labels, 4)
+    with pytest.raises(ValueError, match="no samples for class 2"):
+        _class_means(np.zeros((2, 4, 3)), np.array([[0, 1, 2, 2], [0, 1, 1, 0]]), 3)
 
 
 # --- loss and gradients -------------------------------------------------------------
@@ -352,21 +393,23 @@ def test_mixture_gradients_match_finite_differences_property(
     iterations=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_label_index_locates_class_major_true_labels(E, n, B, K, iterations, seed):
+def test_label_index_locates_class_outermost_true_labels(E, n, B, K, iterations, seed):
     # the flat index of entry [e, i, b] is logits[e, i, y[e, b], b] of (E, n, K, B)
-    # logits, for one batch and for a leading axis of one batch per iteration
+    # logits held class-outermost, as the (K, E, n, B) workspace buffer holds
+    # them, for one batch and for a leading axis of one batch per iteration
     rng = np.random.default_rng(seed)
     lead = () if iterations is None else (iterations,)
     y = rng.integers(0, K, size=lead + (E, B))
     idx = _label_index(y, n, K)
     assert idx.shape == lead + (E, n, B)
     logits = rng.standard_normal((E, n, K, B))
+    buffer = np.ascontiguousarray(logits.transpose(2, 0, 1, 3))
     for at, labels in zip(idx.reshape(-1, E, n, B), y.reshape(-1, E, B)):
         expected = [
             [[logits[e, i, labels[e, b], b] for b in range(B)] for i in range(n)]
             for e in range(E)
         ]
-        assert np.array_equal(logits.reshape(-1)[at], expected)
+        assert np.array_equal(buffer.reshape(-1)[at], expected)
 
 
 # --- batch cycling -------------------------------------------------------------------
@@ -433,6 +476,26 @@ def test_fit_head_deterministic_given_seed():
     assert np.array_equal(a[0].b, b[0].b)
     c = fit_head(X, y, predictor, FitConfig(seed=124))
     assert not np.array_equal(a[0].W, c[0].W)
+
+
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+@pytest.mark.parametrize("strategy", ["none", "class", "feature"])
+@pytest.mark.parametrize("batch_size", [3, None])
+def test_fit_without_loss_callback_steps_the_same_weights(kind, strategy, batch_size):
+    # without a callback a one-head step skips the true-label log-probability,
+    # which only the loss reads; the weights keep their bits either way
+    rng = np.random.default_rng(17)
+    kb = make_kb(m=3, dim=8, seed=2)
+    adj = AdjustmentConfig(strategy, partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(adj, kb, 8, 3, kind)
+    X, y = rng.standard_normal((3, 9, 8)), np.tile(np.repeat(np.arange(3), 3), (3, 1))
+    cfg = FitConfig(iterations=25, batch_size=batch_size, learning_rate=0.05)
+    losses = []
+    W, b = fit_stack(X, y, predictor, cfg, [1, 2, 3], loss_callback=lambda it, l: losses.append(l))
+    W0, b0 = fit_stack(X, y, predictor, cfg, [1, 2, 3])
+    assert len(losses) == 25 and all(np.isfinite(l).all() for l in losses)
+    assert W.tobytes() == W0.tobytes()
+    assert (b is None and b0 is None) or b.tobytes() == b0.tobytes()
 
 
 def test_fit_head_full_batch_loss_non_increasing():
@@ -815,14 +878,14 @@ def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
     # changes no other row's gradient, bit for bit
     rng = np.random.default_rng(41)
     V = normalize_rows(rng.standard_normal((1, 1, 5, 4)))
-    G = rng.standard_normal((1, 1, 5, 3)).swapaxes(-1, -2)  # class-major (1, 1, K, B)
+    G = rng.standard_normal((1, 1, 5, 3)).swapaxes(-1, -2)  # (1, 1, K, B) per head
     W = rng.standard_normal((1, 1, 3, 4))
     ws = _Workspace("cosine", W.shape, 5, 1e-3)
     at_label = _label_index(np.zeros((1, 5), dtype=np.int64), 1, 3)
 
     def chained(W):
         ws.dlogits(W, None, V, at_label, with_loss=False)  # leaves the unit rows of W
-        ws.G[...] = G
+        ws.G_heads[...] = G  # the class-outermost buffer through its per-head view
         ws.weight_grads(W, V)
         return ws.dW[0, 0].copy()
 

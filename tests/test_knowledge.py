@@ -201,6 +201,21 @@ def test_features_round_trip_bit_identical(tmp_path):
     assert np.array_equal(back.features, ds.features)
 
 
+def test_features_file_bytes_match_the_record_layout(tmp_path):
+    # float64 features rounded to f32 on the way out: the file is the magic,
+    # the header and each (u32 label, dim x f32) record, byte for byte
+    rng = np.random.default_rng(9)
+    ds = FeatureDataset(rng.standard_normal((7, 5)) * 1e3, [0, 1, 2, 0, 1, 2, 2], 3)
+    path = tmp_path / "r.features"
+    save_features(ds, path)
+    records = b"".join(
+        struct.pack("<I", int(label)) + row.astype("<f4").tobytes()
+        for label, row in zip(ds.labels, ds.features)
+    )
+    header = FEATURE_MAGIC + struct.pack("<IIQ", 5, 3, 7)
+    assert path.read_bytes() == header + records
+
+
 def test_features_wrong_magic(tmp_path):
     path = tmp_path / "bad.features"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

@@ -101,11 +101,12 @@ def test_normalize_rows_equals_literal_form(lead, width, log_scale, zero_share, 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(
     width=st.integers(1, 8),
-    log_scale=st.floats(-324.0, 150.0),
+    log_scale=st.floats(-324.0, 300.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_normalize_rows_every_nonzero_row_is_unit(width, log_scale, seed):
-    # down to subnormal entries (5e-324), whose squares underflow to 0
+    # down to subnormal entries (5e-324), whose squares underflow to 0, and
+    # up to entries of 1e300, whose squares overflow
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((3, width)) * 10.0**log_scale
     m[0, 0] = 5e-324
@@ -125,6 +126,19 @@ def test_normalize_rows_tiny_rows_come_out_unit():
     assert np.array_equal(normalize_rows(tiny), [[1.0], [-1.0], [1.0]])
     U = normalize_rows(np.array([[5e-324, 5e-324], [3e-170, 4e-170]]))
     assert np.allclose(U, [[0.5**0.5, 0.5**0.5], [0.6, 0.8]], rtol=0.0, atol=3e-16)
+
+
+def test_normalize_rows_huge_rows_come_out_unit():
+    # squares of these rows overflow: the norms are 1e200 and 5e154
+    U, d = normalize_rows_with_divisors(np.array([[1e200, 0.0], [3e154, 4e154]]))
+    assert np.allclose(U, [[1.0, 0.0], [0.6, 0.8]], rtol=0.0, atol=3e-16)
+    assert np.allclose(d, [[1e200], [5e154]], rtol=1e-15, atol=0.0)
+    assert np.array_equal(normalize_rows(np.array([[1e200, 0.0], [3e154, 4e154]])), U)
+    # beside them, ordinary, tiny and zero rows keep their own treatment
+    mixed = np.array([[3.0, 4.0], [1e200, 0.0], [0.0, 0.0], [3e-170, 4e-170]])
+    assert np.allclose(normalize_rows(mixed), [[0.6, 0.8], [1.0, 0.0], [0.0, 0.0], [0.6, 0.8]],
+                       rtol=0.0, atol=3e-16)
+    assert np.array_equal(normalize_rows(mixed)[0], normalize_rows(mixed[:1])[0])
 
 
 def test_cosine_similarity_properties():

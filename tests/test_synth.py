@@ -313,6 +313,130 @@ def test_confounded_sampler_equals_per_query_reference(
     assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
 
 
+def _per_cell_scan_episode(novel, strata_tags, way, shot, query, mismatch_rate, rng):
+    """The confounded sampler before its cell index: the same draws, each
+    cell's rows found by scanning its class's stratum tags."""
+    tags = np.asarray(strata_tags, dtype=np.int64)
+    n_strata = int(tags.max()) + 1
+    chosen = np.sort(rng.choice(novel.n_classes, size=way, replace=False))
+    assigned = rng.permutation(n_strata)[np.arange(way) % n_strata]
+    mismatch = rng.random(way * query) < mismatch_rate
+    query_strata = np.repeat(assigned, query)
+    j = rng.integers(0, n_strata - 1, size=int(mismatch.sum()))
+    query_strata[mismatch] = j + (j >= query_strata[mismatch])
+    cells = np.repeat(np.arange(way), query) * n_strata + query_strata
+    needed = np.bincount(cells, minlength=way * n_strata)
+    own = np.arange(way) * n_strata + assigned
+    needed[own] += shot
+    drawn = []
+    for cls, per_stratum in zip(chosen, needed.reshape(way, n_strata)):
+        cls_rows = np.flatnonzero(novel.labels == cls)
+        cls_tags = tags[cls_rows]
+        for s in np.flatnonzero(per_stratum):
+            cell = cls_rows[cls_tags == s]
+            need = int(per_stratum[s])
+            if cell.size < need:
+                raise ValueError(
+                    f"class {int(cls)} stratum {s} holds {cell.size} samples, "
+                    f"episode needs {need}"
+                )
+            drawn.append(cell[rng.choice(cell.size, size=need, replace=False)])
+    drawn = np.concatenate(drawn)
+    support_pos = ((np.cumsum(needed) - needed)[own][:, None] + np.arange(shot)).ravel()
+    qi = np.empty(way * query, dtype=np.int64)
+    qi[np.argsort(cells, kind="stable")] = np.delete(drawn, support_pos)
+    return chosen, drawn[support_pos], qi, mismatch
+
+
+def _uneven_tags(n_classes: int, strata: int, layout: str, seed: int):
+    """Stratum tags of classes of 20-59 rows each, drawn at random with skewed
+    weights; under ``missing``, classes 0 and 3 hold no row of stratum 1."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(20, 60, size=n_classes)
+    weights = rng.dirichlet(np.full(strata, 2.0))
+    tags = []
+    for c, size in enumerate(sizes):
+        w = weights.copy()
+        if layout == "missing" and c in (0, 3):
+            w[1] = 0.0
+        tags.append(rng.choice(strata, size=size, p=w / w.sum()))
+    labels = np.repeat(np.arange(n_classes), sizes)
+    # shuffled rows: a class's rows (and a cell's) are not contiguous
+    order = rng.permutation(labels.size)
+    ds = FeatureDataset(rng.standard_normal((labels.size, 3)), labels[order], n_classes)
+    return ds, np.concatenate(tags)[order]
+
+
+_UNEVEN = {
+    (layout, strata): _uneven_tags(7, strata, layout, 10 * strata + len(layout))
+    for layout in ("uneven", "missing") for strata in (3, 4, 5)
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    layout=st.sampled_from(["round-robin", "uneven", "missing"]),
+    way=st.integers(2, 7),
+    shot=st.integers(1, 3),
+    query=st.integers(1, 6),
+    strata=st.integers(3, 5),
+    mismatch_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_indexed_sampler_equals_per_cell_scan(
+    layout, way, shot, query, strata, mismatch_rate, seed
+):
+    # the cell index gives the rows, labels, mask and rng state of the tag
+    # scan it replaced, and the same error when a cell is short
+    novel, tags = _TAGGED[strata] if layout == "round-robin" else _UNEVEN[layout, strata]
+    args = (novel, tags, way, shot, query, mismatch_rate)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = _per_cell_scan_episode(*args, rng_ref)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            sample_confounded_episode(*args, rng_new)
+        assert str(raised.value) == str(exc)
+        assert "samples, episode needs" in str(exc)
+        return
+    ep, mask = sample_confounded_episode(*args, rng_new)
+    chosen, si, qi, ref_mask = expected
+    for got, want in ((ep.class_map, chosen), (ep.support_idx, si), (ep.query_idx, qi),
+                      (mask, ref_mask)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_negative_stratum_tags_are_refused(small_out):
+    # a negative tag names no stratum (strata run 0..max): its rows were never
+    # drawn, so such tags are refused rather than silently ignored
+    tags = small_out.novel_strata.copy()
+    tags[5] = -1
+    with pytest.raises(ValueError, match="stratum tags must be >= 0, found -1"):
+        sample_confounded_episode(small_out.novel, tags, 2, 1, 1, 0.5, episode_rng(0, 0))
+    with pytest.raises(ValueError, match="stratum tags must be >= 0"):
+        run_confounded(
+            small_out.novel, tags, small_out.kb, 2, 1, 1, 3, 0.5, "linear",
+            AdjustmentConfig("none"), FitConfig(iterations=2), seed=0,
+        )
+
+
+def test_run_confounded_builds_the_cell_index_once(small_out, monkeypatch):
+    builds = []
+    build = ifsl.synth._ConfoundedSampler.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(ifsl.synth._ConfoundedSampler, "__init__", counted)
+    results, masks = run_confounded(
+        small_out.novel, small_out.novel_strata, small_out.kb, 3, 1, 3, 17, 1.0, "linear",
+        AdjustmentConfig("none"), FitConfig(iterations=2), seed=4,
+    )
+    assert len(results) == len(masks) == 17 and len(builds) == 1
+
+
 def _arrays(per_arm, masks) -> list:
     """Every array a run returns, in a fixed order."""
     out = list(masks)
