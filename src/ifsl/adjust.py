@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .heads import HEAD_KINDS, HeadParams, logits_batch, mixture_probs
+from .heads import HEAD_KINDS, HeadParams, logits_batch, stack_heads, stack_probs
 from .knowledge import KnowledgeBase, PartitionConfig, pretrain_probs
 from .numerics import as_rows, as_vector, softmax_rows
 
@@ -39,13 +39,10 @@ STRATEGIES = ("none", "feature", "class", "combined")
 class AdjustmentConfig:
     strategy: str = "none"
     partition: PartitionConfig = field(default_factory=PartitionConfig)
-    prior: str = "uniform"
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.prior != "uniform":
-            raise ValueError(f"only the uniform stratum prior is supported, got {self.prior!r}")
 
 
 def class_context(kb: KnowledgeBase, X) -> np.ndarray:
@@ -135,8 +132,11 @@ class Predictor:
                 )
 
     def probs_from_inputs(self, heads: Sequence[HeadParams], blocks) -> np.ndarray:
-        """(B, K) mixture probabilities from precomputed per-head input blocks."""
-        return mixture_probs(heads, blocks)
+        """(B, K) mixture probabilities from precomputed per-head input blocks
+        (``blocks[i]`` feeds head i): the one-episode case of ``stack_probs``."""
+        kind, W, b = stack_heads(heads)
+        blocks = np.asarray(blocks, dtype=np.float64)[None]
+        return stack_probs(kind, W[None], None if b is None else b[None], blocks)[0]
 
     def probs_batch(self, heads: Sequence[HeadParams], X: np.ndarray) -> np.ndarray:
         self.validate_heads(heads)

@@ -114,17 +114,10 @@ def _adjustment(args) -> AdjustmentConfig:
     )
 
 
-def _fit_config(args) -> FitConfig:
-    lr = args.lr
-    if lr is None:
-        lr = 1e-2 if args.adjust == "none" else 5e-3
-    return FitConfig(
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        learning_rate=lr,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-    )
+def _fit_config(args, adjusted: bool) -> FitConfig:
+    """The fit flags; ``--lr`` defaults to 1e-2 for an unadjusted head and 5e-3 otherwise."""
+    lr = (5e-3 if adjusted else 1e-2) if args.lr is None else args.lr
+    return FitConfig(args.iterations, args.batch_size, lr, args.weight_decay, args.seed)
 
 
 def _report_doc(config: dict, rep: Report, duration: float) -> dict:
@@ -160,17 +153,24 @@ def _write_query_csv(path: str, results) -> None:
                 )
 
 
-def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> None:
+def _task_flags(p: argparse.ArgumentParser) -> None:
+    """Episode shape, adjustment and seed: the flags of every command that draws tasks."""
     p.add_argument("--way", type=int, default=5, help="classes per episode")
     p.add_argument("--shot", type=int, default=1, help="support samples per class")
     p.add_argument("--query", type=int, default=15, help="query samples per class")
+    p.add_argument("--adjust", choices=STRATEGIES, default="none")
+    p.add_argument("--strata", "--n", type=int, default=8, help="feature strata for adjustment")
+    p.add_argument("--threshold", "--t", type=float, default=1e-3, help="activation threshold")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> None:
+    """The task flags, the episode count and the head's fit, for the commands that evaluate."""
+    _task_flags(p)
     p.add_argument("--episodes", type=int, default=default_episodes, help="episode count")
     p.add_argument(
         "--classifier", choices=("linear", "cosine", "centroid"), default="linear"
     )
-    p.add_argument("--adjust", choices=STRATEGIES, default="none")
-    p.add_argument("--strata", "--n", type=int, default=8, help="feature strata for adjustment")
-    p.add_argument("--threshold", "--t", type=float, default=1e-3, help="activation threshold")
     p.add_argument("--iterations", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=4)
     p.add_argument(
@@ -178,7 +178,6 @@ def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> 
         help="learning rate (default 1e-2 unadjusted, 5e-3 adjusted)",
     )
     p.add_argument("--weight-decay", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads", type=int, default=None,
         help="accepted for compatibility (falls back to IFSL_THREADS); episodes run serially",
@@ -189,9 +188,11 @@ def cmd_episodes(args) -> int:
     started = time.perf_counter()
     ds = _load_features_any(args.features)
     kb = load_kb(args.kb)
+    _threads(args)  # validated for compatibility; episodes run serially
+    fit_cfg = _fit_config(args, args.adjust != "none")
     results = run_many(
         ds, args.way, args.shot, args.query, args.episodes, args.classifier,
-        _adjustment(args), _fit_config(args), kb, args.seed, _threads(args),
+        _adjustment(args), fit_cfg, kb, args.seed,
     )
     rep = accuracy_report(results)
     if getattr(args, "bins", None):
@@ -210,7 +211,7 @@ def cmd_episodes(args) -> int:
         "threshold": args.threshold,
         "iterations": args.iterations,
         "batch_size": args.batch_size,
-        "lr": _fit_config(args).learning_rate,
+        "lr": fit_cfg.learning_rate,
         "weight_decay": args.weight_decay,
         "seed": args.seed,
     }
@@ -317,10 +318,7 @@ def cmd_synth(args) -> int:
     (outdir / "synth.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
     adj = _adjustment(args)
-    base_fit = FitConfig(args.iterations, args.batch_size, 1e-2 if args.lr is None else args.lr,
-                         args.weight_decay, args.seed)
-    adj_fit = FitConfig(args.iterations, args.batch_size, 5e-3 if args.lr is None else args.lr,
-                        args.weight_decay, args.seed)
+    base_fit, adj_fit = _fit_config(args, False), _fit_config(args, True)
     _threads(args)  # validated for compatibility; episodes run serially
     sample = _ConfoundedSampler(out.novel, out.novel_strata,
                                 args.way, args.shot, args.query, args.mismatch)
@@ -493,18 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_me.add_argument("--kb", default=None)
     p_me.add_argument("--out", default=None, help="report JSON path")
     p_me.add_argument("--out-init", default=None, help="serialized initialization blob")
-    p_me.add_argument("--way", type=int, default=5)
-    p_me.add_argument("--shot", type=int, default=1)
-    p_me.add_argument("--query", type=int, default=15)
-    p_me.add_argument("--adjust", choices=STRATEGIES, default="none")
-    p_me.add_argument("--strata", type=int, default=8)
-    p_me.add_argument("--threshold", type=float, default=1e-3)
+    _task_flags(p_me)
     p_me.add_argument("--tasks", type=int, default=1000)
     p_me.add_argument("--eval-tasks", type=int, default=500)
     p_me.add_argument("--inner-lr", type=float, default=0.01)
     p_me.add_argument("--inner-steps", type=int, default=20)
     p_me.add_argument("--outer-lr", type=float, default=0.01)
-    p_me.add_argument("--seed", type=int, default=0)
     p_me.set_defaults(func=cmd_meta)
 
     return parser

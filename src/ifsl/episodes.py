@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,19 +121,22 @@ class EpisodeResult:
         return float(self.correct.mean())
 
 
+def _check_shape(n_classes: int, way: int, shot: int, query: int) -> None:
+    """Refuse an episode shape that a dataset of ``n_classes`` classes cannot give."""
+    if way < 2:
+        raise ValueError(f"episodes need at least 2 classes, got way={way}")
+    if shot < 1 or query < 1:
+        raise ValueError("shot and query counts must be >= 1")
+    if n_classes < way:
+        raise ValueError(f"dataset has {n_classes} classes but the episode needs {way}")
+
+
 def sample_episode(ds: FeatureDataset, way: int, shot: int, query: int, rng: np.random.Generator) -> Episode:
     """Draw a K-way episode: classes without replacement, then disjoint support/query rows.
 
     Episode labels follow ascending dataset class id.
     """
-    if way < 2:
-        raise ValueError(f"episodes need at least 2 classes, got way={way}")
-    if shot < 1 or query < 1:
-        raise ValueError("shot and query counts must be >= 1")
-    if ds.n_classes < way:
-        raise ValueError(
-            f"dataset has {ds.n_classes} classes but the episode needs {way}"
-        )
+    _check_shape(ds.n_classes, way, shot, query)
     chosen = np.sort(rng.choice(ds.n_classes, size=way, replace=False))
     need = shot + query
     support_rows, query_rows = [], []
@@ -152,71 +155,101 @@ def sample_episode(ds: FeatureDataset, way: int, shot: int, query: int, rng: np.
     )
 
 
-def _hardness(
-    support_x: np.ndarray, support_y: np.ndarray, query_x: np.ndarray, query_y: np.ndarray,
-    way: int, kb: KnowledgeBase,
-) -> np.ndarray:
-    """(E, Q) hardness of the queries of E episodes of one shape, from their
-    (E, S, dim)/(E, Q, dim) rows and (E, S)/(E, Q) labels, in one pass: the
-    pre-trained logits of every episode's ``[support; query]`` rows, the
-    per-class support profiles and the cosine softmax of
-    :func:`query_hardness`. Each episode gets the bits it gets on its own.
+# Episodes drawn, stacked, fitted and scored together. Results do not depend
+# on it; it bounds the memory a run holds at once, whatever its count.
+_CHUNK = 8
+
+
+class _Chunk(NamedTuple):
+    """Episodes ``indices`` of one shape, their (E, B, dim) rows and (E, B) labels stacked."""
+
+    indices: range
+    way: int
+    support_x: np.ndarray
+    support_y: np.ndarray
+    query_x: np.ndarray
+    query_y: np.ndarray
+
+
+def _chunks(draw: Callable[[int], Episode], count: int) -> Iterator[_Chunk]:
+    """Episodes ``draw(0)`` to ``draw(count - 1)``, drawn in order and stacked
+    in chunks of ``_CHUNK``, one chunk each time the caller asks. This is the
+    one episode loop: every run of episodes or meta-learning tasks uses it."""
+    for start in range(0, count, _CHUNK):
+        indices = range(start, min(start + _CHUNK, count))
+        eps = [draw(i) for i in indices]
+        yield _Chunk(
+            indices, eps[0].way,
+            np.stack([ep.support_x for ep in eps]), np.stack([ep.support_y for ep in eps]),
+            np.stack([ep.query_x for ep in eps]), np.stack([ep.query_y for ep in eps]),
+        )
+
+
+def _hardness(chunk: _Chunk, kb: KnowledgeBase) -> np.ndarray:
+    """(E, Q) hardness of a chunk's queries in one pass: the pre-trained
+    logits of every episode's ``[support; query]`` rows, the per-class
+    support profiles and the cosine softmax of :func:`query_hardness`. Each
+    episode gets the bits it gets on its own.
     """
-    logits = pretrain_logits(kb, np.concatenate([support_x, query_x], axis=-2))
-    S = support_y.shape[-1]
-    profiles = _class_means(logits[:, :S], support_y, way)
-    return query_hardness(logits[:, S:], profiles, query_y)
+    logits = pretrain_logits(kb, np.concatenate([chunk.support_x, chunk.query_x], axis=-2))
+    S = chunk.support_y.shape[-1]
+    profiles = _class_means(logits[:, :S], chunk.support_y, chunk.way)
+    return query_hardness(logits[:, S:], profiles, chunk.query_y)
 
 
 def episode_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
     """Hardness of every query: disagreement between its pre-trained response
     and the averaged pre-trained responses of its class's support samples."""
-    return _hardness(
-        ep.support_x[None], ep.support_y[None], ep.query_x[None], ep.query_y[None], ep.way, kb
-    )[0]
+    (chunk,) = _chunks(lambda _: ep, 1)
+    return _hardness(chunk, kb)[0]
+
+
+def _fit_and_score(
+    predictor: Predictor, fit_cfg: FitConfig, chunk: _Chunk, seeds: Sequence[int], init=None
+) -> np.ndarray:
+    """(E, Q) predicted query labels of a chunk: centroid heads from the
+    support, or parametric heads fitted as one stack by ``fit_stack`` (from
+    ``init``, an ``(n, K, P)`` stack and its biases, if given). Queries are
+    scored one episode at a time: a whole chunk held about 1 MB more at peak
+    to save 2% of the time."""
+    if predictor.head_kind == "centroid":
+        W, b = init_stack(
+            "centroid", predictor.way, predictor.support_inputs(chunk.support_x), chunk.support_y
+        )
+    else:
+        W, b = fit_stack(chunk.support_x, chunk.support_y, predictor, fit_cfg, seeds, init)
+    queries = predictor.support_inputs(chunk.query_x)
+    return np.stack([
+        stack_probs(
+            predictor.head_kind, W[e : e + 1], None if b is None else b[e : e + 1],
+            queries[e : e + 1],
+        )[0]
+        for e in range(len(queries))
+    ]).argmax(axis=-1)
 
 
 def _evaluate(
-    eps: Sequence[Episode], arms, kb: KnowledgeBase, seeds: Sequence[int]
+    chunk: _Chunk, arms, kb: KnowledgeBase, seeds: Sequence[int]
 ) -> list[list[EpisodeResult]]:
     """Fit (if parametric) and evaluate every ``(classifier, adj_cfg, fit_cfg)``
-    arm on episodes of one shape; episode e fits with seed ``seeds[e]``.
+    arm on one chunk of :func:`_chunks`; episode e fits with seed ``seeds[e]``.
 
-    The chunk is prepared once: its rows are stacked and the queries'
-    hardness is scored for all episodes and arms in one pass. Each arm
-    builds the chunk's stratum inputs of support and query rows once, fits
-    the heads of all the episodes as one stack, then scores each episode's
-    queries. Returns one result list per arm, in episode order.
+    The queries' hardness is scored for all arms in one pass, then each arm
+    fits and scores the chunk with :func:`_fit_and_score`. Returns one
+    result list per arm, in episode order.
     """
-    first = eps[0]
-    if kb.dim != first.dim:
-        raise ValueError(f"knowledge base dimension {kb.dim} does not match episode ({first.dim})")
-    support_x = np.stack([ep.support_x for ep in eps])
-    support_y = np.stack([ep.support_y for ep in eps])
-    query_x = np.stack([ep.query_x for ep in eps])
-    true = np.stack([ep.query_y for ep in eps])
-    hardness = _hardness(support_x, support_y, query_x, true, first.way, kb)
-    if (true == first.query_y).all():  # samplers label every episode's queries alike
-        true = np.broadcast_to(first.query_y.copy(), true.shape)  # one read-only row for all
+    dim = chunk.support_x.shape[-1]
+    if kb.dim != dim:
+        raise ValueError(f"knowledge base dimension {kb.dim} does not match episode ({dim})")
+    true = chunk.query_y
+    hardness = _hardness(chunk, kb)
+    if (true == true[0]).all():  # samplers label every episode's queries alike
+        true = np.broadcast_to(true[0].copy(), true.shape)  # one read-only row for all
     shared = list(zip(true, hardness))  # one pair of row views for every arm
     per_arm = []
     for classifier, adj_cfg, fit_cfg in arms:
-        predictor = Predictor(adj_cfg, kb, first.dim, first.way, classifier)
-        if classifier == "centroid":
-            W, b = init_stack(
-                "centroid", first.way, predictor.support_inputs(support_x), support_y
-            )
-        else:
-            W, b = fit_stack(support_x, support_y, predictor, fit_cfg, seeds)
-        queries = predictor.support_inputs(query_x)
-        # queries are scored one episode at a time: scoring a whole chunk at
-        # once held about 1 MB more at peak to save 2% of the time
-        predicted = np.stack([
-            stack_probs(
-                classifier, W[e : e + 1], None if b is None else b[e : e + 1], queries[e : e + 1]
-            )[0]
-            for e in range(len(eps))
-        ]).argmax(axis=-1)
+        predictor = Predictor(adj_cfg, kb, dim, chunk.way, classifier)
+        predicted = _fit_and_score(predictor, fit_cfg, chunk, seeds)
         per_arm.append([
             EpisodeResult(p, t, h, c) for p, (t, h), c in zip(predicted, shared, predicted == true)
         ])
@@ -231,7 +264,8 @@ def run_episode(
     kb: KnowledgeBase,
 ) -> EpisodeResult:
     """Fit (if parametric) and evaluate one episode; deterministic given configs."""
-    return _evaluate([ep], [(classifier, adj_cfg, fit_cfg)], kb, [fit_cfg.seed])[0][0]
+    (chunk,) = _chunks(lambda _: ep, 1)
+    return _evaluate(chunk, [(classifier, adj_cfg, fit_cfg)], kb, [fit_cfg.seed])[0][0]
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
@@ -242,11 +276,6 @@ def episode_rng(seed: int, index: int) -> np.random.Generator:
 
 def derived_fit_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index, 1)).generate_state(1, np.uint64)[0])
-
-
-# Episodes sampled, fitted and scored together by run_arms. Results do not
-# depend on it; it bounds the memory a run holds at once, whatever its count.
-_CHUNK = 8
 
 
 def run_arms(
@@ -262,22 +291,25 @@ def run_arms(
     its episodes must share one shape. Episode ``i`` is drawn once from
     ``episode_rng(seed, i)`` and scored for hardness once; every arm fits its
     heads on it with seed ``derived_fit_seed(seed, i)``, whatever seed its
-    config names. Episodes are evaluated in chunks of a fixed size, each arm
-    fitting a chunk as one stack; an episode's results are the same in any
-    chunk. Returns one result list per arm and the sampler's extra outputs,
-    in episode order.
+    config names. Episodes come in the chunks of :func:`_chunks`, which owns
+    the chunking of every episode loop, and each arm fits a chunk as one
+    stack; an episode's results are the same in any chunk. Returns one
+    result list per arm and the sampler's extra outputs, in episode order.
     """
     if count < 1:
         raise ValueError(f"episode count must be >= 1, got {count}")
     per_arm: list[list[EpisodeResult]] = [[] for _ in arms]
     extras = []
-    for start in range(0, count, _CHUNK):
-        indices = range(start, min(start + _CHUNK, count))
-        drawn = [sample(episode_rng(seed, i)) for i in indices]
-        seeds = [derived_fit_seed(seed, i) for i in indices]
-        for results, chunk in zip(per_arm, _evaluate([ep for ep, _ in drawn], arms, kb, seeds)):
-            results.extend(chunk)
-        extras.extend(extra for _, extra in drawn)
+
+    def draw(i: int) -> Episode:
+        ep, extra = sample(episode_rng(seed, i))
+        extras.append(extra)
+        return ep
+
+    for chunk in _chunks(draw, count):
+        seeds = [derived_fit_seed(seed, i) for i in chunk.indices]
+        for results, chunk_results in zip(per_arm, _evaluate(chunk, arms, kb, seeds)):
+            results.extend(chunk_results)
     return per_arm, extras
 
 
@@ -292,12 +324,8 @@ def run_many(
     fit_cfg: FitConfig,
     kb: KnowledgeBase,
     seed: int,
-    threads: int = 1,
 ) -> list[EpisodeResult]:
-    """Sample and evaluate ``count`` episodes under per-index seed streams.
-
-    ``threads`` is accepted for compatibility; episodes run serially.
-    """
+    """Sample and evaluate ``count`` episodes under per-index seed streams."""
 
     def sample(rng: np.random.Generator) -> tuple[Episode, None]:
         return sample_episode(ds, way, shot, query, rng), None

@@ -420,15 +420,6 @@ def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     return _logits(kind, W, b, _stack_inputs(kind, Z[None], h.input_dim))[0].T
 
 
-def mixture_probs(heads: Sequence[HeadParams], inputs) -> np.ndarray:
-    """(B, K) head-averaged softmax outputs; ``inputs[i]`` is the (B, P) block of head i."""
-    kind, W, b = stack_heads(heads)
-    V = _stack_inputs(kind, inputs, W.shape[2])
-    if V.shape[0] != W.shape[0]:
-        raise ValueError("need one input block per head")
-    return _probs(kind, W, b, V)
-
-
 def mixture_loss_and_grads(
     heads: Sequence[HeadParams],
     inputs,

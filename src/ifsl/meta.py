@@ -3,17 +3,17 @@
 The inner loop adapts a copy of the shared initialization with full-batch
 gradient steps on each task's support set; the outer loop applies the query
 loss gradient, taken at the adapted parameters, directly to the
-initialization (no second-order terms). The training loop holds the
-initialization as an (n, K, P) weight stack and (n, K) biases throughout and
-pays its set-up once per call: it draws tasks in chunks, builds each chunk's
-stratum inputs in two calls (support rows, query rows), and steps every task
-through one inner and one outer workspace and one set of label indices, with
-the fitting loop of :func:`~ifsl.heads.fit_stack`. It builds
-:class:`~ifsl.heads.HeadParams` only for the result. Held-out evaluation
-fits its tasks in stacks of the same chunk size with
-:func:`~ifsl.heads.fit_stack`. :func:`save_meta` refuses, before it opens
-the file, any initialization that :func:`load_meta` would reject. A head
-is ``head_input_dim`` wide; an init of another width is refused, not misread.
+initialization (no second-order terms). Tasks come from the episode loop of
+:mod:`ifsl.episodes`, which alone chunks and stacks them. The training loop
+holds the initialization as an (n, K, P) weight stack and (n, K) biases,
+builds each chunk's stratum inputs in two calls (support rows, query rows)
+and steps every task in turn through one inner and one outer workspace,
+with the fitting loop of :func:`~ifsl.heads.fit_stack`. Held-out
+evaluation fits and scores each chunk from every initialization with the
+routine that scores the engine's arms. :func:`save_meta` refuses, before it
+opens the file, any initialization that :func:`load_meta` would reject. A
+head is ``head_input_dim`` wide; an init of another width is refused, not
+misread.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .episodes import _CHUNK, episode_rng, sample_episode
+from .episodes import _chunks, _fit_and_score, episode_rng, sample_episode
 from .heads import (
     FitConfig,
     HeadParams,
@@ -38,9 +38,7 @@ from .heads import (
     _unstack_heads,
     _Workspace,
     fit_head,
-    fit_stack,
     stack_heads,
-    stack_probs,
     stack_sgd_step,
 )
 from .knowledge import FeatureDataset, KnowledgeBase
@@ -132,14 +130,15 @@ def meta_train(
 
     Each task is a fresh episode; the initialization moves by ``outer_lr``
     times the query-loss gradient at the task-adapted parameters. Tasks are
-    drawn from ``rng`` one after another, in chunks of the episode engine's
-    chunk size: each chunk's support and query rows get their stratum inputs
-    in one call each, and then its tasks adapt and step in turn. Every task
-    adapts through the same full-batch loop as :func:`~ifsl.heads.fit_stack`,
-    in one inner and one outer workspace allocated once per call. The result
-    is the same bits as :func:`adapt`, ``mixture_loss_and_grads`` and
-    ``sgd_step`` task by task, and k calls that share one rng equal one call
-    with their tasks added up. With ``outer_lr=0`` the initialization is
+    drawn from ``rng`` one after another through the episode engine's
+    chunked loop: each chunk's support and query rows get their stratum
+    inputs in one call each, and then its tasks adapt and step in turn.
+    Every task adapts through the same full-batch loop as
+    :func:`~ifsl.heads.fit_stack`, in one inner and one outer workspace
+    allocated once per call. The result is the same bits as :func:`adapt`,
+    ``mixture_loss_and_grads`` and ``sgd_step`` task by task, whatever the
+    chunk size, and k calls that share one rng equal one call with their
+    tasks added up. With ``outer_lr=0`` the initialization is
     returned unchanged (aside from a copy). Deterministic for a fixed rng
     state.
     """
@@ -156,15 +155,14 @@ def meta_train(
     outer = _Workspace(kind, W_task.shape, way * query, 0.0)
     at_support = _label_index(np.repeat(np.arange(way), shot)[None], n, K)
     at_query = _label_index(np.repeat(np.arange(way), query)[None], n, K)
-    for start in range(0, mi.tasks, _CHUNK):
-        eps = [sample_episode(ds, way, shot, query, rng) for _ in range(min(_CHUNK, mi.tasks - start))]
+    for chunk in _chunks(lambda _: sample_episode(ds, way, shot, query, rng), mi.tasks):
         # support and query rows get separate stacks: slices of one joint
         # stack change the weights in the last bits
         support, queries = (
-            _stack_inputs(kind, predictor.support_inputs(np.stack(rows)), P, ndim=4)
-            for rows in ([ep.support_x for ep in eps], [ep.query_x for ep in eps])
+            _stack_inputs(kind, predictor.support_inputs(rows), P, ndim=4)
+            for rows in (chunk.support_x, chunk.query_x)
         )
-        for t in range(len(eps)):
+        for t in range(len(chunk.indices)):
             W_task[0] = W
             if b is not None:
                 b_task[0] = b
@@ -192,28 +190,22 @@ def evaluate_inits(
 
     Task ``e`` of ``count`` is drawn from ``episode_rng(seed, e)``; each
     initialization is adapted on its support set as by ``adapt`` and scored
-    on its queries. The tasks are fitted from each initialization in stacks
-    of the episode engine's chunk size, which gives each task the same bits
-    as alone. Returns one list of per-task accuracies per initialization.
+    on its queries. The tasks come in the episode engine's chunks, and each
+    chunk is fitted and scored from each initialization as one stack, which
+    gives each task the same bits as alone. Returns one list of per-task
+    accuracies per initialization.
     """
     for theta in inits:
         predictor.validate_heads(theta)
     stacks = [stack_heads(theta)[1:] for theta in inits]
     cfg = _inner_config(inner_lr, inner_steps)
     accs: list[list[float]] = [[] for _ in inits]
-    for start in range(0, count, _CHUNK):
-        eps = [
-            sample_episode(ds, way, shot, query, episode_rng(seed, e))
-            for e in range(start, min(start + _CHUNK, count))
-        ]
-        support_x = np.stack([ep.support_x for ep in eps])
-        support_y = np.stack([ep.support_y for ep in eps])
-        query_inputs = predictor.support_inputs(np.stack([ep.query_x for ep in eps]))
-        query_y = np.stack([ep.query_y for ep in eps])
+    tasks = _chunks(lambda e: sample_episode(ds, way, shot, query, episode_rng(seed, e)), count)
+    for chunk in tasks:
+        seeds = [0] * len(chunk.indices)  # full-batch steps draw no mini-batches
         for init, out in zip(stacks, accs):
-            W, b = fit_stack(support_x, support_y, predictor, cfg, [0] * len(eps), init)
-            probs = stack_probs(predictor.head_kind, W, b, query_inputs)
-            out.extend((100.0 * (probs.argmax(axis=-1) == query_y).mean(axis=1)).tolist())
+            predicted = _fit_and_score(predictor, cfg, chunk, seeds, init)
+            out.extend((100.0 * (predicted == chunk.query_y).mean(axis=1)).tolist())
     return accs
 
 

@@ -98,7 +98,8 @@ def normalize_rows_with_divisors(
     if out is None:
         out = np.empty(m.shape), np.empty((*m.shape[:-1], 1))
     U, d = out
-    np.add.reduce(np.multiply(m, m, out=U), axis=-1, keepdims=True, out=d)
+    with np.errstate(over="ignore", under="ignore"):  # how huge and tiny rows are found
+        np.add.reduce(np.multiply(m, m, out=U), axis=-1, keepdims=True, out=d)
     np.sqrt(d, out=d)
     # fmin/fmax skip NaN rows (from non-finite input), as an elementwise test would
     if d.size and (np.fmin.reduce(d, axis=None) < _TINY_NORM
@@ -114,7 +115,8 @@ def normalize_rows_with_divisors(
             scaled = flagged * scale
             norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
             norms[norms == 0.0] = np.inf
-            d[rows] = norms / scale
+            with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+                d[rows] = norms / scale
             U[rows] = scaled / norms
         return U, d
     return np.divide(m, d, out=U), d

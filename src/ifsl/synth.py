@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .episodes import Episode, EpisodeResult, run_arms
-from .heads import FitConfig, fit_head
+from .episodes import Episode, EpisodeResult, _check_shape, run_arms
+from .heads import FitConfig, fit_stack
 from .knowledge import FeatureDataset, KnowledgeBase
 
 _KB_FIT = FitConfig(iterations=500, batch_size=None, learning_rate=0.1, weight_decay=1e-4, seed=0)
@@ -121,11 +121,9 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     """Knowledge base from pretrain data: empirical class means plus a linear
     classifier fitted full-batch (500 steps, lr 0.1, weight decay 1e-4)."""
     means = np.stack([pretrain.vectors_of(c).mean(axis=0) for c in range(pretrain.n_classes)])
-    predictor = Predictor(
-        AdjustmentConfig("none"), None, pretrain.dim, pretrain.n_classes, "linear"
-    )
-    head = fit_head(pretrain.features, pretrain.labels, predictor, _KB_FIT)[0]
-    return KnowledgeBase(means, head.W, head.b)
+    predictor = Predictor(AdjustmentConfig("none"), None, pretrain.dim, len(means), "linear")
+    W, b = fit_stack(pretrain.features[None], pretrain.labels[None], predictor, _KB_FIT, [0])
+    return KnowledgeBase(means, W[0, 0], b[0, 0])
 
 
 class _ConfoundedSampler:
@@ -152,12 +150,7 @@ class _ConfoundedSampler:
             raise ValueError("need at least 2 strata to mismatch queries")
         if not 0.0 <= mismatch_rate <= 1.0:
             raise ValueError(f"mismatch rate must lie in [0, 1], got {mismatch_rate}")
-        if way < 2:
-            raise ValueError(f"episodes need at least 2 classes, got way={way}")
-        if shot < 1 or query < 1:
-            raise ValueError("shot and query counts must be >= 1")
-        if novel.n_classes < way:
-            raise ValueError(f"dataset has {novel.n_classes} classes but the episode needs {way}")
+        _check_shape(novel.n_classes, way, shot, query)
         self.novel, self.n_strata = novel, n_strata
         self.way, self.shot, self.query, self.mismatch_rate = way, shot, query, mismatch_rate
         cells = novel.n_classes * n_strata

@@ -373,8 +373,6 @@ def test_empty_stratum_contributes_head_at_zero(kb16):
 def test_adjustment_config_validation():
     with pytest.raises(ValueError, match="unknown strategy"):
         AdjustmentConfig("both")
-    with pytest.raises(ValueError, match="prior"):
-        AdjustmentConfig("feature", prior="empirical")
 
 
 def test_init_heads_matches_predictor_geometry(kb16):

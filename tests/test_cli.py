@@ -344,6 +344,24 @@ def test_meta_command_trains_and_serializes(data_dir, tmp_path):
     assert mi.tasks == 30 and mi.inner_steps == 5
 
 
+def test_meta_takes_the_strata_and_threshold_aliases(data_dir, tmp_path):
+    # --n and --t name --strata and --threshold in meta as in the other commands
+    def run(name, *flags):
+        out, blob = tmp_path / f"{name}.json", tmp_path / f"{name}.meta"
+        code = main(
+            ["meta", "--features", str(data_dir / "novel.features"),
+             "--kb", str(data_dir / "kb.bin"), "--adjust", "combined", "--out", str(out),
+             "--out-init", str(blob), "--way", "3", "--shot", "1", "--query", "4",
+             "--tasks", "9", "--eval-tasks", "5", "--inner-steps", "3", "--seed", "4", *flags]
+        )
+        assert code == 0
+        return _doc_sans_meta(out), blob.read_bytes()
+
+    short = run("short", "--n", "4", "--t", "1e-3")
+    assert short == run("long", "--strata", "4", "--threshold", "1e-3")
+    assert short != run("default")  # 8 strata by default
+
+
 def test_meta_requires_kb_for_class_adjustment(data_dir, tmp_path):
     code = main(
         ["meta", "--features", str(data_dir / "novel.features"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ifsl.adjust import AdjustmentConfig
 from ifsl.episodes import (
     Episode,
+    _chunks,
     _hardness,
     episode_hardness,
     episode_rng,
@@ -271,10 +272,10 @@ def test_chunk_hardness_equals_per_episode_hardness(
             support_idx=np.arange(S),
             query_idx=np.arange(S, S + Q),
         ))
-    fields = ("support_x", "support_y", "query_x", "query_y")
-    chunk = _hardness(*(np.stack([getattr(ep, f) for ep in eps]) for f in fields), way, kb)
-    assert chunk.shape == (E, Q)
-    for h, ep in zip(chunk, eps):
+    (chunk,) = _chunks(eps.__getitem__, E)
+    hardness = _hardness(chunk, kb)
+    assert hardness.shape == (E, Q)
+    for h, ep in zip(hardness, eps):
         assert h.tobytes() == episode_hardness(ep, kb).tobytes()
         assert h.tobytes() == _literal_hardness(ep, kb).tobytes()
 
@@ -297,19 +298,6 @@ def test_derived_fit_seed_distinct_from_episode_stream():
 
 
 # --- batch runs --------------------------------------------------------------------
-
-
-def test_run_many_threaded_equals_serial(ds, kb):
-    kwargs = dict(
-        ds=ds, way=3, shot=1, query=3, count=8, classifier="linear",
-        adj_cfg=AdjustmentConfig("none"), fit_cfg=FitConfig(iterations=20),
-        kb=kb, seed=60,
-    )
-    serial = run_many(**kwargs, threads=1)
-    threaded = run_many(**kwargs, threads=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.predicted, b.predicted)
-        assert np.array_equal(a.hardness, b.hardness)
 
 
 def test_run_many_uses_per_episode_fit_seeds(ds, kb):

@@ -1,6 +1,7 @@
 """Numeric kernel behavior: stability, conventions, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,23 @@ def test_normalize_rows_huge_rows_come_out_unit():
     assert np.allclose(normalize_rows(mixed), [[0.6, 0.8], [1.0, 0.0], [0.0, 0.0], [0.6, 0.8]],
                        rtol=0.0, atol=3e-16)
     assert np.array_equal(normalize_rows(mixed)[0], normalize_rows(mixed[:1])[0])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1e200, 0.0], [3e154, 4e154]], [[1e154, 1e154]], [[5e-324, 0.0], [3e-170, 4e-170]],
+     [[1.7e308, -1.7e308]]],
+)
+def test_normalize_rows_huge_and_tiny_rows_raise_no_floating_point_error(rows):
+    # the squares (or their sum) that find these rows overflow or underflow;
+    # neither numpy's "raise" setting nor warnings turned into errors may refuse them
+    m = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = normalize_rows(m)
+        with np.errstate(over="raise", under="raise"):
+            assert np.array_equal(normalize_rows(m), expected)
+    assert np.allclose(np.linalg.norm(expected, axis=-1), 1.0, rtol=0.0, atol=3e-16)
 
 
 def test_cosine_similarity_properties():
