@@ -40,7 +40,6 @@ from .episodes import (
 from .heads import (
     FitConfig,
     HeadParams,
-    centroids_from_support,
     fit_head,
 )
 from .knowledge import (

@@ -266,13 +266,23 @@ def graph_to_json(g: Dag) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _is_name_list(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
 def graph_from_json(text: str) -> Dag:
+    """The graph of a ``{"nodes": [names], "edges": [[parent, child], ...]}`` document."""
     try:
         doc = json.loads(text)
-        nodes = doc["nodes"]
-        edges = [tuple(e) for e in doc["edges"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
-    if any(len(e) != 2 for e in edges):
-        raise ValueError("each edge must be a [parent, child] pair")
+    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
+        raise ValueError("malformed graph document: need an object with nodes and edges")
+    nodes, edges = doc["nodes"], doc["edges"]
+    if not _is_name_list(nodes):
+        raise ValueError("malformed graph document: nodes must be a list of names")
+    if not isinstance(edges, list) or not all(_is_name_list(e) and len(e) == 2 for e in edges):
+        raise ValueError(
+            "malformed graph document: each edge must be a [parent, child] pair of names"
+        )
     return Dag.from_edges(nodes, edges)

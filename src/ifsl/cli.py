@@ -32,7 +32,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import run_arms, run_many
+from .episodes import _check_shape, run_arms, run_many
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -195,10 +195,10 @@ def cmd_episodes(args) -> int:
         _adjustment(args), fit_cfg, kb, args.seed,
     )
     rep = accuracy_report(results)
-    if getattr(args, "bins", None):
+    if args.bins:
         rep = with_bins(rep, hardness_report(results, args.bins))
     config = {
-        "command": "hardness" if getattr(args, "bins", None) else "episodes",
+        "command": "hardness" if args.bins else "episodes",
         "features": str(args.features),
         "kb": str(args.kb),
         "way": args.way,
@@ -215,7 +215,7 @@ def cmd_episodes(args) -> int:
         "weight_decay": args.weight_decay,
         "seed": args.seed,
     }
-    if getattr(args, "bins", None):
+    if args.bins:
         config["bins"] = args.bins
     doc = _report_doc(config, rep, time.perf_counter() - started)
     if args.query_csv:
@@ -292,6 +292,17 @@ def cmd_synth(args) -> int:
         mismatch_rate=args.mismatch,
         seed=args.seed,
     )
+    # every check that needs no data comes before the dataset is generated and written
+    adj = _adjustment(args)
+    base_fit, adj_fit = _fit_config(args, False), _fit_config(args, True)
+    _threads(args)  # validated for compatibility; episodes run serially
+    if args.episodes < 1:
+        raise ValueError(f"episode count must be >= 1, got {args.episodes}")
+    if args.bins < 0:
+        raise ValueError(f"bin count must be >= 1, or 0 for no bins, got {args.bins}")
+    _check_shape(cfg.novel_classes, args.way, args.shot, args.query)
+    if adj.strategy in ("feature", "combined"):
+        adj.partition.validate_dim(cfg.dim)
     out = gen_confounded(cfg)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -317,9 +328,6 @@ def cmd_synth(args) -> int:
     }
     (outdir / "synth.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
-    adj = _adjustment(args)
-    base_fit, adj_fit = _fit_config(args, False), _fit_config(args, True)
-    _threads(args)  # validated for compatibility; episodes run serially
     sample = _ConfoundedSampler(out.novel, out.novel_strata,
                                 args.way, args.shot, args.query, args.mismatch)
     arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
@@ -376,6 +384,8 @@ def cmd_meta(args) -> int:
     )
     if args.out_init:
         meta_bytes(mi)  # refuse, before training, rates or counts the file cannot hold
+    if args.eval_tasks < 1:
+        raise ValueError(f"evaluation task count must be >= 1, got {args.eval_tasks}")
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     trained = meta_train(ds, args.way, args.shot, args.query, adj, mi, kb, rng)
     if args.out_init:
@@ -425,9 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ep.add_argument("--kb", required=True, help="knowledge-base file")
     p_ep.add_argument("--out", default=None, help="report JSON path (stdout when omitted)")
     p_ep.add_argument("--query-csv", default=None, help="optional per-query CSV dump")
-    p_ep.add_argument("--bins-csv", default=None, help=argparse.SUPPRESS)
     _episode_flags(p_ep)
-    p_ep.set_defaults(func=cmd_episodes, bins=None)
+    p_ep.set_defaults(func=cmd_episodes, bins=None, bins_csv=None)
 
     p_hd = sub.add_parser("hardness", help="episode evaluation with hardness-binned accuracy")
     p_hd.add_argument("--features", required=True)

@@ -33,11 +33,15 @@ rate to those gradient buffers in place before stepping the weights. One
 loop, :func:`_fit_steps`, runs the iterations of every fit:
 those of :func:`fit_stack` (episode chunks and the knowledge-base fit) and
 those of each task that ``meta.meta_train`` adapts, whose workspaces are
-allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and the
-list-of-:class:`HeadParams` calls below run the same core; the list calls
-are the one-episode case: they stack their arguments, run the same core and
-unstack the result. The outputs are the same bits whichever of these routes
-a step takes.
+allocated once per ``meta_train`` call.
+
+The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
+:func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
+of the stack calls: a :class:`HeadParams` is one slice of a stack, the list
+gradients are the ``(dW, db)`` pair of :func:`stack_loss_and_grads` without
+the episode axis, and each call stacks its arguments, runs the same core and
+unstacks the result, so the outputs are the same bits whichever route a step
+takes. They stay because the benchmark's traced replicas call them.
 """
 
 from __future__ import annotations
@@ -57,25 +61,20 @@ PARAMETRIC_KINDS = ("linear", "cosine")
 
 @dataclass
 class HeadParams:
-    """One classifier head. ``W``/``b`` for parametric kinds, ``centroids`` for centroid."""
+    """One classifier head: what one slice of a head stack holds.
+
+    ``W`` (K, P) holds the weights of linear and cosine heads and the class
+    centroids of centroid heads; ``b`` (K,) is the bias of linear heads and
+    None for the other kinds.
+    """
 
     kind: str
-    W: np.ndarray | None = None  # (K, P)
+    W: np.ndarray  # (K, P)
     b: np.ndarray | None = None  # (K,), linear only
-    centroids: np.ndarray | None = None  # (K, P), centroid only
 
     def __post_init__(self):
         if self.kind not in HEAD_KINDS:
             raise ValueError(f"unknown head kind {self.kind!r}, expected one of {HEAD_KINDS}")
-        if self.kind == "centroid":
-            if self.centroids is None or self.W is not None or self.b is not None:
-                raise ValueError("centroid heads carry centroids and nothing else")
-            self.centroids = as_matrix(self.centroids)
-            if self.centroids.shape[0] < 2:
-                raise ValueError("heads need at least 2 classes")
-            return
-        if self.W is None or self.centroids is not None:
-            raise ValueError(f"{self.kind} heads carry a weight matrix W")
         self.W = as_matrix(self.W)
         if self.W.shape[0] < 2:
             raise ValueError("heads need at least 2 classes")
@@ -84,33 +83,18 @@ class HeadParams:
                 raise ValueError("linear heads carry a bias vector")
             self.b = as_vector(self.b, size=self.W.shape[0])
         elif self.b is not None:
-            raise ValueError("cosine heads have no bias")
+            raise ValueError(f"{self.kind} heads have no bias")
 
     @property
     def way(self) -> int:
-        ref = self.centroids if self.kind == "centroid" else self.W
-        return ref.shape[0]
+        return self.W.shape[0]
 
     @property
     def input_dim(self) -> int:
-        ref = self.centroids if self.kind == "centroid" else self.W
-        return ref.shape[1]
+        return self.W.shape[1]
 
     def copy(self) -> "HeadParams":
-        return HeadParams(
-            self.kind,
-            None if self.W is None else self.W.copy(),
-            None if self.b is None else self.b.copy(),
-            None if self.centroids is None else self.centroids.copy(),
-        )
-
-
-@dataclass
-class HeadGrads:
-    """Stacked gradients of n heads: ``W`` (n, K, P), ``b`` (n, K) for linear heads."""
-
-    W: np.ndarray
-    b: np.ndarray | None = None
+        return HeadParams(self.kind, self.W.copy(), None if self.b is None else self.b.copy())
 
 
 @dataclass(frozen=True)
@@ -160,7 +144,7 @@ def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarra
     kind = heads[0].kind
     if any(h.kind != kind for h in heads):
         raise ValueError("heads of one stack must share a kind")
-    W = np.stack([h.centroids if kind == "centroid" else h.W for h in heads])
+    W = np.stack([h.W for h in heads])
     b = np.stack([h.b for h in heads]) if kind == "linear" else None
     return kind, W, b
 
@@ -180,10 +164,7 @@ def _unstack_heads(kind: str, W: np.ndarray, b: np.ndarray | None) -> list[HeadP
     heads = []
     for i in range(W.shape[0]):
         h = object.__new__(HeadParams)
-        if kind == "centroid":
-            h.__dict__.update(kind=kind, W=None, b=None, centroids=W[i])
-        else:
-            h.__dict__.update(kind=kind, W=W[i], b=None if b is None else b[i], centroids=None)
+        h.__dict__.update(kind=kind, W=W[i], b=None if b is None else b[i])
         heads.append(h)
     return heads
 
@@ -425,13 +406,15 @@ def mixture_loss_and_grads(
     inputs,
     labels: np.ndarray,
     weight_decay: float = 0.0,
-) -> tuple[float, HeadGrads]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray | None]]:
     """Cross-entropy of the head-averaged probabilities, with exact gradients.
 
     ``inputs[i]`` is the (B, P) block feeding head i; the predicted
     distribution is the arithmetic mean of the per-head softmax outputs.
     Returns the batch-mean loss (plus the L2 penalty on every W) and the
-    stacked gradients of all heads.
+    stacked gradients ``(dW, db)`` of all heads: ``dW`` (n, K, P) and ``db``
+    (n, K) for linear heads, else None, as :func:`stack_loss_and_grads`
+    returns them for one episode.
     """
     if len(heads) != len(inputs) or not heads:
         raise ValueError("need one input block per head")
@@ -441,21 +424,23 @@ def mixture_loss_and_grads(
         np.asarray(inputs, dtype=np.float64)[None], np.asarray(labels, dtype=np.int64)[None],
         weight_decay,
     )
-    return float(loss[0]), HeadGrads(W=dW[0], b=None if db is None else db[0])
+    return float(loss[0]), (dW[0], None if db is None else db[0])
 
 
 def sgd_step(
     heads: Sequence[HeadParams],
-    grads: HeadGrads,
+    grads: tuple[np.ndarray, np.ndarray | None],
     learning_rate: float,
     coupling: float | None = None,
 ) -> None:
-    """In-place gradient step; ``grads`` is left as it is. ``coupling`` must
+    """In-place gradient step by the ``(dW, db)`` pair of
+    :func:`mixture_loss_and_grads`, which is left as it is. ``coupling`` must
     be None (see :func:`_no_coupling`)."""
     _no_coupling(coupling)
     _, W, b = stack_heads(heads)
-    db = None if grads.b is None else np.array(grads.b, dtype=np.float64)
-    stack_sgd_step(W, b, np.array(grads.W, dtype=np.float64), db, learning_rate)
+    dW, db = grads
+    db = None if db is None else np.array(db, dtype=np.float64)
+    stack_sgd_step(W, b, np.array(dW, dtype=np.float64), db, learning_rate)
     for i, h in enumerate(heads):  # write the stepped stack back into the heads
         h.W[...] = W[i]
         if b is not None:
@@ -490,15 +475,6 @@ def _class_means(Z: np.ndarray, labels: np.ndarray, way: int) -> np.ndarray:
     rows = np.argsort(labels, axis=-1, kind="stable").reshape(E, *(1,) * (Z.ndim - 3), S, 1)
     grouped = np.take_along_axis(Z, rows, axis=-2)
     return grouped.reshape(*Z.shape[:-2], way, c, Z.shape[-1]).mean(axis=-2)
-
-
-def centroids_from_support(features: np.ndarray, labels: np.ndarray, way: int) -> np.ndarray:
-    """Per-class means of support rows; every class 0..way-1 must appear."""
-    feats = as_matrix(features)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size != feats.shape[0]:
-        raise ValueError("labels must align with features")
-    return _class_means(feats[None], labels[None], way)[0]
 
 
 def init_stack(
@@ -542,11 +518,7 @@ def init_heads(
     ``coupling`` must be None (see :func:`_no_coupling`).
     """
     _no_coupling(coupling)
-    Z = np.asarray(support_inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if Z.ndim != 3 or labels.shape != (Z.shape[1],):
-        raise ValueError("need (S, P) input blocks with one label per row")
-    W, b = init_stack(kind, way, Z[None], labels[None])
+    W, b = init_stack(kind, way, np.asarray(support_inputs)[None], np.asarray(labels)[None])
     return _unstack_heads(kind, W[0], None if b is None else b[0])
 
 
@@ -663,16 +635,13 @@ def fit_head(
     input stack. Fresh heads start as in :func:`init_stack`; a supplied
     ``init`` is used as given. Deterministic for a fixed ``cfg.seed``.
     """
-    X = as_matrix(support_x)
-    y = np.asarray(support_y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise ValueError("support set is empty")
-    if y.shape != (X.shape[0],):
-        raise ValueError("support labels must align with support features")
     start = None
     if init is not None:
         predictor.validate_heads(init)
         start = stack_heads(init)[1:]
     callback = None if loss_callback is None else lambda it, loss: loss_callback(it, float(loss[0]))
-    W, b = fit_stack(X[None], y[None], predictor, cfg, [cfg.seed], start, callback)
+    W, b = fit_stack(
+        np.asarray(support_x)[None], np.asarray(support_y)[None], predictor, cfg, [cfg.seed],
+        start, callback,
+    )
     return _unstack_heads(predictor.head_kind, W[0], None if b is None else b[0])

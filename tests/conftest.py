@@ -184,7 +184,7 @@ def _reference_logits(h, Z):
         return Z @ h.W.T + h.b
     if h.kind == "cosine":
         return reference_unit_rows(Z) @ reference_unit_rows(h.W).T
-    diff = Z[:, None, :] - h.centroids[None, :, :]
+    diff = Z[:, None, :] - h.W[None, :, :]
     return -np.einsum("bkp,bkp->bk", diff, diff)
 
 

@@ -303,6 +303,19 @@ def test_graph_from_json_rejects_malformed():
         graph_from_json('{"nodes": ["A"]}')
     with pytest.raises(ValueError, match="parent, child"):
         graph_from_json('{"nodes": ["A", "B"], "edges": [["A", "B", "C"]]}')
+    # strings are not split into characters, and names are strings
+    for doc in (
+        '{"nodes": "DXY", "edges": [["D", "X"]]}',
+        '{"nodes": ["D", "X", "Y"], "edges": ["DX", "XY"]}',
+        '{"nodes": ["X", 1], "edges": []}',
+        '{"nodes": null, "edges": []}',
+        '{"nodes": [["X"]], "edges": []}',
+        '{"nodes": ["X", "Y"], "edges": [["X", 2]]}',
+        '{"nodes": ["X", "Y"], "edges": null}',
+        '["X", "Y"]',
+    ):
+        with pytest.raises(ValueError, match="malformed graph document"):
+            graph_from_json(doc)
 
 
 def test_oracle_agrees_on_every_builtin_query():

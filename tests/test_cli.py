@@ -174,6 +174,10 @@ def test_config_errors_exit_2(data_dir, tmp_path):
     assert _episodes(data_dir, tmp_path / "y.json", ["--way", "1"]) == 2
     # unknown built-in graph
     assert main(["scm", "dsep", "--graph", "loopy", "--x", "X", "--y", "Y"]) == 2
+    # a graph file whose nodes are not a list of names
+    gpath = tmp_path / "bad-graph.json"
+    gpath.write_text(json.dumps({"nodes": None, "edges": []}))
+    assert main(["scm", "dsep", "--graph-file", str(gpath), "--x", "X", "--y", "Y"]) == 2
 
 
 def test_format_errors_exit_3(data_dir, tmp_path):
@@ -195,9 +199,13 @@ def test_missing_file_exits_1(data_dir, tmp_path):
     assert code == 1
 
 
-def test_argparse_rejection_exits_2(data_dir):
+def test_argparse_rejection_exits_2(data_dir, tmp_path):
     assert main(["episodes", "--features", "x"]) == 2  # --kb missing
     assert main(["definitely-not-a-command"]) == 2
+    # episodes has no hardness bins to write; --bins-csv belongs to hardness
+    bins = tmp_path / "bins.csv"
+    assert _episodes(data_dir, tmp_path / "r.json", ["--bins-csv", str(bins)]) == 2
+    assert not bins.exists()
 
 
 # --- scm queries -------------------------------------------------------------------
@@ -303,6 +311,28 @@ def test_synth_writes_artifacts_and_report(tmp_path, capsys):
     assert "baseline=" in summary and "gap=" in summary
 
 
+@pytest.mark.parametrize("flags", [
+    ["--episodes", "0"],
+    ["--bins", "-1"],
+    ["--batch-size", "0"],
+    ["--way", "17", "--novel-classes", "16"],
+    ["--strata", "3"],
+    ["--adjust", "feature", "--strata", "5"],
+    ["--weight-decay", "-1"],
+    ["--threshold", "-1"],
+])
+def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch, flags):
+    def no_data(*args, **kwargs):
+        raise AssertionError("dataset generated")
+
+    monkeypatch.setattr("ifsl.cli.gen_confounded", no_data)
+    outdir, report = tmp_path / "gen", tmp_path / "r.json"
+    code = main(["synth", "--out-dir", str(outdir), "--out", str(report), *SYNTH_ARGS, *flags])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not outdir.exists() and not report.exists()
+
+
 def test_synth_rerun_identical_outside_meta(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synth", "--out-dir", str(tmp_path / "g1"), "--out", str(a), *SYNTH_ARGS]) == 0
@@ -370,15 +400,21 @@ def test_meta_requires_kb_for_class_adjustment(data_dir, tmp_path):
     assert code == 2
 
 
-def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path):
-    # no held-out task leaves no accuracy to average; the report must not carry NaN
-    out = tmp_path / "meta.json"
+def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path, monkeypatch):
+    # no held-out task leaves no accuracy to average; the report must not
+    # carry NaN, and the count is refused before any training or file
+    def no_training(*args, **kwargs):
+        raise AssertionError("meta-training started")
+
+    monkeypatch.setattr("ifsl.cli.meta_train", no_training)
+    out, blob = tmp_path / "meta.json", tmp_path / "init.meta"
     code = main(
         ["meta", "--features", str(data_dir / "novel.features"), "--out", str(out),
-         "--way", "3", "--query", "4", "--tasks", "2", "--eval-tasks", "0"]
+         "--out-init", str(blob), "--way", "3", "--query", "4", "--tasks", "2",
+         "--eval-tasks", "0"]
     )
     assert code == 2
-    assert not out.exists()
+    assert not out.exists() and not blob.exists()
 
 
 @pytest.mark.parametrize("flag", ["--inner-lr", "--outer-lr"])

@@ -16,10 +16,10 @@ from ifsl.heads import (
     _class_means,
     _label_index,
     batch_rows,
-    centroids_from_support,
     fit_head,
     fit_stack,
     init_heads,
+    init_stack,
     logits_batch,
     mixture_loss_and_grads,
     sgd_step,
@@ -76,7 +76,7 @@ def test_cosine_rescaling_invariance():
 
 
 def test_centroid_logits_examples():
-    h = HeadParams("centroid", centroids=[[0.0, 0.0], [1.0, 0.0]])
+    h = HeadParams("centroid", W=[[0.0, 0.0], [1.0, 0.0]])
     out = logits_batch(h, np.array([[1.0, 0.0]]))[0]
     assert np.array_equal(out, [-1.0, 0.0])
     assert out.argmax() == 1
@@ -88,7 +88,7 @@ def test_centroid_equals_expanded_linear_argmax():
     # -||z - c||^2 = 2 c.z - ||c||^2 - ||z||^2, so argmax matches W=2c, b=-||c||^2
     rng = np.random.default_rng(4)
     cents = rng.standard_normal((4, 6))
-    cent_head = HeadParams("centroid", centroids=cents)
+    cent_head = HeadParams("centroid", W=cents)
     lin_head = HeadParams(
         "linear", W=2.0 * cents, b=-np.sum(cents * cents, axis=1)
     )
@@ -102,7 +102,7 @@ def test_head_probs_sum_to_one():
     heads = [
         HeadParams("linear", W=rng.standard_normal((3, 4)), b=rng.standard_normal(3)),
         HeadParams("cosine", W=rng.standard_normal((3, 4))),
-        HeadParams("centroid", centroids=rng.standard_normal((3, 4))),
+        HeadParams("centroid", W=rng.standard_normal((3, 4))),
     ]
     for h in heads:
         p = softmax_rows(logits_batch(h, rng.standard_normal((1, 4))))[0]
@@ -117,8 +117,8 @@ def test_head_params_validation():
         HeadParams("cosine", W=np.zeros((2, 3)), b=np.zeros(2))
     with pytest.raises(ValueError, match="bias"):
         HeadParams("linear", W=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="centroids and nothing else"):
-        HeadParams("centroid", W=np.zeros((2, 3)), centroids=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="no bias"):
+        HeadParams("centroid", W=np.zeros((2, 3)), b=np.zeros(2))
     with pytest.raises(ValueError, match="unknown head kind"):
         HeadParams("mlp", W=np.zeros((2, 3)), b=np.zeros(2))
     with pytest.raises(ValueError):
@@ -128,19 +128,22 @@ def test_head_params_validation():
 # --- centroids --------------------------------------------------------------------
 
 
-def test_centroids_from_support():
+def test_centroid_init_means_support_rows():
+    # a centroid head starts at, and stays, the per-class means of its support
+    # rows; one episode of one head is the (1, 1, S, P) stack
     feats = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 1.0]])
     labels = np.array([0, 0, 1])
-    cents = centroids_from_support(feats, labels, 2)
-    assert np.array_equal(cents, [[1.0, 1.0], [5.0, 1.0]])
+    cents, b = init_stack("centroid", 2, feats[None, None], labels[None])
+    assert b is None
+    assert np.array_equal(cents[0, 0], [[1.0, 1.0], [5.0, 1.0]])
     # one-shot centroid is the sample itself
-    one = centroids_from_support(feats[2:], labels[2:] - 1, 1)
-    assert np.array_equal(one, [[5.0, 1.0]])
+    one = init_stack("centroid", 1, feats[None, None, 2:], labels[None, 2:] - 1)[0]
+    assert np.array_equal(one[0, 0], [[5.0, 1.0]])
     # sample order does not matter
-    cents2 = centroids_from_support(feats[::-1], labels[::-1], 2)
+    cents2 = init_stack("centroid", 2, feats[None, None, ::-1], labels[None, ::-1])[0]
     assert np.allclose(cents, cents2, atol=1e-15)
     with pytest.raises(ValueError, match="no samples for class"):
-        centroids_from_support(feats, labels, 3)
+        init_stack("centroid", 3, feats[None, None], labels[None])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -212,18 +215,19 @@ def test_ce_loss_invalid_label():
 def test_saturated_head_small_loss_and_gradient():
     # logits strongly favor the true class: loss and gradient nearly vanish
     h = HeadParams("linear", W=np.array([[20.0, 0.0], [-20.0, 0.0]]), b=np.zeros(2))
-    loss, g = _ce(h, [1.0, 0.0], 0)
+    loss, (dW, db) = _ce(h, [1.0, 0.0], 0)
     assert loss < 1e-3
-    assert np.linalg.norm(g.W) < 1e-2
-    assert np.linalg.norm(g.b) < 1e-2
+    assert np.linalg.norm(dW) < 1e-2
+    assert np.linalg.norm(db) < 1e-2
 
 
 def flatten_grads(grads):
-    """Stacked gradients in the order of ``_flatten_params``: W then b, head by head."""
-    n = grads.W.shape[0]
-    if grads.b is None:
-        return grads.W.ravel()
-    return np.concatenate([grads.W.reshape(n, -1), grads.b], axis=1).ravel()
+    """The stacked ``(dW, db)`` pair in the order of ``_flatten_params``: W then
+    b, head by head."""
+    dW, db = grads
+    if db is None:
+        return dW.ravel()
+    return np.concatenate([dW.reshape(len(dW), -1), db], axis=1).ravel()
 
 
 def _flatten_params(heads):
@@ -330,18 +334,18 @@ def test_large_logit_gap_gives_finite_loss_and_gradients(n_heads):
         for i in range(n_heads)
     ]
     inputs = np.full((n_heads, 1, 1), 1000.0)
-    loss, grads = mixture_loss_and_grads(heads, inputs, np.array([0]))
+    loss, (dW, db) = mixture_loss_and_grads(heads, inputs, np.array([0]))
     # -log((1/n) sum_i exp(-(1000 + 10 i))), in closed form
     gaps = 1000.0 + 10.0 * np.arange(n_heads)
     expected = 1000.0 + math.log(n_heads) - math.log(np.sum(np.exp(1000.0 - gaps)))
     assert np.isfinite(loss)
     assert loss == pytest.approx(expected, rel=1e-15)
-    assert np.all(np.isfinite(grads.W)) and np.all(np.isfinite(grads.b))
+    assert np.all(np.isfinite(dW)) and np.all(np.isfinite(db))
     # p_i - onehot = (-1, 1) in every head, weighted by the responsibilities
     # r_i = softmax_i(-gap_i)
     r = np.exp(gaps.min() - gaps) / np.sum(np.exp(gaps.min() - gaps))
-    assert np.allclose(grads.b, r[:, None] * [-1.0, 1.0], rtol=1e-15, atol=0.0)
-    assert np.allclose(grads.W[:, :, 0], 1000.0 * r[:, None] * [-1.0, 1.0], rtol=1e-15, atol=0.0)
+    assert np.allclose(db, r[:, None] * [-1.0, 1.0], rtol=1e-15, atol=0.0)
+    assert np.allclose(dW[:, :, 0], 1000.0 * r[:, None] * [-1.0, 1.0], rtol=1e-15, atol=0.0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -373,11 +377,12 @@ def test_mixture_gradients_match_finite_differences_property(
     _, grads = mixture_loss_and_grads(heads, blocks, y, weight_decay)
     analytic = flatten_grads(grads)
     numeric = fd_gradient(heads, blocks, y, weight_decay)
+    dW = grads[0]
     if zeroed:
-        assert np.array_equal(grads.W[-1, 1], np.zeros(predictor.head_input_dim))
+        assert np.array_equal(dW[-1, 1], np.zeros(predictor.head_input_dim))
         # the loss has no derivative at a zero row: compare every other entry
         keep = np.ones(analytic.size, dtype=bool)
-        row = analytic.size - grads.W[-1].size + predictor.head_input_dim
+        row = analytic.size - dW[-1].size + predictor.head_input_dim
         keep[row : row + predictor.head_input_dim] = False
         analytic, numeric = analytic[keep], numeric[keep]
     denom = max(np.linalg.norm(numeric), 1e-8)
@@ -682,11 +687,11 @@ def test_sgd_step_leaves_grads_unchanged():
     heads = _random_heads("linear", 1, 3, predictor.head_input_dim, rng)
     X = rng.standard_normal((5, 8))
     y = np.array([0, 1, 2, 0, 1])
-    _, grads = mixture_loss_and_grads(heads, predictor.support_inputs(X), y, 1e-3)
-    dW, db = grads.W.copy(), grads.b.copy()
+    _, (dW, db) = mixture_loss_and_grads(heads, predictor.support_inputs(X), y, 1e-3)
+    dW0, db0 = dW.copy(), db.copy()
     W0 = heads[0].W.copy()
-    sgd_step(heads, grads, 0.1)
-    assert np.array_equal(grads.W, dW) and np.array_equal(grads.b, db)
+    sgd_step(heads, (dW, db), 0.1)
+    assert np.array_equal(dW, dW0) and np.array_equal(db, db0)
     assert not np.array_equal(heads[0].W, W0)
 
 

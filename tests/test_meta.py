@@ -57,7 +57,7 @@ def test_zero_meta_init_shapes():
 def test_meta_init_validation():
     lin = HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))
     cos = HeadParams("cosine", W=np.ones((2, 3)))
-    cent = HeadParams("centroid", centroids=np.zeros((2, 3)))
+    cent = HeadParams("centroid", W=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="at least one head"):
         MetaInit([])
     with pytest.raises(ValueError, match="one kind"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifsl.evalmetrics import query_hardness
-from ifsl.heads import centroids_from_support
+from ifsl.heads import init_stack
 from ifsl.numerics import (
     as_matrix,
     as_rows,
@@ -205,20 +205,23 @@ def test_relu_idempotent():
 
 
 def test_mean_vector_examples():
-    assert np.array_equal(centroids_from_support([[0.0, 0.0], [2.0, 2.0]], [0, 0], 1), [[1.0, 1.0]])
-    assert np.array_equal(centroids_from_support([[1.0, 1.0]], [0], 1), [[1.0, 1.0]])
-    mean = centroids_from_support([[1, 0], [0, 1], [-1, -1]], [0, 0, 0], 1)
-    assert np.allclose(mean, [[0.0, 0.0]], atol=1e-15)
+    # one head's one-class centroid on one episode: the (1, 1, S, P) stack
+    mean = init_stack("centroid", 1, [[[[0.0, 0.0], [2.0, 2.0]]]], [[0, 0]])[0]
+    assert np.array_equal(mean[0, 0], [[1.0, 1.0]])
+    mean = init_stack("centroid", 1, [[[[1.0, 1.0]]]], [[0]])[0]
+    assert np.array_equal(mean[0, 0], [[1.0, 1.0]])
+    mean = init_stack("centroid", 1, [[[[1, 0], [0, 1], [-1, -1]]]], [[0, 0, 0]])[0]
+    assert np.allclose(mean[0, 0], [[0.0, 0.0]], atol=1e-15)
 
 
 def test_mean_vector_empty_rejected():
     with pytest.raises(ValueError):
-        centroids_from_support(np.zeros((0, 2)), [], 1)
+        init_stack("centroid", 1, np.zeros((1, 1, 0, 2)), np.zeros((1, 0), dtype=int))
 
 
 def test_mean_vector_mixed_dims_rejected():
     with pytest.raises(ValueError):
-        centroids_from_support([[1.0, 2.0], [1.0, 2.0, 3.0]], [0, 0], 1)
+        init_stack("centroid", 1, [[[[1.0, 2.0], [1.0, 2.0, 3.0]]]], [[0, 0]])
 
 
 def test_as_vector_validation():
