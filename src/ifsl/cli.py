@@ -48,6 +48,7 @@ from .evalmetrics import (
     Report,
     accuracy_report,
     bins_to_csv_rows,
+    check_bins,
     hardness_report,
     mean_ci,
     with_bins,
@@ -96,15 +97,17 @@ def _load_features_any(path: str):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("IFSL_THREADS")
-    if env is not None:
+    """``--threads``, else ``IFSL_THREADS``, else 1; a count below 1 is a config error."""
+    threads, source = args.threads, "--threads"
+    if threads is None:
+        env, source = os.environ.get("IFSL_THREADS"), "IFSL_THREADS"
         try:
-            return max(1, int(env))
+            threads = 1 if env is None else int(env)
         except ValueError:
             raise ValueError(f"IFSL_THREADS must be an integer, got {env!r}") from None
-    return 1
+    if threads < 1:
+        raise ValueError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _adjustment(args) -> AdjustmentConfig:
@@ -186,9 +189,11 @@ def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> 
 
 def cmd_episodes(args) -> int:
     started = time.perf_counter()
+    _threads(args)  # validated for compatibility; episodes run serially
+    if args.bins:
+        check_bins(args.episodes * args.way * args.query, args.bins)
     ds = _load_features_any(args.features)
     kb = load_kb(args.kb)
-    _threads(args)  # validated for compatibility; episodes run serially
     fit_cfg = _fit_config(args, args.adjust != "none")
     results = run_many(
         ds, args.way, args.shot, args.query, args.episodes, args.classifier,
@@ -300,6 +305,8 @@ def cmd_synth(args) -> int:
         raise ValueError(f"episode count must be >= 1, got {args.episodes}")
     if args.bins < 0:
         raise ValueError(f"bin count must be >= 1, or 0 for no bins, got {args.bins}")
+    if args.bins:
+        check_bins(args.episodes * args.way * args.query, args.bins)
     _check_shape(cfg.novel_classes, args.way, args.shot, args.query)
     if adj.strategy in ("feature", "combined"):
         adj.partition.validate_dim(cfg.dim)

@@ -8,7 +8,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .heads import FitConfig, _class_means, fit_stack, init_stack, stack_probs
+from .heads import FitConfig, _class_means, _fit_inputs, init_stack, stack_probs
 from .knowledge import FeatureDataset, KnowledgeBase, pretrain_logits
 from .evalmetrics import query_hardness
 from .numerics import as_matrix
@@ -205,27 +205,31 @@ def episode_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
 
 
 def _fit_and_score(
-    predictor: Predictor, fit_cfg: FitConfig, chunk: _Chunk, seeds: Sequence[int], init=None
-) -> np.ndarray:
-    """(E, Q) predicted query labels of a chunk: centroid heads from the
-    support, or parametric heads fitted as one stack by ``fit_stack`` (from
-    ``init``, an ``(n, K, P)`` stack and its biases, if given). Queries are
-    scored one episode at a time: a whole chunk held about 1 MB more at peak
-    to save 2% of the time."""
-    if predictor.head_kind == "centroid":
-        W, b = init_stack(
-            "centroid", predictor.way, predictor.support_inputs(chunk.support_x), chunk.support_y
-        )
-    else:
-        W, b = fit_stack(chunk.support_x, chunk.support_y, predictor, fit_cfg, seeds, init)
+    predictor: Predictor, fit_cfg: FitConfig, chunk: _Chunk, seeds: Sequence[int], inits=(None,)
+) -> list[np.ndarray]:
+    """(E, Q) predicted query labels of a chunk, one array per start in
+    ``inits``: centroid heads from the support, or parametric heads fitted
+    as one stack (from the start, an ``(n, K, P)`` stack and its biases, or
+    fresh heads for None). The chunk's support and query rows get their
+    stratum inputs once, for every start. Queries are scored one episode at
+    a time: a whole chunk held about 1 MB more at peak to save 2% of the
+    time."""
+    support = predictor.support_inputs(chunk.support_x)
     queries = predictor.support_inputs(chunk.query_x)
-    return np.stack([
-        stack_probs(
-            predictor.head_kind, W[e : e + 1], None if b is None else b[e : e + 1],
-            queries[e : e + 1],
-        )[0]
-        for e in range(len(queries))
-    ]).argmax(axis=-1)
+    predicted = []
+    for init in inits:
+        if predictor.head_kind == "centroid":
+            W, b = init_stack("centroid", predictor.way, support, chunk.support_y)
+        else:
+            W, b = _fit_inputs(support, chunk.support_y, predictor, fit_cfg, seeds, init)
+        predicted.append(np.stack([
+            stack_probs(
+                predictor.head_kind, W[e : e + 1], None if b is None else b[e : e + 1],
+                queries[e : e + 1],
+            )[0]
+            for e in range(len(queries))
+        ]).argmax(axis=-1))
+    return predicted
 
 
 def _evaluate(
@@ -249,7 +253,7 @@ def _evaluate(
     per_arm = []
     for classifier, adj_cfg, fit_cfg in arms:
         predictor = Predictor(adj_cfg, kb, dim, chunk.way, classifier)
-        predicted = _fit_and_score(predictor, fit_cfg, chunk, seeds)
+        (predicted,) = _fit_and_score(predictor, fit_cfg, chunk, seeds)
         per_arm.append([
             EpisodeResult(p, t, h, c) for p, (t, h), c in zip(predicted, shared, predicted == true)
         ])

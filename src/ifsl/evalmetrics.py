@@ -82,37 +82,42 @@ def accuracy_report(results) -> Report:
     return Report(episodes=len(accs), mean_acc=mean, ci95=ci)
 
 
+def check_bins(queries: int, bins: int) -> None:
+    """Refuse a bin count below 1 or above the ``queries`` it would split:
+    the rule of :func:`hardness_report`, which the CLI applies before it
+    reads or writes any data."""
+    if bins < 1:
+        raise ValueError(f"bin count must be >= 1, got {bins}")
+    if queries < bins:
+        raise ValueError(f"{queries} queries cannot fill {bins} bins")
+
+
 def hardness_report(results, bins: int) -> tuple[HardnessBin, ...]:
     """Pool all queries, sort by hardness, and split into equal-count quantile bins.
 
     When the pool size is not divisible by ``bins`` the remainder goes to the
-    lowest-hardness bins, one extra query each.
+    lowest-hardness bins, one extra query each. A bin's bounds are the first
+    and last hardness of its slice of the stably sorted pool, and its
+    correct answers are counted for all bins in one ``reduceat``.
     """
-    if bins < 1:
-        raise ValueError(f"bin count must be >= 1, got {bins}")
     hardness = np.concatenate([np.asarray(r.hardness, dtype=np.float64) for r in results])
     correct = np.concatenate([np.asarray(r.correct, dtype=bool) for r in results])
     total = hardness.size
-    if total < bins:
-        raise ValueError(f"{total} queries cannot fill {bins} bins")
+    check_bins(total, bins)
     order = np.argsort(hardness, kind="stable")
     base, rem = divmod(total, bins)
-    out = []
-    start = 0
-    for b in range(bins):
-        size = base + (1 if b < rem else 0)
-        members = order[start : start + size]
-        start += size
-        h = hardness[members]
-        out.append(
-            HardnessBin(
-                lo=float(h.min()),
-                hi=float(h.max()),
-                count=size,
-                acc=float(100.0 * correct[members].mean()),
-            )
+    sizes = np.full(bins, base)
+    sizes[:rem] += 1
+    starts = np.cumsum(sizes) - sizes
+    ranked = hardness[order]
+    hits = np.add.reduceat(correct[order], starts, dtype=np.intp)
+    return tuple(
+        HardnessBin(lo=lo, hi=hi, count=count, acc=acc)
+        for lo, hi, count, acc in zip(
+            ranked[starts].tolist(), ranked[starts + sizes - 1].tolist(), sizes.tolist(),
+            (100.0 * (hits / sizes)).tolist(),
         )
-    return tuple(out)
+    )
 
 
 def with_bins(report: Report, bins: tuple[HardnessBin, ...]) -> Report:

@@ -17,7 +17,10 @@ gradients. A fitting step holds its logits class-outermost, in a
 each one pass over K contiguous blocks of E*n*B entries, and the step turns
 that one buffer into the exponentials and then into dL/dlogits in place,
 so dW = G @ V and the bias gradient is G.sum(-1), both on the view.
-Scoring keeps (..., n, K, B) logits per head; probabilities handed out
+Fits hold linear biases and their gradients class-outermost as well, as
+(E, n, K) views of (K, E, n) memory (see :func:`_bias_stack`), so the bias
+add and the bias-gradient sum are contiguous passes over G; any bias
+layout gives the same bits. Scoring keeps (..., n, K, B) logits per head; probabilities handed out
 stay (B, K). A cosine step normalises its weight rows once: the unit rows U
 and norms |w| give both the logits U @ V^T and the gradient
 (GV - (GV . u) u) / |w|, which reads G only through GV = G @ V. The mixture
@@ -26,14 +29,16 @@ the per-head log-softmax outputs, so the loss and its gradients stay finite
 however small every head's probability of the true class is; a lone head
 skips it, since its responsibility is exp(0) = 1.
 
-One step is one core: a fit allocates a single :class:`_Workspace` (the
-logit/gradient buffer, the per-row vectors and the gradients) and every
-iteration writes into it, and :func:`stack_sgd_step` applies the learning
-rate to those gradient buffers in place before stepping the weights. One
-loop, :func:`_fit_steps`, runs the iterations of every fit:
-those of :func:`fit_stack` (episode chunks and the knowledge-base fit) and
-those of each task that ``meta.meta_train`` adapts, whose workspaces are
-allocated once per ``meta_train`` call.
+One step is one call: a fit allocates a single :class:`_Workspace` (the
+logit/gradient buffer, the per-row vectors and the gradients), which binds
+one gradient routine to those buffers, the fit's W and b and the ufuncs,
+so a step looks nothing up. The routine fills the gradients and, given a
+learning rate, applies it to them in place and steps the weights. One
+loop, :func:`_fit_steps`, calls it once per iteration of every fit: those
+of :func:`fit_stack` (episode chunks and the knowledge-base fit) and those
+of each task that ``meta.meta_train`` adapts, whose workspaces are
+allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and
+``meta_train``'s outer step call the same routine for the gradients alone.
 
 The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
 :func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
@@ -125,7 +130,8 @@ class FitConfig:
 # The n heads of each of E episodes are fitted and scored as one stack: weights
 # W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P); logits
 # are (E, n, K, B), and a fitting step holds them and their gradients
-# class-outermost, (K, E, n, B) (see _Workspace). Cosine inputs are
+# class-outermost, (K, E, n, B), as fits hold b and its gradient, (K, E, n)
+# (see _Workspace). Cosine inputs are
 # row-normalised before they reach the core, and cosine weights once per step,
 # by normalize_rows_with_divisors: its (U, d) pair feeds both the logits and the
 # gradient. Centroid heads keep their centroids in W. Every episode's heads only
@@ -226,124 +232,139 @@ def _check_labels(labels: np.ndarray, way: int) -> None:
         raise ValueError(f"labels must lie in [0, {way - 1}]")
 
 
-class _Workspace:
-    """Every array that one step of a stacked fit writes, allocated once per fit.
+def _bias_stack(E: int, n: int, K: int) -> np.ndarray:
+    """Zero (E, n, K) linear biases held class-outermost: a view of (K, E, n)
+    memory, the layout of the logit buffer ``G`` of :class:`_Workspace`, so
+    the bias add and the bias-gradient sum are contiguous passes over ``G``."""
+    return np.zeros((K, E, n)).transpose(1, 2, 0)
 
-    For weights (E, n, K, P) and batches of B rows: the logits ``G``, which
-    become the exponentials and then dL/dlogits in place, held
-    class-outermost as (K, E, n, B) and written and read by the matmuls
-    through the (E, n, K, B) view ``G_heads``; the (E, n, B) class maxima;
-    three (E, n, B) vectors (the true-label terms, the class sums, a
-    scratch); the (E, 1, B) maximum and sum of the log-mean-exp over heads;
-    the gradients ``dW`` (E, n, K, P) and ``db`` (E, n, K); and, for cosine
-    heads, the unit rows, their divisors and a weight-shaped scratch. Each
-    op of a step writes into one of these: reductions and ``take`` through
-    ``out=``, elementwise ufuncs through their third positional argument.
-    Only the loss (when asked for) and the cosine zero-norm mask allocate.
+
+class _Workspace:
+    """One fit's gradient routine, bound once to the parameters it steps and
+    to every array that one step writes.
+
+    For weights ``W`` (E, n, K, P), linear biases ``b`` (E, n, K) and batches
+    of B rows it holds: the logits ``G``, which become the exponentials and
+    then dL/dlogits in place, class-outermost as (K, E, n, B) and written
+    and read by the matmuls through the (E, n, K, B) view ``G_heads``; the
+    (E, n, B) class maxima; three (E, n, B) vectors (the true-label terms,
+    the class sums, a scratch); the (E, 1, B) maximum and sum of the
+    log-mean-exp over heads; the gradients ``dW`` (E, n, K, P) and ``db``
+    (E, n, K), held class-outermost as :func:`_bias_stack` holds biases; and,
+    for cosine heads, the unit rows, their divisors and a weight-shaped
+    scratch. ``grads`` is the routine: a closure built here over these
+    buffers, ``W``, ``b`` and the ufuncs, so a step looks nothing up. Each op
+    writes into one of the buffers: reductions and ``take`` through their
+    ``out`` argument, elementwise ufuncs through their third positional
+    argument. Only the loss (when asked for) and the cosine zero-norm mask
+    allocate. Any layout of ``b`` gives the same bits; the class-outermost
+    one makes the bias add a contiguous pass over ``G``.
     """
 
-    def __init__(self, kind: str, shape: tuple[int, ...], rows: int, weight_decay: float):
+    def __init__(
+        self, kind: str, W: np.ndarray, b: np.ndarray | None, rows: int, weight_decay: float
+    ):
         if kind not in PARAMETRIC_KINDS:
             raise ValueError("centroid heads are non-parametric and have no gradients")
-        E, n, K, _ = shape
-        self.kind, self.weight_decay = kind, weight_decay
-        self.G = np.empty((K, E, n, rows))
-        self.G_heads = self.G.transpose(1, 2, 0, 3)
-        self.col_max, self.at_y, self.total, self.tmp = np.empty((4, E, n, rows))
-        self.top, self.w_sum = np.empty((2, E, 1, rows))
-        self.dW = np.empty(shape)
-        self.db = np.empty((E, n, K)) if kind == "linear" else None
-        if kind == "cosine" or weight_decay:
-            self.tmp_W = np.empty(shape)
-        if kind == "cosine":
-            self.U = np.empty(shape)
-            self.d, self.row_dot = np.empty((2, E, n, K, 1))
+        E, n, K, _ = W.shape
+        linear = kind == "linear"
+        G = np.empty((K, E, n, rows))
+        G_heads = G.transpose(1, 2, 0, 3)
+        col_max, at_y, total, tmp = np.empty((4, E, n, rows))
+        top, w_sum = np.empty((2, E, 1, rows))
+        dW = self.dW = np.empty(W.shape)
+        db = self.db = _bias_stack(E, n, K) if linear else None
+        b_G = b.transpose(2, 0, 1)[..., None] if linear else None  # b in G's layout
+        tmp_W = np.empty(W.shape) if kind == "cosine" or weight_decay else None
+        U = d = row_dot = None
+        if not linear:
+            U = np.empty(W.shape)
+            d, row_dot = np.empty((2, E, n, K, 1))
+        B, log_n = rows, math.log(n)
+        matmul, add, subtract, multiply, divide, exp, log = (
+            np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
+        )
+        add_reduce, max_reduce, take, put = np.add.reduce, np.maximum.reduce, G.take, G.put
 
-    def grads(
-        self, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
-        with_loss: bool = True,
-    ) -> np.ndarray | None:
-        """Fill ``dW``/``db`` with the stacked gradients of the per-episode loss
-        -mean log((1/n) sum_i p_i(y)) plus the L2 penalty; returns the (E,)
-        losses, or None without ``with_loss``. ``at_label`` locates the true
-        labels (see :func:`_label_index`)."""
-        loss = self.dlogits(W, b, V, at_label, with_loss)
-        self.weight_grads(W, V)
-        if with_loss and self.weight_decay:
-            loss += 0.5 * self.weight_decay * np.square(W).reshape(W.shape[0], -1).sum(axis=1)
-        return loss
+        def grads(
+            V: np.ndarray, at_label: np.ndarray, with_loss: bool = False,
+            learning_rate: float | None = None,
+        ) -> np.ndarray | None:
+            """Fill ``dW``/``db`` with the stacked gradients, at ``W``/``b``, of
+            the per-episode loss -mean log((1/n) sum_i p_i(y)) plus the L2
+            penalty on the batch ``V`` (E, n, B, P); returns the (E,) losses,
+            or None without ``with_loss``. ``at_label`` locates the true
+            labels (see :func:`_label_index`). Given a ``learning_rate``, it
+            then steps ``W``/``b`` in place as :func:`stack_sgd_step` does,
+            scaling ``dW``/``db`` by the rate on the way.
 
-    def dlogits(
-        self, W: np.ndarray, b: np.ndarray | None, V: np.ndarray, at_label: np.ndarray,
-        with_loss: bool,
-    ) -> np.ndarray | None:
-        """Fill ``G`` with dL/dlogits; returns the unpenalised losses.
+            Per-head log-softmax outputs are mixed as a log-mean-exp over
+            each episode's heads, so the loss stays finite when every head
+            gives the true class a vanishing probability. Head i's share of
+            the gradient is its responsibility r_i = softmax_i(log p_i(y)):
+            dL/dlogits_i = (r_i / B) * (p_i - onehot(y)), left in ``G``. A
+            lone head has r = exp(0) = 1, so its log-mean-exp is skipped,
+            and so, without ``with_loss``, is its log p(y). The class axis
+            of ``G`` is outermost, so each class maximum and sum is one pass
+            over K contiguous blocks.
 
-        Per-head log-softmax outputs are mixed as a log-mean-exp over each
-        episode's heads, so the loss stays finite when every head gives the
-        true class a vanishing probability. Head i's share of the gradient is
-        its responsibility r_i = softmax_i(log p_i(y)):
-        dL/dlogits_i = (r_i / B) * (p_i - onehot(y)). A lone head has
-        r = exp(0) = 1, so its log-mean-exp is skipped, and so, without
-        ``with_loss``, is its log p(y). Cosine heads score U @ V^T with the
-        unit rows U = W / |w|, computed here once per step; a zero-norm row
-        has |w| = inf and scores 0. The class axis of ``G`` is outermost, so
-        each class maximum and sum is one pass over K contiguous blocks.
-        """
-        G, at_y, total, tmp = self.G, self.at_y, self.total, self.tmp
-        _, _, n, B = G.shape
-        if self.kind == "linear":
-            np.add(np.matmul(W, V.swapaxes(-1, -2), self.G_heads), b[..., None], self.G_heads)
-        else:
-            U = normalize_rows_with_divisors(W, out=(self.U, self.d))[0]
-            np.matmul(U, V.swapaxes(-1, -2), self.G_heads)
-        np.subtract(G, np.maximum.reduce(G, axis=0, out=self.col_max), G)
-        read_py = n > 1 or with_loss  # log p_i(y) feeds only the loss and the mixture
-        if read_py:
-            G.take(at_label, out=at_y, mode="clip")  # shifted true-label logits
-        np.exp(G, G)
-        np.add.reduce(G, axis=0, out=total)
-        if read_py:
-            log_py = np.subtract(at_y, np.log(total, tmp), at_y)  # log p_i(y), (E, n, B)
-        loss = None
-        if n == 1:
-            if with_loss:
-                loss = math.log(n) - log_py[:, 0].sum(axis=1) / B
-            scale = 1.0 / B
-        else:
-            top = np.maximum.reduce(log_py, axis=1, keepdims=True, out=self.top)
-            w = np.exp(np.subtract(log_py, top, log_py), log_py)
-            w_sum = np.add.reduce(w, axis=1, keepdims=True, out=self.w_sum)
-            if with_loss:
-                loss = math.log(n) - (top + np.log(w_sum))[:, 0].sum(axis=1) / B
-            scale = np.divide(w, np.multiply(w_sum, B, w_sum), w)  # r_i / B
-        np.divide(scale, total, total)
-        np.multiply(G, total, G)
-        G.take(at_label, out=tmp, mode="clip")
-        G.put(at_label, np.subtract(tmp, scale, tmp), mode="clip")
-        return loss
+            ``G`` is then chained back: linear heads take dW = G @ V and
+            db = G.sum(-1). Cosine heads score U @ V^T with the unit rows
+            U = W / |w|, computed once per step; a zero-norm row has
+            |w| = inf and scores 0. Row u's Jacobian is (I - u u^T) / |w|, so
+            with GV = G @ V the gradient is dW = (GV - (GV . u) u) / |w|:
+            one pass over G, since the row sums of G * (U @ V^T) equal those
+            of GV * U, and a zero-norm row gets a zero gradient and stays
+            zero.
+            """
+            if linear:
+                matmul(W, V.swapaxes(-1, -2), G_heads)
+                add(G, b_G, G)
+            else:
+                normalize_rows_with_divisors(W, out=(U, d))
+                matmul(U, V.swapaxes(-1, -2), G_heads)
+            subtract(G, max_reduce(G, 0, None, col_max), G)
+            read_py = n > 1 or with_loss  # log p_i(y) feeds only the loss and the mixture
+            if read_py:
+                take(at_label, None, at_y, "clip")  # shifted true-label logits
+            exp(G, G)
+            add_reduce(G, 0, None, total)
+            if read_py:
+                log_py = subtract(at_y, log(total, tmp), at_y)  # log p_i(y), (E, n, B)
+            loss = None
+            if n == 1:
+                if with_loss:
+                    loss = log_n - log_py[:, 0].sum(axis=1) / B
+                scale = 1.0 / B
+            else:
+                top_ = max_reduce(log_py, 1, None, top, True)
+                w = exp(subtract(log_py, top_, log_py), log_py)
+                w_sum_ = add_reduce(w, 1, None, w_sum, True)
+                if with_loss:
+                    loss = log_n - (top_ + log(w_sum_))[:, 0].sum(axis=1) / B
+                scale = divide(w, multiply(w_sum_, B, w_sum_), w)  # r_i / B
+            divide(scale, total, total)
+            multiply(G, total, G)
+            take(at_label, None, tmp, "clip")
+            put(at_label, subtract(tmp, scale, tmp), "clip")
+            matmul(G_heads, V, dW)
+            if linear:
+                add_reduce(G_heads, -1, None, db)
+            else:
+                add_reduce(multiply(dW, U, tmp_W), -1, None, row_dot, True)
+                subtract(dW, multiply(row_dot, U, tmp_W), dW)
+                divide(dW, d, dW)
+            if weight_decay:
+                add(dW, multiply(W, weight_decay, tmp_W), dW)
+                if with_loss:
+                    loss += 0.5 * weight_decay * np.square(W).reshape(E, -1).sum(axis=1)
+            if learning_rate is not None:
+                subtract(W, multiply(dW, learning_rate, dW), W)
+                if linear:
+                    subtract(b, multiply(db, learning_rate, db), b)
+            return loss
 
-    def weight_grads(self, W: np.ndarray, V: np.ndarray) -> None:
-        """Chain ``G`` back into ``dW`` (and the bias gradient ``db = G.sum(-1)``),
-        plus the weight decay.
-
-        Linear heads take dW = G @ V. Cosine row u = w / |w| of the logits
-        U @ V^T has the Jacobian (I - u u^T) / |w|, so with GV = G @ V the
-        gradient is dW = (GV - (GV . u) u) / |w|: one pass over G, since the
-        row sums of G * (U @ V^T) equal those of GV * U. A zero-norm row gets a
-        zero gradient, so it stays zero. Reads the unit rows that
-        :meth:`dlogits` left.
-        """
-        dW = np.matmul(self.G_heads, V, self.dW)
-        if self.kind == "linear":
-            np.add.reduce(self.G_heads, axis=-1, out=self.db)
-        else:
-            U, tmp_W = self.U, self.tmp_W
-            np.add.reduce(np.multiply(dW, U, tmp_W), axis=-1, keepdims=True, out=self.row_dot)
-            np.subtract(dW, np.multiply(self.row_dot, U, tmp_W), dW)
-            np.divide(dW, self.d, dW)
-        if self.weight_decay:
-            np.add(dW, np.multiply(W, self.weight_decay, self.tmp_W), dW)
+        self.grads = grads
 
 
 def _no_coupling(coupling) -> None:
@@ -362,7 +383,9 @@ def stack_sgd_step(
     learning_rate: float,
 ) -> None:
     """In-place step W -= lr * dW, b -= lr * db on a stack. ``dW``/``db``
-    serve as scratch: the learning rate is applied to them in place."""
+    serve as scratch: the learning rate is applied to them in place. Fits
+    step inside their workspace's gradient routine instead, which saves a
+    call per step."""
     np.subtract(W, np.multiply(dW, learning_rate, dW), W)
     if b is not None:
         np.subtract(b, np.multiply(db, learning_rate, db), b)
@@ -385,8 +408,8 @@ def stack_loss_and_grads(
     if labels.shape != (E, V.shape[2]):
         raise ValueError("labels must align with inputs")
     _check_labels(labels, K)
-    ws = _Workspace(kind, W.shape, V.shape[2], weight_decay)
-    loss = ws.grads(W, b, V, _label_index(labels, n, K))
+    ws = _Workspace(kind, W, b, V.shape[2], weight_decay)
+    loss = ws.grads(V, _label_index(labels, n, K), with_loss=True)
     return loss, ws.dW, ws.db
 
 
@@ -485,8 +508,9 @@ def init_stack(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Fresh stacked ``(W, b)`` for E episodes on (E, n, S, P) support inputs with (E, S) labels.
 
-    ``W`` is (E, n, K, P) and ``b`` (E, n, K) for linear heads, else None;
-    see :func:`init_heads` for how each kind starts.
+    ``W`` is (E, n, K, P) and ``b`` (E, n, K) for linear heads, held
+    class-outermost (see :func:`_bias_stack`), else None; see
+    :func:`init_heads` for how each kind starts.
     """
     Z = np.asarray(support_inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -496,7 +520,7 @@ def init_stack(
         raise ValueError(f"unknown head kind {kind!r}")
     E, n, _, P = Z.shape
     if kind == "linear":
-        return np.zeros((E, n, way, P)), np.zeros((E, n, way))
+        return np.zeros((E, n, way, P)), _bias_stack(E, n, way)
     cents = _class_means(Z, labels, way)
     if kind == "centroid":
         return cents, None
@@ -557,15 +581,34 @@ def fit_stack(
     weight stack and its ``(n, K)`` biases (or None), is every episode's
     start; fresh heads start as in :func:`init_stack`. ``loss_callback``
     gets each iteration's (E,) losses. The weight decay is scaled by
-    ``predictor.weight_decay_scale``. The set-up (stratum inputs, start, one
-    workspace, label indices and mini-batch rows) is done here and the
-    iterations run in :func:`_fit_steps`. See :func:`fit_head`.
+    ``predictor.weight_decay_scale``. The stratum inputs are built here and
+    the fit runs in :func:`_fit_inputs`. See :func:`fit_head`.
+    """
+    return _fit_inputs(
+        predictor.support_inputs(support_x), support_y, predictor, cfg, seeds, init, loss_callback
+    )
+
+
+def _fit_inputs(
+    Z: np.ndarray,
+    support_y: np.ndarray,
+    predictor,
+    cfg: FitConfig,
+    seeds: Sequence[int],
+    init: tuple[np.ndarray, np.ndarray | None] | None = None,
+    loss_callback: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`fit_stack` on the (E, n, S, P) stratum inputs ``Z`` of its
+    support sets, for callers that build them once for several fits.
+
+    The set-up (start, one workspace, label indices and mini-batch rows) is
+    done here and the iterations run in :func:`_fit_steps`. Biases, fresh or
+    copied from ``init``, are held class-outermost (see :func:`_bias_stack`).
     """
     kind = predictor.head_kind
     if kind not in PARAMETRIC_KINDS:
         raise ValueError(f"head kind {kind!r} is non-parametric; nothing to fit")
     y = np.asarray(support_y, dtype=np.int64)
-    Z = predictor.support_inputs(support_x)
     if Z.ndim != 4 or y.shape != (Z.shape[0], Z.shape[2]) or len(seeds) != Z.shape[0]:
         raise ValueError("need (E, S, dim) support sets with (E, S) labels and E seeds")
     E, n, S, _ = Z.shape
@@ -575,12 +618,15 @@ def fit_stack(
     if init is None:
         W, b = init_stack(kind, predictor.way, Z, y)
     else:
-        W, b = (None if a is None else np.repeat(np.asarray(a, dtype=np.float64)[None], E, axis=0)
-                for a in init)
+        W = np.repeat(np.asarray(init[0], dtype=np.float64)[None], E, axis=0)
+        b = None
+        if init[1] is not None:
+            b = _bias_stack(E, n, W.shape[2])
+            b[...] = init[1]
     V = _stack_inputs(kind, Z, W.shape[-1], ndim=4)
     K = W.shape[2]
     weight_decay = cfg.weight_decay * predictor.weight_decay_scale
-    ws = _Workspace(kind, W.shape, S if cfg.batch_size is None else cfg.batch_size, weight_decay)
+    ws = _Workspace(kind, W, b, S if cfg.batch_size is None else cfg.batch_size, weight_decay)
     if cfg.batch_size is None:
         batches = repeat((V, _label_index(y, n, K)), cfg.iterations)
     else:
@@ -594,27 +640,26 @@ def fit_stack(
         batches = (
             (flat.take(r, axis=0, out=buf, mode="clip"), a) for r, a in zip(at_rows, at_labels)
         )
-    _fit_steps(ws, W, b, batches, cfg.learning_rate, loss_callback)
+    _fit_steps(ws, batches, cfg.learning_rate, loss_callback)
     return W, b
 
 
 def _fit_steps(
     ws: _Workspace,
-    W: np.ndarray,
-    b: np.ndarray | None,
     batches: Iterable[tuple[np.ndarray, np.ndarray]],
     learning_rate: float,
     loss_callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> None:
-    """The fitting loop: one SGD step of ``W``/``b`` in place, through the
-    workspace ``ws``, per ``(inputs, label index)`` batch of ``batches``.
+    """The fitting loop: one SGD step of the workspace's ``W``/``b`` in
+    place, one call of its gradient routine, per ``(inputs, label index)``
+    batch of ``batches``.
 
     :func:`fit_stack` and the meta-learning task loop both step through it.
     """
-    for it, (batch, at_label) in enumerate(batches):
-        loss = ws.grads(W, b, batch, at_label, with_loss=loss_callback is not None)
-        stack_sgd_step(W, b, ws.dW, ws.db, learning_rate)
-        if loss_callback is not None:
+    grads, with_loss = ws.grads, loss_callback is not None
+    for it, (V, at_label) in enumerate(batches):
+        loss = grads(V, at_label, with_loss, learning_rate)
+        if with_loss:
             loss_callback(it, loss)
 
 

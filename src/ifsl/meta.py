@@ -8,12 +8,13 @@ initialization (no second-order terms). Tasks come from the episode loop of
 holds the initialization as an (n, K, P) weight stack and (n, K) biases,
 builds each chunk's stratum inputs in two calls (support rows, query rows)
 and steps every task in turn through one inner and one outer workspace,
-with the fitting loop of :func:`~ifsl.heads.fit_stack`. Held-out
-evaluation fits and scores each chunk from every initialization with the
-routine that scores the engine's arms. :func:`save_meta` refuses, before it
-opens the file, any initialization that :func:`load_meta` would reject. A
-head is ``head_input_dim`` wide; an init of another width is refused, not
-misread.
+each bound once to the task's copy of the weights and class-outermost
+biases, with the fitting loop of :func:`~ifsl.heads.fit_stack`. Held-out
+evaluation builds each chunk's stratum inputs once, then fits and scores
+the chunk from every initialization with the routine that scores the
+engine's arms. :func:`save_meta` refuses, before it opens the file, any
+initialization that :func:`load_meta` would reject. A head is
+``head_input_dim`` wide; an init of another width is refused, not misread.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .episodes import _chunks, _fit_and_score, episode_rng, sample_episode
 from .heads import (
     FitConfig,
     HeadParams,
+    _bias_stack,
     _fit_steps,
     _label_index,
     _stack_inputs,
@@ -150,9 +152,10 @@ def meta_train(
     # one task's adapted copy, workspaces and label indices serve every task;
     # sample_episode labels each episode's rows 0..way-1 in class order
     W_task = np.empty((1, n, K, P))
-    b_task = None if b is None else np.empty((1, n, K))
-    inner = _Workspace(kind, W_task.shape, way * shot, 0.0)
-    outer = _Workspace(kind, W_task.shape, way * query, 0.0)
+    b_task = None if b is None else _bias_stack(1, n, K)
+    inner = _Workspace(kind, W_task, b_task, way * shot, 0.0)
+    outer = _Workspace(kind, W_task, b_task, way * query, 0.0)
+    outer_dW, outer_db = outer.dW[0], None if b is None else outer.db[0]
     at_support = _label_index(np.repeat(np.arange(way), shot)[None], n, K)
     at_query = _label_index(np.repeat(np.arange(way), query)[None], n, K)
     for chunk in _chunks(lambda _: sample_episode(ds, way, shot, query, rng), mi.tasks):
@@ -166,11 +169,9 @@ def meta_train(
             W_task[0] = W
             if b is not None:
                 b_task[0] = b
-            batches = repeat((support[t : t + 1], at_support), mi.inner_steps)
-            _fit_steps(inner, W_task, b_task, batches, mi.inner_lr)
-            outer.grads(W_task, b_task, queries[t : t + 1], at_query, with_loss=False)
-            db = None if b is None else outer.db[0]
-            stack_sgd_step(W, b, outer.dW[0], db, mi.outer_lr)
+            _fit_steps(inner, repeat((support[t : t + 1], at_support), mi.inner_steps), mi.inner_lr)
+            outer.grads(queries[t : t + 1], at_query)
+            stack_sgd_step(W, b, outer_dW, outer_db, mi.outer_lr)
     return replace_theta(mi, _unstack_heads(kind, W, b))
 
 
@@ -190,10 +191,11 @@ def evaluate_inits(
 
     Task ``e`` of ``count`` is drawn from ``episode_rng(seed, e)``; each
     initialization is adapted on its support set as by ``adapt`` and scored
-    on its queries. The tasks come in the episode engine's chunks, and each
-    chunk is fitted and scored from each initialization as one stack, which
-    gives each task the same bits as alone. Returns one list of per-task
-    accuracies per initialization.
+    on its queries. The tasks come in the episode engine's chunks; each
+    chunk's stratum inputs are built once, and the chunk is fitted and
+    scored from each initialization as one stack, which gives each task the
+    same bits as alone. Returns one list of per-task accuracies per
+    initialization.
     """
     for theta in inits:
         predictor.validate_heads(theta)
@@ -203,8 +205,7 @@ def evaluate_inits(
     tasks = _chunks(lambda e: sample_episode(ds, way, shot, query, episode_rng(seed, e)), count)
     for chunk in tasks:
         seeds = [0] * len(chunk.indices)  # full-batch steps draw no mini-batches
-        for init, out in zip(stacks, accs):
-            predicted = _fit_and_score(predictor, cfg, chunk, seeds, init)
+        for predicted, out in zip(_fit_and_score(predictor, cfg, chunk, seeds, stacks), accs):
             out.extend((100.0 * (predicted == chunk.query_y).mean(axis=1)).tolist())
     return accs
 

@@ -101,6 +101,29 @@ def test_env_thread_fallback(data_dir, tmp_path, monkeypatch):
     assert _doc_sans_meta(a) == _doc_sans_meta(b)
     monkeypatch.setenv("IFSL_THREADS", "lots")
     assert _episodes(data_dir, tmp_path / "c.json") == 2
+    monkeypatch.setenv("IFSL_THREADS", "0")
+    assert _episodes(data_dir, tmp_path / "d.json") == 2
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("episodes", ["--threads", "0"], "--threads must be >= 1, got 0"),
+    ("hardness", ["--threads", "-3"], "--threads must be >= 1, got -3"),
+    ("hardness", ["--bins", "61"], "60 queries cannot fill 61 bins"),  # 5 * 3 * 4 queries
+])
+def test_episode_commands_refuse_bad_counts_before_reading(
+    data_dir, tmp_path, capsys, monkeypatch, command, flags, message
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("features read")
+
+    monkeypatch.setattr("ifsl.cli._load_features_any", no_read)
+    out = tmp_path / "r.json"
+    code = main([command, "--features", str(data_dir / "novel.features"),
+                 "--kb", str(data_dir / "kb.bin"), "--out", str(out), *EPISODE_ARGS, *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_feature_input(data_dir, tmp_path):
@@ -320,6 +343,8 @@ def test_synth_writes_artifacts_and_report(tmp_path, capsys):
     ["--adjust", "feature", "--strata", "5"],
     ["--weight-decay", "-1"],
     ["--threshold", "-1"],
+    ["--threads", "0"],
+    ["--bins", "100"],  # SYNTH_ARGS give 6 * 3 * 5 = 90 queries
 ])
 def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch, flags):
     def no_data(*args, **kwargs):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsl.evalmetrics import (
     HardnessBin,
     accuracy_report,
     bins_to_csv_rows,
+    check_bins,
     hardness_report,
     mean_ci,
     query_hardness,
@@ -212,6 +215,61 @@ def test_hardness_report_validation():
         hardness_report(results, 0)
     with pytest.raises(ValueError, match="cannot fill"):
         hardness_report(results, 3)
+
+
+def _per_bin_reference(results, bins):
+    # the report one bin at a time: three reductions over each bin's members
+    hardness = np.concatenate([r.hardness for r in results])
+    correct = np.concatenate([r.correct for r in results])
+    order = np.argsort(hardness, kind="stable")
+    base, rem = divmod(hardness.size, bins)
+    out, start = [], 0
+    for b in range(bins):
+        size = base + (1 if b < rem else 0)
+        members = order[start : start + size]
+        start += size
+        h = hardness[members]
+        out.append(HardnessBin(float(h.min()), float(h.max()), size,
+                               float(100.0 * correct[members].mean())))
+    return tuple(out)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    bins=st.integers(1, 60),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hardness_report_equals_per_bin_reference(sizes, bins, ties, seed):
+    # pools of any size, split into any number of bins with or without a
+    # remainder, and with tied hardness when ``ties``: the same bins, bit for bit
+    rng = np.random.default_rng(seed)
+    results = [
+        FakeResult(
+            rng.random(size) < 0.5,
+            rng.integers(-3, 4, size) * 0.5 if ties else rng.standard_normal(size) * 3.0,
+        )
+        for size in sizes
+    ]
+    total = sum(sizes)
+    if total < bins:
+        with pytest.raises(ValueError, match="cannot fill"):
+            hardness_report(results, bins)
+        return
+    got = hardness_report(results, bins)
+    assert got == _per_bin_reference(results, bins)
+    assert all(type(v) is float for b in got for v in (b.lo, b.hi, b.acc))
+    assert all(type(b.count) is int for b in got)
+
+
+def test_check_bins_is_the_rule_of_hardness_report():
+    check_bins(30, 30)
+    check_bins(30, 1)
+    with pytest.raises(ValueError, match="bin count must be >= 1"):
+        check_bins(30, 0)
+    with pytest.raises(ValueError, match="30 queries cannot fill 100 bins"):
+        check_bins(30, 100)
 
 
 # --- report plumbing -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from ifsl.heads import (
     sgd_step,
     stack_loss_and_grads,
     stack_probs,
+    stack_sgd_step,
 )
 from ifsl.knowledge import PartitionConfig
 from ifsl.numerics import normalize_rows, softmax_rows
@@ -679,6 +680,40 @@ def test_fits_leave_init_unchanged(kind):
         assert np.array_equal(h.W, W[i]) and (b is None or np.array_equal(h.b, b[i]))
 
 
+@pytest.mark.parametrize("batch_size", [3, None])
+def test_bias_layout_gives_the_same_bits(batch_size):
+    # fits hold biases class-outermost, as (E, n, K) views of (K, E, n)
+    # memory; a C-contiguous bias gives the same losses, gradients and
+    # stepped weights, through the gradient call and through a fit
+    kb = make_kb(m=3, dim=8, seed=56)
+    adj = AdjustmentConfig("combined", partition=PartitionConfig(n=2))
+    predictor = Predictor(adj, kb, 8, 3, "linear")
+    rng = np.random.default_rng(57)
+    X = rng.standard_normal((2, 6, 8))
+    y = np.array([[0, 1, 2] * 2, [2, 1, 0] * 2])
+    W = rng.standard_normal((2, predictor.n_heads, 3, predictor.head_input_dim))
+    b = rng.standard_normal((2, predictor.n_heads, 3))
+    b_outer = np.ascontiguousarray(b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    assert not b_outer.flags.c_contiguous and np.array_equal(b_outer, b)
+    Z = predictor.support_inputs(X)
+    stepped = []
+    for bias in (b, b_outer):
+        loss, dW, db = stack_loss_and_grads("linear", W, bias, Z, y, 1e-3)
+        W1, b1 = W.copy(), bias.copy()
+        stack_sgd_step(W1, b1, dW.copy(), db.copy(), 0.1)
+        stepped.append((loss, dW, db, W1, b1))
+    for a, c in zip(*stepped):
+        assert np.array_equal(a, c)
+
+    cfg = FitConfig(iterations=7, batch_size=batch_size, learning_rate=0.05, weight_decay=1e-3)
+    fits = [fit_stack(X, y, predictor, cfg, [3, 4], (W[0], bias[0])) for bias in (b, b_outer)]
+    for a, c in zip(*fits):
+        assert np.array_equal(a, c)
+    fresh = fit_stack(X, y, predictor, cfg, [3, 4])
+    for _, fitted_b in (*fits, fresh):
+        assert fitted_b.transpose(2, 0, 1).flags.c_contiguous
+
+
 def test_sgd_step_leaves_grads_unchanged():
     # the learning rate is applied to the step's own copy of the grads
     kb = make_kb(m=3, dim=8, seed=54)
@@ -879,24 +914,27 @@ def test_cosine_head_fits_with_all_inactive_stratum_block():
 
 
 def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
-    # a weight row's gradient depends only on that row, so zeroing one row
-    # changes no other row's gradient, bit for bit
+    # a weight row's gradient depends only on that row and on dL/dlogits, so
+    # zeroing a row that already scored 0 against every input (it is
+    # orthogonal to them all, so dL/dlogits stays the same) changes no other
+    # row's gradient, bit for bit
     rng = np.random.default_rng(41)
-    V = normalize_rows(rng.standard_normal((1, 1, 5, 4)))
-    G = rng.standard_normal((1, 1, 5, 3)).swapaxes(-1, -2)  # (1, 1, K, B) per head
+    V = rng.standard_normal((1, 1, 5, 4))
+    V[..., 3] = 0.0
+    V = normalize_rows(V)
     W = rng.standard_normal((1, 1, 3, 4))
-    ws = _Workspace("cosine", W.shape, 5, 1e-3)
+    W[0, 0, 1, :3] = 0.0
+    ws = _Workspace("cosine", W, None, 5, 1e-3)
     at_label = _label_index(np.zeros((1, 5), dtype=np.int64), 1, 3)
 
-    def chained(W):
-        ws.dlogits(W, None, V, at_label, with_loss=False)  # leaves the unit rows of W
-        ws.G_heads[...] = G  # the class-outermost buffer through its per-head view
-        ws.weight_grads(W, V)
+    def gradient():
+        ws.grads(V, at_label)  # reads W as it is now
         return ws.dW[0, 0].copy()
 
-    full = chained(W)
+    full = gradient()
     W[0, 0, 1] = 0.0
-    zeroed = chained(W)
+    zeroed = gradient()
+    assert np.any(full[1] != 0.0)
     assert np.array_equal(zeroed[1], np.zeros(4))
     assert np.array_equal(zeroed[[0, 2]], full[[0, 2]])
 
