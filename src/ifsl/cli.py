@@ -190,7 +190,8 @@ def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> 
 def cmd_episodes(args) -> int:
     started = time.perf_counter()
     _threads(args)  # validated for compatibility; episodes run serially
-    if args.bins:
+    hardness = args.bins is not None  # ``ifsl hardness``; ``episodes`` sets no bins
+    if hardness:
         check_bins(args.episodes * args.way * args.query, args.bins)
     ds = _load_features_any(args.features)
     kb = load_kb(args.kb)
@@ -200,10 +201,10 @@ def cmd_episodes(args) -> int:
         _adjustment(args), fit_cfg, kb, args.seed,
     )
     rep = accuracy_report(results)
-    if args.bins:
+    if hardness:
         rep = with_bins(rep, hardness_report(results, args.bins))
     config = {
-        "command": "hardness" if args.bins else "episodes",
+        "command": "hardness" if hardness else "episodes",
         "features": str(args.features),
         "kb": str(args.kb),
         "way": args.way,
@@ -220,12 +221,12 @@ def cmd_episodes(args) -> int:
         "weight_decay": args.weight_decay,
         "seed": args.seed,
     }
-    if args.bins:
+    if hardness:
         config["bins"] = args.bins
     doc = _report_doc(config, rep, time.perf_counter() - started)
     if args.query_csv:
         _write_query_csv(args.query_csv, results)
-    if args.bins_csv and rep.hardness_bins:
+    if args.bins_csv:
         with open(args.bins_csv, "w", newline="") as fh:
             csv.writer(fh).writerows(bins_to_csv_rows(rep.hardness_bins))
     _emit(doc, args.out)

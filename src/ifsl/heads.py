@@ -11,34 +11,35 @@ is scaled by the predictor's ``weight_decay_scale``.
 The n heads of a predictor, for each of E episodes, are computed as one
 stack: weights W (E, n, K, P), linear biases b (E, n, K) and inputs
 (E, n, B, P), with one batched matmul for all logits and one for all weight
-gradients. A fitting step holds its logits class-outermost, in a
-(K, E, n, B) buffer G that the matmuls write and read through its
-(E, n, K, B) view W @ V^T: the softmax's maximum and sum over classes are
-each one pass over K contiguous blocks of E*n*B entries, and the step turns
-that one buffer into the exponentials and then into dL/dlogits in place,
-so dW = G @ V and the bias gradient is G.sum(-1), both on the view.
-Fits hold linear biases and their gradients class-outermost as well, as
-(E, n, K) views of (K, E, n) memory (see :func:`_bias_stack`), so the bias
-add and the bias-gradient sum are contiguous passes over G; any bias
-layout gives the same bits. Scoring keeps (..., n, K, B) logits per head; probabilities handed out
-stay (B, K). A cosine step normalises its weight rows once: the unit rows U
-and norms |w| give both the logits U @ V^T and the gradient
-(GV - (GV . u) u) / |w|, which reads G only through GV = G @ V. The mixture
-is taken in log space, as the log-mean-exp over each episode's heads of
-the per-head log-softmax outputs, so the loss and its gradients stay finite
-however small every head's probability of the true class is; a lone head
-skips it, since its responsibility is exp(0) = 1.
+gradients. Fits hold a linear stack as one affine array theta (E, n, K, P+1)
+whose last column is the bias, so W and b are views of it (see
+:func:`_split`), and step on inputs with a trailing column of ones,
+[V | 1] (see :func:`_step_inputs`): the logits W V^T + b are one matmul
+theta [V | 1]^T, and one matmul G [V | 1] gives dW and db together. A cosine
+head has no bias, so its theta is W and its inputs are V. A fitting step
+holds its logits class-outermost, in a (K, E, n, B) buffer G that the
+matmuls write and read through its (E, n, K, B) view: the softmax's maximum
+and sum over classes are each one pass over K contiguous blocks of E*n*B
+entries, and the step turns that one buffer into the exponentials and then
+into dL/dlogits in place. Scoring keeps (..., n, K, B) logits per head;
+probabilities handed out stay (B, K). A cosine step normalises its weight
+rows once: the unit rows U and norms |w| give both the logits U @ V^T and
+the gradient (GV - (GV . u) u) / |w|, which reads G only through GV = G @ V.
+The mixture is taken in log space, as the log-mean-exp over each episode's
+heads of the per-head log-softmax outputs, so the loss and its gradients
+stay finite however small every head's probability of the true class is; a
+lone head skips it, since its responsibility is exp(0) = 1.
 
 One step is one call: a fit allocates a single :class:`_Workspace` (the
-logit/gradient buffer, the per-row vectors and the gradients), which binds
-one gradient routine to those buffers, the fit's W and b and the ufuncs,
-so a step looks nothing up. The routine fills the gradients and, given a
-learning rate, applies it to them in place and steps the weights. One
-loop, :func:`_fit_steps`, calls it once per iteration of every fit: those
-of :func:`fit_stack` (episode chunks and the knowledge-base fit) and those
-of each task that ``meta.meta_train`` adapts, whose workspaces are
-allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and
-``meta_train``'s outer step call the same routine for the gradients alone.
+logit/gradient buffer, the per-row vectors and the gradient of theta), which
+binds one gradient routine to those buffers, the fit's theta and the ufuncs,
+so a step looks nothing up. The routine fills the gradient and, given a
+learning rate, applies it to it in place and steps theta. One loop,
+:func:`_fit_steps`, calls it once per iteration of every fit: those of
+:func:`fit_stack` (episode chunks and the knowledge-base fit) and those of
+each task that ``meta.meta_train`` adapts, whose workspaces are allocated
+once per ``meta_train`` call. :func:`stack_loss_and_grads` and
+``meta_train``'s outer step call the same routine for the gradient alone.
 
 The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
 :func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
@@ -130,13 +131,13 @@ class FitConfig:
 # The n heads of each of E episodes are fitted and scored as one stack: weights
 # W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P); logits
 # are (E, n, K, B), and a fitting step holds them and their gradients
-# class-outermost, (K, E, n, B), as fits hold b and its gradient, (K, E, n)
-# (see _Workspace). Cosine inputs are
-# row-normalised before they reach the core, and cosine weights once per step,
-# by normalize_rows_with_divisors: its (U, d) pair feeds both the logits and the
-# gradient. Centroid heads keep their centroids in W. Every episode's heads only
-# ever meet its own inputs, so an episode's numbers do not depend on the others
-# in its stack.
+# class-outermost, (K, E, n, B) (see _Workspace). Fits step the affine stack
+# theta = [W | b] on the inputs [V | 1] (see _fold and _step_inputs). Cosine
+# inputs are row-normalised before they reach the core, and cosine weights once
+# per step, by normalize_rows_with_divisors: its (U, d) pair feeds both the
+# logits and the gradient. Centroid heads keep their centroids in W. Every
+# episode's heads only ever meet its own inputs, so an episode's numbers do not
+# depend on the others in its stack.
 
 
 def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
@@ -181,6 +182,36 @@ def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarra
     if V.ndim != ndim or V.shape[-1] != input_dim:
         raise ValueError(f"heads expect inputs of dimension {input_dim}, got shape {V.shape}")
     return normalize_rows(V) if kind == "cosine" else V
+
+
+def _fold(W: np.ndarray, b, lead: tuple[int, ...] | None = None) -> np.ndarray:
+    """A fresh affine stack: [W | b], (*lead, P+1) with ``b`` as the last
+    column, or a copy of ``W``, (*lead, P), for ``b`` None. ``W`` and ``b``
+    are broadcast to ``lead``, W's own leading axes by default."""
+    P = W.shape[-1]
+    theta = np.empty((*(W.shape[:-1] if lead is None else lead), P + (b is not None)))
+    theta[..., :P] = W
+    if b is not None:
+        theta[..., P] = b
+    return theta
+
+
+def _split(kind: str, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(W, b)`` of an affine stack from :func:`_fold`, as views of it: all
+    but the last column and the last column for linear heads, else
+    ``(theta, None)``."""
+    if kind == "linear":
+        return theta[..., :-1], theta[..., -1]
+    return theta, None
+
+
+def _step_inputs(kind: str, inputs, input_dim: int, ones: bool = True) -> np.ndarray:
+    """(E, n, B, P) inputs as a step reads them: [V | 1], with a trailing
+    column of ones that feeds the bias column of theta, for linear heads
+    (V as given with ``ones=False``, see :class:`_Workspace`), and
+    row-normalised V for cosine heads."""
+    V = _stack_inputs(kind, inputs, input_dim, ndim=4)
+    return _fold(V, 1.0) if kind == "linear" and ones else V
 
 
 def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
@@ -232,54 +263,60 @@ def _check_labels(labels: np.ndarray, way: int) -> None:
         raise ValueError(f"labels must lie in [0, {way - 1}]")
 
 
-def _bias_stack(E: int, n: int, K: int) -> np.ndarray:
-    """Zero (E, n, K) linear biases held class-outermost: a view of (K, E, n)
-    memory, the layout of the logit buffer ``G`` of :class:`_Workspace`, so
-    the bias add and the bias-gradient sum are contiguous passes over ``G``."""
-    return np.zeros((K, E, n)).transpose(1, 2, 0)
-
-
 class _Workspace:
     """One fit's gradient routine, bound once to the parameters it steps and
     to every array that one step writes.
 
-    For weights ``W`` (E, n, K, P), linear biases ``b`` (E, n, K) and batches
-    of B rows it holds: the logits ``G``, which become the exponentials and
-    then dL/dlogits in place, class-outermost as (K, E, n, B) and written
-    and read by the matmuls through the (E, n, K, B) view ``G_heads``; the
-    (E, n, B) class maxima; three (E, n, B) vectors (the true-label terms,
-    the class sums, a scratch); the (E, 1, B) maximum and sum of the
-    log-mean-exp over heads; the gradients ``dW`` (E, n, K, P) and ``db``
-    (E, n, K), held class-outermost as :func:`_bias_stack` holds biases; and,
-    for cosine heads, the unit rows, their divisors and a weight-shaped
-    scratch. ``grads`` is the routine: a closure built here over these
-    buffers, ``W``, ``b`` and the ufuncs, so a step looks nothing up. Each op
-    writes into one of the buffers: reductions and ``take`` through their
-    ``out`` argument, elementwise ufuncs through their third positional
-    argument. Only the loss (when asked for) and the cosine zero-norm mask
-    allocate. Any layout of ``b`` gives the same bits; the class-outermost
-    one makes the bias add a contiguous pass over ``G``.
+    For an affine stack ``theta`` (E, n, K, P') (see :func:`_fold`: P' = P+1
+    for linear heads, whose last column is the bias, P for cosine heads) and
+    batches of B rows it holds: the logits ``G``, which become the
+    exponentials and then dL/dlogits in place, class-outermost as
+    (K, E, n, B) and written and read by the matmuls through the
+    (E, n, K, B) view ``G_heads``; the (E, n, B) class maxima; three
+    (E, n, B) vectors (the true-label terms, the class sums, a scratch); the
+    (E, 1, B) maximum and sum of the log-mean-exp over heads; the gradient
+    ``dtheta`` of ``theta``; with a weight decay, a decay array of theta's
+    shape that is 0 on the bias column; and, for cosine heads, the unit
+    rows, their divisors and a weight-shaped scratch. A linear workspace
+    built with ``ones=False`` steps on inputs without the ones column, V
+    rather than [V | 1]: it adds the bias column to the logits and sums
+    dL/dlogits into the bias gradient on its own, through views of
+    ``theta`` and ``dtheta``; only the knowledge-base fit does (see
+    ``synth.fit_kb``), whose inputs a ones column would copy whole.
+    ``grads`` is the routine: a closure built here over these buffers,
+    ``theta`` and the ufuncs, so a step looks nothing up. Each op writes
+    into one of the buffers: reductions and ``take`` through their ``out``
+    argument, elementwise ufuncs through their third positional argument.
+    Only the loss (when asked for) and the cosine zero-norm mask allocate.
     """
 
     def __init__(
-        self, kind: str, W: np.ndarray, b: np.ndarray | None, rows: int, weight_decay: float
+        self, kind: str, theta: np.ndarray, rows: int, weight_decay: float, ones: bool = True
     ):
         if kind not in PARAMETRIC_KINDS:
             raise ValueError("centroid heads are non-parametric and have no gradients")
-        E, n, K, _ = W.shape
+        E, n, K, _ = theta.shape
         linear = kind == "linear"
+        W, b = _split(kind, theta)  # views; W alone carries the L2 penalty
         G = np.empty((K, E, n, rows))
         G_heads = G.transpose(1, 2, 0, 3)
         col_max, at_y, total, tmp = np.empty((4, E, n, rows))
         top, w_sum = np.empty((2, E, 1, rows))
-        dW = self.dW = np.empty(W.shape)
-        db = self.db = _bias_stack(E, n, K) if linear else None
-        b_G = b.transpose(2, 0, 1)[..., None] if linear else None  # b in G's layout
-        tmp_W = np.empty(W.shape) if kind == "cosine" or weight_decay else None
+        dtheta = self.dtheta = np.empty(theta.shape)
+        dW, db = _split(kind, dtheta)
+        tmp_W = np.empty(theta.shape) if kind == "cosine" or weight_decay else None
+        decay = None
+        if weight_decay:
+            decay = np.zeros(theta.shape)
+            decay[..., : W.shape[-1]] = weight_decay
         U = d = row_dot = None
         if not linear:
-            U = np.empty(W.shape)
+            U = np.empty(theta.shape)
             d, row_dot = np.empty((2, E, n, K, 1))
+        plain = linear and not ones  # inputs V, not [V | 1]
+        scores = U if not linear else W if plain else theta  # scored against V^T
+        grad_out = dW if plain else dtheta  # written by G @ V
+        b_G = b.transpose(2, 0, 1)[..., None] if plain else None  # b in G's layout
         B, log_n = rows, math.log(n)
         matmul, add, subtract, multiply, divide, exp, log = (
             np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
@@ -290,13 +327,14 @@ class _Workspace:
             V: np.ndarray, at_label: np.ndarray, with_loss: bool = False,
             learning_rate: float | None = None,
         ) -> np.ndarray | None:
-            """Fill ``dW``/``db`` with the stacked gradients, at ``W``/``b``, of
-            the per-episode loss -mean log((1/n) sum_i p_i(y)) plus the L2
-            penalty on the batch ``V`` (E, n, B, P); returns the (E,) losses,
-            or None without ``with_loss``. ``at_label`` locates the true
-            labels (see :func:`_label_index`). Given a ``learning_rate``, it
-            then steps ``W``/``b`` in place as :func:`stack_sgd_step` does,
-            scaling ``dW``/``db`` by the rate on the way.
+            """Fill ``dtheta`` with the stacked gradient, at ``theta``, of the
+            per-episode loss -mean log((1/n) sum_i p_i(y)) plus the L2
+            penalty on the weights, on the batch ``V`` (E, n, B, P') of
+            :func:`_step_inputs`; returns the (E,) losses, or None without
+            ``with_loss``. ``at_label`` locates the true labels (see
+            :func:`_label_index`). Given a ``learning_rate``, it then steps
+            ``theta`` in place as :func:`stack_sgd_step` does, scaling
+            ``dtheta`` by the rate on the way.
 
             Per-head log-softmax outputs are mixed as a log-mean-exp over
             each episode's heads, so the loss stays finite when every head
@@ -308,21 +346,22 @@ class _Workspace:
             of ``G`` is outermost, so each class maximum and sum is one pass
             over K contiguous blocks.
 
-            ``G`` is then chained back: linear heads take dW = G @ V and
+            ``G`` is then chained back: linear heads take
+            dtheta = G @ [V | 1], which holds dW and, in its last column,
             db = G.sum(-1). Cosine heads score U @ V^T with the unit rows
             U = W / |w|, computed once per step; a zero-norm row has
             |w| = inf and scores 0. Row u's Jacobian is (I - u u^T) / |w|, so
             with GV = G @ V the gradient is dW = (GV - (GV . u) u) / |w|:
             one pass over G, since the row sums of G * (U @ V^T) equal those
             of GV * U, and a zero-norm row gets a zero gradient and stays
-            zero.
+            zero. The weight decay adds decay * theta, which leaves the bias
+            column as it is.
             """
-            if linear:
-                matmul(W, V.swapaxes(-1, -2), G_heads)
+            if not linear:
+                normalize_rows_with_divisors(theta, out=(U, d))
+            matmul(scores, V.swapaxes(-1, -2), G_heads)
+            if plain:
                 add(G, b_G, G)
-            else:
-                normalize_rows_with_divisors(W, out=(U, d))
-                matmul(U, V.swapaxes(-1, -2), G_heads)
             subtract(G, max_reduce(G, 0, None, col_max), G)
             read_py = n > 1 or with_loss  # log p_i(y) feeds only the loss and the mixture
             if read_py:
@@ -347,21 +386,19 @@ class _Workspace:
             multiply(G, total, G)
             take(at_label, None, tmp, "clip")
             put(at_label, subtract(tmp, scale, tmp), "clip")
-            matmul(G_heads, V, dW)
-            if linear:
+            matmul(G_heads, V, grad_out)
+            if plain:
                 add_reduce(G_heads, -1, None, db)
-            else:
-                add_reduce(multiply(dW, U, tmp_W), -1, None, row_dot, True)
-                subtract(dW, multiply(row_dot, U, tmp_W), dW)
-                divide(dW, d, dW)
+            elif not linear:
+                add_reduce(multiply(dtheta, U, tmp_W), -1, None, row_dot, True)
+                subtract(dtheta, multiply(row_dot, U, tmp_W), dtheta)
+                divide(dtheta, d, dtheta)
             if weight_decay:
-                add(dW, multiply(W, weight_decay, tmp_W), dW)
+                add(dtheta, multiply(theta, decay, tmp_W), dtheta)
                 if with_loss:
                     loss += 0.5 * weight_decay * np.square(W).reshape(E, -1).sum(axis=1)
             if learning_rate is not None:
-                subtract(W, multiply(dW, learning_rate, dW), W)
-                if linear:
-                    subtract(b, multiply(db, learning_rate, db), b)
+                subtract(theta, multiply(dtheta, learning_rate, dtheta), theta)
             return loss
 
         self.grads = grads
@@ -383,9 +420,10 @@ def stack_sgd_step(
     learning_rate: float,
 ) -> None:
     """In-place step W -= lr * dW, b -= lr * db on a stack. ``dW``/``db``
-    serve as scratch: the learning rate is applied to them in place. Fits
-    step inside their workspace's gradient routine instead, which saves a
-    call per step."""
+    serve as scratch: the learning rate is applied to them in place. An
+    affine stack (see :func:`_fold`) steps as ``W`` with ``b`` None, by its
+    gradient as ``dW``. Fits step inside their workspace's gradient routine
+    instead, which saves a call per step."""
     np.subtract(W, np.multiply(dW, learning_rate, dW), W)
     if b is not None:
         np.subtract(b, np.multiply(db, learning_rate, db), b)
@@ -397,8 +435,9 @@ def stack_loss_and_grads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(E,) mixture losses and fresh stacked gradients ``(dW, db)`` of E
     episodes' heads ``W`` (E, n, K, P), ``b`` (E, n, K) on (E, n, B, P) inputs
-    with (E, B) labels."""
-    V = _stack_inputs(kind, inputs, W.shape[-1], ndim=4)
+    with (E, B) labels. The step's routine runs on the affine stack of
+    ``(W, b)``, so ``dW`` and ``db`` are views of its one gradient."""
+    V = _step_inputs(kind, inputs, W.shape[-1])
     labels = np.asarray(labels, dtype=np.int64)
     E, n, K, _ = W.shape
     if V.shape[:2] != (E, n):
@@ -408,9 +447,9 @@ def stack_loss_and_grads(
     if labels.shape != (E, V.shape[2]):
         raise ValueError("labels must align with inputs")
     _check_labels(labels, K)
-    ws = _Workspace(kind, W, b, V.shape[2], weight_decay)
+    ws = _Workspace(kind, _fold(W, b), V.shape[2], weight_decay)
     loss = ws.grads(V, _label_index(labels, n, K), with_loss=True)
-    return loss, ws.dW, ws.db
+    return (loss, *_split(kind, ws.dtheta))
 
 
 # --- list-of-heads API -----------------------------------------------------------
@@ -508,9 +547,9 @@ def init_stack(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Fresh stacked ``(W, b)`` for E episodes on (E, n, S, P) support inputs with (E, S) labels.
 
-    ``W`` is (E, n, K, P) and ``b`` (E, n, K) for linear heads, held
-    class-outermost (see :func:`_bias_stack`), else None; see
-    :func:`init_heads` for how each kind starts.
+    ``W`` is (E, n, K, P) and ``b`` (E, n, K) for linear heads, as views of
+    one affine stack (see :func:`_split`), else None; see :func:`init_heads`
+    for how each kind starts.
     """
     Z = np.asarray(support_inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -520,7 +559,7 @@ def init_stack(
         raise ValueError(f"unknown head kind {kind!r}")
     E, n, _, P = Z.shape
     if kind == "linear":
-        return np.zeros((E, n, way, P)), _bias_stack(E, n, way)
+        return _split(kind, np.zeros((E, n, way, P + 1)))
     cents = _class_means(Z, labels, way)
     if kind == "centroid":
         return cents, None
@@ -597,13 +636,18 @@ def _fit_inputs(
     seeds: Sequence[int],
     init: tuple[np.ndarray, np.ndarray | None] | None = None,
     loss_callback: Callable[[int, np.ndarray], None] | None = None,
+    ones: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`fit_stack` on the (E, n, S, P) stratum inputs ``Z`` of its
     support sets, for callers that build them once for several fits.
 
     The set-up (start, one workspace, label indices and mini-batch rows) is
-    done here and the iterations run in :func:`_fit_steps`. Biases, fresh or
-    copied from ``init``, are held class-outermost (see :func:`_bias_stack`).
+    done here and the iterations run in :func:`_fit_steps`. The start, fresh
+    or copied from ``init``, is held as one affine stack (see :func:`_fold`),
+    stepped on the inputs of :func:`_step_inputs`; mini-batches are taken
+    from those inputs, ones column included. ``ones=False`` steps linear
+    heads on ``Z`` as given (see :class:`_Workspace`). Returns views of
+    that stack.
     """
     kind = predictor.head_kind
     if kind not in PARAMETRIC_KINDS:
@@ -617,16 +661,18 @@ def _fit_inputs(
     _check_labels(y, predictor.way)
     if init is None:
         W, b = init_stack(kind, predictor.way, Z, y)
+        lead = W.shape[:-1]
     else:
-        W = np.repeat(np.asarray(init[0], dtype=np.float64)[None], E, axis=0)
-        b = None
-        if init[1] is not None:
-            b = _bias_stack(E, n, W.shape[2])
-            b[...] = init[1]
-    V = _stack_inputs(kind, Z, W.shape[-1], ndim=4)
-    K = W.shape[2]
+        W, b = np.asarray(init[0], dtype=np.float64), init[1]
+        if (b is None) != (kind != "linear"):
+            raise ValueError("an init carries biases exactly when its heads are linear")
+        lead = (E, *W.shape[:-1])
+    theta = _fold(W, b, lead)
+    V = _step_inputs(kind, Z, W.shape[-1], ones)
+    K = W.shape[-2]
     weight_decay = cfg.weight_decay * predictor.weight_decay_scale
-    ws = _Workspace(kind, W, b, S if cfg.batch_size is None else cfg.batch_size, weight_decay)
+    batch = S if cfg.batch_size is None else cfg.batch_size
+    ws = _Workspace(kind, theta, batch, weight_decay, ones)
     if cfg.batch_size is None:
         batches = repeat((V, _label_index(y, n, K)), cfg.iterations)
     else:
@@ -641,7 +687,7 @@ def _fit_inputs(
             (flat.take(r, axis=0, out=buf, mode="clip"), a) for r, a in zip(at_rows, at_labels)
         )
     _fit_steps(ws, batches, cfg.learning_rate, loss_callback)
-    return W, b
+    return _split(kind, theta)
 
 
 def _fit_steps(
@@ -650,7 +696,7 @@ def _fit_steps(
     learning_rate: float,
     loss_callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> None:
-    """The fitting loop: one SGD step of the workspace's ``W``/``b`` in
+    """The fitting loop: one SGD step of the workspace's ``theta`` in
     place, one call of its gradient routine, per ``(inputs, label index)``
     batch of ``batches``.
 

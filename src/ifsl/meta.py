@@ -5,14 +5,15 @@ gradient steps on each task's support set; the outer loop applies the query
 loss gradient, taken at the adapted parameters, directly to the
 initialization (no second-order terms). Tasks come from the episode loop of
 :mod:`ifsl.episodes`, which alone chunks and stacks them. The training loop
-holds the initialization as an (n, K, P) weight stack and (n, K) biases,
-builds each chunk's stratum inputs in two calls (support rows, query rows)
-and steps every task in turn through one inner and one outer workspace,
-each bound once to the task's copy of the weights and class-outermost
-biases, with the fitting loop of :func:`~ifsl.heads.fit_stack`. Held-out
-evaluation builds each chunk's stratum inputs once, then fits and scores
-the chunk from every initialization with the routine that scores the
-engine's arms. :func:`save_meta` refuses, before it opens the file, any
+holds the initialization as one affine stack (n, K, P+1) whose last column
+is the bias (the weights alone, (n, K, P), for cosine heads), builds each
+chunk's step inputs in two calls (support rows, query rows), with a
+trailing column of ones for linear heads, and steps every task in turn
+through one inner and one outer workspace, each bound once to the task's
+copy of that stack, with the fitting loop of :func:`~ifsl.heads.fit_stack`.
+Held-out evaluation builds each chunk's stratum inputs once, then fits and
+scores the chunk from every initialization with the routine that scores
+the engine's arms. :func:`save_meta` refuses, before it opens the file, any
 initialization that :func:`load_meta` would reject. A head is
 ``head_input_dim`` wide; an init of another width is refused, not misread.
 """
@@ -33,10 +34,11 @@ from .episodes import _chunks, _fit_and_score, episode_rng, sample_episode
 from .heads import (
     FitConfig,
     HeadParams,
-    _bias_stack,
     _fit_steps,
+    _fold,
     _label_index,
-    _stack_inputs,
+    _split,
+    _step_inputs,
     _unstack_heads,
     _Workspace,
     fit_head,
@@ -147,32 +149,28 @@ def meta_train(
     kind = mi.theta0[0].kind
     predictor = Predictor(adj_cfg, kb, ds.dim, way, kind)
     predictor.validate_heads(mi.theta0)
-    _, W, b = stack_heads(mi.theta0)
-    n, K, P = W.shape
+    theta = _fold(*stack_heads(mi.theta0)[1:])
     # one task's adapted copy, workspaces and label indices serve every task;
     # sample_episode labels each episode's rows 0..way-1 in class order
-    W_task = np.empty((1, n, K, P))
-    b_task = None if b is None else _bias_stack(1, n, K)
-    inner = _Workspace(kind, W_task, b_task, way * shot, 0.0)
-    outer = _Workspace(kind, W_task, b_task, way * query, 0.0)
-    outer_dW, outer_db = outer.dW[0], None if b is None else outer.db[0]
-    at_support = _label_index(np.repeat(np.arange(way), shot)[None], n, K)
-    at_query = _label_index(np.repeat(np.arange(way), query)[None], n, K)
+    theta_task = np.empty((1, *theta.shape))
+    inner = _Workspace(kind, theta_task, way * shot, 0.0)
+    outer = _Workspace(kind, theta_task, way * query, 0.0)
+    n = theta.shape[0]
+    at_support = _label_index(np.repeat(np.arange(way), shot)[None], n, way)
+    at_query = _label_index(np.repeat(np.arange(way), query)[None], n, way)
     for chunk in _chunks(lambda _: sample_episode(ds, way, shot, query, rng), mi.tasks):
         # support and query rows get separate stacks: slices of one joint
         # stack change the weights in the last bits
         support, queries = (
-            _stack_inputs(kind, predictor.support_inputs(rows), P, ndim=4)
+            _step_inputs(kind, predictor.support_inputs(rows), predictor.head_input_dim)
             for rows in (chunk.support_x, chunk.query_x)
         )
         for t in range(len(chunk.indices)):
-            W_task[0] = W
-            if b is not None:
-                b_task[0] = b
+            theta_task[0] = theta
             _fit_steps(inner, repeat((support[t : t + 1], at_support), mi.inner_steps), mi.inner_lr)
             outer.grads(queries[t : t + 1], at_query)
-            stack_sgd_step(W, b, outer_dW, outer_db, mi.outer_lr)
-    return replace_theta(mi, _unstack_heads(kind, W, b))
+            stack_sgd_step(theta, None, outer.dtheta[0], None, mi.outer_lr)
+    return replace_theta(mi, _unstack_heads(kind, *_split(kind, theta)))
 
 
 def evaluate_inits(
@@ -197,6 +195,8 @@ def evaluate_inits(
     same bits as alone. Returns one list of per-task accuracies per
     initialization.
     """
+    if count < 1:
+        raise ValueError(f"episode count must be >= 1, got {count}")
     for theta in inits:
         predictor.validate_heads(theta)
     stacks = [stack_heads(theta)[1:] for theta in inits]

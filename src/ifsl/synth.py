@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
 from .episodes import Episode, EpisodeResult, _check_shape, run_arms
-from .heads import FitConfig, fit_stack
+from .heads import FitConfig, _fit_inputs
 from .knowledge import FeatureDataset, KnowledgeBase
 
 _KB_FIT = FitConfig(iterations=500, batch_size=None, learning_rate=0.1, weight_decay=1e-4, seed=0)
@@ -119,10 +119,14 @@ def gen_confounded(cfg: SynthConfig, rng: np.random.Generator | None = None) -> 
 
 def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     """Knowledge base from pretrain data: empirical class means plus a linear
-    classifier fitted full-batch (500 steps, lr 0.1, weight decay 1e-4)."""
+    classifier fitted full-batch (500 steps, lr 0.1, weight decay 1e-4).
+
+    This is ``fit_stack`` on the pretrain rows read in place: the steps
+    take no ones column for the bias, which would copy the whole set."""
     means = np.stack([pretrain.vectors_of(c).mean(axis=0) for c in range(pretrain.n_classes)])
     predictor = Predictor(AdjustmentConfig("none"), None, pretrain.dim, len(means), "linear")
-    W, b = fit_stack(pretrain.features[None], pretrain.labels[None], predictor, _KB_FIT, [0])
+    Z = predictor.support_inputs(pretrain.features[None])
+    W, b = _fit_inputs(Z, pretrain.labels[None], predictor, _KB_FIT, [0], ones=False)
     return KnowledgeBase(means, W[0, 0], b[0, 0])
 
 

@@ -110,6 +110,7 @@ def test_env_thread_fallback(data_dir, tmp_path, monkeypatch):
     ("episodes", ["--threads", "0"], "--threads must be >= 1, got 0"),
     ("hardness", ["--threads", "-3"], "--threads must be >= 1, got -3"),
     ("hardness", ["--bins", "61"], "60 queries cannot fill 61 bins"),  # 5 * 3 * 4 queries
+    ("hardness", ["--bins", "0"], "bin count must be >= 1, got 0"),
 ])
 def test_episode_commands_refuse_bad_counts_before_reading(
     data_dir, tmp_path, capsys, monkeypatch, command, flags, message
@@ -118,12 +119,14 @@ def test_episode_commands_refuse_bad_counts_before_reading(
         raise AssertionError("features read")
 
     monkeypatch.setattr("ifsl.cli._load_features_any", no_read)
-    out = tmp_path / "r.json"
+    out, bins_csv = tmp_path / "r.json", tmp_path / "bins.csv"
+    if command == "hardness":
+        flags = [*flags, "--bins-csv", str(bins_csv)]
     code = main([command, "--features", str(data_dir / "novel.features"),
                  "--kb", str(data_dir / "kb.bin"), "--out", str(out), *EPISODE_ARGS, *flags])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and not bins_csv.exists()
 
 
 def test_csv_feature_input(data_dir, tmp_path):

@@ -1,5 +1,6 @@
 """Head logits, analytic gradients against finite differences, and the SGD fit."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -566,7 +567,10 @@ def _random_init(kind, n_heads, way, width, rng):
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
 def test_fit_head_matches_per_head_reference(default_synth, strategy, kind):
     # the stacked fit against the head-by-head one on fixed confounded episodes,
-    # mini-batch and full batch, fresh heads and a supplied init
+    # mini-batch and full batch, fresh heads and a supplied init, at the
+    # default weight decay and, for linear heads, at 0.1, which a decayed bias
+    # would miss by far (under 0.1 * (1 + m^2) cosine rows shrink toward zero
+    # norm, where the 1/|w| of their gradient amplifies rounding past 1e-12)
     novel, tags, kb = default_synth.novel, default_synth.novel_strata, default_synth.kb
     predictor = Predictor(AdjustmentConfig(strategy), kb, novel.dim, 5, kind)
     n, width = predictor.n_heads, predictor.head_input_dim
@@ -577,8 +581,9 @@ def test_fit_head_matches_per_head_reference(default_synth, strategy, kind):
         X, y = ep.support_x, ep.support_y
         per_row = [reference_inputs(predictor, x) for x in ep.query_x]
         query_blocks = [np.stack([row[i] for row in per_row]) for i in range(n)]
-        for batch_size in (4, None):
-            cfg = FitConfig(batch_size=batch_size, seed=e)
+        decays = (1e-3, 0.1) if kind == "linear" else (1e-3,)
+        for batch_size, weight_decay in itertools.product((4, None), decays):
+            cfg = FitConfig(batch_size=batch_size, weight_decay=weight_decay, seed=e)
             for init in (None, _random_init(kind, n, 5, width, rng)):
                 fitted = fit_head(X, y, predictor, cfg, init=init)
                 expected = reference_fit(X, y, predictor, cfg, init=init)
@@ -633,6 +638,10 @@ def test_fit_stack_validates_its_stack():
     centroid = Predictor(AdjustmentConfig("none"), None, 4, 2, "centroid")
     with pytest.raises(ValueError, match="non-parametric"):
         fit_stack(X, y, centroid, FitConfig(), [0, 1, 2])
+    cosine = Predictor(AdjustmentConfig("none"), None, 4, 2, "cosine")
+    for fit_predictor, bias in ((predictor, None), (cosine, np.zeros((1, 2)))):
+        with pytest.raises(ValueError, match="biases exactly when its heads are linear"):
+            fit_stack(X, y, fit_predictor, FitConfig(), [0, 1, 2], (np.ones((1, 2, 4)), bias))
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -682,9 +691,10 @@ def test_fits_leave_init_unchanged(kind):
 
 @pytest.mark.parametrize("batch_size", [3, None])
 def test_bias_layout_gives_the_same_bits(batch_size):
-    # fits hold biases class-outermost, as (E, n, K) views of (K, E, n)
-    # memory; a C-contiguous bias gives the same losses, gradients and
-    # stepped weights, through the gradient call and through a fit
+    # fits hold W and b as views of one affine stack [W | b] whose last
+    # column is the bias; contiguous arrays and such strided views give the
+    # same losses, gradients and stepped weights, through the gradient call,
+    # through a step of W and b or of the whole stack, and through a fit
     kb = make_kb(m=3, dim=8, seed=56)
     adj = AdjustmentConfig("combined", partition=PartitionConfig(n=2))
     predictor = Predictor(adj, kb, 8, 3, "linear")
@@ -693,25 +703,38 @@ def test_bias_layout_gives_the_same_bits(batch_size):
     y = np.array([[0, 1, 2] * 2, [2, 1, 0] * 2])
     W = rng.standard_normal((2, predictor.n_heads, 3, predictor.head_input_dim))
     b = rng.standard_normal((2, predictor.n_heads, 3))
-    b_outer = np.ascontiguousarray(b.transpose(2, 0, 1)).transpose(1, 2, 0)
-    assert not b_outer.flags.c_contiguous and np.array_equal(b_outer, b)
+    theta = np.concatenate([W, b[..., None]], axis=-1)
+    W_view, b_view = theta[..., :-1], theta[..., -1]
+    assert not b_view.flags.c_contiguous and np.array_equal(b_view, b)
+    assert not W_view.flags.c_contiguous and np.array_equal(W_view, W)
     Z = predictor.support_inputs(X)
     stepped = []
-    for bias in (b, b_outer):
-        loss, dW, db = stack_loss_and_grads("linear", W, bias, Z, y, 1e-3)
-        W1, b1 = W.copy(), bias.copy()
+    for weights, bias in ((W, b), (W_view, b_view)):
+        loss, dW, db = stack_loss_and_grads("linear", weights, bias, Z, y, 1e-3)
+        dtheta = dW.base  # both gradients are views of the stack's one gradient
+        assert db.base is dtheta and np.array_equal(dtheta[..., -1], db)
+        theta1 = theta.copy()
+        W1, b1 = theta1[..., :-1], theta1[..., -1]
         stack_sgd_step(W1, b1, dW.copy(), db.copy(), 0.1)
+        theta2 = theta.copy()
+        stack_sgd_step(theta2, None, dtheta.copy(), None, 0.1)
+        assert np.array_equal(theta1, theta2)
         stepped.append((loss, dW, db, W1, b1))
     for a, c in zip(*stepped):
         assert np.array_equal(a, c)
 
     cfg = FitConfig(iterations=7, batch_size=batch_size, learning_rate=0.05, weight_decay=1e-3)
-    fits = [fit_stack(X, y, predictor, cfg, [3, 4], (W[0], bias[0])) for bias in (b, b_outer)]
+    fits = [
+        fit_stack(X, y, predictor, cfg, [3, 4], (weights[0], bias[0]))
+        for weights, bias in ((W, b), (W_view, b_view))
+    ]
     for a, c in zip(*fits):
         assert np.array_equal(a, c)
     fresh = fit_stack(X, y, predictor, cfg, [3, 4])
-    for _, fitted_b in (*fits, fresh):
-        assert fitted_b.transpose(2, 0, 1).flags.c_contiguous
+    for fitted_W, fitted_b in (*fits, fresh):
+        stack = fitted_b.base  # fresh and init-copied fits return views of one stack
+        assert fitted_W.base is stack and stack.shape == (*fitted_W.shape[:-1], 5)
+        assert np.array_equal(stack[..., -1], fitted_b)
 
 
 def test_sgd_step_leaves_grads_unchanged():
@@ -924,12 +947,12 @@ def test_cosine_zero_row_leaves_other_row_gradients_unchanged():
     V = normalize_rows(V)
     W = rng.standard_normal((1, 1, 3, 4))
     W[0, 0, 1, :3] = 0.0
-    ws = _Workspace("cosine", W, None, 5, 1e-3)
+    ws = _Workspace("cosine", W, 5, 1e-3)
     at_label = _label_index(np.zeros((1, 5), dtype=np.int64), 1, 3)
 
     def gradient():
         ws.grads(V, at_label)  # reads W as it is now
-        return ws.dW[0, 0].copy()
+        return ws.dtheta[0, 0].copy()
 
     full = gradient()
     W[0, 0, 1] = 0.0

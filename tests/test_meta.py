@@ -20,6 +20,7 @@ from ifsl.meta import (
     adapt,
     evaluate_inits,
     load_meta,
+    meta_bytes,
     meta_train,
     replace_theta,
     save_meta,
@@ -357,6 +358,15 @@ def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
         assert accs[1][e] == 100.0 * float((pred == ep.query_y).mean())
 
 
+@pytest.mark.parametrize("count", [0, -4])
+def test_evaluate_inits_refuses_a_task_count_below_one(ds, count):
+    # as run_arms and run_many refuse it, instead of returning no accuracies
+    predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
+    theta = zero_meta_init(3, ds.dim).theta0
+    with pytest.raises(ValueError, match=f"episode count must be >= 1, got {count}"):
+        evaluate_inits(ds, 3, 1, 4, predictor, [theta], 0.01, 5, count, 21)
+
+
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
 def test_evaluate_inits_in_chunks_equals_one_task_at_a_time(ds, kind):
     kb = make_kb(m=3, dim=8, seed=45)
@@ -375,6 +385,38 @@ def test_evaluate_inits_in_chunks_equals_one_task_at_a_time(ds, kind):
         pred = predictor.probs_batch(adapted, ep.query_x).argmax(axis=1)
         expected.append(100.0 * float((pred == ep.query_y).mean()))
     assert accs == expected
+
+
+def test_head_layout_gives_the_same_bits(ds, tmp_path):
+    # meta_train returns heads whose W and b are strided views of one affine
+    # stack [W | b]; the file bytes, copy_theta and an sgd_step are the same
+    # bits as for contiguous copies of those heads
+    adj = AdjustmentConfig("feature", partition=PartitionConfig(n=2))
+    predictor = Predictor(adj, None, ds.dim, 3, "linear")
+    mi = zero_meta_init(3, predictor.head_input_dim, predictor.n_heads, inner_steps=3, tasks=5)
+    trained = meta_train(ds, 3, 1, 4, adj, mi, None, np.random.default_rng(5))
+    views = trained.theta0
+    for h in views:
+        assert h.W.base is h.b.base and h.W.base is views[0].W.base
+        assert not h.W.flags.c_contiguous and not h.b.flags.c_contiguous
+    contiguous = [HeadParams("linear", W=h.W.copy(), b=h.b.copy()) for h in views]
+    assert all(h.W.flags.c_contiguous and h.b.flags.c_contiguous for h in contiguous)
+    other = replace_theta(trained, contiguous)
+    save_meta(trained, tmp_path / "views.bin")
+    save_meta(other, tmp_path / "contiguous.bin")
+    assert (tmp_path / "views.bin").read_bytes() == (tmp_path / "contiguous.bin").read_bytes()
+    assert meta_bytes(trained) == meta_bytes(other)
+    for a, c in zip(trained.copy_theta(), other.copy_theta()):
+        assert np.array_equal(a.W, c.W) and np.array_equal(a.b, c.b)
+        assert not np.shares_memory(a.W, trained.theta0[0].W)
+    ep = sample_episode(ds, 3, 1, 4, episode_rng(6, 0))
+    _, grads = mixture_loss_and_grads(views, predictor.support_inputs(ep.query_x), ep.query_y)
+    before = views[0].b.copy()
+    for heads in (views, contiguous):
+        sgd_step(heads, grads, 0.5)
+    assert not np.array_equal(views[0].b, before)
+    for a, c in zip(views, contiguous):
+        assert np.array_equal(a.W, c.W) and np.array_equal(a.b, c.b)
 
 
 def test_replace_theta_keeps_hyperparameters():
