@@ -134,9 +134,8 @@ class Predictor:
     def probs_from_inputs(self, heads: Sequence[HeadParams], blocks) -> np.ndarray:
         """(B, K) mixture probabilities from precomputed per-head input blocks
         (``blocks[i]`` feeds head i): the one-episode case of ``stack_probs``."""
-        kind, W, b = stack_heads(heads)
-        blocks = np.asarray(blocks, dtype=np.float64)[None]
-        return stack_probs(kind, W[None], None if b is None else b[None], blocks)[0]
+        kind, theta = stack_heads(heads)
+        return stack_probs(kind, theta[None], np.asarray(blocks, dtype=np.float64)[None])[0]
 
     def probs_batch(self, heads: Sequence[HeadParams], X: np.ndarray) -> np.ndarray:
         self.validate_heads(heads)

@@ -32,7 +32,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import _check_shape, run_arms, run_many
+from .episodes import _check_count, _check_shape, run_arms, run_many
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -189,16 +189,20 @@ def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> 
 
 def cmd_episodes(args) -> int:
     started = time.perf_counter()
+    # every check that needs no data comes before the files are read
     _threads(args)  # validated for compatibility; episodes run serially
+    adj = _adjustment(args)
+    fit_cfg = _fit_config(args, args.adjust != "none")
+    _check_count(args.episodes)
+    _check_shape(None, args.way, args.shot, args.query)
     hardness = args.bins is not None  # ``ifsl hardness``; ``episodes`` sets no bins
     if hardness:
         check_bins(args.episodes * args.way * args.query, args.bins)
     ds = _load_features_any(args.features)
     kb = load_kb(args.kb)
-    fit_cfg = _fit_config(args, args.adjust != "none")
     results = run_many(
         ds, args.way, args.shot, args.query, args.episodes, args.classifier,
-        _adjustment(args), fit_cfg, kb, args.seed,
+        adj, fit_cfg, kb, args.seed,
     )
     rep = accuracy_report(results)
     if hardness:
@@ -302,8 +306,7 @@ def cmd_synth(args) -> int:
     adj = _adjustment(args)
     base_fit, adj_fit = _fit_config(args, False), _fit_config(args, True)
     _threads(args)  # validated for compatibility; episodes run serially
-    if args.episodes < 1:
-        raise ValueError(f"episode count must be >= 1, got {args.episodes}")
+    _check_count(args.episodes)
     if args.bins < 0:
         raise ValueError(f"bin count must be >= 1, or 0 for no bins, got {args.bins}")
     if args.bins:
@@ -379,21 +382,26 @@ def cmd_synth(args) -> int:
 
 def cmd_meta(args) -> int:
     started = time.perf_counter()
+
+    def meta_init(input_dim: int, n_heads: int = 1):
+        return zero_meta_init(
+            args.way, input_dim, n_heads, inner_lr=args.inner_lr,
+            inner_steps=args.inner_steps, outer_lr=args.outer_lr, tasks=args.tasks,
+        )
+
+    # every check that needs no data comes before the files are read
+    adj = _adjustment(args)
+    if adj.strategy in ("class", "combined") and not args.kb:
+        raise ValueError(f"--adjust {adj.strategy} requires --kb")
+    _check_shape(None, args.way, args.shot, args.query)
+    _check_count(args.eval_tasks, "evaluation task")
+    one_head = meta_init(1)  # checks the rates and counts as the real init would
+    if args.out_init:
+        meta_bytes(one_head)  # refuse, before training, rates or counts the file cannot hold
     ds = _load_features_any(args.features)
     kb = load_kb(args.kb) if args.kb else None
-    adj = _adjustment(args)
-    if adj.strategy in ("class", "combined") and kb is None:
-        raise ValueError(f"--adjust {adj.strategy} requires --kb")
     probe = Predictor(adj, kb, ds.dim, args.way, "linear")
-    mi = zero_meta_init(
-        args.way, probe.head_input_dim, probe.n_heads,
-        inner_lr=args.inner_lr, inner_steps=args.inner_steps,
-        outer_lr=args.outer_lr, tasks=args.tasks,
-    )
-    if args.out_init:
-        meta_bytes(mi)  # refuse, before training, rates or counts the file cannot hold
-    if args.eval_tasks < 1:
-        raise ValueError(f"evaluation task count must be >= 1, got {args.eval_tasks}")
+    mi = meta_init(probe.head_input_dim, probe.n_heads)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     trained = meta_train(ds, args.way, args.shot, args.query, adj, mi, kb, rng)
     if args.out_init:

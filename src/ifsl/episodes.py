@@ -8,7 +8,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .heads import FitConfig, _class_means, _fit_inputs, init_stack, stack_probs
+from .heads import FitConfig, _class_means, fit_stack, init_stack, stack_probs
 from .knowledge import FeatureDataset, KnowledgeBase, pretrain_logits
 from .evalmetrics import query_hardness
 from .numerics import as_matrix
@@ -121,14 +121,22 @@ class EpisodeResult:
         return float(self.correct.mean())
 
 
-def _check_shape(n_classes: int, way: int, shot: int, query: int) -> None:
-    """Refuse an episode shape that a dataset of ``n_classes`` classes cannot give."""
+def _check_shape(n_classes: int | None, way: int, shot: int, query: int) -> None:
+    """Refuse an episode shape that a dataset of ``n_classes`` classes cannot
+    give; with ``n_classes`` None, before any dataset is read, check only the
+    shape itself."""
     if way < 2:
         raise ValueError(f"episodes need at least 2 classes, got way={way}")
     if shot < 1 or query < 1:
         raise ValueError("shot and query counts must be >= 1")
-    if n_classes < way:
+    if n_classes is not None and n_classes < way:
         raise ValueError(f"dataset has {n_classes} classes but the episode needs {way}")
+
+
+def _check_count(count: int, what: str = "episode") -> None:
+    """Refuse a run of fewer than one episode (or task)."""
+    if count < 1:
+        raise ValueError(f"{what} count must be >= 1, got {count}")
 
 
 def sample_episode(ds: FeatureDataset, way: int, shot: int, query: int, rng: np.random.Generator) -> Episode:
@@ -209,25 +217,21 @@ def _fit_and_score(
 ) -> list[np.ndarray]:
     """(E, Q) predicted query labels of a chunk, one array per start in
     ``inits``: centroid heads from the support, or parametric heads fitted
-    as one stack (from the start, an ``(n, K, P)`` stack and its biases, or
-    fresh heads for None). The chunk's support and query rows get their
-    stratum inputs once, for every start. Queries are scored one episode at
-    a time: a whole chunk held about 1 MB more at peak to save 2% of the
-    time."""
+    as one stack (from the start, an (n, K, P') head stack, or fresh heads
+    for None). The chunk's support and query rows get their stratum inputs
+    once, for every start. Queries are scored one episode at a time: a
+    whole chunk held about 1 MB more at peak to save 2% of the time."""
+    kind = predictor.head_kind
     support = predictor.support_inputs(chunk.support_x)
     queries = predictor.support_inputs(chunk.query_x)
     predicted = []
     for init in inits:
-        if predictor.head_kind == "centroid":
-            W, b = init_stack("centroid", predictor.way, support, chunk.support_y)
+        if kind == "centroid":
+            theta = init_stack(kind, predictor.way, support, chunk.support_y)
         else:
-            W, b = _fit_inputs(support, chunk.support_y, predictor, fit_cfg, seeds, init)
+            theta = fit_stack(support, chunk.support_y, predictor, fit_cfg, seeds, init)
         predicted.append(np.stack([
-            stack_probs(
-                predictor.head_kind, W[e : e + 1], None if b is None else b[e : e + 1],
-                queries[e : e + 1],
-            )[0]
-            for e in range(len(queries))
+            stack_probs(kind, theta[e : e + 1], queries[e : e + 1])[0] for e in range(len(queries))
         ]).argmax(axis=-1))
     return predicted
 
@@ -300,8 +304,7 @@ def run_arms(
     stack; an episode's results are the same in any chunk. Returns one
     result list per arm and the sampler's extra outputs, in episode order.
     """
-    if count < 1:
-        raise ValueError(f"episode count must be >= 1, got {count}")
+    _check_count(count)
     per_arm: list[list[EpisodeResult]] = [[] for _ in arms]
     extras = []
 

@@ -8,16 +8,16 @@ into the inputs of the ``class`` and ``combined`` strategies, so every
 strategy and kind fits, steps and starts the same way; only the weight decay
 is scaled by the predictor's ``weight_decay_scale``.
 
-The n heads of a predictor, for each of E episodes, are computed as one
-stack: weights W (E, n, K, P), linear biases b (E, n, K) and inputs
-(E, n, B, P), with one batched matmul for all logits and one for all weight
-gradients. Fits hold a linear stack as one affine array theta (E, n, K, P+1)
-whose last column is the bias, so W and b are views of it (see
-:func:`_split`), and step on inputs with a trailing column of ones,
-[V | 1] (see :func:`_step_inputs`): the logits W V^T + b are one matmul
-theta [V | 1]^T, and one matmul G [V | 1] gives dW and db together. A cosine
-head has no bias, so its theta is W and its inputs are V. A fitting step
-holds its logits class-outermost, in a (K, E, n, B) buffer G that the
+The n heads of a predictor, for each of E episodes, are one stack: one
+array theta, (E, n, K, P+1) for linear heads, whose last column is the bias
+(W and b are views of it, see :func:`_split`), and (E, n, K, P) for cosine
+heads (the weights) and centroid heads (the centroids). Every stacked call
+takes or returns theta, never a ``(W, b)`` pair, and takes its inputs as
+(E, n, B, P) stratum stacks. Scoring computes W V^T + b. A fitting step
+reads its inputs with a trailing column of ones, [V | 1] (see
+:func:`_step_inputs`), so the logits are one matmul theta [V | 1]^T, and one
+matmul G [V | 1] gives dW and db together; cosine inputs stay V. A fitting
+step holds its logits class-outermost, in a (K, E, n, B) buffer G that the
 matmuls write and read through its (E, n, K, B) view: the softmax's maximum
 and sum over classes are each one pass over K contiguous blocks of E*n*B
 entries, and the step turns that one buffer into the exponentials and then
@@ -36,18 +36,19 @@ binds one gradient routine to those buffers, the fit's theta and the ufuncs,
 so a step looks nothing up. The routine fills the gradient and, given a
 learning rate, applies it to it in place and steps theta. One loop,
 :func:`_fit_steps`, calls it once per iteration of every fit: those of
-:func:`fit_stack` (episode chunks and the knowledge-base fit) and those of
-each task that ``meta.meta_train`` adapts, whose workspaces are allocated
-once per ``meta_train`` call. :func:`stack_loss_and_grads` and
+:func:`fit_stack` (episode chunks), of ``synth.fit_kb`` (the knowledge base)
+and of each task that ``meta.meta_train`` adapts, whose workspaces are
+allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and
 ``meta_train``'s outer step call the same routine for the gradient alone.
 
 The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
 :func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
 of the stack calls: a :class:`HeadParams` is one slice of a stack, the list
-gradients are the ``(dW, db)`` pair of :func:`stack_loss_and_grads` without
-the episode axis, and each call stacks its arguments, runs the same core and
-unstacks the result, so the outputs are the same bits whichever route a step
-takes. They stay because the benchmark's traced replicas call them.
+gradients are the ``(dW, db)`` views of the gradient of
+:func:`stack_loss_and_grads` without the episode axis, and each call stacks
+its arguments, runs the same core and unstacks the result, so the outputs
+are the same bits whichever route a step takes. They stay because the
+benchmark's traced replicas call them.
 """
 
 from __future__ import annotations
@@ -128,46 +129,48 @@ class FitConfig:
 
 
 # --- stacked core ------------------------------------------------------------
-# The n heads of each of E episodes are fitted and scored as one stack: weights
-# W (E, n, K, P), linear biases b (E, n, K) and inputs V (E, n, B, P); logits
+# The n heads of each of E episodes are fitted and scored as one stack theta:
+# (E, n, K, P+1) for linear heads, [W | b] with the bias as the last column,
+# (E, n, K, P) for cosine and centroid heads; inputs V are (E, n, B, P). Logits
 # are (E, n, K, B), and a fitting step holds them and their gradients
-# class-outermost, (K, E, n, B) (see _Workspace). Fits step the affine stack
-# theta = [W | b] on the inputs [V | 1] (see _fold and _step_inputs). Cosine
-# inputs are row-normalised before they reach the core, and cosine weights once
-# per step, by normalize_rows_with_divisors: its (U, d) pair feeds both the
-# logits and the gradient. Centroid heads keep their centroids in W. Every
-# episode's heads only ever meet its own inputs, so an episode's numbers do not
-# depend on the others in its stack.
+# class-outermost, (K, E, n, B) (see _Workspace), and steps theta on the inputs
+# [V | 1] (see _step_inputs). Cosine inputs are row-normalised before they
+# reach the core, and cosine weights once per step, by
+# normalize_rows_with_divisors: its (U, d) pair feeds both the logits and the
+# gradient. Every episode's heads only ever meet its own inputs, so an
+# episode's numbers do not depend on the others in its stack.
 
 
-def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """``(kind, W, b)`` of one episode's list of heads as fresh stacked arrays.
-
-    ``W`` is (n, K, P): the weights, or the centroids of centroid heads.
-    ``b`` is (n, K) for linear heads and None otherwise.
-    """
+def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray]:
+    """``(kind, theta)`` of one episode's list of heads, ``theta`` a fresh
+    (n, K, P+1) stack ``[W | b]`` for linear heads and (n, K, P) otherwise."""
     if not heads:
         raise ValueError("need at least one head")
     kind = heads[0].kind
     if any(h.kind != kind for h in heads):
         raise ValueError("heads of one stack must share a kind")
-    W = np.stack([h.W for h in heads])
-    b = np.stack([h.b for h in heads]) if kind == "linear" else None
-    return kind, W, b
+    linear = kind == "linear"
+    K, P = heads[0].W.shape
+    theta = np.empty((len(heads), K, P + linear))
+    theta[..., :P] = [h.W for h in heads]  # heads of unequal shapes raise ValueError
+    if linear:
+        theta[..., P] = [h.b for h in heads]
+    return kind, theta
 
 
-def _unstack_heads(kind: str, W: np.ndarray, b: np.ndarray | None) -> list[HeadParams]:
-    """One :class:`HeadParams` per entry of an (n, K, P) float64 stack, each a view on it.
+def _unstack_heads(kind: str, theta: np.ndarray) -> list[HeadParams]:
+    """One :class:`HeadParams` per entry of an (n, K, P') float64 stack, its
+    ``W`` and ``b`` views of it (see :func:`_split`).
 
     The stack is checked once, for finiteness and at least 2 classes, and the
     heads are built without re-checking each: the other checks of
-    ``HeadParams(...)`` hold by the stack's layout (``b`` is (n, K) for
-    linear heads and None otherwise).
+    ``HeadParams(...)`` hold by the stack's layout.
     """
-    if W.shape[-2] < 2:
+    if theta.shape[-2] < 2:
         raise ValueError("heads need at least 2 classes")
-    if not (np.isfinite(W).all() and (b is None or np.isfinite(b).all())):
+    if not np.isfinite(theta).all():
         raise ValueError("matrix entries must be finite")
+    W, b = _split(kind, theta)
     heads = []
     for i in range(W.shape[0]):
         h = object.__new__(HeadParams)
@@ -184,65 +187,50 @@ def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarra
     return normalize_rows(V) if kind == "cosine" else V
 
 
-def _fold(W: np.ndarray, b, lead: tuple[int, ...] | None = None) -> np.ndarray:
-    """A fresh affine stack: [W | b], (*lead, P+1) with ``b`` as the last
-    column, or a copy of ``W``, (*lead, P), for ``b`` None. ``W`` and ``b``
-    are broadcast to ``lead``, W's own leading axes by default."""
-    P = W.shape[-1]
-    theta = np.empty((*(W.shape[:-1] if lead is None else lead), P + (b is not None)))
-    theta[..., :P] = W
-    if b is not None:
-        theta[..., P] = b
-    return theta
-
-
 def _split(kind: str, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(W, b)`` of an affine stack from :func:`_fold`, as views of it: all
-    but the last column and the last column for linear heads, else
-    ``(theta, None)``."""
+    """``(W, b)`` of a head stack, as views of it: all but the last column
+    and the last column for linear heads, else ``(theta, None)``."""
     if kind == "linear":
         return theta[..., :-1], theta[..., -1]
     return theta, None
 
 
-def _step_inputs(kind: str, inputs, input_dim: int, ones: bool = True) -> np.ndarray:
+def _step_inputs(kind: str, inputs, input_dim: int) -> np.ndarray:
     """(E, n, B, P) inputs as a step reads them: [V | 1], with a trailing
-    column of ones that feeds the bias column of theta, for linear heads
-    (V as given with ``ones=False``, see :class:`_Workspace`), and
-    row-normalised V for cosine heads."""
+    column of ones that feeds the bias column of theta, for linear heads,
+    and row-normalised V for cosine heads."""
     V = _stack_inputs(kind, inputs, input_dim, ndim=4)
-    return _fold(V, 1.0) if kind == "linear" and ones else V
+    if kind != "linear":
+        return V
+    return np.concatenate((V, np.ones((*V.shape[:-1], 1))), axis=-1)
 
 
-def _logits(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """(..., n, K, B) logits of stacked heads on stacked inputs from
+def _logits(kind: str, theta: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(..., n, K, B) logits of a head stack on stacked inputs from
     :func:`_stack_inputs`: row k of head i holds class k's score of every input.
-    Cosine heads score U @ V^T with U the unit rows of W."""
+    Linear heads score W V^T + b, cosine heads U V^T with U the unit rows of W."""
     if kind == "linear":
+        W, b = _split(kind, theta)
         z = W @ V.swapaxes(-1, -2)
         z += b[..., :, None]
         return z
     if kind == "cosine":
-        return normalize_rows(W) @ V.swapaxes(-1, -2)
-    diff = V[..., None, :, :] - W[..., :, None, :]
+        return normalize_rows(theta) @ V.swapaxes(-1, -2)
+    diff = V[..., None, :, :] - theta[..., :, None, :]
     return -np.einsum("...kbp,...kbp->...kb", diff, diff)
 
 
-def _probs(kind: str, W: np.ndarray, b: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """(..., B, K) head-averaged softmax outputs: the mean over the head axis."""
-    z = _logits(kind, W, b, V)
+def stack_probs(kind: str, theta: np.ndarray, inputs) -> np.ndarray:
+    """(E, B, K) mixture probabilities of E episodes' head stack ``theta`` on
+    (E, n, B, P) inputs: the mean over each episode's heads of their softmax."""
+    V = _stack_inputs(kind, inputs, theta.shape[-1] - (kind == "linear"), ndim=4)
+    if V.shape[:2] != theta.shape[:2]:
+        raise ValueError("need one input block per head of every episode")
+    z = _logits(kind, theta, V)
     z -= z.max(axis=-2, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-2, keepdims=True)
     return z.mean(axis=-3).swapaxes(-1, -2)
-
-
-def stack_probs(kind: str, W: np.ndarray, b: np.ndarray | None, inputs) -> np.ndarray:
-    """(E, B, K) mixture probabilities of E episodes' stacked heads on (E, n, B, P) inputs."""
-    V = _stack_inputs(kind, inputs, W.shape[-1], ndim=4)
-    if V.shape[:2] != W.shape[:2]:
-        raise ValueError("need one input block per head of every episode")
-    return _probs(kind, W, b, V)
 
 
 def _label_index(labels: np.ndarray, n: int, K: int) -> np.ndarray:
@@ -267,22 +255,23 @@ class _Workspace:
     """One fit's gradient routine, bound once to the parameters it steps and
     to every array that one step writes.
 
-    For an affine stack ``theta`` (E, n, K, P') (see :func:`_fold`: P' = P+1
-    for linear heads, whose last column is the bias, P for cosine heads) and
-    batches of B rows it holds: the logits ``G``, which become the
-    exponentials and then dL/dlogits in place, class-outermost as
-    (K, E, n, B) and written and read by the matmuls through the
-    (E, n, K, B) view ``G_heads``; the (E, n, B) class maxima; three
-    (E, n, B) vectors (the true-label terms, the class sums, a scratch); the
-    (E, 1, B) maximum and sum of the log-mean-exp over heads; the gradient
-    ``dtheta`` of ``theta``; with a weight decay, a decay array of theta's
-    shape that is 0 on the bias column; and, for cosine heads, the unit
-    rows, their divisors and a weight-shaped scratch. A linear workspace
-    built with ``ones=False`` steps on inputs without the ones column, V
-    rather than [V | 1]: it adds the bias column to the logits and sums
-    dL/dlogits into the bias gradient on its own, through views of
-    ``theta`` and ``dtheta``; only the knowledge-base fit does (see
-    ``synth.fit_kb``), whose inputs a ones column would copy whole.
+    For a head stack ``theta`` (E, n, K, P') (P' = P+1 for linear heads,
+    whose last column is the bias, P for cosine heads) and batches of B
+    rows it holds: the logits ``G``, which become the exponentials and then
+    dL/dlogits in place, class-outermost as (K, E, n, B) and written and
+    read by the matmuls through the (E, n, K, B) view ``G_heads``; the
+    (E, n, B) class maxima; three (E, n, B) vectors (the true-label terms,
+    the class sums, a scratch); the (E, 1, B) maximum and sum of the
+    log-mean-exp over heads; the gradient ``dtheta`` of ``theta``; with a
+    weight decay, a decay array of theta's shape that is 0 on the bias
+    column; and, for cosine heads, the unit rows, their divisors and a
+    weight-shaped scratch. A linear workspace built with ``ones=False``
+    steps on inputs without the ones column, V rather than [V | 1]: it adds
+    the bias column to the logits and sums dL/dlogits into the bias
+    gradient on its own, through views of ``theta`` and ``dtheta``. Its one
+    caller is ``synth.fit_kb``, which drives such a workspace with
+    :func:`_fit_steps` on the pretrain rows read in place, since a ones
+    column would copy them whole.
     ``grads`` is the routine: a closure built here over these buffers,
     ``theta`` and the ufuncs, so a step looks nothing up. Each op writes
     into one of the buffers: reductions and ``take`` through their ``out``
@@ -415,31 +404,23 @@ def _no_coupling(coupling) -> None:
         )
 
 
-def stack_sgd_step(
-    W: np.ndarray, b: np.ndarray | None, dW: np.ndarray, db: np.ndarray | None,
-    learning_rate: float,
-) -> None:
-    """In-place step W -= lr * dW, b -= lr * db on a stack. ``dW``/``db``
-    serve as scratch: the learning rate is applied to them in place. An
-    affine stack (see :func:`_fold`) steps as ``W`` with ``b`` None, by its
-    gradient as ``dW``. Fits step inside their workspace's gradient routine
-    instead, which saves a call per step."""
-    np.subtract(W, np.multiply(dW, learning_rate, dW), W)
-    if b is not None:
-        np.subtract(b, np.multiply(db, learning_rate, db), b)
+def stack_sgd_step(theta: np.ndarray, dtheta: np.ndarray, learning_rate: float) -> None:
+    """In-place step theta -= lr * dtheta on a head stack. ``dtheta`` serves
+    as scratch: the learning rate is applied to it in place. Fits step
+    inside their workspace's gradient routine instead, which saves a call
+    per step."""
+    np.subtract(theta, np.multiply(dtheta, learning_rate, dtheta), theta)
 
 
 def stack_loss_and_grads(
-    kind: str, W: np.ndarray, b: np.ndarray | None, inputs, labels: np.ndarray,
-    weight_decay: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(E,) mixture losses and fresh stacked gradients ``(dW, db)`` of E
-    episodes' heads ``W`` (E, n, K, P), ``b`` (E, n, K) on (E, n, B, P) inputs
-    with (E, B) labels. The step's routine runs on the affine stack of
-    ``(W, b)``, so ``dW`` and ``db`` are views of its one gradient."""
-    V = _step_inputs(kind, inputs, W.shape[-1])
+    kind: str, theta: np.ndarray, inputs, labels: np.ndarray, weight_decay: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E,) mixture losses and the fresh gradient ``dtheta`` of E episodes'
+    head stack ``theta`` on (E, n, B, P) inputs with (E, B) labels."""
+    theta = np.array(theta, dtype=np.float64)  # the workspace's own copy
+    E, n, K, width = theta.shape
+    V = _step_inputs(kind, inputs, width - (kind == "linear"))
     labels = np.asarray(labels, dtype=np.int64)
-    E, n, K, _ = W.shape
     if V.shape[:2] != (E, n):
         raise ValueError("need one input block per head of every episode")
     if labels.size == 0:
@@ -447,9 +428,9 @@ def stack_loss_and_grads(
     if labels.shape != (E, V.shape[2]):
         raise ValueError("labels must align with inputs")
     _check_labels(labels, K)
-    ws = _Workspace(kind, _fold(W, b), V.shape[2], weight_decay)
+    ws = _Workspace(kind, theta, V.shape[2], weight_decay)
     loss = ws.grads(V, _label_index(labels, n, K), with_loss=True)
-    return (loss, *_split(kind, ws.dtheta))
+    return loss, ws.dtheta
 
 
 # --- list-of-heads API -----------------------------------------------------------
@@ -459,8 +440,8 @@ def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     """(B, K) logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
     if Z.ndim != 2:
         raise ValueError(f"head expects a (B, {h.input_dim}) input block, got shape {Z.shape}")
-    kind, W, b = stack_heads([h])
-    return _logits(kind, W, b, _stack_inputs(kind, Z[None], h.input_dim))[0].T
+    kind, theta = stack_heads([h])
+    return _logits(kind, theta, _stack_inputs(kind, Z[None], h.input_dim))[0].T
 
 
 def mixture_loss_and_grads(
@@ -475,18 +456,17 @@ def mixture_loss_and_grads(
     distribution is the arithmetic mean of the per-head softmax outputs.
     Returns the batch-mean loss (plus the L2 penalty on every W) and the
     stacked gradients ``(dW, db)`` of all heads: ``dW`` (n, K, P) and ``db``
-    (n, K) for linear heads, else None, as :func:`stack_loss_and_grads`
-    returns them for one episode.
+    (n, K) for linear heads, else None, the views (see :func:`_split`) of
+    the one-episode gradient of :func:`stack_loss_and_grads`.
     """
     if len(heads) != len(inputs) or not heads:
         raise ValueError("need one input block per head")
-    kind, W, b = stack_heads(heads)
-    loss, dW, db = stack_loss_and_grads(
-        kind, W[None], None if b is None else b[None],
-        np.asarray(inputs, dtype=np.float64)[None], np.asarray(labels, dtype=np.int64)[None],
-        weight_decay,
+    kind, theta = stack_heads(heads)
+    loss, dtheta = stack_loss_and_grads(
+        kind, theta[None], np.asarray(inputs, dtype=np.float64)[None],
+        np.asarray(labels, dtype=np.int64)[None], weight_decay,
     )
-    return float(loss[0]), (dW[0], None if db is None else db[0])
+    return float(loss[0]), _split(kind, dtheta[0])
 
 
 def sgd_step(
@@ -499,10 +479,11 @@ def sgd_step(
     :func:`mixture_loss_and_grads`, which is left as it is. ``coupling`` must
     be None (see :func:`_no_coupling`)."""
     _no_coupling(coupling)
-    _, W, b = stack_heads(heads)
+    kind, theta = stack_heads(heads)
     dW, db = grads
-    db = None if db is None else np.array(db, dtype=np.float64)
-    stack_sgd_step(W, b, np.array(dW, dtype=np.float64), db, learning_rate)
+    parts = (dW,) if db is None else (dW, np.asarray(db)[..., None])
+    stack_sgd_step(theta, np.concatenate(parts, axis=-1, dtype=np.float64), learning_rate)
+    W, b = _split(kind, theta)
     for i, h in enumerate(heads):  # write the stepped stack back into the heads
         h.W[...] = W[i]
         if b is not None:
@@ -544,12 +525,10 @@ def init_stack(
     way: int,
     support_inputs: np.ndarray,
     labels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fresh stacked ``(W, b)`` for E episodes on (E, n, S, P) support inputs with (E, S) labels.
-
-    ``W`` is (E, n, K, P) and ``b`` (E, n, K) for linear heads, as views of
-    one affine stack (see :func:`_split`), else None; see :func:`init_heads`
-    for how each kind starts.
+) -> np.ndarray:
+    """Fresh head stack ``theta`` for E episodes on (E, n, S, P) support
+    inputs with (E, S) labels: (E, n, K, P+1) for linear heads, else
+    (E, n, K, P); see :func:`init_heads` for how each kind starts.
     """
     Z = np.asarray(support_inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -559,11 +538,9 @@ def init_stack(
         raise ValueError(f"unknown head kind {kind!r}")
     E, n, _, P = Z.shape
     if kind == "linear":
-        return _split(kind, np.zeros((E, n, way, P + 1)))
+        return np.zeros((E, n, way, P + 1))
     cents = _class_means(Z, labels, way)
-    if kind == "centroid":
-        return cents, None
-    return normalize_rows(cents), None
+    return cents if kind == "centroid" else normalize_rows(cents)
 
 
 def init_heads(
@@ -581,8 +558,8 @@ def init_heads(
     ``coupling`` must be None (see :func:`_no_coupling`).
     """
     _no_coupling(coupling)
-    W, b = init_stack(kind, way, np.asarray(support_inputs)[None], np.asarray(labels)[None])
-    return _unstack_heads(kind, W[0], None if b is None else b[0])
+    theta = init_stack(kind, way, np.asarray(support_inputs)[None], np.asarray(labels)[None])
+    return _unstack_heads(kind, theta[0])
 
 
 # --- fitting -----------------------------------------------------------------
@@ -603,76 +580,56 @@ def batch_rows(n: int, iterations: int, batch_size: int, seed: int) -> np.ndarra
 
 
 def fit_stack(
-    support_x: np.ndarray,
+    support_inputs: np.ndarray,
     support_y: np.ndarray,
     predictor,
     cfg: FitConfig,
     seeds: Sequence[int],
-    init: tuple[np.ndarray, np.ndarray | None] | None = None,
+    init: np.ndarray | None = None,
     loss_callback: Callable[[int, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fit the predictor's heads on E support sets at once; returns stacked ``(W, b)``.
+) -> np.ndarray:
+    """Fit the predictor's heads on E support sets at once; returns their stack ``theta``.
 
-    ``support_x`` is (E, S, dim) and ``support_y`` (E, S). Episode e draws its
-    mini-batches with :func:`batch_rows` from ``seeds[e]`` (``cfg.seed`` is
-    not read), and its heads step on its own rows only, so its weights do not
-    depend on the other episodes of the stack. ``init``, an ``(n, K, P)``
-    weight stack and its ``(n, K)`` biases (or None), is every episode's
-    start; fresh heads start as in :func:`init_stack`. ``loss_callback``
-    gets each iteration's (E,) losses. The weight decay is scaled by
-    ``predictor.weight_decay_scale``. The stratum inputs are built here and
-    the fit runs in :func:`_fit_inputs`. See :func:`fit_head`.
-    """
-    return _fit_inputs(
-        predictor.support_inputs(support_x), support_y, predictor, cfg, seeds, init, loss_callback
-    )
-
-
-def _fit_inputs(
-    Z: np.ndarray,
-    support_y: np.ndarray,
-    predictor,
-    cfg: FitConfig,
-    seeds: Sequence[int],
-    init: tuple[np.ndarray, np.ndarray | None] | None = None,
-    loss_callback: Callable[[int, np.ndarray], None] | None = None,
-    ones: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`fit_stack` on the (E, n, S, P) stratum inputs ``Z`` of its
-    support sets, for callers that build them once for several fits.
-
+    ``support_inputs`` (E, n, S, P) are the stratum inputs of the support
+    sets (``predictor.support_inputs`` of their (E, S, dim) rows), so
+    callers that fit several times build them once; ``support_y`` is
+    (E, S). Episode e draws its mini-batches with :func:`batch_rows` from
+    ``seeds[e]`` (``cfg.seed`` is not read), and its heads step on its own
+    rows only, so its weights do not depend on the other episodes of the
+    stack. ``init``, an (n, K, P+1) stack for linear heads and (n, K, P)
+    for cosine heads, is copied as every episode's start; fresh heads start
+    as in :func:`init_stack`. ``loss_callback`` gets each iteration's (E,)
+    losses. The weight decay is scaled by ``predictor.weight_decay_scale``.
     The set-up (start, one workspace, label indices and mini-batch rows) is
-    done here and the iterations run in :func:`_fit_steps`. The start, fresh
-    or copied from ``init``, is held as one affine stack (see :func:`_fold`),
-    stepped on the inputs of :func:`_step_inputs`; mini-batches are taken
-    from those inputs, ones column included. ``ones=False`` steps linear
-    heads on ``Z`` as given (see :class:`_Workspace`). Returns views of
-    that stack.
+    done here and the iterations run in :func:`_fit_steps`; mini-batches
+    are taken from the inputs of :func:`_step_inputs`, ones column
+    included. See :func:`fit_head`.
     """
     kind = predictor.head_kind
     if kind not in PARAMETRIC_KINDS:
         raise ValueError(f"head kind {kind!r} is non-parametric; nothing to fit")
+    Z = np.asarray(support_inputs)
     y = np.asarray(support_y, dtype=np.int64)
     if Z.ndim != 4 or y.shape != (Z.shape[0], Z.shape[2]) or len(seeds) != Z.shape[0]:
-        raise ValueError("need (E, S, dim) support sets with (E, S) labels and E seeds")
+        raise ValueError("need (E, n, S, P) support inputs with (E, S) labels and E seeds")
     E, n, S, _ = Z.shape
     if S == 0:
         raise ValueError("support set is empty")
+    if n != predictor.n_heads:
+        raise ValueError("need one input block per head of every episode")
     _check_labels(y, predictor.way)
+    K, P = predictor.way, predictor.head_input_dim
+    shape = (n, K, P + (kind == "linear"))
+    if init is not None and np.shape(init) != shape:
+        raise ValueError(f"an init of these heads is an {shape} stack, got {np.shape(init)}")
+    V = _step_inputs(kind, Z, P)
     if init is None:
-        W, b = init_stack(kind, predictor.way, Z, y)
-        lead = W.shape[:-1]
+        theta = init_stack(kind, K, Z, y)
     else:
-        W, b = np.asarray(init[0], dtype=np.float64), init[1]
-        if (b is None) != (kind != "linear"):
-            raise ValueError("an init carries biases exactly when its heads are linear")
-        lead = (E, *W.shape[:-1])
-    theta = _fold(W, b, lead)
-    V = _step_inputs(kind, Z, W.shape[-1], ones)
-    K = W.shape[-2]
+        theta = np.array(np.broadcast_to(init, (E, *shape)), dtype=np.float64, order="C")
     weight_decay = cfg.weight_decay * predictor.weight_decay_scale
     batch = S if cfg.batch_size is None else cfg.batch_size
-    ws = _Workspace(kind, theta, batch, weight_decay, ones)
+    ws = _Workspace(kind, theta, batch, weight_decay)
     if cfg.batch_size is None:
         batches = repeat((V, _label_index(y, n, K)), cfg.iterations)
     else:
@@ -687,7 +644,7 @@ def _fit_inputs(
             (flat.take(r, axis=0, out=buf, mode="clip"), a) for r, a in zip(at_rows, at_labels)
         )
     _fit_steps(ws, batches, cfg.learning_rate, loss_callback)
-    return _split(kind, theta)
+    return theta
 
 
 def _fit_steps(
@@ -700,7 +657,8 @@ def _fit_steps(
     place, one call of its gradient routine, per ``(inputs, label index)``
     batch of ``batches``.
 
-    :func:`fit_stack` and the meta-learning task loop both step through it.
+    :func:`fit_stack`, ``synth.fit_kb`` and the meta-learning task loop
+    step through it.
     """
     grads, with_loss = ws.grads, loss_callback is not None
     for it, (V, at_label) in enumerate(batches):
@@ -722,17 +680,18 @@ def fit_head(
     The predictor supplies per-stratum inputs and the head layout; gradients
     flow through the probability mixture into every head. This is the
     one-episode case of :func:`fit_stack`: all heads step together as one
-    (1, n, K, P) stack, and a mini-batch is one index into the (1, n, S, P)
-    input stack. Fresh heads start as in :func:`init_stack`; a supplied
-    ``init`` is used as given. Deterministic for a fixed ``cfg.seed``.
+    (1, n, K, P+1) stack for linear heads ((1, n, K, P) for cosine heads),
+    and a mini-batch is one index into the (1, n, S, P) input stack. Fresh
+    heads start as in :func:`init_stack`; a supplied ``init`` is used as
+    given. Deterministic for a fixed ``cfg.seed``.
     """
     start = None
     if init is not None:
         predictor.validate_heads(init)
-        start = stack_heads(init)[1:]
+        start = stack_heads(init)[1]
     callback = None if loss_callback is None else lambda it, loss: loss_callback(it, float(loss[0]))
-    W, b = fit_stack(
-        np.asarray(support_x)[None], np.asarray(support_y)[None], predictor, cfg, [cfg.seed],
-        start, callback,
+    theta = fit_stack(
+        predictor.support_inputs(np.asarray(support_x)[None]), np.asarray(support_y)[None],
+        predictor, cfg, [cfg.seed], start, callback,
     )
-    return _unstack_heads(predictor.head_kind, W[0], None if b is None else b[0])
+    return _unstack_heads(predictor.head_kind, theta[0])

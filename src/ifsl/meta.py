@@ -30,14 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .adjust import AdjustmentConfig, Predictor
-from .episodes import _chunks, _fit_and_score, episode_rng, sample_episode
+from .episodes import _check_count, _chunks, _fit_and_score, episode_rng, sample_episode
 from .heads import (
     FitConfig,
     HeadParams,
     _fit_steps,
-    _fold,
     _label_index,
-    _split,
     _step_inputs,
     _unstack_heads,
     _Workspace,
@@ -149,7 +147,7 @@ def meta_train(
     kind = mi.theta0[0].kind
     predictor = Predictor(adj_cfg, kb, ds.dim, way, kind)
     predictor.validate_heads(mi.theta0)
-    theta = _fold(*stack_heads(mi.theta0)[1:])
+    theta = stack_heads(mi.theta0)[1]
     # one task's adapted copy, workspaces and label indices serve every task;
     # sample_episode labels each episode's rows 0..way-1 in class order
     theta_task = np.empty((1, *theta.shape))
@@ -169,8 +167,8 @@ def meta_train(
             theta_task[0] = theta
             _fit_steps(inner, repeat((support[t : t + 1], at_support), mi.inner_steps), mi.inner_lr)
             outer.grads(queries[t : t + 1], at_query)
-            stack_sgd_step(theta, None, outer.dtheta[0], None, mi.outer_lr)
-    return replace_theta(mi, _unstack_heads(kind, *_split(kind, theta)))
+            stack_sgd_step(theta, outer.dtheta[0], mi.outer_lr)
+    return replace_theta(mi, _unstack_heads(kind, theta))
 
 
 def evaluate_inits(
@@ -195,11 +193,10 @@ def evaluate_inits(
     same bits as alone. Returns one list of per-task accuracies per
     initialization.
     """
-    if count < 1:
-        raise ValueError(f"episode count must be >= 1, got {count}")
+    _check_count(count)
     for theta in inits:
         predictor.validate_heads(theta)
-    stacks = [stack_heads(theta)[1:] for theta in inits]
+    stacks = [stack_heads(theta)[1] for theta in inits]
     cfg = _inner_config(inner_lr, inner_steps)
     accs: list[list[float]] = [[] for _ in inits]
     tasks = _chunks(lambda e: sample_episode(ds, way, shot, query, episode_rng(seed, e)), count)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .adjust import AdjustmentConfig, Predictor
+from .adjust import AdjustmentConfig
 from .episodes import Episode, EpisodeResult, _check_shape, run_arms
-from .heads import FitConfig, _fit_inputs
+from .heads import FitConfig, _fit_steps, _label_index, _Workspace
 from .knowledge import FeatureDataset, KnowledgeBase
 
 _KB_FIT = FitConfig(iterations=500, batch_size=None, learning_rate=0.1, weight_decay=1e-4, seed=0)
@@ -121,13 +122,17 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     """Knowledge base from pretrain data: empirical class means plus a linear
     classifier fitted full-batch (500 steps, lr 0.1, weight decay 1e-4).
 
-    This is ``fit_stack`` on the pretrain rows read in place: the steps
-    take no ones column for the bias, which would copy the whole set."""
+    This is ``fit_stack`` of one linear head from zero on the pretrain
+    rows, driven by hand: one ``_Workspace(..., ones=False)`` steps the
+    (1, 1, K, dim+1) stack on the rows read in place, since the ones column
+    that ``fit_stack`` appends would copy the whole set."""
     means = np.stack([pretrain.vectors_of(c).mean(axis=0) for c in range(pretrain.n_classes)])
-    predictor = Predictor(AdjustmentConfig("none"), None, pretrain.dim, len(means), "linear")
-    Z = predictor.support_inputs(pretrain.features[None])
-    W, b = _fit_inputs(Z, pretrain.labels[None], predictor, _KB_FIT, [0], ones=False)
-    return KnowledgeBase(means, W[0, 0], b[0, 0])
+    K, dim = means.shape
+    theta = np.zeros((1, 1, K, dim + 1))
+    ws = _Workspace("linear", theta, pretrain.n_samples, _KB_FIT.weight_decay, ones=False)
+    batch = (pretrain.features[None, None], _label_index(pretrain.labels[None], 1, K))
+    _fit_steps(ws, repeat(batch, _KB_FIT.iterations), _KB_FIT.learning_rate)
+    return KnowledgeBase(means, theta[0, 0, :, :-1], theta[0, 0, :, -1])
 
 
 class _ConfoundedSampler:

@@ -111,22 +111,38 @@ def test_env_thread_fallback(data_dir, tmp_path, monkeypatch):
     ("hardness", ["--threads", "-3"], "--threads must be >= 1, got -3"),
     ("hardness", ["--bins", "61"], "60 queries cannot fill 61 bins"),  # 5 * 3 * 4 queries
     ("hardness", ["--bins", "0"], "bin count must be >= 1, got 0"),
+    ("episodes", ["--iterations", "-1"], "iterations must be >= 0, got -1"),
+    ("hardness", ["--episodes", "0"], "episode count must be >= 1, got 0"),
+    ("episodes", ["--way", "1"], "episodes need at least 2 classes, got way=1"),
+    ("hardness", ["--adjust", "feature", "--strata", "0"],
+     "stratum count must be a positive integer, got 0"),
+    ("meta", ["--eval-tasks", "0"], "evaluation task count must be >= 1, got 0"),
+    ("meta", ["--tasks", "-1"], "step and task counts must be >= 0"),
+    ("meta", ["--inner-lr", "0"], "inner_lr > 0, got inner_lr=0.0"),
+    ("meta", ["--adjust", "class"], "--adjust class requires --kb"),
 ])
 def test_episode_commands_refuse_bad_counts_before_reading(
     data_dir, tmp_path, capsys, monkeypatch, command, flags, message
 ):
+    # every flag check that needs no data runs before --features and --kb are read
     def no_read(*args, **kwargs):
-        raise AssertionError("features read")
+        raise AssertionError("input file read")
 
     monkeypatch.setattr("ifsl.cli._load_features_any", no_read)
-    out, bins_csv = tmp_path / "r.json", tmp_path / "bins.csv"
+    monkeypatch.setattr("ifsl.cli.load_kb", no_read)
+    out, bins_csv, init = tmp_path / "r.json", tmp_path / "bins.csv", tmp_path / "meta.init"
     if command == "hardness":
         flags = [*flags, "--bins-csv", str(bins_csv)]
-    code = main([command, "--features", str(data_dir / "novel.features"),
-                 "--kb", str(data_dir / "kb.bin"), "--out", str(out), *EPISODE_ARGS, *flags])
+    if command == "meta":  # no --kb: --adjust none needs none
+        flags = ["--way", "3", "--query", "4", "--tasks", "5", "--eval-tasks", "5",
+                 "--out-init", str(init), *flags]
+    else:
+        flags = ["--kb", str(data_dir / "kb.bin"), *EPISODE_ARGS, *flags]
+    code = main([command, "--features", str(data_dir / "novel.features"), "--out", str(out),
+                 *flags])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() and not bins_csv.exists()
+    assert not out.exists() and not bins_csv.exists() and not init.exists()
 
 
 def test_csv_feature_input(data_dir, tmp_path):

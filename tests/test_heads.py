@@ -16,6 +16,7 @@ from ifsl.heads import (
     _Workspace,
     _class_means,
     _label_index,
+    _split,
     batch_rows,
     fit_head,
     fit_stack,
@@ -24,6 +25,7 @@ from ifsl.heads import (
     logits_batch,
     mixture_loss_and_grads,
     sgd_step,
+    stack_heads,
     stack_loss_and_grads,
     stack_probs,
     stack_sgd_step,
@@ -135,14 +137,14 @@ def test_centroid_init_means_support_rows():
     # rows; one episode of one head is the (1, 1, S, P) stack
     feats = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 1.0]])
     labels = np.array([0, 0, 1])
-    cents, b = init_stack("centroid", 2, feats[None, None], labels[None])
-    assert b is None
+    cents = init_stack("centroid", 2, feats[None, None], labels[None])
+    assert cents.shape == (1, 1, 2, 2)  # centroids only: no bias column
     assert np.array_equal(cents[0, 0], [[1.0, 1.0], [5.0, 1.0]])
     # one-shot centroid is the sample itself
-    one = init_stack("centroid", 1, feats[None, None, 2:], labels[None, 2:] - 1)[0]
+    one = init_stack("centroid", 1, feats[None, None, 2:], labels[None, 2:] - 1)
     assert np.array_equal(one[0, 0], [[5.0, 1.0]])
     # sample order does not matter
-    cents2 = init_stack("centroid", 2, feats[None, None, ::-1], labels[None, ::-1])[0]
+    cents2 = init_stack("centroid", 2, feats[None, None, ::-1], labels[None, ::-1])
     assert np.allclose(cents, cents2, atol=1e-15)
     with pytest.raises(ValueError, match="no samples for class"):
         init_stack("centroid", 3, feats[None, None], labels[None])
@@ -497,12 +499,11 @@ def test_fit_without_loss_callback_steps_the_same_weights(kind, strategy, batch_
     predictor = Predictor(adj, kb, 8, 3, kind)
     X, y = rng.standard_normal((3, 9, 8)), np.tile(np.repeat(np.arange(3), 3), (3, 1))
     cfg = FitConfig(iterations=25, batch_size=batch_size, learning_rate=0.05)
-    losses = []
-    W, b = fit_stack(X, y, predictor, cfg, [1, 2, 3], loss_callback=lambda it, l: losses.append(l))
-    W0, b0 = fit_stack(X, y, predictor, cfg, [1, 2, 3])
+    Z, losses = predictor.support_inputs(X), []
+    theta = fit_stack(Z, y, predictor, cfg, [1, 2, 3], loss_callback=lambda it, l: losses.append(l))
+    theta0 = fit_stack(Z, y, predictor, cfg, [1, 2, 3])
     assert len(losses) == 25 and all(np.isfinite(l).all() for l in losses)
-    assert W.tobytes() == W0.tobytes()
-    assert (b is None and b0 is None) or b.tobytes() == b0.tobytes()
+    assert theta.tobytes() == theta0.tobytes()
 
 
 def test_fit_head_full_batch_loss_non_increasing():
@@ -615,12 +616,14 @@ def test_stacked_fit_equals_per_episode_fit_head(default_synth, strategy, kind, 
     ]
     seeds = [1000 + 17 * e for e in range(6)]
     cfg = FitConfig(iterations=40, batch_size=batch_size, learning_rate=5e-3)
-    W, b = fit_stack(
-        np.stack([ep.support_x for ep in eps]), np.stack([ep.support_y for ep in eps]),
-        predictor, cfg, seeds,
+    theta = fit_stack(
+        predictor.support_inputs(np.stack([ep.support_x for ep in eps])),
+        np.stack([ep.support_y for ep in eps]), predictor, cfg, seeds,
     )
-    assert W.shape == (6, predictor.n_heads, 5, predictor.head_input_dim)
-    assert (b is None) == (kind == "cosine")
+    # linear stacks carry the bias as one more column
+    width = predictor.head_input_dim + (kind == "linear")
+    assert theta.shape == (6, predictor.n_heads, 5, width)
+    W, b = _split(kind, theta)
     for e, (ep, seed) in enumerate(zip(eps, seeds)):
         alone = fit_head(ep.support_x, ep.support_y, predictor, replace(cfg, seed=seed))
         assert np.array_equal(W[e], np.stack([h.W for h in alone]))
@@ -630,18 +633,31 @@ def test_stacked_fit_equals_per_episode_fit_head(default_synth, strategy, kind, 
 
 def test_fit_stack_validates_its_stack():
     predictor = Predictor(AdjustmentConfig("none"), None, 4, 2, "linear")
-    X, y = np.zeros((3, 2, 4)), np.zeros((3, 2), dtype=int)
+    Z, y = np.zeros((3, 1, 2, 4)), np.zeros((3, 2), dtype=int)
     with pytest.raises(ValueError, match="E seeds"):
-        fit_stack(X, y, predictor, FitConfig(), [0, 1])
+        fit_stack(Z, y, predictor, FitConfig(), [0, 1])
     with pytest.raises(ValueError, match="labels"):
-        fit_stack(X, y[:, :1], predictor, FitConfig(), [0, 1, 2])
+        fit_stack(Z, y[:, :1], predictor, FitConfig(), [0, 1, 2])
     centroid = Predictor(AdjustmentConfig("none"), None, 4, 2, "centroid")
     with pytest.raises(ValueError, match="non-parametric"):
-        fit_stack(X, y, centroid, FitConfig(), [0, 1, 2])
+        fit_stack(Z, y, centroid, FitConfig(), [0, 1, 2])
+    with pytest.raises(ValueError, match="one input block per head"):
+        fit_stack(np.zeros((3, 2, 2, 4)), y, predictor, FitConfig(), [0, 1, 2])
+    # an init must be the (n_heads, way, P') stack of the predictor's heads:
+    # a linear stack without its bias column, a cosine stack with one, a
+    # 3-way init for a 5-way predictor (labels 3 and 4 would read class 2's
+    # rows) and 2 heads for 1
     cosine = Predictor(AdjustmentConfig("none"), None, 4, 2, "cosine")
-    for fit_predictor, bias in ((predictor, None), (cosine, np.zeros((1, 2)))):
-        with pytest.raises(ValueError, match="biases exactly when its heads are linear"):
-            fit_stack(X, y, fit_predictor, FitConfig(), [0, 1, 2], (np.ones((1, 2, 4)), bias))
+    five_way = Predictor(AdjustmentConfig("none"), None, 4, 5, "linear")
+    Z5, y5 = np.zeros((3, 1, 5, 4)), np.tile(np.arange(5), (3, 1))
+    for fit_predictor, inputs, labels, init in (
+        (predictor, Z, y, np.ones((1, 2, 4))),
+        (cosine, Z, y, np.ones((1, 2, 5))),
+        (five_way, Z5, y5, np.zeros((1, 3, 5))),
+        (predictor, Z, y, np.zeros((2, 2, 5))),
+    ):
+        with pytest.raises(ValueError, match=r"an init of these heads is an \(1, \d, \d\) stack"):
+            fit_stack(inputs, labels, fit_predictor, FitConfig(), [0, 1, 2], init)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -659,10 +675,11 @@ def test_fits_reject_labels_outside_way(bad, batch_size):
         fit_head(X, y, predictor, cfg)
     # the bad label in the first episode of an E = 2 stack
     good = np.array([0, 1, 2, 0, 1, 2])
+    Z = predictor.support_inputs(np.stack([X, X]))
     with pytest.raises(ValueError, match=match):
-        fit_stack(np.stack([X, X]), np.stack([y, good]), predictor, cfg, [0, 1])
+        fit_stack(Z, np.stack([y, good]), predictor, cfg, [0, 1])
     with pytest.raises(ValueError, match=match):
-        fit_stack(np.stack([X, X]), np.stack([good, y]), predictor, cfg, [0, 1])
+        fit_stack(Z, np.stack([good, y]), predictor, cfg, [0, 1])
 
 
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
@@ -677,10 +694,12 @@ def test_fits_leave_init_unchanged(kind):
     cfg = FitConfig(iterations=5, batch_size=None, learning_rate=0.05)
     W = rng.standard_normal((predictor.n_heads, 3, predictor.head_input_dim))
     b = rng.standard_normal((predictor.n_heads, 3)) if kind == "linear" else None
-    init = (W.copy(), None if b is None else b.copy())
-    fitted, _ = fit_stack(np.stack([X, X]), np.stack([y, y]), predictor, cfg, [0, 1], init)
-    assert not np.array_equal(fitted[0], W)
-    assert np.array_equal(init[0], W) and (b is None or np.array_equal(init[1], b))
+    theta = W if b is None else np.concatenate([W, b[..., None]], axis=-1)
+    init = theta.copy()
+    Z = predictor.support_inputs(np.stack([X, X]))
+    fitted = fit_stack(Z, np.stack([y, y]), predictor, cfg, [0, 1], init)
+    assert not np.array_equal(_split(kind, fitted)[0][0], W)
+    assert np.array_equal(init, theta)
     heads = [
         HeadParams(kind, W=W[i].copy(), b=None if b is None else b[i].copy()) for i in range(len(W))
     ]
@@ -691,10 +710,10 @@ def test_fits_leave_init_unchanged(kind):
 
 @pytest.mark.parametrize("batch_size", [3, None])
 def test_bias_layout_gives_the_same_bits(batch_size):
-    # fits hold W and b as views of one affine stack [W | b] whose last
-    # column is the bias; contiguous arrays and such strided views give the
-    # same losses, gradients and stepped weights, through the gradient call,
-    # through a step of W and b or of the whole stack, and through a fit
+    # a linear head stack is one array [W | b] whose last column is the bias;
+    # a contiguous stack and a strided one give the same losses, gradients
+    # and stepped weights, through the gradient call, through a step of the
+    # whole stack or of its W and b views, and through a fit
     kb = make_kb(m=3, dim=8, seed=56)
     adj = AdjustmentConfig("combined", partition=PartitionConfig(n=2))
     predictor = Predictor(adj, kb, 8, 3, "linear")
@@ -704,37 +723,41 @@ def test_bias_layout_gives_the_same_bits(batch_size):
     W = rng.standard_normal((2, predictor.n_heads, 3, predictor.head_input_dim))
     b = rng.standard_normal((2, predictor.n_heads, 3))
     theta = np.concatenate([W, b[..., None]], axis=-1)
-    W_view, b_view = theta[..., :-1], theta[..., -1]
-    assert not b_view.flags.c_contiguous and np.array_equal(b_view, b)
-    assert not W_view.flags.c_contiguous and np.array_equal(W_view, W)
+    wide = np.zeros((*theta.shape[:-1], theta.shape[-1] + 3))
+    wide[..., 1:-2] = theta
+    strided = wide[..., 1:-2]
+    assert not strided.flags.c_contiguous and np.array_equal(strided, theta)
     Z = predictor.support_inputs(X)
     stepped = []
-    for weights, bias in ((W, b), (W_view, b_view)):
-        loss, dW, db = stack_loss_and_grads("linear", weights, bias, Z, y, 1e-3)
-        dtheta = dW.base  # both gradients are views of the stack's one gradient
-        assert db.base is dtheta and np.array_equal(dtheta[..., -1], db)
+    for start in (theta, strided):
+        loss, dtheta = stack_loss_and_grads("linear", start, Z, y, 1e-3)
+        assert dtheta.shape == theta.shape
         theta1 = theta.copy()
-        W1, b1 = theta1[..., :-1], theta1[..., -1]
-        stack_sgd_step(W1, b1, dW.copy(), db.copy(), 0.1)
+        W1, b1 = _split("linear", theta1)
+        dW, db = _split("linear", dtheta.copy())
+        np.subtract(W1, 0.1 * dW, W1)
+        np.subtract(b1, 0.1 * db, b1)
         theta2 = theta.copy()
-        stack_sgd_step(theta2, None, dtheta.copy(), None, 0.1)
+        stack_sgd_step(theta2, dtheta.copy(), 0.1)
         assert np.array_equal(theta1, theta2)
-        stepped.append((loss, dW, db, W1, b1))
+        stepped.append((loss, dtheta, theta2))
     for a, c in zip(*stepped):
         assert np.array_equal(a, c)
 
     cfg = FitConfig(iterations=7, batch_size=batch_size, learning_rate=0.05, weight_decay=1e-3)
-    fits = [
-        fit_stack(X, y, predictor, cfg, [3, 4], (weights[0], bias[0]))
-        for weights, bias in ((W, b), (W_view, b_view))
-    ]
-    for a, c in zip(*fits):
-        assert np.array_equal(a, c)
-    fresh = fit_stack(X, y, predictor, cfg, [3, 4])
-    for fitted_W, fitted_b in (*fits, fresh):
-        stack = fitted_b.base  # fresh and init-copied fits return views of one stack
-        assert fitted_W.base is stack and stack.shape == (*fitted_W.shape[:-1], 5)
-        assert np.array_equal(stack[..., -1], fitted_b)
+    fits = [fit_stack(Z, y, predictor, cfg, [3, 4], start[0]) for start in (theta, strided)]
+    assert np.array_equal(*fits)
+    fresh = fit_stack(Z, y, predictor, cfg, [3, 4])
+    for fitted in (*fits, fresh):  # fits return one contiguous (E, n, K, P+1) stack
+        assert fitted.shape == theta.shape and fitted.flags.c_contiguous
+    # the heads of a fit, and the list gradients, are views of one stack
+    # whose last column is the bias
+    heads = fit_head(X[0], y[0], predictor, replace(cfg, seed=3))
+    for h in heads:
+        assert h.W.base is h.b.base and h.W.base.shape[-1] == 5
+    assert np.array_equal(fresh[0], stack_heads(heads)[1])
+    _, (dW, db) = mixture_loss_and_grads(heads, Z[0], y[0], 1e-3)
+    assert dW.base is db.base and np.array_equal(dW.base[0, ..., -1], db)
 
 
 def test_sgd_step_leaves_grads_unchanged():
@@ -804,19 +827,21 @@ def _tied_fit(predictor, X, y, cfg):
     weights move by lr * [dU, -m * dU] under the unscaled weight decay."""
     Z, m = _tied_inputs(predictor, X), predictor.kb.m
     n, S, P = Z.shape
-    W, b = np.zeros((n, predictor.way, P)), np.zeros((n, predictor.way))
+    theta = np.zeros((n, predictor.way, P + 1))
+    W, b = _split("linear", theta)
     if cfg.batch_size is None:
         rows = np.tile(np.arange(S), (cfg.iterations, 1))
     else:
         rows = batch_rows(S, cfg.iterations, cfg.batch_size, cfg.seed)
     for r in rows:
-        _, dW, db = stack_loss_and_grads(
-            "linear", W[None], b[None], Z[None][:, :, r], y[None, r], cfg.weight_decay
+        _, dtheta = stack_loss_and_grads(
+            "linear", theta[None], Z[None][:, :, r], y[None, r], cfg.weight_decay
         )
-        dU = dW[0, ..., : P // 2] - m * dW[0, ..., P // 2 :]
+        dW, db = _split("linear", dtheta[0])
+        dU = dW[..., : P // 2] - m * dW[..., P // 2 :]
         W -= cfg.learning_rate * np.concatenate([dU, -m * dU], axis=-1)
-        b -= cfg.learning_rate * db[0]
-    return W, b
+        b -= cfg.learning_rate * db
+    return theta
 
 
 @pytest.mark.parametrize("strategy", ["class", "combined"])
@@ -833,7 +858,8 @@ def test_folded_fit_matches_tied_oracle(default_synth, strategy, batch_size, wei
         ep, _ = sample_confounded_episode(novel, tags, 5, 1, 15, 1.0, np.random.default_rng(80 + e))
         cfg = FitConfig(batch_size=batch_size, learning_rate=5e-3, weight_decay=weight_decay, seed=e)
         heads = fit_head(ep.support_x, ep.support_y, predictor, cfg)
-        W, b = _tied_fit(predictor, ep.support_x, ep.support_y, cfg)
+        theta = _tied_fit(predictor, ep.support_x, ep.support_y, cfg)
+        W, b = _split("linear", theta)
         U = np.stack([h.W for h in heads])
         assert U.shape[-1] == W.shape[-1] // 2 == predictor.head_input_dim
         worst = max(
@@ -843,7 +869,7 @@ def test_folded_fit_matches_tied_oracle(default_synth, strategy, batch_size, wei
         )
         largest = max(largest, float(np.abs(U).max()))
         predicted = predictor.probs_batch(heads, ep.query_x).argmax(axis=1)
-        tied = stack_probs("linear", W[None], b[None], _tied_inputs(predictor, ep.query_x)[None])
+        tied = stack_probs("linear", theta[None], _tied_inputs(predictor, ep.query_x)[None])
         flips += int(np.sum(predicted != tied[0].argmax(axis=1)))
     assert largest > 1e-3
     assert worst <= 1e-15
@@ -986,8 +1012,8 @@ def test_stacked_cosine_gradients_match_two_pass_reference(
         W[:, 0, K - 1] = 0.0
         Z[rng.random((E, n, B)) < 0.3] = 0.0
     y = rng.integers(0, K, size=(E, B))
-    _, dW, db = stack_loss_and_grads("cosine", W, None, Z, y, weight_decay)
-    assert db is None
+    _, dW = stack_loss_and_grads("cosine", W, Z, y, weight_decay)
+    assert dW.shape == W.shape  # cosine heads have no bias column
     expected = np.empty_like(W)
     for e in range(E):
         heads = [HeadParams("cosine", W=W[e, i].copy()) for i in range(n)]

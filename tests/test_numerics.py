@@ -206,11 +206,11 @@ def test_relu_idempotent():
 
 def test_mean_vector_examples():
     # one head's one-class centroid on one episode: the (1, 1, S, P) stack
-    mean = init_stack("centroid", 1, [[[[0.0, 0.0], [2.0, 2.0]]]], [[0, 0]])[0]
+    mean = init_stack("centroid", 1, [[[[0.0, 0.0], [2.0, 2.0]]]], [[0, 0]])
     assert np.array_equal(mean[0, 0], [[1.0, 1.0]])
-    mean = init_stack("centroid", 1, [[[[1.0, 1.0]]]], [[0]])[0]
+    mean = init_stack("centroid", 1, [[[[1.0, 1.0]]]], [[0]])
     assert np.array_equal(mean[0, 0], [[1.0, 1.0]])
-    mean = init_stack("centroid", 1, [[[[1, 0], [0, 1], [-1, -1]]]], [[0, 0, 0]])[0]
+    mean = init_stack("centroid", 1, [[[[1, 0], [0, 1], [-1, -1]]]], [[0, 0, 0]])
     assert np.allclose(mean[0, 0], [[0.0, 0.0]], atol=1e-15)
 
 

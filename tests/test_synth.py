@@ -12,7 +12,7 @@ import ifsl.episodes
 import ifsl.synth
 from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
-from ifsl.heads import FitConfig, fit_head
+from ifsl.heads import FitConfig, fit_head, fit_stack
 from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.meta import MetaInit, evaluate_inits, meta_bytes, meta_train
 from ifsl.synth import (
@@ -538,6 +538,21 @@ def test_fit_kb_matches_reference_fit(small_out):
     (expected,) = reference_fit(pretrain.features, pretrain.labels, predictor, _KB_FIT)
     assert np.allclose(kb.pre_weights, expected.W, rtol=0.0, atol=1e-12)
     assert np.allclose(kb.pre_bias, expected.b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("synth", ["small_out", "default_synth"])
+def test_fit_kb_equals_fit_stack(synth, request):
+    # fit_kb steps its own workspace on the pretrain rows, with no ones
+    # column; that loop is fit_stack's full-batch fit of one linear head
+    pretrain = request.getfixturevalue(synth).pretrain
+    kb = fit_kb(pretrain)
+    predictor = Predictor(
+        AdjustmentConfig("none"), None, pretrain.dim, pretrain.n_classes, "linear"
+    )
+    Z = predictor.support_inputs(pretrain.features[None])
+    theta = fit_stack(Z, pretrain.labels[None], predictor, _KB_FIT, [0])
+    assert np.allclose(kb.pre_weights, theta[0, 0, :, :-1], rtol=0.0, atol=1e-12)
+    assert np.allclose(kb.pre_bias, theta[0, 0, :, -1], rtol=0.0, atol=1e-12)
 
 
 def test_fit_kb_memory_stays_small(default_synth):
