@@ -315,11 +315,6 @@ def cmd_synth(args) -> int:
     if adj.strategy in ("feature", "combined"):
         adj.partition.validate_dim(cfg.dim)
     out = gen_confounded(cfg)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_features(out.pretrain, outdir / "pretrain.features")
-    save_features(out.novel, outdir / "novel.features")
-    save_kb(out.kb, outdir / "kb.bin")
     sidecar = {
         "config": {
             "dim": cfg.dim,
@@ -337,12 +332,18 @@ def cmd_synth(args) -> int:
         "mixtures": out.mixtures.tolist(),
         "novel_strata": out.novel_strata.tolist(),
     }
-    (outdir / "synth.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
-
     sample = _ConfoundedSampler(out.novel, out.novel_strata,
                                 args.way, args.shot, args.query, args.mismatch)
     arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
     (base_results, adj_results), _ = run_arms(sample, arms, out.kb, args.episodes, args.seed)
+    # written only once every episode has run: a cell too small for an
+    # episode is a config error that leaves no half-written --out-dir
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_features(out.pretrain, outdir / "pretrain.features")
+    save_features(out.novel, outdir / "novel.features")
+    save_kb(out.kb, outdir / "kb.bin")
+    (outdir / "synth.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
     base_rep = accuracy_report(base_results)
     adj_rep = accuracy_report(adj_results)
     if args.bins:

@@ -30,16 +30,19 @@ heads of the per-head log-softmax outputs, so the loss and its gradients
 stay finite however small every head's probability of the true class is; a
 lone head skips it, since its responsibility is exp(0) = 1.
 
-One step is one call: a fit allocates a single :class:`_Workspace` (the
+One step is one call: a fit allocates a :class:`_Workspace` (the
 logit/gradient buffer, the per-row vectors and the gradient of theta), which
 binds one gradient routine to those buffers, the fit's theta and the ufuncs,
 so a step looks nothing up. The routine fills the gradient and, given a
 learning rate, applies it to it in place and steps theta. One loop,
-:func:`_fit_steps`, calls it once per iteration of every fit: those of
-:func:`fit_stack` (episode chunks), of ``synth.fit_kb`` (the knowledge base)
-and of each task that ``meta.meta_train`` adapts, whose workspaces are
-allocated once per ``meta_train`` call. :func:`stack_loss_and_grads` and
-``meta_train``'s outer step call the same routine for the gradient alone.
+:func:`_fit_steps`, calls it once per iteration of :func:`fit_stack`
+(episode chunks) and of each task that ``meta.meta_train`` adapts, whose
+workspaces are allocated once per ``meta_train`` call.
+:func:`stack_loss_and_grads` and ``meta_train``'s outer step call the same
+routine for the gradient alone. So does ``synth.fit_kb``, the knowledge-base
+fit, whose loop is its own: it holds one workspace for each of two fixed row
+blocks of the pretrain set, has the calling thread and one worker thread
+compute the two blocks' gradients at once, and then combines them and steps.
 
 The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
 :func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
@@ -269,9 +272,12 @@ class _Workspace:
     steps on inputs without the ones column, V rather than [V | 1]: it adds
     the bias column to the logits and sums dL/dlogits into the bias
     gradient on its own, through views of ``theta`` and ``dtheta``. Its one
-    caller is ``synth.fit_kb``, which drives such a workspace with
-    :func:`_fit_steps` on the pretrain rows read in place, since a ones
-    column would copy them whole.
+    caller is ``synth.fit_kb``, which builds one such workspace, with no
+    weight decay, per fixed row block of the pretrain set, reads each
+    block's rows in place, since a ones column would copy them whole, and
+    asks each only for its block's gradient: the calling thread and one
+    worker thread fill the two at once, and ``fit_kb`` combines them and
+    steps ``theta`` itself.
     ``grads`` is the routine: a closure built here over these buffers,
     ``theta`` and the ufuncs, so a step looks nothing up. Each op writes
     into one of the buffers: reductions and ``take`` through their ``out``
@@ -657,8 +663,8 @@ def _fit_steps(
     place, one call of its gradient routine, per ``(inputs, label index)``
     batch of ``batches``.
 
-    :func:`fit_stack`, ``synth.fit_kb`` and the meta-learning task loop
-    step through it.
+    :func:`fit_stack` and the meta-learning task loop step through it;
+    ``synth.fit_kb`` steps its two row blocks' combined gradient itself.
     """
     grads, with_loss = ws.grads, loss_callback is not None
     for it, (V, at_label) in enumerate(batches):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
 from .adjust import AdjustmentConfig
 from .episodes import Episode, EpisodeResult, _check_shape, run_arms
-from .heads import FitConfig, _fit_steps, _label_index, _Workspace
+from .heads import FitConfig, _label_index, _Workspace
 from .knowledge import FeatureDataset, KnowledgeBase
 
 _KB_FIT = FitConfig(iterations=500, batch_size=None, learning_rate=0.1, weight_decay=1e-4, seed=0)
@@ -122,16 +121,49 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     """Knowledge base from pretrain data: empirical class means plus a linear
     classifier fitted full-batch (500 steps, lr 0.1, weight decay 1e-4).
 
-    This is ``fit_stack`` of one linear head from zero on the pretrain
-    rows, driven by hand: one ``_Workspace(..., ones=False)`` steps the
-    (1, 1, K, dim+1) stack on the rows read in place, since the ones column
-    that ``fit_stack`` appends would copy the whole set."""
+    This is ``fit_stack``'s full-batch fit of one linear head from zero on
+    the N pretrain rows, with each step's gradient computed in two fixed row
+    blocks at once: the first ceil(N/2) rows on the calling thread, the rest
+    on one worker thread that lives for this call (a 1-row set has one block
+    and no worker). Each block has its own ``_Workspace(..., ones=False)``,
+    which reads the block's rows in place (a ones column would copy the set)
+    and leaves its block's gradient alone, with no weight decay and no step.
+    The step then sums the block gradients in block order, each weighted by
+    its share of the rows, adds the weight decay once on the weight columns
+    and steps theta. The split depends only on N, so the knowledge base
+    depends only on the data: the same bits whatever the core count, the
+    BLAS threads or which block finishes first. With exact halves a block's
+    scale 1/(N/2) times its share 1/2 is exactly 1/N, so a step differs from
+    a one-block step only in summing dW and db over the rows as two partial
+    sums.
+    """
+    # imported here: concurrent.futures loads logging, which no other path needs
+    from concurrent.futures import ThreadPoolExecutor
+
     means = np.stack([pretrain.vectors_of(c).mean(axis=0) for c in range(pretrain.n_classes)])
     K, dim = means.shape
+    N, X, y = pretrain.n_samples, pretrain.features, pretrain.labels
     theta = np.zeros((1, 1, K, dim + 1))
-    ws = _Workspace("linear", theta, pretrain.n_samples, _KB_FIT.weight_decay, ones=False)
-    batch = (pretrain.features[None, None], _label_index(pretrain.labels[None], 1, K))
-    _fit_steps(ws, repeat(batch, _KB_FIT.iterations), _KB_FIT.learning_rate)
+    half = N - N // 2
+    blocks = [
+        (_Workspace("linear", theta, hi - lo, 0.0, ones=False), X[None, None, lo:hi],
+         _label_index(y[None, lo:hi], 1, K), (hi - lo) / N)
+        for lo, hi in ((0, half), (half, N)) if hi > lo
+    ]
+    (own, V, at_label, share), worker_blocks = blocks[0], blocks[1:]
+    dtheta, decay = np.empty(theta.shape), np.empty((1, 1, K, dim))
+    W, dW = theta[..., :-1], dtheta[..., :-1]
+    weight_decay, learning_rate = _KB_FIT.weight_decay, _KB_FIT.learning_rate
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for _ in range(_KB_FIT.iterations):
+            pending = [worker.submit(ws.grads, *batch) for ws, *batch, _ in worker_blocks]
+            own.grads(V, at_label)
+            np.multiply(own.dtheta, share, dtheta)
+            for (ws, _, _, ws_share), done in zip(worker_blocks, pending):
+                done.result()
+                np.add(dtheta, np.multiply(ws.dtheta, ws_share, ws.dtheta), dtheta)
+            np.add(dW, np.multiply(W, weight_decay, decay), dW)
+            np.subtract(theta, np.multiply(dtheta, learning_rate, dtheta), theta)
     return KnowledgeBase(means, theta[0, 0, :, :-1], theta[0, 0, :, -1])
 
 
@@ -149,9 +181,16 @@ class _ConfoundedSampler:
         self, novel: FeatureDataset, strata_tags: np.ndarray, way: int, shot: int, query: int,
         mismatch_rate: float,
     ):
-        tags = np.asarray(strata_tags, dtype=np.int64)
+        tags = np.asarray(strata_tags)
         if tags.shape != (novel.n_samples,):
             raise ValueError("stratum tags must align with the dataset samples")
+        if tags.dtype.kind not in "biu":
+            # a cast would truncate 0.7 to 0 and turn NaN into the most negative integer
+            bad = np.flatnonzero(~(np.isfinite(tags) & (tags == np.trunc(tags))))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"stratum tags must be integers, found {tags[i]} at index {i}")
+        tags = tags.astype(np.int64)
         if tags.min() < 0:
             raise ValueError(f"stratum tags must be >= 0, found {int(tags.min())}")
         n_strata = int(tags.max()) + 1

@@ -377,6 +377,21 @@ def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch
     assert not outdir.exists() and not report.exists()
 
 
+def test_synth_short_cell_writes_no_files(tmp_path, capsys):
+    # 40 samples over 4 strata leave 10 per cell, fewer than a 1-shot
+    # 15-query episode can need; the episodes run before any file is written
+    outdir, report = tmp_path / "gen", tmp_path / "r.json"
+    code = main(
+        ["synth", "--out-dir", str(outdir), "--out", str(report), "--samples-per-class", "40",
+         "--conf-strata", "4", "--mismatch", "0", "--episodes", "5", "--bins", "0"]
+    )
+    assert code == 2
+    assert "class 4 stratum 3 holds 10 samples, episode needs 16" in capsys.readouterr().err
+    for name in ("pretrain.features", "novel.features", "kb.bin", "synth.json"):
+        assert not (outdir / name).exists(), name
+    assert not report.exists()
+
+
 def test_synth_rerun_identical_outside_meta(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synth", "--out-dir", str(tmp_path / "g1"), "--out", str(a), *SYNTH_ARGS]) == 0

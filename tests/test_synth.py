@@ -1,5 +1,8 @@
 """Confounded data generation, stratum-tied episodes, and the linear-SCM demo."""
 
+import re
+import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -12,7 +15,7 @@ import ifsl.episodes
 import ifsl.synth
 from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
-from ifsl.heads import FitConfig, fit_head, fit_stack
+from ifsl.heads import FitConfig, _label_index, _Workspace, fit_head, fit_stack
 from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.meta import MetaInit, evaluate_inits, meta_bytes, meta_train
 from ifsl.synth import (
@@ -410,16 +413,33 @@ def test_indexed_sampler_equals_per_cell_scan(
 
 def test_negative_stratum_tags_are_refused(small_out):
     # a negative tag names no stratum (strata run 0..max): its rows were never
-    # drawn, so such tags are refused rather than silently ignored
-    tags = small_out.novel_strata.copy()
-    tags[5] = -1
-    with pytest.raises(ValueError, match="stratum tags must be >= 0, found -1"):
-        sample_confounded_episode(small_out.novel, tags, 2, 1, 1, 0.5, episode_rng(0, 0))
-    with pytest.raises(ValueError, match="stratum tags must be >= 0"):
-        run_confounded(
-            small_out.novel, tags, small_out.kb, 2, 1, 1, 3, 0.5, "linear",
-            AdjustmentConfig("none"), FitConfig(iterations=2), seed=0,
-        )
+    # drawn, so such tags are refused rather than silently ignored; a tag
+    # that is no integer is refused before a cast could truncate it
+    cases = [
+        (small_out.novel_strata, 5, -1, "stratum tags must be >= 0, found -1"),
+        (small_out.novel_strata + 0.7, 0, 0.7, "stratum tags must be integers, found 0.7 at index 0"),
+        (small_out.novel_strata.astype(float), 9, np.nan,
+         "stratum tags must be integers, found nan at index 9"),
+        (small_out.novel_strata.astype(float), 3, np.inf,
+         "stratum tags must be integers, found inf at index 3"),
+        (small_out.novel_strata.astype(float), 7, -1.0, "stratum tags must be >= 0, found -1"),
+    ]
+    for base, at, value, message in cases:
+        tags = base.copy()
+        tags[at] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_confounded_episode(small_out.novel, tags, 2, 1, 1, 0.5, episode_rng(0, 0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_confounded(
+                small_out.novel, tags, small_out.kb, 2, 1, 1, 3, 0.5, "linear",
+                AdjustmentConfig("none"), FitConfig(iterations=2), seed=0,
+            )
+    # integral floats name the same strata as the integers
+    floats, ints = small_out.novel_strata.astype(float), small_out.novel_strata
+    ep_f, m_f = sample_confounded_episode(small_out.novel, floats, 2, 1, 1, 0.5, episode_rng(0, 0))
+    ep_i, m_i = sample_confounded_episode(small_out.novel, ints, 2, 1, 1, 0.5, episode_rng(0, 0))
+    assert np.array_equal(ep_f.support_idx, ep_i.support_idx)
+    assert np.array_equal(ep_f.query_idx, ep_i.query_idx) and np.array_equal(m_f, m_i)
 
 
 def test_run_confounded_builds_the_cell_index_once(small_out, monkeypatch):
@@ -555,9 +575,99 @@ def test_fit_kb_equals_fit_stack(synth, request):
     assert np.allclose(kb.pre_bias, theta[0, 0, :, -1], rtol=0.0, atol=1e-12)
 
 
+def _two_blocks_on_one_thread(pretrain) -> np.ndarray:
+    # fit_kb's step computed in turn on the calling thread: the gradients of
+    # rows [0, ceil(N/2)) and [ceil(N/2), N), weighted by their shares of the
+    # rows and summed in that order, then the weight decay on W and the step
+    K, dim, N = pretrain.n_classes, pretrain.dim, pretrain.n_samples
+    theta = np.zeros((1, 1, K, dim + 1))
+    half = N - N // 2
+    blocks = [
+        (_Workspace("linear", theta, hi - lo, 0.0, ones=False), pretrain.features[None, None, lo:hi],
+         _label_index(pretrain.labels[None, lo:hi], 1, K), (hi - lo) / N)
+        for lo, hi in ((0, half), (half, N))
+    ]
+    for _ in range(_KB_FIT.iterations):
+        for ws, V, at_label, _ in blocks:
+            ws.grads(V, at_label)
+        (first, _, _, s1), (second, _, _, s2) = blocks
+        dtheta = first.dtheta * s1 + second.dtheta * s2
+        dtheta[..., :-1] += theta[..., :-1] * _KB_FIT.weight_decay
+        theta -= dtheta * _KB_FIT.learning_rate
+    return theta[0, 0]
+
+
+@pytest.mark.parametrize("synth", ["small_out", "default_synth"])
+def test_fit_kb_equals_its_two_blocks_on_one_thread(synth, request):
+    # the worker thread changes no bit: the split is fixed and the block
+    # gradients are summed in block order, whichever block finishes first
+    pretrain = request.getfixturevalue(synth).pretrain
+    kb = fit_kb(pretrain)
+    theta = _two_blocks_on_one_thread(pretrain)
+    assert kb.pre_weights.tobytes() == theta[:, :-1].tobytes()
+    assert kb.pre_bias.tobytes() == theta[:, -1].tobytes()
+
+
+def test_fit_kb_is_repeatable_and_joins_its_worker(small_out, monkeypatch):
+    # the calling thread computes the first row block and one worker thread
+    # the second; the worker is gone when fit_kb returns, and repeated calls
+    # give the same bytes, also when the threads swap the interpreter lock
+    # every microsecond
+    threads = []
+
+    class Recorded(_Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            grads, seen = self.grads, set()
+            threads.append(seen)
+
+            def recorded(*grads_args):
+                seen.add(threading.get_ident())
+                return grads(*grads_args)
+
+            self.grads = recorded
+
+    before = threading.active_count()
+    first = fit_kb(small_out.pretrain)
+    monkeypatch.setattr(ifsl.synth, "_Workspace", Recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        second = fit_kb(small_out.pretrain)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threads[0] == {threading.get_ident()}
+    assert len(threads[1]) == 1 and threads[1] != threads[0]
+    for name in ("class_means", "pre_weights", "pre_bias"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [1, 3, 101])
+def test_fit_kb_fits_any_row_count(small_out, rows):
+    # blocks of ceil(N/2) and floor(N/2) rows, weighted 2/3 and 1/3 for 3
+    # rows; a 1-row set has one block and no worker. Every class keeps a row
+    classes = min(rows, small_out.pretrain.n_classes)
+    pretrain = FeatureDataset(
+        small_out.pretrain.features[:rows], np.arange(rows) % classes, classes
+    )
+    kb = fit_kb(pretrain)
+    if classes == 1:
+        # a lone class has p(y) = 1, so no gradient moves the head from zero;
+        # reference_fit's heads need 2 classes
+        assert not kb.pre_weights.any() and not kb.pre_bias.any()
+        return
+    predictor = Predictor(AdjustmentConfig("none"), None, pretrain.dim, classes, "linear")
+    (expected,) = reference_fit(pretrain.features, pretrain.labels, predictor, _KB_FIT)
+    assert np.allclose(kb.pre_weights, expected.W, rtol=0.0, atol=1e-12)
+    assert np.allclose(kb.pre_bias, expected.b, rtol=0.0, atol=1e-12)
+
+
 def test_fit_kb_memory_stays_small(default_synth):
-    # 500 full-batch steps on the 8000 x 64 default pretrain set: each step's
-    # (16, 8000) logits buffer is reused for its exponentials and gradient
+    # 500 full-batch steps on the 8000 x 64 default pretrain set: each row
+    # block's (16, 4000) logits buffer is reused for its exponentials and
+    # gradient; tracemalloc traces the worker thread's allocations too
     tracemalloc.start()
     try:
         fit_kb(default_synth.pretrain)
