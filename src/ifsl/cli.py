@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import _check_count, _check_shape, run_arms, run_many
+from .episodes import _check_count, _check_shape, episode_rng, run_arms, run_many
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -316,17 +317,7 @@ def cmd_synth(args) -> int:
         adj.partition.validate_dim(cfg.dim)
     out = gen_confounded(cfg)
     sidecar = {
-        "config": {
-            "dim": cfg.dim,
-            "pretrain_classes": cfg.pretrain_classes,
-            "novel_classes": cfg.novel_classes,
-            "strata": cfg.strata,
-            "beta": cfg.beta,
-            "sigma": cfg.sigma,
-            "samples_per_class": cfg.samples_per_class,
-            "mismatch_rate": cfg.mismatch_rate,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(cfg),
         "class_dirs": out.class_dirs.tolist(),
         "conf_dirs": out.conf_dirs.tolist(),
         "mixtures": out.mixtures.tolist(),
@@ -334,6 +325,9 @@ def cmd_synth(args) -> int:
     }
     sample = _ConfoundedSampler(out.novel, out.novel_strata,
                                 args.way, args.shot, args.query, args.mismatch)
+    # run_arms's first draw, made before out.kb fits the knowledge base: a
+    # cell too small for the episode shape is refused without that fit
+    sample(episode_rng(args.seed, 0))
     arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
     (base_results, adj_results), _ = run_arms(sample, arms, out.kb, args.episodes, args.seed)
     # written only once every episode has run: a cell too small for an
@@ -409,7 +403,7 @@ def cmd_meta(args) -> int:
         save_meta(trained, args.out_init)
 
     meta_accs, zero_accs = evaluate_inits(
-        ds, args.way, args.shot, args.query, probe, [trained.theta0, mi.theta0],
+        ds, args.way, args.shot, args.query, probe, [trained.theta, mi.theta],
         trained.inner_lr, trained.inner_steps, args.eval_tasks, args.seed + 1,
     )
     meta_acc, meta_ci = mean_ci(meta_accs)

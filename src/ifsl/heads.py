@@ -50,8 +50,9 @@ of the stack calls: a :class:`HeadParams` is one slice of a stack, the list
 gradients are the ``(dW, db)`` views of the gradient of
 :func:`stack_loss_and_grads` without the episode axis, and each call stacks
 its arguments, runs the same core and unstacks the result, so the outputs
-are the same bits whichever route a step takes. They stay because the
-benchmark's traced replicas call them.
+are the same bits whichever route a step takes. They stay because
+``perfbench/workloads.py`` reads them, directly and through the list members
+of ``ifsl.meta`` (ROADMAP items 3-4).
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class HeadParams:
     @property
     def input_dim(self) -> int:
         return self.W.shape[1]
-
-    def copy(self) -> "HeadParams":
-        return HeadParams(self.kind, self.W.copy(), None if self.b is None else self.b.copy())
 
 
 @dataclass(frozen=True)

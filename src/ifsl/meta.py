@@ -4,9 +4,10 @@ The inner loop adapts a copy of the shared initialization with full-batch
 gradient steps on each task's support set; the outer loop applies the query
 loss gradient, taken at the adapted parameters, directly to the
 initialization (no second-order terms). Tasks come from the episode loop of
-:mod:`ifsl.episodes`, which alone chunks and stacks them. The training loop
-holds the initialization as one affine stack (n, K, P+1) whose last column
-is the bias (the weights alone, (n, K, P), for cosine heads), builds each
+:mod:`ifsl.episodes`, which alone chunks and stacks them. An initialization
+is held, trained, evaluated and serialized as one head stack,
+:attr:`MetaInit.theta`: (n, K, P+1) for linear heads, whose last column is
+the bias, and (n, K, P) for cosine heads. The training loop builds each
 chunk's step inputs in two calls (support rows, query rows), with a
 trailing column of ones for linear heads, and steps every task in turn
 through one inner and one outer workspace, each bound once to the task's
@@ -16,13 +17,16 @@ scores the chunk from every initialization with the routine that scores
 the engine's arms. :func:`save_meta` refuses, before it opens the file, any
 initialization that :func:`load_meta` would reject. A head is
 ``head_input_dim`` wide; an init of another width is refused, not misread.
+Lists of :class:`~ifsl.heads.HeadParams` remain only in :func:`meta_train`'s
+check of its start and where ``perfbench/workloads.py`` reads them (ROADMAP
+items 3-4): ``MetaInit.theta0``, ``copy_theta``, ``replace_theta``, ``adapt``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +40,7 @@ from .heads import (
     HeadParams,
     _fit_steps,
     _label_index,
+    _split,
     _step_inputs,
     _unstack_heads,
     _Workspace,
@@ -43,7 +48,7 @@ from .heads import (
     stack_heads,
     stack_sgd_step,
 )
-from .knowledge import FeatureDataset, KnowledgeBase
+from .knowledge import FeatureDataset, FormatError, KnowledgeBase
 
 META_MAGIC = b"IFSLMET1"
 _KIND_CODES = {"linear": 0, "cosine": 1}
@@ -52,20 +57,25 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 @dataclass
 class MetaInit:
-    """Shared head initialization plus the meta-training hyperparameters."""
+    """Shared head initialization, one (n, K, P') head stack ``theta`` (P' = P+1
+    for linear heads, bias last), plus the meta-training hyperparameters."""
 
-    theta0: list[HeadParams]
+    kind: str
+    theta: np.ndarray
     inner_lr: float = 0.01
     inner_steps: int = 20
     outer_lr: float = 0.01
     tasks: int = 1000
 
     def __post_init__(self):
-        if not self.theta0:
-            raise ValueError("need at least one head")
-        kinds = {h.kind for h in self.theta0}
-        if len(kinds) != 1 or next(iter(kinds)) not in _KIND_CODES:
-            raise ValueError("meta initialization needs parametric heads of one kind")
+        if self.kind not in _KIND_CODES:
+            raise ValueError(f"meta initialization needs parametric heads, got {self.kind!r}")
+        self.theta = np.asarray(self.theta, dtype=np.float64)
+        shape = self.theta.shape
+        if len(shape) != 3 or min(shape[0], shape[1] - 1, shape[2] - (self.kind == "linear")) < 1:
+            raise ValueError(f"need an (n, K, P') stack with n, P >= 1 and K >= 2, got {shape}")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("matrix entries must be finite")
         if not (math.isfinite(self.inner_lr) and self.inner_lr > 0.0):
             raise ValueError(
                 f"learning rates must be finite with inner_lr > 0, got inner_lr={self.inner_lr!r}"
@@ -77,8 +87,16 @@ class MetaInit:
         if self.inner_steps < 0 or self.tasks < 0:
             raise ValueError("step and task counts must be >= 0")
 
+    @property
+    def theta0(self) -> list[HeadParams]:
+        """``HeadParams`` views of ``theta``. Like :meth:`copy_theta`,
+        :func:`replace_theta` and :func:`adapt`, kept for ``perfbench/workloads.py``
+        only; they go with ROADMAP item 4, after item 3 moves the benchmark off them."""
+        return _unstack_heads(self.kind, self.theta)
+
     def copy_theta(self) -> list[HeadParams]:
-        return [h.copy() for h in self.theta0]
+        """:attr:`theta0` of a copy of ``theta``; kept for the benchmark, as :attr:`theta0` is."""
+        return _unstack_heads(self.kind, self.theta.copy())
 
 
 def zero_meta_init(
@@ -90,11 +108,9 @@ def zero_meta_init(
     outer_lr: float = 0.01,
     tasks: int = 1000,
 ) -> MetaInit:
-    heads = [
-        HeadParams("linear", W=np.zeros((way, input_dim)), b=np.zeros(way))
-        for _ in range(n_heads)
-    ]
-    return MetaInit(heads, inner_lr, inner_steps, outer_lr, tasks)
+    return MetaInit(
+        "linear", np.zeros((n_heads, way, input_dim + 1)), inner_lr, inner_steps, outer_lr, tasks
+    )
 
 
 def _inner_config(inner_lr: float, inner_steps: int) -> FitConfig:
@@ -140,19 +156,17 @@ def meta_train(
     allocated once per call. The result is the same bits as :func:`adapt`,
     ``mixture_loss_and_grads`` and ``sgd_step`` task by task, whatever the
     chunk size, and k calls that share one rng equal one call with their
-    tasks added up. With ``outer_lr=0`` the initialization is
-    returned unchanged (aside from a copy). Deterministic for a fixed rng
-    state.
+    tasks added up. With ``outer_lr=0`` it returns a copy of the start.
+    Deterministic for a fixed rng state.
     """
-    kind = mi.theta0[0].kind
-    predictor = Predictor(adj_cfg, kb, ds.dim, way, kind)
-    predictor.validate_heads(mi.theta0)
-    theta = stack_heads(mi.theta0)[1]
+    predictor = Predictor(adj_cfg, kb, ds.dim, way, mi.kind)
+    predictor.validate_heads(mi.theta0)  # a start of another width is refused, not misread
+    theta = mi.theta.copy()
     # one task's adapted copy, workspaces and label indices serve every task;
     # sample_episode labels each episode's rows 0..way-1 in class order
     theta_task = np.empty((1, *theta.shape))
-    inner = _Workspace(kind, theta_task, way * shot, 0.0)
-    outer = _Workspace(kind, theta_task, way * query, 0.0)
+    inner = _Workspace(mi.kind, theta_task, way * shot, 0.0)
+    outer = _Workspace(mi.kind, theta_task, way * query, 0.0)
     n = theta.shape[0]
     at_support = _label_index(np.repeat(np.arange(way), shot)[None], n, way)
     at_query = _label_index(np.repeat(np.arange(way), query)[None], n, way)
@@ -160,7 +174,7 @@ def meta_train(
         # support and query rows get separate stacks: slices of one joint
         # stack change the weights in the last bits
         support, queries = (
-            _step_inputs(kind, predictor.support_inputs(rows), predictor.head_input_dim)
+            _step_inputs(mi.kind, predictor.support_inputs(rows), predictor.head_input_dim)
             for rows in (chunk.support_x, chunk.query_x)
         )
         for t in range(len(chunk.indices)):
@@ -168,7 +182,7 @@ def meta_train(
             _fit_steps(inner, repeat((support[t : t + 1], at_support), mi.inner_steps), mi.inner_lr)
             outer.grads(queries[t : t + 1], at_query)
             stack_sgd_step(theta, outer.dtheta[0], mi.outer_lr)
-    return replace_theta(mi, _unstack_heads(kind, theta))
+    return replace(mi, theta=theta)
 
 
 def evaluate_inits(
@@ -177,7 +191,7 @@ def evaluate_inits(
     shot: int,
     query: int,
     predictor: Predictor,
-    inits: Sequence[Sequence[HeadParams]],
+    inits: Sequence[np.ndarray],
     inner_lr: float,
     inner_steps: int,
     count: int,
@@ -185,6 +199,7 @@ def evaluate_inits(
 ) -> list[list[float]]:
     """Held-out query accuracy (percent) of every initialization after adaptation.
 
+    Each of ``inits`` is a ``MetaInit.theta`` stack, which ``fit_stack`` checks.
     Task ``e`` of ``count`` is drawn from ``episode_rng(seed, e)``; each
     initialization is adapted on its support set as by ``adapt`` and scored
     on its queries. The tasks come in the episode engine's chunks; each
@@ -194,21 +209,21 @@ def evaluate_inits(
     initialization.
     """
     _check_count(count)
-    for theta in inits:
-        predictor.validate_heads(theta)
-    stacks = [stack_heads(theta)[1] for theta in inits]
+    if predictor.head_kind not in _KIND_CODES:  # centroid heads would ignore every init
+        raise ValueError(f"meta initialization needs parametric heads, got {predictor.head_kind!r}")
     cfg = _inner_config(inner_lr, inner_steps)
     accs: list[list[float]] = [[] for _ in inits]
     tasks = _chunks(lambda e: sample_episode(ds, way, shot, query, episode_rng(seed, e)), count)
     for chunk in tasks:
         seeds = [0] * len(chunk.indices)  # full-batch steps draw no mini-batches
-        for predicted, out in zip(_fit_and_score(predictor, cfg, chunk, seeds, stacks), accs):
+        for predicted, out in zip(_fit_and_score(predictor, cfg, chunk, seeds, inits), accs):
             out.extend((100.0 * (predicted == chunk.query_y).mean(axis=1)).tolist())
     return accs
 
 
-def replace_theta(mi: MetaInit, theta: list[HeadParams]) -> MetaInit:
-    return MetaInit(theta, mi.inner_lr, mi.inner_steps, mi.outer_lr, mi.tasks)
+def replace_theta(mi: MetaInit, heads: Sequence[HeadParams]) -> MetaInit:
+    """``mi`` with ``heads``, stacked (kept for the benchmark, see ``MetaInit.theta0``)."""
+    return MetaInit(*stack_heads(heads), mi.inner_lr, mi.inner_steps, mi.outer_lr, mi.tasks)
 
 
 # --- serialization -----------------------------------------------------------
@@ -216,20 +231,19 @@ def replace_theta(mi: MetaInit, theta: list[HeadParams]) -> MetaInit:
 
 def meta_bytes(mi: MetaInit) -> bytes:
     """The bytes :func:`save_meta` writes for ``mi``: magic, layout header, then
-    the f32 parameter payload per head.
+    the f32 parameter payload, head by head: ``W`` row-major, then ``b``.
 
     Raises ValueError for an initialization that :func:`load_meta` would
     reject once written: a learning rate that leaves its range when rounded
     to f32 (``inner_lr=1e-50`` becomes 0), a step or task count outside the
-    header's unsigned 32-bit fields, heads of unequal shapes or of input
-    dimension 0, or a weight that overflows f32.
+    header's unsigned 32-bit fields, or a weight that overflows f32.
     """
-    kind = mi.theta0[0].kind
-    way, dim = mi.theta0[0].W.shape
-    parts = [p for h in mi.theta0 for p in ((h.W, h.b) if kind == "linear" else (h.W,))]
+    W, b = _split(mi.kind, mi.theta)
+    n, way, dim = W.shape
+    parts = (W.reshape(n, -1),) + (() if b is None else (b,))
     with np.errstate(over="ignore"):  # what overflows f32 is refused below
         inner_lr, outer_lr = (float(np.float32(r)) for r in (mi.inner_lr, mi.outer_lr))
-        payload = np.concatenate([p.ravel() for p in parts]).astype("<f4")
+        payload = np.concatenate(parts, axis=1).astype("<f4")
     if not (math.isfinite(inner_lr) and inner_lr > 0.0):
         raise ValueError(
             f"inner_lr={mi.inner_lr!r} is stored as the f32 {inner_lr!r}, "
@@ -243,13 +257,11 @@ def meta_bytes(mi: MetaInit) -> bytes:
     for name, count in (("inner_steps", mi.inner_steps), ("tasks", mi.tasks)):
         if not 0 <= count <= 0xFFFFFFFF:
             raise ValueError(f"{name}={count} does not fit the file's unsigned 32-bit field")
-    if dim == 0 or any(h.kind != kind or h.W.shape != (way, dim) for h in mi.theta0):
-        raise ValueError("the heads must share their kind and a (way, dim) shape with dim >= 1")
     if not np.isfinite(payload).all():
         raise ValueError("every weight must be finite once rounded to f32")
     return (
         META_MAGIC
-        + struct.pack("<IIII", _KIND_CODES[kind], len(mi.theta0), way, dim)
+        + struct.pack("<IIII", _KIND_CODES[mi.kind], n, way, dim)
         + struct.pack("<ffII", inner_lr, outer_lr, mi.inner_steps, mi.tasks)
         + payload.tobytes()
     )
@@ -264,8 +276,6 @@ def save_meta(mi: MetaInit, path) -> None:
 
 
 def load_meta(path):
-    from .knowledge import FormatError
-
     raw = Path(path).read_bytes()
     name = str(path)
     if len(raw) < 8 or raw[:8] != META_MAGIC:
@@ -290,18 +300,15 @@ def load_meta(path):
             f"{name}: expected {expected} bytes, found {len(raw)} "
             f"(payload ends at byte {len(raw)})"
         )
-    heads = []
-    off = 40
-    for _ in range(n_heads):
-        W = np.frombuffer(raw, dtype="<f4", count=way * dim, offset=off).astype(np.float64)
-        off += 4 * way * dim
-        if not np.all(np.isfinite(W)):
-            raise FormatError(f"{name}: non-finite weight in payload before byte {off}")
-        b = None
-        if kind == "linear":
-            b = np.frombuffer(raw, dtype="<f4", count=way, offset=off).astype(np.float64)
-            off += 4 * way
-            if not np.all(np.isfinite(b)):
-                raise FormatError(f"{name}: non-finite bias in payload before byte {off}")
-        heads.append(HeadParams(kind, W=W.reshape(way, dim), b=b))
-    return MetaInit(heads, float(inner_lr), int(inner_steps), float(outer_lr), int(tasks))
+    payload = np.frombuffer(raw, dtype="<f4", offset=40).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(payload))
+    if bad.size:  # the first in file order, named with the byte where its W or b ends
+        head, at = divmod(int(bad[0]), per_head)
+        part, end = ("weight", way * dim) if at < way * dim else ("bias", per_head)
+        byte = 40 + 4 * (head * per_head + end)
+        raise FormatError(f"{name}: non-finite {part} in payload before byte {byte}")
+    payload = payload.reshape(n_heads, per_head)
+    theta = payload[:, : way * dim].reshape(n_heads, way, dim)
+    if kind == "linear":
+        theta = np.concatenate((theta, payload[:, way * dim :, None]), axis=2)
+    return MetaInit(kind, theta, float(inner_lr), int(inner_steps), float(outer_lr), int(tasks))

@@ -75,7 +75,7 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def gen_confounded(cfg: SynthConfig, rng: np.random.Generator | None = None) -> SynthOutput:
+def gen_confounded(cfg: SynthConfig) -> SynthOutput:
     """Generate pretrain data and tagged novel data.
 
     The knowledge base is not fitted here: ``SynthOutput.kb`` fits it on the
@@ -83,8 +83,7 @@ def gen_confounded(cfg: SynthConfig, rng: np.random.Generator | None = None) -> 
     seed: equal seeds give byte-identical datasets (and knowledge bases) after
     serialization.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     total_classes = cfg.pretrain_classes + cfg.novel_classes
     class_dirs = _unit_rows(rng, total_classes, cfg.dim)
     conf_dirs = _unit_rows(rng, cfg.strata, cfg.dim)

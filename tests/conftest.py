@@ -277,7 +277,7 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
     if predictor.cfg.strategy in ("class", "combined"):
         weight_decay *= 1 + predictor.kb.m**2
     if init is not None:
-        heads = [h.copy() for h in init]
+        heads = [HeadParams(h.kind, h.W.copy(), None if h.b is None else h.b.copy()) for h in init]
     else:
         heads = []
         for Z in blocks:

@@ -253,7 +253,7 @@ def test_criterion_09_meta_initialization_transfers(default_synth):
         np.random.default_rng(np.random.SeedSequence((77, 0))),
     )
     meta_accs, zero_accs = evaluate_inits(
-        novel, 5, 1, 15, predictor, [trained.theta0, mi.copy_theta()],
+        novel, 5, 1, 15, predictor, [trained.theta, mi.theta],
         trained.inner_lr, trained.inner_steps, 500, 78,
     )
     meta_acc = float(np.mean(meta_accs))

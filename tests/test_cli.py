@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import ifsl.synth
 from ifsl.cli import REPORT_SCHEMA, main
 from ifsl.knowledge import (
     FEATURE_MAGIC, load_features, load_kb, save_features, save_features_csv, save_kb,
@@ -377,9 +378,14 @@ def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch
     assert not outdir.exists() and not report.exists()
 
 
-def test_synth_short_cell_writes_no_files(tmp_path, capsys):
+def test_synth_short_cell_writes_no_files(tmp_path, capsys, monkeypatch):
     # 40 samples over 4 strata leave 10 per cell, fewer than a 1-shot
-    # 15-query episode can need; the episodes run before any file is written
+    # 15-query episode can need; the first episode is drawn before the
+    # knowledge base is fitted, and the episodes run before any file is written
+    def no_fit(pretrain):
+        raise AssertionError("the knowledge base was fitted")
+
+    monkeypatch.setattr(ifsl.synth, "fit_kb", no_fit)
     outdir, report = tmp_path / "gen", tmp_path / "r.json"
     code = main(
         ["synth", "--out-dir", str(outdir), "--out", str(report), "--samples-per-class", "40",
@@ -387,8 +393,7 @@ def test_synth_short_cell_writes_no_files(tmp_path, capsys):
     )
     assert code == 2
     assert "class 4 stratum 3 holds 10 samples, episode needs 16" in capsys.readouterr().err
-    for name in ("pretrain.features", "novel.features", "kb.bin", "synth.json"):
-        assert not (outdir / name).exists(), name
+    assert not outdir.exists()
     assert not report.exists()
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifsl.cli import main
-from ifsl.heads import HeadParams
 from ifsl.knowledge import FormatError, load_features, load_kb, save_features, save_kb
 from ifsl.meta import MetaInit, load_meta, save_meta
 
@@ -34,8 +33,8 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutations")
     save_features(make_blob_dataset(n_classes=3, per_class=6, dim=4, seed=3), root / "ok.features")
     save_kb(make_kb(m=3, dim=4, seed=4), root / "ok.kb")
-    heads = [HeadParams("linear", W=np.full((2, 4), 0.5), b=np.zeros(2)) for _ in range(2)]
-    save_meta(MetaInit(heads), root / "ok.meta")
+    theta = np.concatenate((np.full((2, 2, 4), 0.5), np.zeros((2, 2, 1))), axis=2)
+    save_meta(MetaInit("linear", theta), root / "ok.meta")
     return root, {kind: (root / f"ok.{kind}").read_bytes() for kind in _LOADERS}
 
 

@@ -3,6 +3,7 @@
 import math
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.episodes import _CHUNK, episode_rng, sample_episode
-from ifsl.heads import FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step
+from ifsl.heads import (
+    FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step, stack_heads,
+)
 from ifsl.knowledge import FormatError, PartitionConfig
 from ifsl.meta import (
     META_MAGIC,
@@ -47,31 +50,31 @@ def ds():
 
 def test_zero_meta_init_shapes():
     mi = zero_meta_init(way=4, input_dim=6, n_heads=3)
-    assert len(mi.theta0) == 3
-    for h in mi.theta0:
-        assert h.kind == "linear"
-        assert np.array_equal(h.W, np.zeros((4, 6)))
-        assert np.array_equal(h.b, np.zeros(4))
+    assert mi.kind == "linear"
+    assert np.array_equal(mi.theta, np.zeros((3, 4, 7)))  # [W | b] per head
     assert mi.inner_lr == 0.01 and mi.tasks == 1000
 
 
 def test_meta_init_validation():
-    lin = HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))
-    cos = HeadParams("cosine", W=np.ones((2, 3)))
-    cent = HeadParams("centroid", W=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="at least one head"):
-        MetaInit([])
-    with pytest.raises(ValueError, match="one kind"):
-        MetaInit([lin, cos])
+    lin = np.zeros((1, 2, 4))
     with pytest.raises(ValueError, match="parametric"):
-        MetaInit([cent])
+        MetaInit("centroid", lin)
+    # no head, not a stack, one class, input dimension 0
+    for kind, shape in (
+        ("linear", (0, 2, 4)), ("linear", (2, 4)), ("cosine", (1, 1, 3)),
+        ("linear", (1, 2, 1)), ("cosine", (1, 2, 0)),
+    ):
+        with pytest.raises(ValueError, match=r"stack with n, P >= 1 and K >= 2"):
+            MetaInit(kind, np.ones(shape))
+    with pytest.raises(ValueError, match="finite"):
+        MetaInit("linear", np.full((1, 2, 4), np.nan))
     with pytest.raises(ValueError, match="learning rates"):
-        MetaInit([lin], inner_lr=0.0)
+        MetaInit("linear", lin, inner_lr=0.0)
     with pytest.raises(ValueError, match="learning rates"):
-        MetaInit([lin], outer_lr=-0.1)
-    MetaInit([lin], outer_lr=0.0)  # frozen outer loop is allowed
+        MetaInit("linear", lin, outer_lr=-0.1)
+    MetaInit("linear", lin, outer_lr=0.0)  # frozen outer loop is allowed
     with pytest.raises(ValueError, match="counts"):
-        MetaInit([lin], inner_steps=-1)
+        MetaInit("linear", lin, inner_steps=-1)
 
 
 def test_copy_theta_is_deep():
@@ -154,30 +157,30 @@ def _train(ds, mi, seed):
 def test_meta_train_zero_outer_lr_is_identity(ds):
     mi = zero_meta_init(3, 8, outer_lr=0.0, tasks=20, inner_steps=3)
     out = _train(ds, mi, 2)
-    assert np.array_equal(out.theta0[0].W, mi.theta0[0].W)
-    assert np.array_equal(out.theta0[0].b, mi.theta0[0].b)
+    assert np.array_equal(out.theta, mi.theta)
+    assert out.theta is not mi.theta
 
 
 def test_meta_train_zero_tasks_is_identity(ds):
     mi = zero_meta_init(3, 8, tasks=0)
     out = _train(ds, mi, 3)
-    assert np.array_equal(out.theta0[0].W, mi.theta0[0].W)
+    assert np.array_equal(out.theta, mi.theta)
 
 
 def test_meta_train_deterministic(ds):
     mi = zero_meta_init(3, 8, tasks=15, inner_steps=3)
     a = _train(ds, mi, 4)
     b = _train(ds, mi, 4)
-    assert np.array_equal(a.theta0[0].W, b.theta0[0].W)
+    assert np.array_equal(a.theta, b.theta)
     c = _train(ds, mi, 5)
-    assert not np.array_equal(a.theta0[0].W, c.theta0[0].W)
+    assert not np.array_equal(a.theta, c.theta)
 
 
 def test_meta_train_moves_parameters_and_stays_finite(ds):
     mi = zero_meta_init(3, 8, tasks=15, inner_steps=3)
     out = _train(ds, mi, 6)
-    assert not np.array_equal(out.theta0[0].W, mi.theta0[0].W)
-    assert np.all(np.isfinite(out.theta0[0].W))
+    assert not np.array_equal(out.theta, mi.theta)
+    assert np.all(np.isfinite(out.theta))
     # hyperparameters ride along unchanged
     assert out.inner_lr == mi.inner_lr and out.tasks == mi.tasks
 
@@ -185,7 +188,7 @@ def test_meta_train_moves_parameters_and_stays_finite(ds):
 def test_meta_train_does_not_mutate_input(ds):
     mi = zero_meta_init(3, 8, tasks=5, inner_steps=2)
     _train(ds, mi, 7)
-    assert np.array_equal(mi.theta0[0].W, np.zeros((3, 8)))
+    assert np.array_equal(mi.theta, np.zeros((1, 3, 9)))
 
 
 @pytest.mark.parametrize("strategy", ["none", "combined"])
@@ -233,7 +236,7 @@ def test_meta_train_equals_list_api_loop(ds, strategy, kind, tmp_path):
             ds.features[:6], np.array([0, 1, 2] * 2), predictor,
             FitConfig(iterations=4, learning_rate=0.05),
         )
-        mi = MetaInit(start, inner_steps=5, outer_lr=0.05, tasks=6)
+        mi = MetaInit(*stack_heads(start), inner_steps=5, outer_lr=0.05, tasks=6)
     trained = meta_train(ds, 3, 2, 3, cfg, mi, kb, np.random.default_rng(46))
     theta = mi.copy_theta()
     rng = np.random.default_rng(46)
@@ -276,7 +279,7 @@ def test_meta_train_equals_list_api_loop_across_chunks(ds, kind, tasks):
         ds.features[:6], np.array([0, 1, 2] * 2), predictor,
         FitConfig(iterations=4, learning_rate=0.05),
     )
-    mi = MetaInit(start, inner_steps=3, outer_lr=0.05, tasks=tasks)
+    mi = MetaInit(*stack_heads(start), inner_steps=3, outer_lr=0.05, tasks=tasks)
     rng = np.random.default_rng(50)
     trained = meta_train(ds, 3, 1, 4, cfg, mi, kb, rng)
     ref_rng = np.random.default_rng(50)
@@ -297,12 +300,10 @@ def test_meta_train_calls_sharing_one_rng_equal_one_call(ds, split):
     )
     one = meta_train(ds, 3, 1, 4, cfg, whole, kb, np.random.default_rng(51))
     rng = np.random.default_rng(51)
-    part = replace_theta(whole, whole.copy_theta())
+    part = whole
     for tasks in split:
-        part.tasks = tasks
-        part = meta_train(ds, 3, 1, 4, cfg, part, kb, rng)
-    for a, b in zip(one.theta0, part.theta0):
-        assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
+        part = meta_train(ds, 3, 1, 4, cfg, replace(part, tasks=tasks), kb, rng)
+    assert np.array_equal(one.theta, part.theta)
 
 
 @pytest.mark.parametrize("rows", ["support", "query"])
@@ -347,7 +348,7 @@ def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
     predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
     mi = zero_meta_init(3, ds.dim, inner_steps=5)
     trained = meta_train(ds, 3, 1, 4, AdjustmentConfig("none"), mi, None, np.random.default_rng(3))
-    inits = [trained.theta0, mi.theta0, trained.theta0]
+    inits = [trained.theta, mi.theta, trained.theta]
     accs = evaluate_inits(ds, 3, 1, 4, predictor, inits, 0.01, 5, 6, 21)
     assert [len(a) for a in accs] == [6, 6, 6]
     assert accs[0] == accs[2]
@@ -362,9 +363,17 @@ def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
 def test_evaluate_inits_refuses_a_task_count_below_one(ds, count):
     # as run_arms and run_many refuse it, instead of returning no accuracies
     predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
-    theta = zero_meta_init(3, ds.dim).theta0
+    theta = zero_meta_init(3, ds.dim).theta
     with pytest.raises(ValueError, match=f"episode count must be >= 1, got {count}"):
         evaluate_inits(ds, 3, 1, 4, predictor, [theta], 0.01, 5, count, 21)
+
+
+def test_evaluate_inits_refuses_centroid_heads(ds):
+    # centroid heads are not fitted, so every init would score the same
+    predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "centroid")
+    theta = zero_meta_init(3, ds.dim).theta
+    with pytest.raises(ValueError, match="parametric heads, got 'centroid'"):
+        evaluate_inits(ds, 3, 1, 4, predictor, [theta], 0.01, 5, 2, 21)
 
 
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
@@ -377,7 +386,7 @@ def test_evaluate_inits_in_chunks_equals_one_task_at_a_time(ds, kind):
         FitConfig(iterations=4, learning_rate=0.05),
     )
     count = 2 * _CHUNK + 3
-    (accs,) = evaluate_inits(ds, 3, 1, 4, predictor, [start], 0.05, 5, count, 22)
+    (accs,) = evaluate_inits(ds, 3, 1, 4, predictor, [stack_heads(start)[1]], 0.05, 5, count, 22)
     expected = []
     for e in range(count):
         ep = sample_episode(ds, 3, 1, 4, episode_rng(22, e))
@@ -421,9 +430,10 @@ def test_head_layout_gives_the_same_bits(ds, tmp_path):
 
 def test_replace_theta_keeps_hyperparameters():
     mi = zero_meta_init(2, 3, inner_lr=0.5, inner_steps=9, outer_lr=0.25, tasks=7)
-    new = [HeadParams("linear", W=np.ones((2, 3)), b=np.ones(2))]
+    new = [HeadParams("linear", W=np.ones((2, 3)), b=np.full(2, 2.0))]
     out = replace_theta(mi, new)
-    assert out.theta0 is new
+    assert out.kind == "linear"
+    assert np.array_equal(out.theta, [[[1.0, 1.0, 1.0, 2.0]] * 2])
     assert (out.inner_lr, out.inner_steps, out.outer_lr, out.tasks) == (0.5, 9, 0.25, 7)
 
 
@@ -431,13 +441,9 @@ def test_replace_theta_keeps_hyperparameters():
 
 
 def _f32_meta(n_heads=2, way=3, dim=4, kind="linear"):
-    rng = np.random.default_rng(9)
-    heads = []
-    for _ in range(n_heads):
-        W = (rng.integers(-8, 8, size=(way, dim)) / 4.0).astype(np.float64)
-        b = (rng.integers(-8, 8, size=way) / 4.0).astype(np.float64) if kind == "linear" else None
-        heads.append(HeadParams(kind, W=W, b=b))
-    return MetaInit(heads, inner_lr=0.5, inner_steps=6, outer_lr=0.25, tasks=11)
+    width = dim + (kind == "linear")
+    theta = np.random.default_rng(9).integers(-8, 8, size=(n_heads, way, width)) / 4.0
+    return MetaInit(kind, theta, inner_lr=0.5, inner_steps=6, outer_lr=0.25, tasks=11)
 
 
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
@@ -446,12 +452,8 @@ def test_meta_round_trip(tmp_path, kind):
     path = tmp_path / "init.meta"
     save_meta(mi, path)
     back = load_meta(path)
-    assert len(back.theta0) == 2
-    for a, b in zip(back.theta0, mi.theta0):
-        assert a.kind == kind
-        assert np.array_equal(a.W, b.W)  # quarter-integers survive f32 exactly
-        if kind == "linear":
-            assert np.array_equal(a.b, b.b)
+    assert back.kind == kind
+    assert np.array_equal(back.theta, mi.theta)  # quarter-integers survive f32 exactly
     assert back.inner_lr == 0.5 and back.outer_lr == 0.25
     assert back.inner_steps == 6 and back.tasks == 11
 
@@ -528,18 +530,44 @@ def test_load_meta_size_mismatch(tmp_path):
 
 
 def test_load_meta_non_finite_weight(tmp_path):
+    # the first non-finite value in file order is named, with the byte where
+    # its head's W or b ends: two linear 2x3 heads of 6 + 2 values each
     path = tmp_path / "nan.meta"
-    W = np.full(6, np.nan, dtype="<f4")
-    payload = (
+    header = META_MAGIC + struct.pack("<IIII", 0, 2, 2, 3) + struct.pack("<ffII", 0.1, 0.1, 1, 1)
+    for bad, message in (
+        ([0, 1, 2, 3, 4, 5], "weight in payload before byte 64"),
+        ([14], "bias in payload before byte 104"),
+        ([8], "weight in payload before byte 96"),
+        ([6, 8], "bias in payload before byte 72"),
+    ):
+        payload = np.zeros(16, dtype="<f4")
+        payload[bad] = [np.nan, np.inf][len(bad) % 2]
+        path.write_bytes(header + payload.tobytes())
+        with pytest.raises(FormatError, match=f"non-finite {message}"):
+            load_meta(path)
+
+
+@pytest.mark.parametrize("kind", ["linear", "cosine"])
+def test_meta_payload_is_each_head_w_row_major_then_b(tmp_path, kind):
+    # the expected bytes are built from the parts, not by load_meta: a round
+    # trip cannot catch a writer and a reader that agree on a wrong order
+    W = np.arange(24.0).reshape(2, 3, 4) / 4.0
+    b = -np.arange(1.0, 7.0).reshape(2, 3)
+    theta = np.concatenate((W, b[..., None]), axis=2) if kind == "linear" else W
+    mi = MetaInit(kind, theta, inner_lr=0.5, inner_steps=6, outer_lr=0.25, tasks=11)
+    expected = (
         META_MAGIC
-        + struct.pack("<IIII", 0, 1, 2, 3)
-        + struct.pack("<ffII", 0.1, 0.1, 1, 1)
-        + W.tobytes()
-        + np.zeros(2, dtype="<f4").tobytes()
+        + struct.pack("<IIII", {"linear": 0, "cosine": 1}[kind], 2, 3, 4)
+        + struct.pack("<ffII", 0.5, 0.25, 6, 11)
     )
-    path.write_bytes(payload)
-    with pytest.raises(FormatError, match="non-finite weight"):
-        load_meta(path)
+    for i in range(2):
+        expected += W[i].astype("<f4").tobytes()
+        if kind == "linear":
+            expected += b[i].astype("<f4").tobytes()
+    assert meta_bytes(mi) == expected
+    path = tmp_path / "init.meta"
+    path.write_bytes(expected)
+    assert np.array_equal(load_meta(path).theta, theta)
 
 
 def _patched_rate(tmp_path, offset, value):
@@ -591,17 +619,14 @@ def test_save_meta_refuses_what_load_meta_would_reject(tmp_path, change, message
 
 def test_save_meta_refuses_weights_beyond_f32_and_bad_layouts(tmp_path):
     path = tmp_path / "init.meta"
-    big = _f32_meta()
-    big.theta0[1].W[0, 0] = 1e39
-    with pytest.raises(ValueError, match="finite once rounded to f32"):
-        save_meta(big, path)
-    mixed = _f32_meta()
-    mixed.theta0[1] = HeadParams("linear", W=np.zeros((3, 5)), b=np.zeros(3))
-    with pytest.raises(ValueError, match="must share their kind"):
-        save_meta(mixed, path)
-    empty = MetaInit([HeadParams("linear", W=np.zeros((3, 0)), b=np.zeros(3))])
-    with pytest.raises(ValueError, match="dim >= 1"):
-        save_meta(empty, path)
+    for at in ((1, 0, 0), (1, 2, 4)):  # a weight, a bias
+        big = _f32_meta()
+        big.theta[at] = 1e39
+        with pytest.raises(ValueError, match="finite once rounded to f32"):
+            save_meta(big, path)
+    # a layout of input dimension 0 cannot be built, so it never reaches the file
+    with pytest.raises(ValueError, match="P >= 1"):
+        save_meta(MetaInit("linear", np.zeros((1, 3, 1))), path)
     assert not path.exists()
 
 
@@ -621,8 +646,8 @@ def _f32_or_inf(value: float) -> float:
 )
 def test_a_written_meta_file_always_loads(inner_lr, outer_lr, inner_steps, tasks, weight, kind):
     mi = _f32_meta(kind=kind)
-    mi.theta0[0].W[1, 2] = weight
-    mi = MetaInit(mi.theta0, inner_lr, inner_steps, outer_lr, tasks)
+    mi.theta[0, 1, 2] = weight
+    mi = MetaInit(kind, mi.theta, inner_lr, inner_steps, outer_lr, tasks)
     f32_inner, f32_outer = _f32_or_inf(inner_lr), _f32_or_inf(outer_lr)
     storable = (
         0.0 < f32_inner < math.inf and f32_outer < math.inf
@@ -639,5 +664,4 @@ def test_a_written_meta_file_always_loads(inner_lr, outer_lr, inner_steps, tasks
         back = load_meta(path)
     assert (back.inner_lr, back.outer_lr) == (f32_inner, f32_outer)
     assert (back.inner_steps, back.tasks) == (inner_steps, tasks)
-    for a, b in zip(back.theta0, mi.theta0):
-        assert np.array_equal(a.W, b.W.astype(np.float32))
+    assert np.array_equal(back.theta, mi.theta.astype(np.float32))

@@ -15,7 +15,7 @@ import ifsl.episodes
 import ifsl.synth
 from ifsl.adjust import AdjustmentConfig, Predictor
 from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
-from ifsl.heads import FitConfig, _label_index, _Workspace, fit_head, fit_stack
+from ifsl.heads import FitConfig, _label_index, _Workspace, fit_stack
 from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.meta import MetaInit, evaluate_inits, meta_bytes, meta_train
 from ifsl.synth import (
@@ -468,26 +468,24 @@ def _arrays(per_arm, masks) -> list:
 
 
 def _meta_arrays(novel, kb) -> list:
-    """Weights, rng state and IFSLMET1 bytes of ``meta_train`` at 0, 1, 9 and
+    """Head stack, rng state and IFSLMET1 bytes of ``meta_train`` at 0, 1, 9 and
     19 tasks, then ``evaluate_inits`` accuracies over 19 tasks, for linear and
     cosine ``combined`` heads."""
     cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=4, t=1e-3))
     out = []
     for kind in ("linear", "cosine"):
         predictor = Predictor(cfg, kb, novel.dim, 3, kind)
-        start = fit_head(
-            novel.features[:6], np.array([0, 1, 2] * 2), predictor,
-            FitConfig(iterations=4, learning_rate=0.05),
-        )
+        start = fit_stack(
+            predictor.support_inputs(novel.features[None, :6]), np.array([[0, 1, 2] * 2]),
+            predictor, FitConfig(iterations=4, learning_rate=0.05), [0],
+        )[0]
         for tasks in (0, 1, 9, 19):
             rng = np.random.default_rng(29)
-            mi = MetaInit(start, inner_steps=3, outer_lr=0.05, tasks=tasks)
+            mi = MetaInit(kind, start, inner_steps=3, outer_lr=0.05, tasks=tasks)
             trained = meta_train(novel, 3, 1, 3, cfg, mi, kb, rng)
-            for h in trained.theta0:
-                out += [h.W] if h.b is None else [h.W, h.b]
-            out += [np.array(repr(rng.bit_generator.state)),
+            out += [trained.theta, np.array(repr(rng.bit_generator.state)),
                     np.frombuffer(meta_bytes(trained), dtype=np.uint8)]
-        accs = evaluate_inits(novel, 3, 1, 3, predictor, [trained.theta0, start], 0.05, 3, 19, 30)
+        accs = evaluate_inits(novel, 3, 1, 3, predictor, [trained.theta, start], 0.05, 3, 19, 30)
         out.append(np.array(accs))
     return out
 
@@ -516,9 +514,9 @@ def test_results_do_not_depend_on_chunk_size(small_out, monkeypatch):
             paired + _arrays([solo], solo_masks) + _arrays([many], []) + _meta_arrays(novel, kb)
         )
     first, *others = runs
-    # per task count: W and b of 4 linear heads (W of 4 cosine), rng state and
-    # file bytes; then one accuracy table per kind
-    meta = (4 * (8 + 2) + 1) + (4 * (4 + 2) + 1)
+    # per kind and task count: the head stack, rng state and file bytes; then
+    # one accuracy table per kind
+    meta = 2 * (4 * 3 + 1)
     assert len(first) == 17 * (1 + 4 * len(arms)) + 17 * (1 + 4) + 17 * 4 + meta
     for other in others:
         assert len(other) == len(first)
