@@ -19,6 +19,9 @@ average to x - m * ctx, so the stratum is adjusted for rather than read as
 evidence for a class. A head U on x - m * ctx is the head [U, -m * U] on
 [x, ctx], whose L2 penalty is (1 + m^2) |U|^2: fitted heads of these
 strategies scale their weight decay by :attr:`Predictor.weight_decay_scale`.
+
+A :class:`Predictor` fixes its heads' count, kind, way and input width;
+:meth:`Predictor.check_stack` alone checks a head stack against them.
 """
 
 from __future__ import annotations
@@ -117,19 +120,29 @@ class Predictor:
             blocks -= self.kb.m * strata(class_context(self.kb, X))
         return np.ascontiguousarray(blocks.swapaxes(-2, -3))
 
+    def check_stack(self, kind: str, theta) -> None:
+        """Refuse a stack of ``kind`` heads, (n, K, P+1) for linear heads and
+        (n, K, P) otherwise, whose head count, kind, way or input width is
+        not this predictor's."""
+        shape = np.shape(theta)
+        if len(shape) != 3:
+            raise ValueError(f"a head stack is one (n, K, P') array, got shape {shape}")
+        n, way, width = shape
+        input_dim = width - (kind == "linear")
+        if n != self.n_heads:
+            raise ValueError(f"expected {self.n_heads} heads, got {n}")
+        if kind != self.head_kind:
+            raise ValueError(f"expected {self.head_kind!r} heads, got {kind!r}")
+        if way != self.way:
+            raise ValueError(f"head is {way}-way, expected {self.way}")
+        if input_dim != self.head_input_dim:
+            raise ValueError(
+                f"head input dimension {input_dim} does not match "
+                f"strategy requirement {self.head_input_dim}"
+            )
+
     def validate_heads(self, heads: Sequence[HeadParams]) -> None:
-        if len(heads) != self.n_heads:
-            raise ValueError(f"expected {self.n_heads} heads, got {len(heads)}")
-        for h in heads:
-            if h.kind != self.head_kind:
-                raise ValueError(f"expected {self.head_kind!r} heads, got {h.kind!r}")
-            if h.way != self.way:
-                raise ValueError(f"head is {h.way}-way, expected {self.way}")
-            if h.input_dim != self.head_input_dim:
-                raise ValueError(
-                    f"head input dimension {h.input_dim} does not match "
-                    f"strategy requirement {self.head_input_dim}"
-                )
+        self.check_stack(*stack_heads(heads))
 
     def probs_from_inputs(self, heads: Sequence[HeadParams], blocks) -> np.ndarray:
         """(B, K) mixture probabilities from precomputed per-head input blocks

@@ -46,11 +46,11 @@ compute the two blocks' gradients at once, and then combines them and steps.
 
 The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
 :func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
-of the stack calls: a :class:`HeadParams` is one slice of a stack, the list
-gradients are the ``(dW, db)`` views of the gradient of
-:func:`stack_loss_and_grads` without the episode axis, and each call stacks
-its arguments, runs the same core and unstacks the result, so the outputs
-are the same bits whichever route a step takes. They stay because
+of the stack calls: a :class:`HeadParams` is one slice ``theta`` of a stack
+(``W`` and ``b`` are views of it), the list gradient is the (n, K, P')
+gradient of :func:`stack_loss_and_grads` without the episode axis, and each
+call stacks its heads, runs the same core and hands back views, so the
+outputs are the same bits whichever route a step takes. They stay because
 ``perfbench/workloads.py`` reads them, directly and through the list members
 of ``ifsl.meta`` (ROADMAP items 3-4).
 """
@@ -70,39 +70,42 @@ HEAD_KINDS = ("linear", "cosine", "centroid")
 PARAMETRIC_KINDS = ("linear", "cosine")
 
 
-@dataclass
 class HeadParams:
-    """One classifier head: what one slice of a head stack holds.
+    """One classifier head: its ``kind`` and ``theta``, one slice of a head
+    stack, (K, P+1) ``[W | b]`` for linear heads and (K, P) otherwise.
 
-    ``W`` (K, P) holds the weights of linear and cosine heads and the class
-    centroids of centroid heads; ``b`` (K,) is the bias of linear heads and
-    None for the other kinds.
+    ``HeadParams(kind, W, b)`` builds one from ``W`` (K, P), the weights or a
+    centroid head's class centroids, and the bias ``b`` (K,) of a linear
+    head; ``W`` and ``b`` (None but for linear heads) are views of ``theta``.
     """
 
-    kind: str
-    W: np.ndarray  # (K, P)
-    b: np.ndarray | None = None  # (K,), linear only
+    __slots__ = ("kind", "theta")
 
-    def __post_init__(self):
-        if self.kind not in HEAD_KINDS:
-            raise ValueError(f"unknown head kind {self.kind!r}, expected one of {HEAD_KINDS}")
-        self.W = as_matrix(self.W)
-        if self.W.shape[0] < 2:
+    def __init__(self, kind: str, W, b=None):
+        if kind not in HEAD_KINDS:
+            raise ValueError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
+        W = as_matrix(W)
+        if W.shape[0] < 2:
             raise ValueError("heads need at least 2 classes")
-        if self.kind == "linear":
-            if self.b is None:
+        if kind == "linear":
+            if b is None:
                 raise ValueError("linear heads carry a bias vector")
-            self.b = as_vector(self.b, size=self.W.shape[0])
-        elif self.b is not None:
-            raise ValueError(f"{self.kind} heads have no bias")
+            W = np.concatenate((W, as_vector(b, size=W.shape[0])[:, None]), axis=1)
+        elif b is not None:
+            raise ValueError(f"{kind} heads have no bias")
+        self.kind, self.theta = kind, W
 
     @property
-    def way(self) -> int:
-        return self.W.shape[0]
+    def W(self) -> np.ndarray:
+        return _split(self.kind, self.theta)[0]
+
+    @property
+    def b(self) -> np.ndarray | None:
+        return _split(self.kind, self.theta)[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W.shape[1]
+        return self.theta.shape[1] - (self.kind == "linear")
 
 
 @dataclass(frozen=True)
@@ -130,38 +133,26 @@ class FitConfig:
 
 
 # --- stacked core ------------------------------------------------------------
-# The n heads of each of E episodes are fitted and scored as one stack theta:
-# (E, n, K, P+1) for linear heads, [W | b] with the bias as the last column,
-# (E, n, K, P) for cosine and centroid heads; inputs V are (E, n, B, P). Logits
-# are (E, n, K, B), and a fitting step holds them and their gradients
-# class-outermost, (K, E, n, B) (see _Workspace), and steps theta on the inputs
-# [V | 1] (see _step_inputs). Cosine inputs are row-normalised before they
-# reach the core, and cosine weights once per step, by
-# normalize_rows_with_divisors: its (U, d) pair feeds both the logits and the
-# gradient. Every episode's heads only ever meet its own inputs, so an
-# episode's numbers do not depend on the others in its stack.
+# Layouts as in the module docstring. Every episode's heads only ever meet its
+# own inputs, so an episode's numbers do not depend on the others in its stack.
 
 
 def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray]:
     """``(kind, theta)`` of one episode's list of heads, ``theta`` a fresh
-    (n, K, P+1) stack ``[W | b]`` for linear heads and (n, K, P) otherwise."""
+    (n, K, P') stack of their slices; heads of mixed kinds or shapes are refused."""
     if not heads:
         raise ValueError("need at least one head")
-    kind = heads[0].kind
+    kind, shape = heads[0].kind, heads[0].theta.shape
     if any(h.kind != kind for h in heads):
         raise ValueError("heads of one stack must share a kind")
-    linear = kind == "linear"
-    K, P = heads[0].W.shape
-    theta = np.empty((len(heads), K, P + linear))
-    theta[..., :P] = [h.W for h in heads]  # heads of unequal shapes raise ValueError
-    if linear:
-        theta[..., P] = [h.b for h in heads]
-    return kind, theta
+    if any(h.theta.shape != shape for h in heads):
+        raise ValueError(f"heads of one stack must share a shape, the first's is {shape}")
+    return kind, np.array([h.theta for h in heads])
 
 
 def _unstack_heads(kind: str, theta: np.ndarray) -> list[HeadParams]:
     """One :class:`HeadParams` per entry of an (n, K, P') float64 stack, its
-    ``W`` and ``b`` views of it (see :func:`_split`).
+    ``theta`` a view of that entry.
 
     The stack is checked once, for finiteness and at least 2 classes, and the
     heads are built without re-checking each: the other checks of
@@ -171,12 +162,9 @@ def _unstack_heads(kind: str, theta: np.ndarray) -> list[HeadParams]:
         raise ValueError("heads need at least 2 classes")
     if not np.isfinite(theta).all():
         raise ValueError("matrix entries must be finite")
-    W, b = _split(kind, theta)
-    heads = []
-    for i in range(W.shape[0]):
-        h = object.__new__(HeadParams)
-        h.__dict__.update(kind=kind, W=W[i], b=None if b is None else b[i])
-        heads.append(h)
+    heads = [object.__new__(HeadParams) for _ in range(len(theta))]
+    for h, t in zip(heads, theta):
+        h.kind, h.theta = kind, t
     return heads
 
 
@@ -444,8 +432,7 @@ def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
     """(B, K) logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
     if Z.ndim != 2:
         raise ValueError(f"head expects a (B, {h.input_dim}) input block, got shape {Z.shape}")
-    kind, theta = stack_heads([h])
-    return _logits(kind, theta, _stack_inputs(kind, Z[None], h.input_dim))[0].T
+    return _logits(h.kind, h.theta[None], _stack_inputs(h.kind, Z[None], h.input_dim))[0].T
 
 
 def mixture_loss_and_grads(
@@ -453,15 +440,14 @@ def mixture_loss_and_grads(
     inputs,
     labels: np.ndarray,
     weight_decay: float = 0.0,
-) -> tuple[float, tuple[np.ndarray, np.ndarray | None]]:
+) -> tuple[float, np.ndarray]:
     """Cross-entropy of the head-averaged probabilities, with exact gradients.
 
     ``inputs[i]`` is the (B, P) block feeding head i; the predicted
     distribution is the arithmetic mean of the per-head softmax outputs.
     Returns the batch-mean loss (plus the L2 penalty on every W) and the
-    stacked gradients ``(dW, db)`` of all heads: ``dW`` (n, K, P) and ``db``
-    (n, K) for linear heads, else None, the views (see :func:`_split`) of
-    the one-episode gradient of :func:`stack_loss_and_grads`.
+    (n, K, P') gradient ``dtheta`` of the heads' stack, the one-episode
+    gradient of :func:`stack_loss_and_grads`.
     """
     if len(heads) != len(inputs) or not heads:
         raise ValueError("need one input block per head")
@@ -470,28 +456,24 @@ def mixture_loss_and_grads(
         kind, theta[None], np.asarray(inputs, dtype=np.float64)[None],
         np.asarray(labels, dtype=np.int64)[None], weight_decay,
     )
-    return float(loss[0]), _split(kind, dtheta[0])
+    return float(loss[0]), dtheta[0]
 
 
 def sgd_step(
     heads: Sequence[HeadParams],
-    grads: tuple[np.ndarray, np.ndarray | None],
+    dtheta: np.ndarray,
     learning_rate: float,
     coupling: float | None = None,
 ) -> None:
-    """In-place gradient step by the ``(dW, db)`` pair of
-    :func:`mixture_loss_and_grads`, which is left as it is. ``coupling`` must
+    """In-place gradient step of each head's ``theta`` by its entry of the
+    (n, K, P') gradient of :func:`mixture_loss_and_grads`, by the same ufuncs
+    as :func:`stack_sgd_step`; ``dtheta`` is left as it is. ``coupling`` must
     be None (see :func:`_no_coupling`)."""
     _no_coupling(coupling)
-    kind, theta = stack_heads(heads)
-    dW, db = grads
-    parts = (dW,) if db is None else (dW, np.asarray(db)[..., None])
-    stack_sgd_step(theta, np.concatenate(parts, axis=-1, dtype=np.float64), learning_rate)
-    W, b = _split(kind, theta)
-    for i, h in enumerate(heads):  # write the stepped stack back into the heads
-        h.W[...] = W[i]
-        if b is not None:
-            h.b[...] = b[i]
+    if np.shape(dtheta) != stack_heads(heads)[1].shape:
+        raise ValueError(f"need one gradient of its head's shape per head, got {np.shape(dtheta)}")
+    for h, g in zip(heads, dtheta):
+        np.subtract(h.theta, np.multiply(g, learning_rate), h.theta)
 
 
 # --- initialization ----------------------------------------------------------
@@ -623,14 +605,13 @@ def fit_stack(
         raise ValueError("need one input block per head of every episode")
     _check_labels(y, predictor.way)
     K, P = predictor.way, predictor.head_input_dim
-    shape = (n, K, P + (kind == "linear"))
-    if init is not None and np.shape(init) != shape:
-        raise ValueError(f"an init of these heads is an {shape} stack, got {np.shape(init)}")
+    if init is not None:
+        predictor.check_stack(kind, init)
     V = _step_inputs(kind, Z, P)
     if init is None:
         theta = init_stack(kind, K, Z, y)
     else:
-        theta = np.array(np.broadcast_to(init, (E, *shape)), dtype=np.float64, order="C")
+        theta = np.array(np.broadcast_to(init, (E, *np.shape(init))), dtype=np.float64, order="C")
     weight_decay = cfg.weight_decay * predictor.weight_decay_scale
     batch = S if cfg.batch_size is None else cfg.batch_size
     ws = _Workspace(kind, theta, batch, weight_decay)
@@ -691,8 +672,8 @@ def fit_head(
     """
     start = None
     if init is not None:
-        predictor.validate_heads(init)
-        start = stack_heads(init)[1]
+        kind, start = stack_heads(init)
+        predictor.check_stack(kind, start)
     callback = None if loss_callback is None else lambda it, loss: loss_callback(it, float(loss[0]))
     theta = fit_stack(
         predictor.support_inputs(np.asarray(support_x)[None]), np.asarray(support_y)[None],

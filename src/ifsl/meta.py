@@ -15,11 +15,11 @@ copy of that stack, with the fitting loop of :func:`~ifsl.heads.fit_stack`.
 Held-out evaluation builds each chunk's stratum inputs once, then fits and
 scores the chunk from every initialization with the routine that scores
 the engine's arms. :func:`save_meta` refuses, before it opens the file, any
-initialization that :func:`load_meta` would reject. A head is
-``head_input_dim`` wide; an init of another width is refused, not misread.
-Lists of :class:`~ifsl.heads.HeadParams` remain only in :func:`meta_train`'s
-check of its start and where ``perfbench/workloads.py`` reads them (ROADMAP
-items 3-4): ``MetaInit.theta0``, ``copy_theta``, ``replace_theta``, ``adapt``.
+initialization that :func:`load_meta` would reject. ``Predictor.check_stack``
+refuses a start of another width, way or head count, rather than misread it.
+Lists of :class:`~ifsl.heads.HeadParams` remain only where
+``perfbench/workloads.py`` reads them (ROADMAP items 3-4):
+``MetaInit.theta0``, ``copy_theta``, ``replace_theta``, ``adapt``.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def meta_train(
     Deterministic for a fixed rng state.
     """
     predictor = Predictor(adj_cfg, kb, ds.dim, way, mi.kind)
-    predictor.validate_heads(mi.theta0)  # a start of another width is refused, not misread
+    predictor.check_stack(mi.kind, mi.theta)  # a start of another width is refused, not misread
     theta = mi.theta.copy()
     # one task's adapted copy, workspaces and label indices serve every task;
     # sample_episode labels each episode's rows 0..way-1 in class order

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjust import AdjustmentConfig
 from .episodes import Episode, EpisodeResult, _check_shape, run_arms
-from .heads import FitConfig, _label_index, _Workspace
+from .heads import FitConfig, _label_index, _Workspace, stack_sgd_step
 from .knowledge import FeatureDataset, KnowledgeBase
 
 _KB_FIT = FitConfig(iterations=500, batch_size=None, learning_rate=0.1, weight_decay=1e-4, seed=0)
@@ -162,7 +162,7 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
                 done.result()
                 np.add(dtheta, np.multiply(ws.dtheta, ws_share, ws.dtheta), dtheta)
             np.add(dW, np.multiply(W, weight_decay, decay), dW)
-            np.subtract(theta, np.multiply(dtheta, learning_rate, dtheta), theta)
+            stack_sgd_step(theta, dtheta, learning_rate)
     return KnowledgeBase(means, theta[0, 0, :, :-1], theta[0, 0, :, -1])
 
 

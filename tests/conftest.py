@@ -229,11 +229,11 @@ def reference_mixture(heads, blocks, labels, weight_decay):
 
 
 def reference_step(heads, grads, learning_rate) -> None:
-    """In-place SGD step head by head."""
+    """In-place SGD step head by head, through each head's ``W`` and ``b`` views."""
     for h, (dW, db) in zip(heads, grads):
-        h.W -= learning_rate * dW
+        h.W[...] -= learning_rate * dW
         if db is not None:
-            h.b -= learning_rate * db
+            h.b[...] -= learning_rate * db
 
 
 class ReferenceCycler:

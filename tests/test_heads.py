@@ -17,6 +17,7 @@ from ifsl.heads import (
     _class_means,
     _label_index,
     _split,
+    _unstack_heads,
     batch_rows,
     fit_head,
     fit_stack,
@@ -219,39 +220,26 @@ def test_ce_loss_invalid_label():
 def test_saturated_head_small_loss_and_gradient():
     # logits strongly favor the true class: loss and gradient nearly vanish
     h = HeadParams("linear", W=np.array([[20.0, 0.0], [-20.0, 0.0]]), b=np.zeros(2))
-    loss, (dW, db) = _ce(h, [1.0, 0.0], 0)
+    loss, dtheta = _ce(h, [1.0, 0.0], 0)
     assert loss < 1e-3
-    assert np.linalg.norm(dW) < 1e-2
-    assert np.linalg.norm(db) < 1e-2
+    assert np.linalg.norm(dtheta) < 1e-2
 
 
 def flatten_grads(grads):
-    """The stacked ``(dW, db)`` pair in the order of ``_flatten_params``: W then
-    b, head by head."""
-    dW, db = grads
-    if db is None:
-        return dW.ravel()
-    return np.concatenate([dW.reshape(len(dW), -1), db], axis=1).ravel()
+    """The (n, K, P') list gradient in the order of ``_flatten_params``:
+    each head's ``theta``, [W | b] row by row for linear heads."""
+    return np.asarray(grads).ravel()
 
 
 def _flatten_params(heads):
-    parts = []
-    for h in heads:
-        parts.append(h.W.ravel())
-        if h.b is not None:
-            parts.append(h.b)
-    return np.concatenate(parts)
+    return np.concatenate([h.theta.ravel() for h in heads])
 
 
 def _set_params(heads, flat):
     pos = 0
     for h in heads:
-        n = h.W.size
-        h.W[...] = flat[pos : pos + n].reshape(h.W.shape)
-        pos += n
-        if h.b is not None:
-            h.b[...] = flat[pos : pos + h.b.size]
-            pos += h.b.size
+        h.theta[...] = flat[pos : pos + h.theta.size].reshape(h.theta.shape)
+        pos += h.theta.size
 
 
 def fd_gradient(heads, inputs, labels, weight_decay, step=1e-6):
@@ -338,7 +326,8 @@ def test_large_logit_gap_gives_finite_loss_and_gradients(n_heads):
         for i in range(n_heads)
     ]
     inputs = np.full((n_heads, 1, 1), 1000.0)
-    loss, (dW, db) = mixture_loss_and_grads(heads, inputs, np.array([0]))
+    loss, dtheta = mixture_loss_and_grads(heads, inputs, np.array([0]))
+    dW, db = _split("linear", dtheta)
     # -log((1/n) sum_i exp(-(1000 + 10 i))), in closed form
     gaps = 1000.0 + 10.0 * np.arange(n_heads)
     expected = 1000.0 + math.log(n_heads) - math.log(np.sum(np.exp(1000.0 - gaps)))
@@ -381,12 +370,11 @@ def test_mixture_gradients_match_finite_differences_property(
     _, grads = mixture_loss_and_grads(heads, blocks, y, weight_decay)
     analytic = flatten_grads(grads)
     numeric = fd_gradient(heads, blocks, y, weight_decay)
-    dW = grads[0]
     if zeroed:
-        assert np.array_equal(dW[-1, 1], np.zeros(predictor.head_input_dim))
+        assert np.array_equal(grads[-1, 1], np.zeros(predictor.head_input_dim))
         # the loss has no derivative at a zero row: compare every other entry
         keep = np.ones(analytic.size, dtype=bool)
-        row = analytic.size - dW[-1].size + predictor.head_input_dim
+        row = analytic.size - grads[-1].size + predictor.head_input_dim
         keep[row : row + predictor.head_input_dim] = False
         analytic, numeric = analytic[keep], numeric[keep]
     denom = max(np.linalg.norm(numeric), 1e-8)
@@ -560,7 +548,7 @@ def _random_init(kind, n_heads, way, width, rng):
     heads = _random_heads(kind, n_heads, way, width, rng)
     if kind == "linear":
         for h in heads:
-            h.W *= 0.1
+            h.W[...] *= 0.1
     return heads
 
 
@@ -650,13 +638,13 @@ def test_fit_stack_validates_its_stack():
     cosine = Predictor(AdjustmentConfig("none"), None, 4, 2, "cosine")
     five_way = Predictor(AdjustmentConfig("none"), None, 4, 5, "linear")
     Z5, y5 = np.zeros((3, 1, 5, 4)), np.tile(np.arange(5), (3, 1))
-    for fit_predictor, inputs, labels, init in (
-        (predictor, Z, y, np.ones((1, 2, 4))),
-        (cosine, Z, y, np.ones((1, 2, 5))),
-        (five_way, Z5, y5, np.zeros((1, 3, 5))),
-        (predictor, Z, y, np.zeros((2, 2, 5))),
+    for fit_predictor, inputs, labels, init, match in (
+        (predictor, Z, y, np.ones((1, 2, 4)), "head input dimension 3 does not match"),
+        (cosine, Z, y, np.ones((1, 2, 5)), "head input dimension 5 does not match"),
+        (five_way, Z5, y5, np.zeros((1, 3, 5)), "head is 3-way, expected 5"),
+        (predictor, Z, y, np.zeros((2, 2, 5)), "expected 1 heads, got 2"),
     ):
-        with pytest.raises(ValueError, match=r"an init of these heads is an \(1, \d, \d\) stack"):
+        with pytest.raises(ValueError, match=match):
             fit_stack(inputs, labels, fit_predictor, FitConfig(), [0, 1, 2], init)
 
 
@@ -750,30 +738,42 @@ def test_bias_layout_gives_the_same_bits(batch_size):
     fresh = fit_stack(Z, y, predictor, cfg, [3, 4])
     for fitted in (*fits, fresh):  # fits return one contiguous (E, n, K, P+1) stack
         assert fitted.shape == theta.shape and fitted.flags.c_contiguous
-    # the heads of a fit, and the list gradients, are views of one stack
-    # whose last column is the bias
+    # the heads of a fit are views of one stack whose last column is the
+    # bias, and a list of views stacks back to the stack's bits
     heads = fit_head(X[0], y[0], predictor, replace(cfg, seed=3))
     for h in heads:
-        assert h.W.base is h.b.base and h.W.base.shape[-1] == 5
+        assert h.theta.base is heads[0].theta.base and h.theta.base.shape[-1] == 5
+        assert np.shares_memory(h.W, h.theta) and np.shares_memory(h.b, h.theta)
     assert np.array_equal(fresh[0], stack_heads(heads)[1])
-    _, (dW, db) = mixture_loss_and_grads(heads, Z[0], y[0], 1e-3)
-    assert dW.base is db.base and np.array_equal(dW.base[0, ..., -1], db)
+    assert np.array_equal(stack_heads(_unstack_heads("linear", fresh[0]))[1], fresh[0])
+    # the list gradient is the stack gradient without the episode axis
+    _, dtheta = mixture_loss_and_grads(heads, Z[0], y[0], 1e-3)
+    expected = stack_loss_and_grads("linear", fresh[:1], Z[:1], y[:1], 1e-3)[1][0]
+    assert np.array_equal(dtheta, expected)
 
 
 def test_sgd_step_leaves_grads_unchanged():
-    # the learning rate is applied to the step's own copy of the grads
+    # the learning rate is applied to the step's own copy of the gradient;
+    # a step of views of a stack steps the stack as stack_sgd_step does, bit
+    # for bit, and heads of mixed kinds are refused
     kb = make_kb(m=3, dim=8, seed=54)
-    predictor = Predictor(AdjustmentConfig("class"), kb, 8, 3, "linear")
+    adj = AdjustmentConfig("combined", partition=PartitionConfig(n=2))
+    predictor = Predictor(adj, kb, 8, 3, "linear")
     rng = np.random.default_rng(55)
-    heads = _random_heads("linear", 1, 3, predictor.head_input_dim, rng)
+    theta = rng.standard_normal((predictor.n_heads, 3, predictor.head_input_dim + 1))
+    heads = _unstack_heads("linear", theta)
     X = rng.standard_normal((5, 8))
     y = np.array([0, 1, 2, 0, 1])
-    _, (dW, db) = mixture_loss_and_grads(heads, predictor.support_inputs(X), y, 1e-3)
-    dW0, db0 = dW.copy(), db.copy()
-    W0 = heads[0].W.copy()
-    sgd_step(heads, (dW, db), 0.1)
-    assert np.array_equal(dW, dW0) and np.array_equal(db, db0)
-    assert not np.array_equal(heads[0].W, W0)
+    _, dtheta = mixture_loss_and_grads(heads, predictor.support_inputs(X), y, 1e-3)
+    assert dtheta.shape == theta.shape
+    dtheta0, expected = dtheta.copy(), theta.copy()
+    sgd_step(heads, dtheta, 0.1)
+    assert np.array_equal(dtheta, dtheta0)
+    stack_sgd_step(expected, dtheta0, 0.1)
+    assert np.array_equal(theta, expected) and not np.array_equal(theta[0], dtheta0[0])
+    mixed = [heads[0], HeadParams("cosine", W=heads[1].W)]
+    with pytest.raises(ValueError, match="share a kind"):
+        sgd_step(mixed, dtheta, 0.1)
 
 
 @pytest.mark.parametrize("coupling", [-3.0, 0.0])
@@ -952,6 +952,7 @@ def test_cosine_head_fits_with_all_inactive_stratum_block():
     cfg = AdjustmentConfig("feature", partition=PartitionConfig(n=2, t=1e-3))
     predictor = Predictor(cfg, None, 8, 3, "cosine")
     start = init_heads("cosine", 3, predictor.support_inputs(X), y)
+    assert start[0].theta.base is start[1].theta.base  # views of one stack
     assert np.array_equal(start[1].W[0], np.zeros(4))
     heads = fit_head(X, y, predictor, FitConfig(iterations=40, learning_rate=0.1))
     assert np.array_equal(heads[1].W[0], np.zeros(4))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.episodes import _CHUNK, episode_rng, sample_episode
 from ifsl.heads import (
-    FitConfig, HeadParams, fit_head, mixture_loss_and_grads, sgd_step, stack_heads,
+    FitConfig, HeadParams, fit_head, fit_stack, mixture_loss_and_grads, sgd_step, stack_heads,
 )
 from ifsl.knowledge import FormatError, PartitionConfig
 from ifsl.meta import (
@@ -397,19 +397,20 @@ def test_evaluate_inits_in_chunks_equals_one_task_at_a_time(ds, kind):
 
 
 def test_head_layout_gives_the_same_bits(ds, tmp_path):
-    # meta_train returns heads whose W and b are strided views of one affine
-    # stack [W | b]; the file bytes, copy_theta and an sgd_step are the same
-    # bits as for contiguous copies of those heads
+    # the heads of theta0 are slices of the one affine stack [W | b] of the
+    # trained initialization, W and b strided views of it; the file bytes,
+    # copy_theta and an sgd_step are the same bits as for heads built on
+    # their own, each holding its own contiguous [W | b]
     adj = AdjustmentConfig("feature", partition=PartitionConfig(n=2))
     predictor = Predictor(adj, None, ds.dim, 3, "linear")
     mi = zero_meta_init(3, predictor.head_input_dim, predictor.n_heads, inner_steps=3, tasks=5)
     trained = meta_train(ds, 3, 1, 4, adj, mi, None, np.random.default_rng(5))
     views = trained.theta0
     for h in views:
-        assert h.W.base is h.b.base and h.W.base is views[0].W.base
+        assert h.theta.base is trained.theta
         assert not h.W.flags.c_contiguous and not h.b.flags.c_contiguous
     contiguous = [HeadParams("linear", W=h.W.copy(), b=h.b.copy()) for h in views]
-    assert all(h.W.flags.c_contiguous and h.b.flags.c_contiguous for h in contiguous)
+    assert all(h.theta.flags.c_contiguous and h.theta.base is None for h in contiguous)
     other = replace_theta(trained, contiguous)
     save_meta(trained, tmp_path / "views.bin")
     save_meta(other, tmp_path / "contiguous.bin")
@@ -489,6 +490,47 @@ def test_concatenated_width_init_is_rejected(ds, strategy, tmp_path):
         predictor.validate_heads(loaded.theta0)
     with pytest.raises(ValueError, match=match):
         meta_train(ds, 3, 1, 2, cfg, loaded, kb, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=match):
+        evaluate_inits(ds, 3, 1, 2, predictor, [loaded.theta], 0.01, 2, 2, 0)
+
+
+@pytest.mark.parametrize("case", ["count", "way", "width", "kind"])
+def test_one_refusal_for_every_entry(ds, case):
+    # a start that does not fit the predictor (2 linear 3-way heads of input
+    # width 4) gets Predictor.check_stack's one message, whichever call it
+    # reaches; a kind can only be wrong where the heads carry it, in lists
+    # of HeadParams: bare stacks are read as the predictor's kind, and
+    # meta_train builds its predictor for the start's kind
+    kb = make_kb(m=3, dim=8, seed=42)
+    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
+    predictor = Predictor(cfg, kb, ds.dim, 3, "linear")
+    kind, shape, match = {
+        "count": ("linear", (3, 3, 5), "expected 2 heads, got 3"),
+        "way": ("linear", (2, 4, 5), "head is 4-way, expected 3"),
+        "width": (
+            "linear", (2, 3, 9), "head input dimension 8 does not match strategy requirement 4"
+        ),
+        "kind": ("cosine", (2, 3, 4), "expected 'linear' heads, got 'cosine'"),
+    }[case]
+    mi = MetaInit(kind, np.full(shape, 0.1))
+    X, y = ds.features[:6], np.array([0, 1, 2] * 2)
+    entries = [
+        lambda: predictor.validate_heads(mi.theta0),
+        lambda: fit_head(X, y, predictor, FitConfig(iterations=2), init=mi.theta0),
+    ]
+    if case != "kind":
+        entries += [
+            lambda: fit_stack(
+                predictor.support_inputs(X[None]), y[None], predictor, FitConfig(), [0], mi.theta
+            ),
+            lambda: evaluate_inits(ds, 3, 1, 2, predictor, [mi.theta], 0.01, 2, 2, 0),
+            lambda: meta_train(
+                ds, 3, 1, 2, cfg, replace(mi, tasks=2), kb, np.random.default_rng(0)
+            ),
+        ]
+    for entry in entries:
+        with pytest.raises(ValueError, match=match):
+            entry()
 
 
 def test_load_meta_bad_magic(tmp_path):
