@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +32,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import _check_count, _check_shape, episode_rng, run_arms, run_many
+from .episodes import _check_count, _check_shape, run_arms, run_many
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -95,20 +94,6 @@ def _load_features_any(path: str):
     if str(path).endswith(".csv"):
         return load_features_csv(path)
     return load_features(path)
-
-
-def _threads(args) -> int:
-    """``--threads``, else ``IFSL_THREADS``, else 1; a count below 1 is a config error."""
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env, source = os.environ.get("IFSL_THREADS"), "IFSL_THREADS"
-        try:
-            threads = 1 if env is None else int(env)
-        except ValueError:
-            raise ValueError(f"IFSL_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ValueError(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 def _adjustment(args) -> AdjustmentConfig:
@@ -182,16 +167,11 @@ def _episode_flags(p: argparse.ArgumentParser, default_episodes: int = 2000) -> 
         help="learning rate (default 1e-2 unadjusted, 5e-3 adjusted)",
     )
     p.add_argument("--weight-decay", type=float, default=1e-3)
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted for compatibility (falls back to IFSL_THREADS); episodes run serially",
-    )
 
 
 def cmd_episodes(args) -> int:
     started = time.perf_counter()
     # every check that needs no data comes before the files are read
-    _threads(args)  # validated for compatibility; episodes run serially
     adj = _adjustment(args)
     fit_cfg = _fit_config(args, args.adjust != "none")
     _check_count(args.episodes)
@@ -306,7 +286,6 @@ def cmd_synth(args) -> int:
     # every check that needs no data comes before the dataset is generated and written
     adj = _adjustment(args)
     base_fit, adj_fit = _fit_config(args, False), _fit_config(args, True)
-    _threads(args)  # validated for compatibility; episodes run serially
     _check_count(args.episodes)
     if args.bins < 0:
         raise ValueError(f"bin count must be >= 1, or 0 for no bins, got {args.bins}")
@@ -325,9 +304,9 @@ def cmd_synth(args) -> int:
     }
     sample = _ConfoundedSampler(out.novel, out.novel_strata,
                                 args.way, args.shot, args.query, args.mismatch)
-    # run_arms's first draw, made before out.kb fits the knowledge base: a
-    # cell too small for the episode shape is refused without that fit
-    sample(episode_rng(args.seed, 0))
+    # before out.kb fits the knowledge base, so a cell too small for any
+    # episode is refused without that fit
+    sample.check_cells(args.seed, args.episodes)
     arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
     (base_results, adj_results), _ = run_arms(sample, arms, out.kb, args.episodes, args.seed)
     # written only once every episode has run: a cell too small for an

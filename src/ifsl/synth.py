@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .adjust import AdjustmentConfig
-from .episodes import Episode, EpisodeResult, _check_shape, run_arms
+from .episodes import Episode, EpisodeResult, _check_shape, episode_rng, run_arms
 from .heads import FitConfig, _label_index, _Workspace, stack_sgd_step
 from .knowledge import FeatureDataset, KnowledgeBase
 
@@ -131,7 +131,7 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     its share of the rows, adds the weight decay once on the weight columns
     and steps theta. The split depends only on N, so the knowledge base
     depends only on the data: the same bits whatever the core count, the
-    BLAS threads or which block finishes first. With exact halves a block's
+    BLAS thread count or which block finishes first. With exact halves a block's
     scale 1/(N/2) times its share 1/2 is exactly 1/N, so a step differs from
     a one-block step only in summing dW and db over the rows as two partial
     sums.
@@ -207,7 +207,11 @@ class _ConfoundedSampler:
         self.rows = np.argsort(key.astype(np.min_scalar_type(cells - 1)), kind="stable")
         self.starts = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=cells))])
 
-    def __call__(self, rng: np.random.Generator) -> tuple[Episode, np.ndarray]:
+    def _plan(self, rng: np.random.Generator):
+        """What :meth:`__call__` draws from ``rng`` before any row: the
+        classes, the mismatch mask and the rows each (class, stratum) cell
+        gives. An episode that needs more rows of a cell than it holds is
+        refused."""
         way, shot, query, n_strata = self.way, self.shot, self.query, self.n_strata
         chosen = np.sort(rng.choice(self.novel.n_classes, size=way, replace=False))
         # spread assigned strata over a fresh permutation so collisions only occur
@@ -237,6 +241,21 @@ class _ConfoundedSampler:
                 f"class {at[c] // n_strata} stratum {at[c] % n_strata} holds {sizes[c]} "
                 f"samples, episode needs {need[c]}"
             )
+        return chosen, mismatch, cells, needed, own, first, sizes, need
+
+    def check_cells(self, seed: int, count: int) -> None:
+        """Refuse, drawing no row, the episodes ``run_arms(self, ..., count,
+        seed)`` would refuse. Plans none when the smallest cell holds the
+        most one episode can need of a cell: ``shot + query``, or
+        ``max(shot, query)`` when every query is mismatched."""
+        most = max(self.shot, self.query) if self.mismatch_rate == 1.0 else self.shot + self.query
+        if np.diff(self.starts).min() < most:
+            for i in range(count):
+                self._plan(episode_rng(seed, i))
+
+    def __call__(self, rng: np.random.Generator) -> tuple[Episode, np.ndarray]:
+        way, shot, query = self.way, self.shot, self.query
+        chosen, mismatch, cells, needed, own, first, sizes, need = self._plan(rng)
         drawn = self.rows[np.concatenate([
             lo + rng.choice(size, size=k, replace=False)
             for lo, size, k in zip(first.tolist(), sizes.tolist(), need.tolist())
@@ -290,8 +309,11 @@ def run_confounded(
 ) -> tuple[list[EpisodeResult], list[np.ndarray]]:
     """Evaluate ``count`` confounded episodes under per-index seed streams.
 
-    Also returns each episode's mismatch mask. ``threads`` is accepted for
-    compatibility; episodes run serially.
+    Also returns each episode's mismatch mask. ``threads`` is ignored:
+    episodes run serially, and the only thread the package starts is
+    ``fit_kb``'s worker. It stays only because the benchmark
+    (``perfbench/workloads.py``) passes it; ROADMAP item 3, which rewrites
+    that caller, removes it.
     """
     sample = _ConfoundedSampler(novel, strata_tags, way, shot, query, mismatch_rate)
     (results,), masks = run_arms(sample, [(classifier, adj_cfg, fit_cfg)], kb, count, seed)

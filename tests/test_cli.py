@@ -86,30 +86,19 @@ def test_rerun_is_byte_identical_outside_meta(data_dir, tmp_path):
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
-def test_thread_count_does_not_change_results(data_dir, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert _episodes(data_dir, a, ["--threads", "1"]) == 0
-    assert _episodes(data_dir, b, ["--threads", "8"]) == 0
-    assert _doc_sans_meta(a) == _doc_sans_meta(b)
-
-
-def test_env_thread_fallback(data_dir, tmp_path, monkeypatch):
+def test_ifsl_threads_environment_variable_is_ignored(data_dir, tmp_path, monkeypatch):
+    # no input names a thread count: IFSL_THREADS changes neither the exit code nor the report
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     monkeypatch.delenv("IFSL_THREADS", raising=False)
     assert _episodes(data_dir, a) == 0
-    monkeypatch.setenv("IFSL_THREADS", "4")
+    monkeypatch.setenv("IFSL_THREADS", "lots")
     assert _episodes(data_dir, b) == 0
     assert _doc_sans_meta(a) == _doc_sans_meta(b)
-    monkeypatch.setenv("IFSL_THREADS", "lots")
-    assert _episodes(data_dir, tmp_path / "c.json") == 2
-    monkeypatch.setenv("IFSL_THREADS", "0")
-    assert _episodes(data_dir, tmp_path / "d.json") == 2
-    assert not (tmp_path / "d.json").exists()
 
 
 @pytest.mark.parametrize("command, flags, message", [
-    ("episodes", ["--threads", "0"], "--threads must be >= 1, got 0"),
-    ("hardness", ["--threads", "-3"], "--threads must be >= 1, got -3"),
+    ("episodes", ["--threads", "1"], "unrecognized arguments: --threads 1"),
+    ("hardness", ["--threads", "1"], "unrecognized arguments: --threads 1"),
     ("hardness", ["--bins", "61"], "60 queries cannot fill 61 bins"),  # 5 * 3 * 4 queries
     ("hardness", ["--bins", "0"], "bin count must be >= 1, got 0"),
     ("episodes", ["--iterations", "-1"], "iterations must be >= 0, got -1"),
@@ -242,13 +231,21 @@ def test_missing_file_exits_1(data_dir, tmp_path):
     assert code == 1
 
 
-def test_argparse_rejection_exits_2(data_dir, tmp_path):
+def test_argparse_rejection_exits_2(data_dir, tmp_path, monkeypatch):
     assert main(["episodes", "--features", "x"]) == 2  # --kb missing
     assert main(["definitely-not-a-command"]) == 2
     # episodes has no hardness bins to write; --bins-csv belongs to hardness
     bins = tmp_path / "bins.csv"
     assert _episodes(data_dir, tmp_path / "r.json", ["--bins-csv", str(bins)]) == 2
     assert not bins.exists()
+    # synth takes no thread count; the flag is refused before any data is generated
+    def no_data(*args, **kwargs):
+        raise AssertionError("dataset generated")
+
+    monkeypatch.setattr("ifsl.cli.gen_confounded", no_data)
+    outdir = tmp_path / "gen"
+    assert main(["synth", "--out-dir", str(outdir), *SYNTH_ARGS, "--threads", "1"]) == 2
+    assert not outdir.exists()
 
 
 # --- scm queries -------------------------------------------------------------------
@@ -363,7 +360,7 @@ def test_synth_writes_artifacts_and_report(tmp_path, capsys):
     ["--adjust", "feature", "--strata", "5"],
     ["--weight-decay", "-1"],
     ["--threshold", "-1"],
-    ["--threads", "0"],
+    ["--mismatch", "1.5"],
     ["--bins", "100"],  # SYNTH_ARGS give 6 * 3 * 5 = 90 queries
 ])
 def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch, flags):
@@ -380,21 +377,29 @@ def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch
 
 def test_synth_short_cell_writes_no_files(tmp_path, capsys, monkeypatch):
     # 40 samples over 4 strata leave 10 per cell, fewer than a 1-shot
-    # 15-query episode can need; the first episode is drawn before the
-    # knowledge base is fitted, and the episodes run before any file is written
+    # 15-query episode can need; every episode's cells are checked before the
+    # knowledge base is fitted, so a short cell is refused before any file is
+    # written, in the first episode or in a later one (at mismatch 0.5 and
+    # 12 queries, episode 0 fits its cells)
     def no_fit(pretrain):
         raise AssertionError("the knowledge base was fitted")
 
     monkeypatch.setattr(ifsl.synth, "fit_kb", no_fit)
     outdir, report = tmp_path / "gen", tmp_path / "r.json"
-    code = main(
-        ["synth", "--out-dir", str(outdir), "--out", str(report), "--samples-per-class", "40",
-         "--conf-strata", "4", "--mismatch", "0", "--episodes", "5", "--bins", "0"]
-    )
-    assert code == 2
-    assert "class 4 stratum 3 holds 10 samples, episode needs 16" in capsys.readouterr().err
-    assert not outdir.exists()
-    assert not report.exists()
+    for flags, message in (
+        (["--mismatch", "0", "--episodes", "5"],
+         "class 4 stratum 3 holds 10 samples, episode needs 16"),
+        (["--mismatch", "0.5", "--episodes", "50", "--query", "12"],
+         "class 0 stratum 2 holds 10 samples, episode needs 11"),
+    ):
+        code = main(
+            ["synth", "--out-dir", str(outdir), "--out", str(report), "--samples-per-class",
+             "40", "--conf-strata", "4", "--bins", "0", *flags]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+        assert not report.exists()
 
 
 def test_synth_rerun_identical_outside_meta(tmp_path):

@@ -411,6 +411,60 @@ def test_indexed_sampler_equals_per_cell_scan(
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    layout=st.sampled_from(["round-robin", "uneven", "missing"]),
+    way=st.integers(2, 7),
+    shot=st.integers(1, 3),
+    query=st.integers(1, 12),
+    strata=st.integers(3, 5),
+    mismatch_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_cells_refuses_what_the_draws_refuse(
+    layout, way, shot, query, strata, mismatch_rate, seed
+):
+    # check_cells refuses a run, with the draw's message, exactly when one of
+    # its episodes finds a short cell
+    novel, tags = _TAGGED[strata] if layout == "round-robin" else _UNEVEN[layout, strata]
+    sample = ifsl.synth._ConfoundedSampler(novel, tags, way, shot, query, mismatch_rate)
+    try:
+        for i in range(6):
+            sample(episode_rng(seed, i))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            sample.check_cells(seed, 6)
+        assert str(raised.value) == str(exc)
+        return
+    sample.check_cells(seed, 6)
+
+
+def test_check_cells_plans_nothing_when_every_cell_suffices(small_out, monkeypatch):
+    # small_out holds 40 rows per cell: enough for any episode with
+    # shot + query <= 40, and at full mismatch for any with shot, query <= 40
+    planned = []
+    plan = ifsl.synth._ConfoundedSampler._plan
+
+    def counted(self, rng):
+        planned.append(rng)
+        return plan(self, rng)
+
+    monkeypatch.setattr(ifsl.synth._ConfoundedSampler, "_plan", counted)
+
+    def check(shot, query, rate):
+        planned.clear()
+        ifsl.synth._ConfoundedSampler(
+            small_out.novel, small_out.novel_strata, 2, shot, query, rate
+        ).check_cells(0, 3)
+
+    for shot, query, rate, plans in ((10, 30, 0.5, 0), (40, 40, 1.0, 0), (10, 31, 0.5, 3)):
+        check(shot, query, rate)
+        assert len(planned) == plans
+    with pytest.raises(ValueError, match="holds 40 samples, episode needs 41"):
+        check(10, 31, 0.0)
+    assert len(planned) == 1
+
+
 def test_negative_stratum_tags_are_refused(small_out):
     # a negative tag names no stratum (strata run 0..max): its rows were never
     # drawn, so such tags are refused rather than silently ignored; a tag
