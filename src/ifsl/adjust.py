@@ -123,7 +123,7 @@ class Predictor:
     def check_stack(self, kind: str, theta) -> None:
         """Refuse a stack of ``kind`` heads, (n, K, P+1) for linear heads and
         (n, K, P) otherwise, whose head count, kind, way or input width is
-        not this predictor's."""
+        not this predictor's, or which holds a non-finite entry."""
         shape = np.shape(theta)
         if len(shape) != 3:
             raise ValueError(f"a head stack is one (n, K, P') array, got shape {shape}")
@@ -140,6 +140,8 @@ class Predictor:
                 f"head input dimension {input_dim} does not match "
                 f"strategy requirement {self.head_input_dim}"
             )
+        if not np.isfinite(theta).all():
+            raise ValueError("matrix entries must be finite")
 
     def validate_heads(self, heads: Sequence[HeadParams]) -> None:
         self.check_stack(*stack_heads(heads))

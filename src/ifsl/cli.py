@@ -37,11 +37,12 @@ from .heads import FitConfig
 from .knowledge import (
     FormatError,
     PartitionConfig,
+    _write,
+    feature_parts,
+    kb_parts,
     load_features,
     load_features_csv,
     load_kb,
-    save_features,
-    save_kb,
 )
 from .meta import evaluate_inits, meta_bytes, meta_train, save_meta, zero_meta_init
 from .evalmetrics import (
@@ -309,14 +310,16 @@ def cmd_synth(args) -> int:
     sample.check_cells(args.seed, args.episodes)
     arms = [(args.classifier, AdjustmentConfig("none"), base_fit), (args.classifier, adj, adj_fit)]
     (base_results, adj_results), _ = run_arms(sample, arms, out.kb, args.episodes, args.seed)
-    # written only once every episode has run: a cell too small for an
-    # episode is a config error that leaves no half-written --out-dir
+    # encoded once every episode has run, and written once all are encoded: a
+    # cell too small for an episode, or a value beyond f32, is a config error
+    # that leaves no half-written --out-dir
+    files = {"pretrain.features": feature_parts(out.pretrain),
+             "novel.features": feature_parts(out.novel), "kb.bin": kb_parts(out.kb),
+             "synth.json": [(json.dumps(sidecar, sort_keys=True) + "\n").encode()]}
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_features(out.pretrain, outdir / "pretrain.features")
-    save_features(out.novel, outdir / "novel.features")
-    save_kb(out.kb, outdir / "kb.bin")
-    (outdir / "synth.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    for fname, parts in files.items():
+        _write(outdir / fname, parts)
     base_rep = accuracy_report(base_results)
     adj_rep = accuracy_report(adj_results)
     if args.bins:

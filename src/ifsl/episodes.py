@@ -37,10 +37,7 @@ class Episode:
     query_idx: np.ndarray
 
     def __post_init__(self):
-        if self.way < 2:
-            raise ValueError(f"episodes need at least 2 classes, got way={self.way}")
-        if self.shot < 1 or self.query_per_class < 1:
-            raise ValueError("shot and query_per_class must be >= 1")
+        _check_shape(None, self.way, self.shot, self.query_per_class)
         sx = as_matrix(self.support_x, rows=self.way * self.shot)
         qx = as_matrix(self.query_x, rows=self.way * self.query_per_class, cols=sx.shape[1])
         sy = np.asarray(self.support_y, dtype=np.int64)

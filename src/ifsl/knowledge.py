@@ -1,7 +1,8 @@
 """Pre-trained knowledge and datasets: class statistics, feature strata, file I/O.
 
 Binary formats are little-endian with fixed magics so loaders can fail fast
-and name the exact byte offset of the first problem.
+and name the exact byte offset of the first problem. The rules all three formats
+share live here, :mod:`ifsl.meta`'s included: prologue, exact length, f32 payload.
 """
 
 from __future__ import annotations
@@ -23,7 +24,42 @@ _KB_HEADER = struct.Struct("<II")  # dim, m
 
 
 class FormatError(Exception):
-    """A feature / knowledge-base file is malformed."""
+    """A feature / knowledge-base / meta-initialization file is malformed."""
+
+
+def _read_prologue(path, magic: bytes, header: struct.Struct) -> tuple[bytes, str, tuple]:
+    """A binary file's bytes, name and header fields (at byte 8), its magic checked."""
+    raw, name = Path(path).read_bytes(), str(path)
+    if len(raw) < 8 or raw[:8] != magic:
+        raise FormatError(f"{name}: bad magic at byte 0, expected {magic!r}")
+    if len(raw) < 8 + header.size:
+        raise FormatError(f"{name}: truncated header at byte {len(raw)}")
+    return raw, name, header.unpack_from(raw, 8)
+
+
+def _check_length(raw: bytes, name: str, expected: int, layout: str = "") -> None:
+    if len(raw) != expected:
+        raise FormatError(
+            f"{name}: expected {expected} bytes{layout}, found {len(raw)} "
+            f"(payload ends at byte {len(raw)})"
+        )
+
+
+def _check_f32(what: str, *arrays: np.ndarray) -> None:
+    """Refuse, with a ValueError, an empty payload or a value that rounds to a
+    non-finite f32; rounding is monotonic, so each array's extremes decide."""
+    if not all(a.size for a in arrays):
+        raise ValueError("zero feature dimension")
+    with np.errstate(over="ignore"):  # the overflow is the refusal below
+        ends = np.float32([f(a) for a in arrays for f in (np.min, np.max)])
+    if not np.isfinite(ends).all():
+        raise ValueError(f"every {what} must be finite once rounded to f32")
+
+
+def _write(path, parts) -> None:
+    """Write the parts (bytes or arrays) of an encoder, which has refused first."""
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 @dataclass(frozen=True)
@@ -146,29 +182,26 @@ def pretrain_probs(kb: KnowledgeBase, X) -> np.ndarray:
 # --- binary feature files ---------------------------------------------------
 
 
-def save_features(ds: FeatureDataset, path) -> None:
-    """Write a dataset as magic/header plus per-sample (u32 label, dim x f32) records."""
+def feature_parts(ds: FeatureDataset) -> tuple[bytes, np.ndarray]:
+    """Magic and header, then the per-sample (u32 label, dim x f32) records, that
+    :func:`save_features` writes; ValueError for a dataset its loader would refuse."""
+    _check_f32("feature value", ds.features)
     rec = np.dtype([("label", "<u4"), ("feat", "<f4", (ds.dim,))])
     out = np.empty(ds.n_samples, dtype=rec)
     # field assignment casts in small buffered blocks, so no full-size
     # f32 copy is made, and the records go to the file without a bytes copy
     out["label"] = ds.labels
     out["feat"] = ds.features
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(_FEATURE_HEADER.pack(ds.dim, ds.n_classes, ds.n_samples))
-        fh.write(out)
+    return FEATURE_MAGIC + _FEATURE_HEADER.pack(ds.dim, ds.n_classes, ds.n_samples), out
+
+
+def save_features(ds: FeatureDataset, path) -> None:
+    _write(path, feature_parts(ds))
 
 
 def load_features(path) -> FeatureDataset:
-    raw = Path(path).read_bytes()
-    name = str(path)
-    if len(raw) < 8 or raw[:8] != FEATURE_MAGIC:
-        raise FormatError(f"{name}: bad magic at byte 0, expected {FEATURE_MAGIC!r}")
+    raw, name, (dim, n_classes, n_samples) = _read_prologue(path, FEATURE_MAGIC, _FEATURE_HEADER)
     header_end = 8 + _FEATURE_HEADER.size
-    if len(raw) < header_end:
-        raise FormatError(f"{name}: truncated header at byte {len(raw)}")
-    dim, n_classes, n_samples = _FEATURE_HEADER.unpack_from(raw, 8)
     if dim == 0:
         raise FormatError(f"{name}: zero feature dimension at byte 8")
     if n_classes == 0:
@@ -177,12 +210,10 @@ def load_features(path) -> FeatureDataset:
         raise FormatError(f"{name}: zero sample count at byte 16")
     # sizes in Python integers: a huge dim must fail here, not in numpy
     record = 4 + 4 * dim  # u32 label, then dim x f32
-    expected = header_end + n_samples * record
-    if len(raw) != expected:
-        raise FormatError(
-            f"{name}: expected {expected} bytes for {n_samples} records of dimension {dim} "
-            f"(header at byte 8), found {len(raw)} (payload ends at byte {len(raw)})"
-        )
+    _check_length(
+        raw, name, header_end + n_samples * record,
+        f" for {n_samples} records of dimension {dim} (header at byte 8)",
+    )
     words = np.frombuffer(raw, dtype="<u4", offset=header_end).reshape(n_samples, 1 + dim)
     labels = words[:, 0].astype(np.int64)
     bad = np.flatnonzero(labels >= n_classes)
@@ -207,34 +238,27 @@ def load_features(path) -> FeatureDataset:
 # --- binary knowledge-base files --------------------------------------------
 
 
+def kb_parts(kb: KnowledgeBase) -> tuple:
+    """Magic and header, then f32 class means, weights and bias, that :func:`save_kb`
+    writes; ValueError for a knowledge base its loader would refuse."""
+    arrays = (kb.class_means, kb.pre_weights, kb.pre_bias)
+    _check_f32("knowledge-base value", *arrays)
+    header = KB_MAGIC + _KB_HEADER.pack(kb.dim, kb.m)
+    return (header, *(a.astype("<f4", order="C") for a in arrays))
+
+
 def save_kb(kb: KnowledgeBase, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(KB_MAGIC)
-        fh.write(_KB_HEADER.pack(kb.dim, kb.m))
-        fh.write(kb.class_means.astype("<f4").tobytes())
-        fh.write(kb.pre_weights.astype("<f4").tobytes())
-        fh.write(kb.pre_bias.astype("<f4").tobytes())
+    _write(path, kb_parts(kb))
 
 
 def load_kb(path) -> KnowledgeBase:
-    raw = Path(path).read_bytes()
-    name = str(path)
-    if len(raw) < 8 or raw[:8] != KB_MAGIC:
-        raise FormatError(f"{name}: bad magic at byte 0, expected {KB_MAGIC!r}")
+    raw, name, (dim, m) = _read_prologue(path, KB_MAGIC, _KB_HEADER)
     header_end = 8 + _KB_HEADER.size
-    if len(raw) < header_end:
-        raise FormatError(f"{name}: truncated header at byte {len(raw)}")
-    dim, m = _KB_HEADER.unpack_from(raw, 8)
     if dim == 0:
         raise FormatError(f"{name}: zero feature dimension at byte 8")
     if m == 0:
         raise FormatError(f"{name}: zero class count at byte 12")
-    expected = header_end + 4 * (2 * m * dim + m)
-    if len(raw) != expected:
-        raise FormatError(
-            f"{name}: expected {expected} bytes for dim={dim} m={m}, "
-            f"found {len(raw)} (payload ends at byte {len(raw)})"
-        )
+    _check_length(raw, name, header_end + 4 * (2 * m * dim + m), f" for dim={dim} m={m}")
     flat = np.frombuffer(raw, dtype="<f4", count=2 * m * dim + m, offset=header_end)
     nonfinite = np.flatnonzero(~np.isfinite(flat))
     if nonfinite.size:

@@ -14,9 +14,8 @@ through one inner and one outer workspace, each bound once to the task's
 copy of that stack, with the fitting loop of :func:`~ifsl.heads.fit_stack`.
 Held-out evaluation builds each chunk's stratum inputs once, then fits and
 scores the chunk from every initialization with the routine that scores
-the engine's arms. :func:`save_meta` refuses, before it opens the file, any
-initialization that :func:`load_meta` would reject. ``Predictor.check_stack``
-refuses a start of another width, way or head count, rather than misread it.
+the engine's arms. ``Predictor.check_stack`` refuses a start of another
+width, way or head count, rather than misread it.
 Lists of :class:`~ifsl.heads.HeadParams` remain only where
 ``perfbench/workloads.py`` reads them (ROADMAP items 3-4):
 ``MetaInit.theta0``, ``copy_theta``, ``replace_theta``, ``adapt``.
@@ -28,7 +27,6 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from itertools import repeat
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,9 +46,14 @@ from .heads import (
     stack_heads,
     stack_sgd_step,
 )
-from .knowledge import FeatureDataset, FormatError, KnowledgeBase
+from .knowledge import (
+    FeatureDataset, FormatError, KnowledgeBase, _check_f32, _check_length, _read_prologue, _write
+)
 
 META_MAGIC = b"IFSLMET1"
+# head kind, n_heads, way, input_dim at byte 8; inner_lr, outer_lr, inner_steps, tasks at 24
+_HEADER = struct.Struct("<IIIIffII")
+_PAYLOAD = 8 + _HEADER.size  # the f32 payload starts at byte 40
 _KIND_CODES = {"linear": 0, "cosine": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -238,12 +241,8 @@ def meta_bytes(mi: MetaInit) -> bytes:
     to f32 (``inner_lr=1e-50`` becomes 0), a step or task count outside the
     header's unsigned 32-bit fields, or a weight that overflows f32.
     """
-    W, b = _split(mi.kind, mi.theta)
-    n, way, dim = W.shape
-    parts = (W.reshape(n, -1),) + (() if b is None else (b,))
-    with np.errstate(over="ignore"):  # what overflows f32 is refused below
+    with np.errstate(over="ignore"):  # a rate that overflows f32 is refused below
         inner_lr, outer_lr = (float(np.float32(r)) for r in (mi.inner_lr, mi.outer_lr))
-        payload = np.concatenate(parts, axis=1).astype("<f4")
     if not (math.isfinite(inner_lr) and inner_lr > 0.0):
         raise ValueError(
             f"inner_lr={mi.inner_lr!r} is stored as the f32 {inner_lr!r}, "
@@ -257,33 +256,24 @@ def meta_bytes(mi: MetaInit) -> bytes:
     for name, count in (("inner_steps", mi.inner_steps), ("tasks", mi.tasks)):
         if not 0 <= count <= 0xFFFFFFFF:
             raise ValueError(f"{name}={count} does not fit the file's unsigned 32-bit field")
-    if not np.isfinite(payload).all():
-        raise ValueError("every weight must be finite once rounded to f32")
-    return (
-        META_MAGIC
-        + struct.pack("<IIII", _KIND_CODES[mi.kind], n, way, dim)
-        + struct.pack("<ffII", inner_lr, outer_lr, mi.inner_steps, mi.tasks)
-        + payload.tobytes()
-    )
+    _check_f32("weight", mi.theta)
+    W, b = _split(mi.kind, mi.theta)
+    n, way, dim = W.shape
+    parts = (W.reshape(n, -1),) + (() if b is None else (b,))
+    header = (_KIND_CODES[mi.kind], n, way, dim, inner_lr, outer_lr, mi.inner_steps, mi.tasks)
+    payload = np.concatenate(parts, axis=1).astype("<f4")
+    return META_MAGIC + _HEADER.pack(*header) + payload.tobytes()
 
 
 def save_meta(mi: MetaInit, path) -> None:
     """Write ``mi`` as :func:`meta_bytes`; raises its ValueError before the
     file is opened, so a refused initialization leaves no file behind."""
-    blob = meta_bytes(mi)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    _write(path, [meta_bytes(mi)])
 
 
 def load_meta(path):
-    raw = Path(path).read_bytes()
-    name = str(path)
-    if len(raw) < 8 or raw[:8] != META_MAGIC:
-        raise FormatError(f"{name}: bad magic at byte 0, expected {META_MAGIC!r}")
-    if len(raw) < 8 + 16 + 16:
-        raise FormatError(f"{name}: truncated header at byte {len(raw)}")
-    kind_code, n_heads, way, dim = struct.unpack_from("<IIII", raw, 8)
-    inner_lr, outer_lr, inner_steps, tasks = struct.unpack_from("<ffII", raw, 24)
+    raw, name, header = _read_prologue(path, META_MAGIC, _HEADER)
+    kind_code, n_heads, way, dim, inner_lr, outer_lr, inner_steps, tasks = header
     if kind_code not in _KIND_NAMES:
         raise FormatError(f"{name}: unknown head kind code {kind_code} at byte 8")
     if n_heads == 0 or way < 2 or dim == 0:
@@ -294,18 +284,13 @@ def load_meta(path):
         raise FormatError(f"{name}: outer_lr {outer_lr!r} must be finite and >= 0 at byte 28")
     kind = _KIND_NAMES[kind_code]
     per_head = way * dim + (way if kind == "linear" else 0)
-    expected = 40 + 4 * n_heads * per_head
-    if len(raw) != expected:
-        raise FormatError(
-            f"{name}: expected {expected} bytes, found {len(raw)} "
-            f"(payload ends at byte {len(raw)})"
-        )
-    payload = np.frombuffer(raw, dtype="<f4", offset=40).astype(np.float64)
+    _check_length(raw, name, _PAYLOAD + 4 * n_heads * per_head)
+    payload = np.frombuffer(raw, dtype="<f4", offset=_PAYLOAD).astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(payload))
     if bad.size:  # the first in file order, named with the byte where its W or b ends
         head, at = divmod(int(bad[0]), per_head)
         part, end = ("weight", way * dim) if at < way * dim else ("bias", per_head)
-        byte = 40 + 4 * (head * per_head + end)
+        byte = _PAYLOAD + 4 * (head * per_head + end)
         raise FormatError(f"{name}: non-finite {part} in payload before byte {byte}")
     payload = payload.reshape(n_heads, per_head)
     theta = payload[:, : way * dim].reshape(n_heads, way, dim)

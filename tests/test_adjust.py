@@ -13,11 +13,12 @@ from ifsl.adjust import (
     class_context,
     nwgm,
 )
-from ifsl.heads import HeadParams, init_heads, logits_batch
+from ifsl.heads import FitConfig, HeadParams, fit_head, fit_stack, init_heads, logits_batch
 from ifsl.knowledge import KnowledgeBase, PartitionConfig
+from ifsl.meta import evaluate_inits, meta_train, zero_meta_init
 from ifsl.numerics import softmax, softmax_rows
 
-from conftest import make_kb, reference_inputs
+from conftest import make_blob_dataset, make_kb, reference_inputs
 
 
 def _head_probs(h: HeadParams, z: np.ndarray) -> np.ndarray:
@@ -209,6 +210,37 @@ def test_predictor_validates_head_shapes(kb16):
     wrong_dim = [HeadParams("linear", W=np.zeros((3, 5)), b=np.zeros(3)) for _ in range(4)]
     with pytest.raises(ValueError, match="input dim"):
         p.probs_batch(wrong_dim, np.zeros((1, 16)))
+
+
+@pytest.mark.parametrize("entry", [
+    "check_stack", "validate_heads", "fit_stack", "fit_head", "evaluate_inits", "meta_train",
+])
+def test_a_non_finite_head_stack_is_refused(entry):
+    # every entry point that takes a start stack refuses NaN, as MetaInit does,
+    # rather than adapt from it and score chance accuracy
+    ds = make_blob_dataset(n_classes=5, per_class=6, dim=4, seed=3)
+    p = Predictor(AdjustmentConfig("none"), None, 4, 5, "linear")
+    stack = np.full((1, 5, 5), np.nan)
+    heads = [HeadParams("linear", np.zeros((5, 4)), np.zeros(5))]
+    heads[0].theta[0, 0] = np.nan  # HeadParams(...) refuses NaN; a later write does not
+    mi = zero_meta_init(5, 4, tasks=2)
+    mi.theta[0, 0, 0] = np.nan
+    cfg = FitConfig(iterations=2, batch_size=None, learning_rate=0.01, weight_decay=0.0)
+    support_x, support_y = ds.features[:5], np.arange(5)
+    calls = {
+        "check_stack": lambda: p.check_stack("linear", stack),
+        "validate_heads": lambda: p.validate_heads(heads),
+        "fit_stack": lambda: fit_stack(
+            p.support_inputs(support_x[None]), support_y[None], p, cfg, [0], init=stack
+        ),
+        "fit_head": lambda: fit_head(support_x, support_y, p, cfg, init=heads),
+        "evaluate_inits": lambda: evaluate_inits(ds, 5, 1, 5, p, [stack], 0.01, 5, 8, 0),
+        "meta_train": lambda: meta_train(
+            ds, 5, 1, 1, AdjustmentConfig("none"), mi, None, np.random.default_rng(0)
+        ),
+    }
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        calls[entry]()
 
 
 def test_predictor_rejects_unknown_head_kind(kb16):

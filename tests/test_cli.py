@@ -402,6 +402,20 @@ def test_synth_short_cell_writes_no_files(tmp_path, capsys, monkeypatch):
         assert not report.exists()
 
 
+def test_synth_value_beyond_f32_writes_no_files(tmp_path, capsys):
+    # beta 1e40 gives features and a knowledge base beyond f32, which the
+    # loaders would refuse; every file is encoded before --out-dir is made
+    outdir, report = tmp_path / "gen", tmp_path / "r.json"
+    code = main(
+        ["synth", "--out-dir", str(outdir), "--out", str(report), "--beta", "1e40",
+         "--samples-per-class", "80", "--mismatch", "1.0", "--episodes", "2", "--bins", "0"]
+    )
+    assert code == 2
+    assert "must be finite once rounded to f32" in capsys.readouterr().err
+    assert not outdir.exists()
+    assert not report.exists()
+
+
 def test_synth_rerun_identical_outside_meta(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synth", "--out-dir", str(tmp_path / "g1"), "--out", str(a), *SYNTH_ARGS]) == 0

@@ -100,6 +100,20 @@ def test_episode_validation():
         Episode(**{**kwargs, "query_y": np.array([0, 0, 1, 2])})
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((1, 2, 2), "episodes need at least 2 classes, got way=1"),
+    ((2, 0, 2), "shot and query counts must be >= 1"),
+    ((2, 2, 0), "shot and query counts must be >= 1"),
+])
+def test_episode_shape_is_refused_as_the_samplers_refuse_it(shape, message):
+    # Episode(...) and the samplers share one shape rule, and so its messages
+    way, shot, query = shape
+    X = np.zeros((max(way * shot, 1), 3))
+    with pytest.raises(ValueError, match=message):
+        Episode(way, shot, query, X, np.zeros(len(X)), X, np.zeros(len(X)),
+                np.arange(way), np.arange(len(X)), np.arange(len(X), 2 * len(X)))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
     way=st.integers(2, 8), shot=st.integers(1, 5), query=st.integers(1, 6),
