@@ -34,7 +34,6 @@ from .episodes import (
     episode_hardness,
     episode_rng,
     run_episode,
-    run_many,
     sample_episode,
 )
 from .heads import (

@@ -21,7 +21,7 @@ evidence for a class. A head U on x - m * ctx is the head [U, -m * U] on
 strategies scale their weight decay by :attr:`Predictor.weight_decay_scale`.
 
 A :class:`Predictor` fixes its heads' count, kind, way and input width;
-:meth:`Predictor.check_stack` alone checks a head stack against them.
+:meth:`Predictor.check_stack` checks a head stack against them.
 """
 
 from __future__ import annotations

@@ -76,7 +76,8 @@ class Dag:
         return ns
 
 
-def _closure(g: Dag, seeds: frozenset[str], step) -> frozenset[str]:
+def _closure(seeds: frozenset[str], step) -> frozenset[str]:
+    """``seeds`` and every node reached from them through ``step(node)``, breadth first."""
     out = set(seeds)
     frontier = deque(seeds)
     while frontier:
@@ -91,13 +92,13 @@ def _closure(g: Dag, seeds: frozenset[str], step) -> frozenset[str]:
 def ancestors(g: Dag, nodes, inclusive: bool = False) -> frozenset[str]:
     """Strict ancestors of the given nodes (include them with ``inclusive``)."""
     seeds = g.require(nodes)
-    closed = _closure(g, seeds, g.parents)
+    closed = _closure(seeds, g.parents)
     return closed if inclusive else closed - seeds
 
 
 def descendants(g: Dag, nodes, inclusive: bool = False) -> frozenset[str]:
     seeds = g.require(nodes)
-    closed = _closure(g, seeds, g.children)
+    closed = _closure(seeds, g.children)
     return closed if inclusive else closed - seeds
 
 
@@ -126,32 +127,20 @@ def d_separated(g: Dag, xs, ys, zs=()) -> bool:
     if not X or not Y:
         return True
     keep = ancestors(g, X | Y | Z, inclusive=True)
-    undirected: dict[str, set[str]] = {n: set() for n in keep}
-    sub_edges = [(a, b) for a, b in g.edges if a in keep and b in keep]
-    for a, b in sub_edges:
-        undirected[a].add(b)
-        undirected[b].add(a)
-    # moralize: connect every pair of parents that share a child
+    moral: dict[str, set[str]] = {n: set() for n in keep}
     parents_of: dict[str, list[str]] = {n: [] for n in keep}
-    for a, b in sub_edges:
-        parents_of[b].append(a)
-    for child, ps in parents_of.items():
+    for a, b in g.edges:
+        if b in keep:  # a parent of a kept node is kept
+            moral[a].add(b)
+            moral[b].add(a)
+            parents_of[b].append(a)
+    # moralize: connect every pair of parents that share a child
+    for ps in parents_of.values():
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
-                undirected[ps[i]].add(ps[j])
-                undirected[ps[j]].add(ps[i])
-    blocked = Z
-    frontier = deque(X - blocked)
-    reached = set(frontier)
-    while frontier:
-        n = frontier.popleft()
-        if n in Y:
-            return False
-        for nxt in undirected[n]:
-            if nxt not in reached and nxt not in blocked:
-                reached.add(nxt)
-                frontier.append(nxt)
-    return True
+                moral[ps[i]].add(ps[j])
+                moral[ps[j]].add(ps[i])
+    return not (_closure(X, lambda n: moral[n] - Z) & Y)
 
 
 def rule_condition(g: Dag, rule: int, x, y, z, w=()) -> bool:

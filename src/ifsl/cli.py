@@ -32,7 +32,7 @@ from .causal_graph import (
     is_instrumental,
     rule_condition,
 )
-from .episodes import _check_count, _check_shape, run_arms, run_many
+from .episodes import _check_count, _check_shape, run_arms, sample_episode
 from .heads import FitConfig
 from .knowledge import (
     FormatError,
@@ -182,9 +182,9 @@ def cmd_episodes(args) -> int:
         check_bins(args.episodes * args.way * args.query, args.bins)
     ds = _load_features_any(args.features)
     kb = load_kb(args.kb)
-    results = run_many(
-        ds, args.way, args.shot, args.query, args.episodes, args.classifier,
-        adj, fit_cfg, kb, args.seed,
+    (results,), _ = run_arms(
+        lambda rng: (sample_episode(ds, args.way, args.shot, args.query, rng), None),
+        [(args.classifier, adj, fit_cfg)], kb, args.episodes, args.seed,
     )
     rep = accuracy_report(results)
     if hardness:

@@ -204,7 +204,8 @@ def _hardness(chunk: _Chunk, kb: KnowledgeBase) -> np.ndarray:
 
 def episode_hardness(ep: Episode, kb: KnowledgeBase) -> np.ndarray:
     """Hardness of every query: disagreement between its pre-trained response
-    and the averaged pre-trained responses of its class's support samples."""
+    and the averaged pre-trained responses of its class's support samples.
+    It stays only because ``perfbench/workloads.py`` imports it (ROADMAP items 3-4)."""
     (chunk,) = _chunks(lambda _: ep, 1)
     return _hardness(chunk, kb)[0]
 
@@ -268,7 +269,8 @@ def run_episode(
     fit_cfg: FitConfig,
     kb: KnowledgeBase,
 ) -> EpisodeResult:
-    """Fit (if parametric) and evaluate one episode; deterministic given configs."""
+    """Fit (if parametric) and evaluate one episode; deterministic given configs.
+    It stays only because ``perfbench/workloads.py`` imports it (ROADMAP items 3-4)."""
     (chunk,) = _chunks(lambda _: ep, 1)
     return _evaluate(chunk, [(classifier, adj_cfg, fit_cfg)], kb, [fit_cfg.seed])[0][0]
 
@@ -315,24 +317,3 @@ def run_arms(
         for results, chunk_results in zip(per_arm, _evaluate(chunk, arms, kb, seeds)):
             results.extend(chunk_results)
     return per_arm, extras
-
-
-def run_many(
-    ds: FeatureDataset,
-    way: int,
-    shot: int,
-    query: int,
-    count: int,
-    classifier: str,
-    adj_cfg: AdjustmentConfig,
-    fit_cfg: FitConfig,
-    kb: KnowledgeBase,
-    seed: int,
-) -> list[EpisodeResult]:
-    """Sample and evaluate ``count`` episodes under per-index seed streams."""
-
-    def sample(rng: np.random.Generator) -> tuple[Episode, None]:
-        return sample_episode(ds, way, shot, query, rng), None
-
-    (results,), _ = run_arms(sample, [(classifier, adj_cfg, fit_cfg)], kb, count, seed)
-    return results

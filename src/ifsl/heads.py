@@ -668,12 +668,14 @@ def fit_head(
     (1, n, K, P+1) stack for linear heads ((1, n, K, P) for cosine heads),
     and a mini-batch is one index into the (1, n, S, P) input stack. Fresh
     heads start as in :func:`init_stack`; a supplied ``init`` is used as
-    given. Deterministic for a fixed ``cfg.seed``.
+    given, once its kind and then :func:`fit_stack` have checked it.
+    Deterministic for a fixed ``cfg.seed``.
     """
     start = None
     if init is not None:
         kind, start = stack_heads(init)
-        predictor.check_stack(kind, start)
+        if kind != predictor.head_kind:  # a centroid stack has a cosine stack's width
+            raise ValueError(f"expected {predictor.head_kind!r} heads, got {kind!r}")
     callback = None if loss_callback is None else lambda it, loss: loss_callback(it, float(loss[0]))
     theta = fit_stack(
         predictor.support_inputs(np.asarray(support_x)[None]), np.asarray(support_y)[None],

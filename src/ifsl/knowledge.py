@@ -46,10 +46,8 @@ def _check_length(raw: bytes, name: str, expected: int, layout: str = "") -> Non
 
 
 def _check_f32(what: str, *arrays: np.ndarray) -> None:
-    """Refuse, with a ValueError, an empty payload or a value that rounds to a
-    non-finite f32; rounding is monotonic, so each array's extremes decide."""
-    if not all(a.size for a in arrays):
-        raise ValueError("zero feature dimension")
+    """Refuse, with a ValueError, a value that rounds to a non-finite f32;
+    rounding is monotonic, so each array's extremes decide."""
     with np.errstate(over="ignore"):  # the overflow is the refusal below
         ends = np.float32([f(a) for a in arrays for f in (np.min, np.max)])
     if not np.isfinite(ends).all():
@@ -95,6 +93,8 @@ class KnowledgeBase:
         m, dim = means.shape
         if m < 1:
             raise ValueError("knowledge base needs at least one class")
+        if dim < 1:
+            raise ValueError("zero feature dimension")
         weights = as_matrix(self.pre_weights, rows=m, cols=dim)
         bias = as_vector(self.pre_bias, size=m)
         object.__setattr__(self, "class_means", means)
@@ -120,6 +120,8 @@ class FeatureDataset:
 
     def __post_init__(self):
         feats = as_matrix(self.features)
+        if feats.shape[1] < 1:
+            raise ValueError("zero feature dimension")
         # an owned, read-only copy: the per-class index below must not go stale
         labels = np.array(self.labels, dtype=np.int64)
         labels.flags.writeable = False

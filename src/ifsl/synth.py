@@ -287,7 +287,8 @@ def sample_confounded_episode(
     are non-negative; strata run 0..max(tag). Each (class, stratum) cell
     the episode needs is drawn by one ``rng.choice`` without replacement, in
     (class, stratum) order. Returns the episode plus a boolean mask marking
-    mismatched queries.
+    mismatched queries. It stays only because ``perfbench/workloads.py``
+    imports it (ROADMAP items 3-4).
     """
     return _ConfoundedSampler(novel, strata_tags, way, shot, query, mismatch_rate)(rng)
 

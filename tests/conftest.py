@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from ifsl.episodes import Episode
+from ifsl.episodes import Episode, sample_episode
 from ifsl.heads import HeadParams
 from ifsl.knowledge import FeatureDataset, KnowledgeBase
 from ifsl.numerics import softmax_rows
@@ -119,6 +119,11 @@ def reference_inputs(predictor, x) -> list:
     if strategy == "feature":
         return [stratum(x, i) for i in range(n)]
     return [stratum(x, i) - kb.m * stratum(ctx, i) for i in range(n)]
+
+
+def plain_sampler(ds, way, shot, query):
+    """A ``run_arms`` sampler of ``sample_episode`` episodes, with no extra output."""
+    return lambda rng: (sample_episode(ds, way, shot, query, rng), None)
 
 
 def check_sampled_episode(ep, ds, way, shot, query):

@@ -1,5 +1,6 @@
-"""Graph surgery, d-separation against a path-enumeration oracle, and the
-rewrite-condition / instrument / adjustment-set checks."""
+"""Graph surgery, d-separation against a path-enumeration oracle and a
+Bayes-ball reference, and the rewrite-condition / instrument / adjustment-set
+checks."""
 
 import itertools
 
@@ -106,6 +107,89 @@ def test_d_separation_matches_path_enumeration_oracle():
         # symmetry in the two endpoint sets
         assert d_separated(g, y, x, z) == got
     assert not mismatches, mismatches[:3]
+
+
+# --- Bayes-ball reference --------------------------------------------------------
+#
+# Reachability along active trails (Shachter 1998; Koller & Friedman, Alg. 3.1),
+# built from the edge list alone: a ball passes a node it reached from a child
+# unless the node is observed, and one it reached from a parent on to the
+# children unless observed, or back up to the parents when the node has an
+# observed descendant (it is an ancestor of Z). Linear in the graph, so it
+# reaches graph sizes that path enumeration cannot.
+
+
+def bayes_ball_d_separated(g, xs, ys, zs):
+    parents = {n: set() for n in g.nodes}
+    children = {n: set() for n in g.nodes}
+    for a, b in g.edges:
+        parents[b].add(a)
+        children[a].add(b)
+    observed = set(zs)
+    above_z, stack = set(observed), list(observed)  # Z and its ancestors
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in above_z:
+                above_z.add(p)
+                stack.append(p)
+    up, down = "from child", "from parent"
+    visited, reached = set(), set()
+    pending = [(x, up) for x in xs]
+    while pending:
+        node, came = pending.pop()
+        if (node, came) in visited:
+            continue
+        visited.add((node, came))
+        if node not in observed:
+            reached.add(node)
+        if came == up and node not in observed:
+            pending += [(p, up) for p in parents[node]]
+            pending += [(c, down) for c in children[node]]
+        elif came == down:
+            if node not in observed:
+                pending += [(c, down) for c in children[node]]
+            if node in above_z:
+                pending += [(p, up) for p in parents[node]]
+    return not (reached & set(ys))
+
+
+def _random_large_instance(rng):
+    n = int(rng.integers(20, 61))
+    names = [f"v{i}" for i in range(n)]
+    order = rng.permutation(n)
+    # about one parent per node on average, whatever n
+    p = 2.0 / n
+    edges = [
+        (names[order[i]], names[order[j]])
+        for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    ]
+    pool = [str(v) for v in rng.permutation(names)]
+    nx, ny = (int(k) for k in rng.integers(1, 4, size=2))
+    nz = int(rng.integers(0, 7))
+    return (
+        Dag.from_edges(names, edges),
+        pool[:nx], pool[nx : nx + ny], pool[nx + ny : nx + ny + nz],
+    )
+
+
+def test_d_separation_matches_bayes_ball_on_large_random_dags():
+    rng = np.random.default_rng(2025)
+    verdicts = []
+    for trial in range(300):
+        g, x, y, z = _random_large_instance(rng)
+        for a, b in ((x, y), (y, x)):
+            got, want = d_separated(g, a, b, z), bayes_ball_d_separated(g, a, b, z)
+            assert got == want, (trial, sorted(g.edges), a, b, z, got, want)
+        verdicts.append(got)
+    # both verdicts occur often, so neither side can pass by answering one way
+    assert 60 < sum(verdicts) < 240, sum(verdicts)
+
+
+def test_bayes_ball_reference_matches_path_enumeration():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        g, x, y, z = _random_instance(rng)
+        assert bayes_ball_d_separated(g, x, y, z) == oracle_d_separated(g, x, y, z)
 
 
 # --- worked examples ----------------------------------------------------------------

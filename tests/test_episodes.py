@@ -17,14 +17,19 @@ from ifsl.episodes import (
     derived_fit_seed,
     run_arms,
     run_episode,
-    run_many,
     sample_episode,
 )
 from ifsl.heads import FitConfig
 from ifsl.evalmetrics import query_hardness
 from ifsl.knowledge import KnowledgeBase, pretrain_logits
 
-from conftest import check_sampled_episode, make_blob_dataset, make_kb, reference_hardness
+from conftest import (
+    check_sampled_episode,
+    make_blob_dataset,
+    make_kb,
+    plain_sampler,
+    reference_hardness,
+)
 
 
 @pytest.fixture
@@ -132,7 +137,8 @@ def test_nan_written_after_construction_is_still_rejected(kb):
     ds.features[:, 3] = np.nan
     for classifier in ("linear", "centroid"):
         with pytest.raises(ValueError, match="finite"):
-            run_many(ds, 3, 1, 2, 2, classifier, AdjustmentConfig("none"), FitConfig(), kb, seed=0)
+            run_arms(plain_sampler(ds, 3, 1, 2), [(classifier, AdjustmentConfig("none"), FitConfig())],
+                     kb, 2, 0)
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -314,12 +320,13 @@ def test_derived_fit_seed_distinct_from_episode_stream():
 # --- batch runs --------------------------------------------------------------------
 
 
-def test_run_many_uses_per_episode_fit_seeds(ds, kb):
+def test_run_arms_uses_per_episode_fit_seeds(ds, kb):
     # the per-index derived seed must override whatever seed the caller set
-    a = run_many(ds, 3, 1, 3, 4, "linear", AdjustmentConfig("none"),
-                 FitConfig(iterations=20, seed=1), kb, seed=61)
-    b = run_many(ds, 3, 1, 3, 4, "linear", AdjustmentConfig("none"),
-                 FitConfig(iterations=20, seed=999), kb, seed=61)
+    sample = plain_sampler(ds, 3, 1, 3)
+    (a,), _ = run_arms(sample, [("linear", AdjustmentConfig("none"),
+                                 FitConfig(iterations=20, seed=1))], kb, 4, 61)
+    (b,), _ = run_arms(sample, [("linear", AdjustmentConfig("none"),
+                                 FitConfig(iterations=20, seed=999))], kb, 4, 61)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.predicted, rb.predicted)
 
@@ -336,7 +343,7 @@ def test_results_share_one_read_only_label_row(ds, kb):
             ep, query_x=ep.query_x[order], query_y=ep.query_y[order], query_idx=ep.query_idx[order]
         ), order
 
-    alike = run_many(ds, 3, 1, 4, 5, *arms[0], kb, seed=63)
+    (alike,), _ = run_arms(plain_sampler(ds, 3, 1, 4), arms, kb, 5, 63)
     assert all(not r.true.flags.writeable for r in alike)
     assert all(np.shares_memory(alike[0].true, r.true) for r in alike)
     (results,), orders = run_arms(shuffled, arms, kb, 5, 63)
@@ -345,9 +352,10 @@ def test_results_share_one_read_only_label_row(ds, kb):
         assert np.array_equal(r.correct, r.predicted == r.true)
 
 
-def test_run_many_rejects_zero_count(ds, kb):
+def test_run_arms_rejects_zero_count(ds, kb):
     with pytest.raises(ValueError, match="episode count"):
-        run_many(ds, 3, 1, 3, 0, "linear", AdjustmentConfig("none"), FitConfig(), kb, seed=0)
+        run_arms(plain_sampler(ds, 3, 1, 3), [("linear", AdjustmentConfig("none"), FitConfig())],
+                 kb, 0, 0)
 
 
 def test_random_uniform_features_score_near_chance(kb):
@@ -358,8 +366,8 @@ def test_random_uniform_features_score_near_chance(kb):
     feats = rng.standard_normal((600, 16))
     labels = np.repeat(np.arange(10), 60)
     ds = FeatureDataset(features=feats, labels=labels, n_classes=10)
-    results = run_many(
-        ds, 5, 1, 3, 300, "centroid", AdjustmentConfig("none"), FitConfig(), kb, seed=62
+    (results,), _ = run_arms(
+        plain_sampler(ds, 5, 1, 3), [("centroid", AdjustmentConfig("none"), FitConfig())], kb, 300, 62
     )
     acc = float(np.mean([r.accuracy for r in results]))
     assert abs(acc - 0.2) < 0.04

@@ -171,6 +171,15 @@ def test_class_indices_is_a_read_only_row_index():
     assert repr(ds).endswith("n_classes=7)") and "_class_rows" not in repr(ds)
 
 
+def test_zero_feature_dimension_is_refused_where_built():
+    # the loaders refuse it at byte 8, so no dataset or knowledge base holds
+    # one and no writer is handed one
+    with pytest.raises(ValueError, match="^zero feature dimension$"):
+        FeatureDataset(np.zeros((2, 0)), np.array([0, 1]), 2)
+    with pytest.raises(ValueError, match="^zero feature dimension$"):
+        KnowledgeBase(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros(2))
+
+
 def test_knowledge_base_validation():
     with pytest.raises(ValueError):
         KnowledgeBase(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2))

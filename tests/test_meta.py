@@ -361,7 +361,7 @@ def test_evaluate_inits_adapts_each_init_on_the_same_tasks(ds):
 
 @pytest.mark.parametrize("count", [0, -4])
 def test_evaluate_inits_refuses_a_task_count_below_one(ds, count):
-    # as run_arms and run_many refuse it, instead of returning no accuracies
+    # as run_arms refuses it, instead of returning no accuracies
     predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
     theta = zero_meta_init(3, ds.dim).theta
     with pytest.raises(ValueError, match=f"episode count must be >= 1, got {count}"):
@@ -499,8 +499,9 @@ def test_one_refusal_for_every_entry(ds, case):
     # a start that does not fit the predictor (2 linear 3-way heads of input
     # width 4) gets Predictor.check_stack's one message, whichever call it
     # reaches; a kind can only be wrong where the heads carry it, in lists
-    # of HeadParams: bare stacks are read as the predictor's kind, and
-    # meta_train builds its predictor for the start's kind
+    # of HeadParams (fit_head checks it with the same words): bare stacks
+    # are read as the predictor's kind, and meta_train builds its predictor
+    # for the start's kind
     kb = make_kb(m=3, dim=8, seed=42)
     cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
     predictor = Predictor(cfg, kb, ds.dim, 3, "linear")
@@ -531,6 +532,32 @@ def test_one_refusal_for_every_entry(ds, case):
     for entry in entries:
         with pytest.raises(ValueError, match=match):
             entry()
+
+
+def test_adapt_and_fit_head_check_a_start_once(ds, monkeypatch):
+    # a supplied start goes through Predictor.check_stack once, in fit_stack;
+    # fit_head itself checks only the kind, which a stack does not carry
+    seen = []
+    check = Predictor.check_stack
+
+    def counted(self, kind, theta):
+        seen.append(kind)
+        check(self, kind, theta)
+
+    monkeypatch.setattr(Predictor, "check_stack", counted)
+    predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "linear")
+    start = zero_meta_init(3, ds.dim).theta0
+    X, y = ds.features[:6], np.array([0, 1, 2] * 2)
+    adapt(start, predictor, X, y, 0.01, 2)
+    assert seen == ["linear"]
+    fit_head(X, y, predictor, FitConfig(iterations=2), init=start)
+    assert seen == ["linear"] * 2
+    # a centroid start has a cosine start's width, and is refused by its kind
+    cosine = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "cosine")
+    centroids = [HeadParams("centroid", np.ones((3, ds.dim)))]
+    with pytest.raises(ValueError, match="expected 'cosine' heads, got 'centroid'"):
+        fit_head(X, y, cosine, FitConfig(iterations=2), init=centroids)
+    assert seen == ["linear"] * 2
 
 
 def test_load_meta_bad_magic(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import ifsl.episodes
 import ifsl.synth
 from ifsl.adjust import AdjustmentConfig, Predictor
-from ifsl.episodes import episode_hardness, episode_rng, run_arms, run_many
+from ifsl.episodes import episode_hardness, episode_rng, run_arms
 from ifsl.heads import FitConfig, _label_index, _Workspace, fit_stack
 from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.meta import MetaInit, evaluate_inits, meta_bytes, meta_train
@@ -30,7 +30,12 @@ from ifsl.synth import (
     sample_confounded_episode,
 )
 
-from conftest import check_sampled_episode, reference_confounded_episode, reference_fit
+from conftest import (
+    check_sampled_episode,
+    plain_sampler,
+    reference_confounded_episode,
+    reference_fit,
+)
 
 SMALL = SynthConfig(
     dim=16,
@@ -563,7 +568,7 @@ def test_results_do_not_depend_on_chunk_size(small_out, monkeypatch):
         monkeypatch.setattr(ifsl.episodes, "_CHUNK", chunk)
         paired = _arrays(*run_arms(sample, arms, kb, 17, 23))
         solo, solo_masks = run_confounded(novel, tags, kb, 3, 1, 3, 17, 1.0, *arms[1], seed=23)
-        many = run_many(novel, 3, 2, 4, 17, *arms[2], kb, 23)
+        (many,), _ = run_arms(plain_sampler(novel, 3, 2, 4), arms[2:3], kb, 17, 23)
         runs.append(
             paired + _arrays([solo], solo_masks) + _arrays([many], []) + _meta_arrays(novel, kb)
         )

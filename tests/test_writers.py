@@ -88,16 +88,6 @@ def test_meta_writer_round_trips_or_refuses(values, kind):
         )
 
 
-def test_writers_refuse_a_zero_feature_dimension(tmp_path):
-    # the loaders read a zero dimension as malformed at byte 8
-    ds = FeatureDataset(np.zeros((2, 0)), np.array([0, 1]), 2)
-    kb = KnowledgeBase(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros(2))
-    for save, obj in ((save_features, ds), (save_kb, kb)):
-        with pytest.raises(ValueError, match="zero feature dimension"):
-            save(obj, tmp_path / "out.bin")
-        assert not (tmp_path / "out.bin").exists()
-
-
 def test_writers_write_rows_in_order_whatever_the_memory_layout(tmp_path):
     # a column-major knowledge base or dataset is written row by row all the same
     rng = np.random.default_rng(4)
