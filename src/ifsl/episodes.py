@@ -104,8 +104,8 @@ class EpisodeResult:
 
     Results of one run are row views of arrays shared per chunk of episodes;
     the arms of a run share each episode's ``true`` and ``hardness`` rows,
-    and episodes whose queries carry the same labels share one read-only
-    ``true`` row.
+    and when every episode's queries carry the same labels, as the
+    samplers' do, the run's results share one read-only ``true`` row.
     """
 
     predicted: np.ndarray
@@ -235,23 +235,30 @@ def _fit_and_score(
 
 
 def _evaluate(
-    chunk: _Chunk, arms, kb: KnowledgeBase, seeds: Sequence[int]
-) -> list[list[EpisodeResult]]:
+    chunk: _Chunk, arms, kb: KnowledgeBase, seeds: Sequence[int], row: np.ndarray | None = None
+) -> tuple[list[list[EpisodeResult]], np.ndarray | None]:
     """Fit (if parametric) and evaluate every ``(classifier, adj_cfg, fit_cfg)``
     arm on one chunk of :func:`_chunks`; episode e fits with seed ``seeds[e]``.
 
     The queries' hardness is scored for all arms in one pass, then each arm
-    fits and scores the chunk with :func:`_fit_and_score`. Returns one
-    result list per arm, in episode order.
+    fits and scores the chunk with :func:`_fit_and_score`. When every
+    episode's queries carry the same labels, as the samplers' do, all their
+    results share one read-only ``true`` row: ``row``, an earlier chunk's,
+    if it holds those labels. Returns one result list per arm, in episode
+    order, and the row to pass with the run's next chunk.
     """
     dim = chunk.support_x.shape[-1]
     if kb.dim != dim:
         raise ValueError(f"knowledge base dimension {kb.dim} does not match episode ({dim})")
     true = chunk.query_y
     hardness = _hardness(chunk, kb)
+    labels = true
     if (true == true[0]).all():  # samplers label every episode's queries alike
-        true = np.broadcast_to(true[0].copy(), true.shape)  # one read-only row for all
-    shared = list(zip(true, hardness))  # one pair of row views for every arm
+        if row is None or not np.array_equal(row, true[0]):
+            row = true[0].copy()
+            row.flags.writeable = False
+        labels = [row] * len(true)
+    shared = list(zip(labels, hardness))  # one pair of rows for every arm
     per_arm = []
     for classifier, adj_cfg, fit_cfg in arms:
         predictor = Predictor(adj_cfg, kb, dim, chunk.way, classifier)
@@ -259,7 +266,7 @@ def _evaluate(
         per_arm.append([
             EpisodeResult(p, t, h, c) for p, (t, h), c in zip(predicted, shared, predicted == true)
         ])
-    return per_arm
+    return per_arm, row
 
 
 def run_episode(
@@ -272,7 +279,8 @@ def run_episode(
     """Fit (if parametric) and evaluate one episode; deterministic given configs.
     It stays only because ``perfbench/workloads.py`` imports it (ROADMAP items 3-4)."""
     (chunk,) = _chunks(lambda _: ep, 1)
-    return _evaluate(chunk, [(classifier, adj_cfg, fit_cfg)], kb, [fit_cfg.seed])[0][0]
+    ((result,),), _ = _evaluate(chunk, [(classifier, adj_cfg, fit_cfg)], kb, [fit_cfg.seed])
+    return result
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:
@@ -312,8 +320,10 @@ def run_arms(
         extras.append(extra)
         return ep
 
+    row = None
     for chunk in _chunks(draw, count):
         seeds = [derived_fit_seed(seed, i) for i in chunk.indices]
-        for results, chunk_results in zip(per_arm, _evaluate(chunk, arms, kb, seeds)):
-            results.extend(chunk_results)
+        chunk_results, row = _evaluate(chunk, arms, kb, seeds, row)
+        for results, more in zip(per_arm, chunk_results):
+            results.extend(more)
     return per_arm, extras

@@ -10,6 +10,7 @@ support class to a single stratum while queries escape with some probability.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,18 +124,19 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     This is ``fit_stack``'s full-batch fit of one linear head from zero on
     the N pretrain rows, with each step's gradient computed in two fixed row
     blocks at once: the first ceil(N/2) rows on the calling thread, the rest
-    on one worker thread that lives for this call (a 1-row set has one block
-    and no worker). Each block has its own ``_Workspace(..., ones=False)``,
-    which reads the block's rows in place (a ones column would copy the set)
-    and leaves its block's gradient alone, with no weight decay and no step.
-    The step then sums the block gradients in block order, each weighted by
-    its share of the rows, adds the weight decay once on the weight columns
-    and steps theta. The split depends only on N, so the knowledge base
-    depends only on the data: the same bits whatever the core count, the
-    BLAS thread count or which block finishes first. With exact halves a block's
-    scale 1/(N/2) times its share 1/2 is exactly 1/N, so a step differs from
-    a one-block step only in summing dW and db over the rows as two partial
-    sums.
+    on one worker thread that lives for this call. A 1-row set has one block
+    and no worker, and a process allowed one CPU computes both blocks on the
+    calling thread, where a worker would only take turns with it. Each block
+    has its own ``_Workspace(..., ones=False)``, which reads the block's rows
+    in place (a ones column would copy the set) and leaves its block's
+    gradient alone, with no weight decay and no step. The step then sums the
+    block gradients in block order, each weighted by its share of the rows,
+    adds the weight decay once on the weight columns and steps theta. The
+    split depends only on N, so the knowledge base depends only on the data:
+    the same bits whatever the core count, the BLAS thread count or which
+    block finishes first. With exact halves a block's scale 1/(N/2) times its
+    share 1/2 is exactly 1/N, so a step differs from a one-block step only in
+    summing dW and db over the rows as two partial sums.
     """
     # imported here: concurrent.futures loads logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
@@ -149,21 +151,85 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
          _label_index(y[None, lo:hi], 1, K), (hi - lo) / N)
         for lo, hi in ((0, half), (half, N)) if hi > lo
     ]
-    (own, V, at_label, share), worker_blocks = blocks[0], blocks[1:]
+    (own, V, at_label, share), rest = blocks[0], blocks[1:]
     dtheta, decay = np.empty(theta.shape), np.empty((1, 1, K, dim))
     W, dW = theta[..., :-1], dtheta[..., :-1]
     weight_decay, learning_rate = _KB_FIT.weight_decay, _KB_FIT.learning_rate
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threaded = bool(rest) and (cpus or 1) > 1
+
+    def rest_grads() -> None:
+        for ws, *batch, _ in rest:
+            ws.grads(*batch)
+
     with ThreadPoolExecutor(max_workers=1) as worker:
         for _ in range(_KB_FIT.iterations):
-            pending = [worker.submit(ws.grads, *batch) for ws, *batch, _ in worker_blocks]
+            pending = worker.submit(rest_grads) if threaded else None
             own.grads(V, at_label)
             np.multiply(own.dtheta, share, dtheta)
-            for (ws, _, _, ws_share), done in zip(worker_blocks, pending):
-                done.result()
+            if pending is None:
+                rest_grads()
+            else:
+                pending.result()
+            for ws, _, _, ws_share in rest:
                 np.add(dtheta, np.multiply(ws.dtheta, ws_share, ws.dtheta), dtheta)
             np.add(dW, np.multiply(W, weight_decay, decay), dW)
             stack_sgd_step(theta, dtheta, learning_rate)
     return KnowledgeBase(means, theta[0, 0, :, :-1], theta[0, 0, :, -1])
+
+
+def _choose(rng: np.random.Generator, sizes, counts) -> np.ndarray:
+    """The values of ``[rng.choice(s, k, replace=False) for s, k in zip(sizes,
+    counts)]``, concatenated, with ``rng`` left in the same state, taken from
+    one ``rng.integers`` call. Each k lies in [0, s].
+
+    Without replacement, ``Generator.choice(s, k)`` draws bounded integers
+    with the primitive that ``integers`` uses for array bounds (a bound of 0
+    draws nothing), in one of two orders:
+    - Floyd's algorithm, the usual one: a draw in ``[0, j]`` for ``j = s-k``
+      to ``s-1``, which becomes ``j`` when it repeats an earlier value, then
+      a Fisher-Yates shuffle of the k values, drawing in ``[0, i]`` for
+      ``i = k-1`` down to 1;
+    - a shuffle of the tail of a virtual ``arange(s)`` when ``s > 10000``
+      and ``k > s // 50``: a draw in ``[0, i]`` for ``i = s-1`` down to
+      ``max(s-k, 1)``, keeping the last k entries.
+    One ``integers`` call over every cell's bounds, in order, thus gives
+    every draw, and a pass over the draws replays the collisions and swaps.
+    This follows numpy 2.4's ``Generator.choice``;
+    ``test_choose_equals_choice_calls`` pins it against the installed numpy.
+    """
+    cells, bounds = [], []
+    for s, k in zip(sizes, counts):
+        tail = s > 10000 and k > s // 50
+        if tail:
+            bounds += range(s - 1, max(s - k, 1) - 1, -1)
+        else:
+            bounds += range(s - k, s)
+            bounds += range(k - 1, 0, -1)
+        cells.append((s, k, tail, len(bounds)))
+    draws = rng.integers(0, np.array(bounds, dtype=np.int64), endpoint=True).tolist()
+    out, at = [], 0
+    for s, k, tail, end in cells:
+        if tail:  # the moved entries of arange(s), by position
+            moved = {}
+            for i, j in zip(range(s - 1, 0, -1), draws[at:end]):
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            out += [moved.get(i, i) for i in range(s - k, s)]
+        else:
+            values = draws[at : at + k]
+            if len(set(values)) < k:  # a repeated draw becomes its step's bound
+                seen = set()
+                for t, v in enumerate(values):
+                    if v in seen:
+                        v = values[t] = s - k + t
+                    seen.add(v)
+            i = k - 1
+            for j in draws[at + k : end]:
+                values[i], values[j] = values[j], values[i]
+                i -= 1
+            out += values
+        at = end
+    return np.array(out, dtype=np.int64)
 
 
 class _ConfoundedSampler:
@@ -173,7 +239,10 @@ class _ConfoundedSampler:
     every (class, stratum) cell, ascending, as one slice of ``rows``, cell
     ``c * n_strata + s`` running from ``starts[c * n_strata + s]`` to the
     next start. A run of episodes (``run_confounded``, ``ifsl synth``)
-    builds one sampler, so it pays for the index once.
+    builds one sampler, so it pays for the index once. An episode's rows
+    are those of one ``rng.choice`` without replacement per cell it needs,
+    in (class, stratum) order, all taken from one ``rng.integers`` call
+    (:func:`_choose`).
     """
 
     def __init__(
@@ -213,7 +282,7 @@ class _ConfoundedSampler:
         gives. An episode that needs more rows of a cell than it holds is
         refused."""
         way, shot, query, n_strata = self.way, self.shot, self.query, self.n_strata
-        chosen = np.sort(rng.choice(self.novel.n_classes, size=way, replace=False))
+        chosen = np.sort(_choose(rng, [self.novel.n_classes], [way]))
         # spread assigned strata over a fresh permutation so collisions only occur
         # when the episode has more classes than strata
         assigned = rng.permutation(n_strata)[np.arange(way) % n_strata]
@@ -256,10 +325,7 @@ class _ConfoundedSampler:
     def __call__(self, rng: np.random.Generator) -> tuple[Episode, np.ndarray]:
         way, shot, query = self.way, self.shot, self.query
         chosen, mismatch, cells, needed, own, first, sizes, need = self._plan(rng)
-        drawn = self.rows[np.concatenate([
-            lo + rng.choice(size, size=k, replace=False)
-            for lo, size, k in zip(first.tolist(), sizes.tolist(), need.tolist())
-        ])]
+        drawn = self.rows[first.repeat(need) + _choose(rng, sizes.tolist(), need.tolist())]
         # a class's support rows lead its own cell's draw; the queries take the
         # rest of every cell in turn
         support_pos = ((np.cumsum(needed) - needed)[own][:, None] + np.arange(shot)).ravel()
@@ -284,11 +350,12 @@ def sample_confounded_episode(
     Every support sample of a class comes from that class's assigned stratum;
     each query keeps the class stratum with probability 1 - mismatch_rate and
     otherwise lands in a uniformly chosen different stratum. Stratum tags
-    are non-negative; strata run 0..max(tag). Each (class, stratum) cell
-    the episode needs is drawn by one ``rng.choice`` without replacement, in
-    (class, stratum) order. Returns the episode plus a boolean mask marking
-    mismatched queries. It stays only because ``perfbench/workloads.py``
-    imports it (ROADMAP items 3-4).
+    are non-negative; strata run 0..max(tag). The rows of each (class,
+    stratum) cell the episode needs equal those of one ``rng.choice``
+    without replacement, in (class, stratum) order, and all come from one
+    ``rng.integers`` call (:func:`_choose`). Returns the episode plus a
+    boolean mask marking mismatched queries. It stays only because
+    ``perfbench/workloads.py`` imports it (ROADMAP items 3-4).
     """
     return _ConfoundedSampler(novel, strata_tags, way, shot, query, mismatch_rate)(rng)
 

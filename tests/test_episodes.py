@@ -332,8 +332,8 @@ def test_run_arms_uses_per_episode_fit_seeds(ds, kb):
 
 
 def test_results_share_one_read_only_label_row(ds, kb):
-    # episodes labelled alike share one read-only `true` row; a sampler that
-    # reorders its queries gets each episode's own labels back
+    # the episodes of a run labelled alike share one read-only `true` row; a
+    # sampler that reorders its queries gets each episode's own labels back
     arms = [("linear", AdjustmentConfig("none"), FitConfig(iterations=5))]
 
     def shuffled(rng):
@@ -343,9 +343,12 @@ def test_results_share_one_read_only_label_row(ds, kb):
             ep, query_x=ep.query_x[order], query_y=ep.query_y[order], query_idx=ep.query_idx[order]
         ), order
 
-    (alike,), _ = run_arms(plain_sampler(ds, 3, 1, 4), arms, kb, 5, 63)
-    assert all(not r.true.flags.writeable for r in alike)
-    assert all(np.shares_memory(alike[0].true, r.true) for r in alike)
+    # 11 episodes come in two chunks; both arms and both chunks share the row
+    two = arms + [("centroid", AdjustmentConfig("none"), FitConfig())]
+    per_arm, _ = run_arms(plain_sampler(ds, 3, 1, 4), two, kb, 11, 63)
+    alike = [r for results in per_arm for r in results]
+    assert not alike[0].true.flags.writeable
+    assert all(r.true is alike[0].true for r in alike)
     (results,), orders = run_arms(shuffled, arms, kb, 5, 63)
     for r, order in zip(results, orders):
         assert np.array_equal(r.true, np.repeat(np.arange(3), 4)[order])

@@ -1,5 +1,7 @@
 """Confounded data generation, stratum-tied episodes, and the linear-SCM demo."""
 
+import collections
+import os
 import re
 import sys
 import threading
@@ -20,6 +22,7 @@ from ifsl.knowledge import FeatureDataset, PartitionConfig
 from ifsl.meta import MetaInit, evaluate_inits, meta_bytes, meta_train
 from ifsl.synth import (
     _KB_FIT,
+    _choose,
     IvResult,
     LinearScmConfig,
     SynthConfig,
@@ -416,6 +419,95 @@ def test_indexed_sampler_equals_per_cell_scan(
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _assert_choose_equals_choice_calls(sizes, counts, seed):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _choose(rng_new, sizes, counts)
+    want = [rng_ref.choice(s, size=k, replace=False) for s, k in zip(sizes, counts)]
+    want = np.concatenate(want) if want else np.empty(0, dtype=np.int64)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("sizes, counts", [
+    ([1], [1]),  # s == 1
+    ([9], [1]),  # k == 1
+    ([9], [9]),  # k == s: the first bound is 0, which draws nothing
+    ([40], [38]),  # k close to s: most draws repeat an earlier value
+    ([5], [0]),
+    ([], []),
+    # Generator.choice shuffles the tail of arange(s) when s > 10000 and
+    # k > s // 50, and runs Floyd's algorithm otherwise
+    ([10000], [300]),
+    ([10001], [200]),
+    ([10001], [201]),
+    ([20000], [20000]),
+    ([50000], [1001]),
+    ([16, 125, 3, 10001, 125, 2**33], [5, 4, 3, 201, 1, 3]),
+])
+def test_choose_equals_choice_calls(sizes, counts):
+    # the values and the final generator state of one choice call per cell;
+    # this pins numpy's Generator.choice, which _choose replays
+    for seed in range(3):
+        _assert_choose_equals_choice_calls(sizes, counts, seed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    cells=st.lists(st.integers(1, 60).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s))),
+                   max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choose_equals_choice_calls_on_small_cells(cells, seed):
+    _assert_choose_equals_choice_calls([s for s, _ in cells], [k for _, k in cells], seed)
+
+
+def test_confounded_episode_from_cells_above_10000_rows():
+    # cells of 10001 rows: a class's own cell gives more than 10001 // 50
+    # rows (the tail shuffle), the cells of its mismatched queries fewer
+    per = 2 * 10001
+    rng = np.random.default_rng(0)
+    novel = FeatureDataset(rng.standard_normal((2 * per, 2)), np.repeat([0, 1], per), 2)
+    args = (novel, np.arange(2 * per) % 2, 2, 250, 100, 0.5)
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    ep, mask = sample_confounded_episode(*args, rng_new)
+    chosen, si, qi, ref_mask = _per_cell_scan_episode(*args, rng_ref)
+    for got, want in ((ep.class_map, chosen), (ep.support_idx, si), (ep.query_idx, qi),
+                      (mask, ref_mask)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert 0 < mask.sum() < mask.size
+
+
+class _CountingRng:
+    """A generator whose method calls are counted by name."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_confounded_episode_draws_its_rows_in_one_integers_call(default_synth):
+    # no choice call: the classes come from one integers call, the
+    # mismatched queries' strata from one, and the rows of every cell from one
+    sample = ifsl.synth._ConfoundedSampler(
+        default_synth.novel, default_synth.novel_strata, 5, 1, 15, 1.0
+    )
+    planned, drawn = _CountingRng(episode_rng(0, 0)), _CountingRng(episode_rng(0, 0))
+    sample._plan(planned)
+    sample(drawn)
+    assert planned.calls == {"integers": 2, "permutation": 1, "random": 1}
+    assert drawn.calls - planned.calls == {"integers": 1}
+    assert planned.calls - drawn.calls == {}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
     layout=st.sampled_from(["round-robin", "uneven", "missing"]),
@@ -667,9 +759,10 @@ def test_fit_kb_equals_its_two_blocks_on_one_thread(synth, request):
 
 def test_fit_kb_is_repeatable_and_joins_its_worker(small_out, monkeypatch):
     # the calling thread computes the first row block and one worker thread
-    # the second; the worker is gone when fit_kb returns, and repeated calls
-    # give the same bytes, also when the threads swap the interpreter lock
-    # every microsecond
+    # the second, or the calling thread both when the process may run on
+    # one CPU only; the worker is gone when fit_kb returns, and repeated
+    # calls give the same bytes, also when the threads swap the interpreter
+    # lock every microsecond
     threads = []
 
     class Recorded(_Workspace):
@@ -684,21 +777,28 @@ def test_fit_kb_is_repeatable_and_joins_its_worker(small_out, monkeypatch):
 
             self.grads = recorded
 
-    before = threading.active_count()
     first = fit_kb(small_out.pretrain)
     monkeypatch.setattr(ifsl.synth, "_Workspace", Recorded)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        second = fit_kb(small_out.pretrain)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    assert len(threads) == 2 and threads[0] == {threading.get_ident()}
-    assert len(threads[1]) == 1 and threads[1] != threads[0]
-    for name in ("class_means", "pre_weights", "pre_bias"):
-        a, b = getattr(first, name), getattr(second, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    this = {threading.get_ident()}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        threads.clear()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            second = fit_kb(small_out.pretrain)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threads[0] == this
+        if len(cpus) == 1:
+            assert threads[1] == this
+        else:
+            assert len(threads[1]) == 1 and threads[1] != this
+        for name in ("class_means", "pre_weights", "pre_bias"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("rows", [1, 3, 101])
