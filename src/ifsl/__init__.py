@@ -36,11 +36,7 @@ from .episodes import (
     run_episode,
     sample_episode,
 )
-from .heads import (
-    FitConfig,
-    HeadParams,
-    fit_head,
-)
+from .heads import FitConfig, fit_head
 from .knowledge import (
     FeatureDataset,
     FormatError,

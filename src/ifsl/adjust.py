@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .heads import HEAD_KINDS, HeadParams, logits_batch, stack_heads, stack_probs
+from .heads import HeadParams, check_kind, stack_heads, stack_probs
 from .knowledge import KnowledgeBase, PartitionConfig, pretrain_probs
-from .numerics import as_rows, as_vector, softmax_rows
+from .numerics import as_matrix, as_rows, as_vector
 
 STRATEGIES = ("none", "feature", "class", "combined")
 
@@ -69,8 +69,7 @@ class Predictor:
             raise ValueError(f"need at least 2 classes, got {way}")
         if dim < 1:
             raise ValueError(f"feature dimension must be positive, got {dim}")
-        if head_kind not in HEAD_KINDS:
-            raise ValueError(f"unknown head kind {head_kind!r}, expected one of {HEAD_KINDS}")
+        check_kind(head_kind)
         if cfg.strategy in ("class", "combined") and kb is None:
             raise ValueError(f"strategy {cfg.strategy!r} requires a knowledge base")
         if kb is not None and kb.dim != dim:
@@ -157,26 +156,24 @@ class Predictor:
         return self.probs_from_inputs(heads, self.support_inputs(X))
 
 
-def backdoor_exact_classwise(head: HeadParams, x, kb: KnowledgeBase) -> np.ndarray:
-    """Explicit class-stratum backdoor sum sum_d softmax(f(x - m * c_d)) P(d).
+def backdoor_exact_classwise(kind: str, theta, x, kb: KnowledgeBase) -> np.ndarray:
+    """Explicit class-stratum backdoor sum sum_d softmax(f(x - m * c_d)) P(d)
+    of one head, the (K, P') slice ``theta`` of a ``kind`` head stack.
 
-    Stratum d contributes x with c_d = P(a_d | x) * mean_d removed, scaled by
-    m so that the strata average to the ``class`` input x - m * ctx, under
-    the uniform prior P(d) = 1/m. The ``class`` strategy of
-    :class:`Predictor` moves the sum inside the head (NWGM). For linear heads
-    the prior-weighted per-stratum logits equal the logits of the pooled
-    input exactly, but this function averages probabilities, so for m > 1 it
-    agrees with ``Predictor.probs_batch`` only approximately (usually in the
-    argmax); for m = 1 the two coincide.
+    Stratum d scores x with c_d = P(a_d | x) * mean_d removed, scaled by m
+    so that, under the uniform prior P(d) = 1/m, the strata average to the
+    ``class`` input x - m * ctx; :func:`~ifsl.heads.stack_probs` scores the
+    m inputs as one batch of rows, and their softmax outputs are averaged.
+    The ``class`` strategy of :class:`Predictor` moves the sum inside the
+    head (NWGM): for linear heads the prior-weighted per-stratum logits
+    equal the logits of the pooled input exactly, but this sum averages
+    probabilities, so for m > 1 it agrees with ``Predictor.probs_batch``
+    only approximately (usually in the argmax), and for m = 1 exactly.
     """
+    check_kind(kind)
     v = as_vector(x, size=kb.dim)
-    if head.input_dim != kb.dim:
-        raise ValueError(
-            f"head input dimension {head.input_dim} does not match the feature size {kb.dim}"
-        )
-    probs = pretrain_probs(kb, v[None, :])[0]
-    Z = v - kb.m * probs[:, None] * kb.class_means
-    return softmax_rows(logits_batch(head, Z)).mean(axis=0)
+    Z = v - kb.m * pretrain_probs(kb, v[None, :])[0][:, None] * kb.class_means
+    return stack_probs(kind, as_matrix(theta)[None, None], Z[None, None])[0].mean(axis=0)
 
 
 def nwgm(logit_sets, priors) -> np.ndarray:

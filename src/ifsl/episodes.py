@@ -33,8 +33,8 @@ class Episode:
     query_x: np.ndarray  # (way*query_per_class, dim)
     query_y: np.ndarray  # (way*query_per_class,)
     class_map: np.ndarray  # (way,) dataset class ids
-    support_idx: np.ndarray
-    query_idx: np.ndarray
+    support_idx: np.ndarray  # (way*shot,) dataset rows of the support
+    query_idx: np.ndarray  # (way*query_per_class,) dataset rows of the queries
 
     def __post_init__(self):
         _check_shape(None, self.way, self.shot, self.query_per_class)
@@ -42,16 +42,16 @@ class Episode:
         qx = as_matrix(self.query_x, rows=self.way * self.query_per_class, cols=sx.shape[1])
         sy = np.asarray(self.support_y, dtype=np.int64)
         qy = np.asarray(self.query_y, dtype=np.int64)
+        si = np.asarray(self.support_idx, dtype=np.int64)
+        qi = np.asarray(self.query_idx, dtype=np.int64)
         for name, arr, expect in (
-            ("support_y", sy, sx.shape[0]),
-            ("query_y", qy, qx.shape[0]),
+            ("support_y", sy, sx.shape[0]), ("query_y", qy, qx.shape[0]),
+            ("support_idx", si, sx.shape[0]), ("query_idx", qi, qx.shape[0]),
         ):
             if arr.shape != (expect,):
                 raise ValueError(f"{name} must have shape ({expect},)")
-            if arr.min() < 0 or arr.max() >= self.way:
+            if name.endswith("_y") and (arr.min() < 0 or arr.max() >= self.way):
                 raise ValueError(f"{name} entries must lie in [0, {self.way - 1}]")
-        si = np.asarray(self.support_idx, dtype=np.int64)
-        qi = np.asarray(self.query_idx, dtype=np.int64)
         if np.intersect1d(si, qi).size:
             raise ValueError("support and query must use disjoint sample indices")
         cm = np.asarray(self.class_map, dtype=np.int64)

@@ -44,15 +44,15 @@ fit, whose loop is its own: it holds one workspace for each of two fixed row
 blocks of the pretrain set, has the calling thread and one worker thread
 compute the two blocks' gradients at once, and then combines them and steps.
 
-The list-of-:class:`HeadParams` calls (:func:`fit_head`, :func:`init_heads`,
+The list-of-heads calls (:func:`fit_head`, :func:`init_heads`,
 :func:`mixture_loss_and_grads`, :func:`sgd_step`) are the one-episode case
-of the stack calls: a :class:`HeadParams` is one slice ``theta`` of a stack
-(``W`` and ``b`` are views of it), the list gradient is the (n, K, P')
-gradient of :func:`stack_loss_and_grads` without the episode axis, and each
-call stacks its heads, runs the same core and hands back views, so the
-outputs are the same bits whichever route a step takes. They stay because
-``perfbench/workloads.py`` reads them, directly and through the list members
-of ``ifsl.meta`` (ROADMAP items 3-4).
+of the stack calls. Their heads are :class:`HeadParams` views, one per entry
+of a stack (``kind``, one ``theta`` slice, and ``W`` and ``b`` views of it),
+which only :func:`_unstack_heads` builds; each call stacks its heads, runs
+the same core and hands back views, so the outputs are the same bits
+whichever route a step takes. They stay because ``perfbench/workloads.py``
+reads them, directly and through the list members of ``ifsl.meta``
+(ROADMAP items 3-4).
 """
 
 from __future__ import annotations
@@ -64,36 +64,28 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, normalize_rows, normalize_rows_with_divisors
+from .numerics import normalize_rows, normalize_rows_with_divisors
 
 HEAD_KINDS = ("linear", "cosine", "centroid")
 PARAMETRIC_KINDS = ("linear", "cosine")
 
 
-class HeadParams:
-    """One classifier head: its ``kind`` and ``theta``, one slice of a head
-    stack, (K, P+1) ``[W | b]`` for linear heads and (K, P) otherwise.
+def check_kind(kind: str) -> None:
+    """Refuse a head kind outside :data:`HEAD_KINDS`."""
+    if kind not in HEAD_KINDS:
+        raise ValueError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
 
-    ``HeadParams(kind, W, b)`` builds one from ``W`` (K, P), the weights or a
-    centroid head's class centroids, and the bias ``b`` (K,) of a linear
-    head; ``W`` and ``b`` (None but for linear heads) are views of ``theta``.
-    """
+
+class HeadParams:
+    """One classifier head, a view of one entry of a head stack: its ``kind``
+    and ``theta``, (K, P+1) ``[W | b]`` for linear heads and (K, P)
+    otherwise; ``W`` and ``b`` (None but for linear heads) are views of
+    ``theta``."""
 
     __slots__ = ("kind", "theta")
 
-    def __init__(self, kind: str, W, b=None):
-        if kind not in HEAD_KINDS:
-            raise ValueError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
-        W = as_matrix(W)
-        if W.shape[0] < 2:
-            raise ValueError("heads need at least 2 classes")
-        if kind == "linear":
-            if b is None:
-                raise ValueError("linear heads carry a bias vector")
-            W = np.concatenate((W, as_vector(b, size=W.shape[0])[:, None]), axis=1)
-        elif b is not None:
-            raise ValueError(f"{kind} heads have no bias")
-        self.kind, self.theta = kind, W
+    def __init__(self, kind: str, theta: np.ndarray):
+        self.kind, self.theta = kind, theta
 
     @property
     def W(self) -> np.ndarray:
@@ -102,10 +94,6 @@ class HeadParams:
     @property
     def b(self) -> np.ndarray | None:
         return _split(self.kind, self.theta)[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.theta.shape[1] - (self.kind == "linear")
 
 
 @dataclass(frozen=True)
@@ -139,10 +127,12 @@ class FitConfig:
 
 def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray]:
     """``(kind, theta)`` of one episode's list of heads, ``theta`` a fresh
-    (n, K, P') stack of their slices; heads of mixed kinds or shapes are refused."""
+    (n, K, P') stack of their slices; heads of an unknown kind, or of mixed
+    kinds or shapes, are refused."""
     if not heads:
         raise ValueError("need at least one head")
     kind, shape = heads[0].kind, heads[0].theta.shape
+    check_kind(kind)
     if any(h.kind != kind for h in heads):
         raise ValueError("heads of one stack must share a kind")
     if any(h.theta.shape != shape for h in heads):
@@ -152,26 +142,19 @@ def stack_heads(heads: Sequence[HeadParams]) -> tuple[str, np.ndarray]:
 
 def _unstack_heads(kind: str, theta: np.ndarray) -> list[HeadParams]:
     """One :class:`HeadParams` per entry of an (n, K, P') float64 stack, its
-    ``theta`` a view of that entry.
-
-    The stack is checked once, for finiteness and at least 2 classes, and the
-    heads are built without re-checking each: the other checks of
-    ``HeadParams(...)`` hold by the stack's layout.
-    """
+    ``theta`` a view of that entry. The stack is checked once, for at least
+    2 classes and finite entries, so a fit that diverged is refused here."""
     if theta.shape[-2] < 2:
         raise ValueError("heads need at least 2 classes")
     if not np.isfinite(theta).all():
         raise ValueError("matrix entries must be finite")
-    heads = [object.__new__(HeadParams) for _ in range(len(theta))]
-    for h, t in zip(heads, theta):
-        h.kind, h.theta = kind, t
-    return heads
+    return [HeadParams(kind, t) for t in theta]
 
 
-def _stack_inputs(kind: str, inputs, input_dim: int, ndim: int = 3) -> np.ndarray:
-    """Input stack of rank ``ndim`` ((n, B, P) per episode), row-normalised for cosine heads."""
+def _stack_inputs(kind: str, inputs, input_dim: int) -> np.ndarray:
+    """(E, n, B, P) input stack, row-normalised for cosine heads."""
     V = np.asarray(inputs, dtype=np.float64)
-    if V.ndim != ndim or V.shape[-1] != input_dim:
+    if V.ndim != 4 or V.shape[-1] != input_dim:
         raise ValueError(f"heads expect inputs of dimension {input_dim}, got shape {V.shape}")
     return normalize_rows(V) if kind == "cosine" else V
 
@@ -188,7 +171,7 @@ def _step_inputs(kind: str, inputs, input_dim: int) -> np.ndarray:
     """(E, n, B, P) inputs as a step reads them: [V | 1], with a trailing
     column of ones that feeds the bias column of theta, for linear heads,
     and row-normalised V for cosine heads."""
-    V = _stack_inputs(kind, inputs, input_dim, ndim=4)
+    V = _stack_inputs(kind, inputs, input_dim)
     if kind != "linear":
         return V
     return np.concatenate((V, np.ones((*V.shape[:-1], 1))), axis=-1)
@@ -212,7 +195,7 @@ def _logits(kind: str, theta: np.ndarray, V: np.ndarray) -> np.ndarray:
 def stack_probs(kind: str, theta: np.ndarray, inputs) -> np.ndarray:
     """(E, B, K) mixture probabilities of E episodes' head stack ``theta`` on
     (E, n, B, P) inputs: the mean over each episode's heads of their softmax."""
-    V = _stack_inputs(kind, inputs, theta.shape[-1] - (kind == "linear"), ndim=4)
+    V = _stack_inputs(kind, inputs, theta.shape[-1] - (kind == "linear"))
     if V.shape[:2] != theta.shape[:2]:
         raise ValueError("need one input block per head of every episode")
     z = _logits(kind, theta, V)
@@ -428,13 +411,6 @@ def stack_loss_and_grads(
 # --- list-of-heads API -----------------------------------------------------------
 
 
-def logits_batch(h: HeadParams, Z: np.ndarray) -> np.ndarray:
-    """(B, K) logits for a (B, P) input block. Zero-norm rows score 0 under cosine."""
-    if Z.ndim != 2:
-        raise ValueError(f"head expects a (B, {h.input_dim}) input block, got shape {Z.shape}")
-    return _logits(h.kind, h.theta[None], _stack_inputs(h.kind, Z[None], h.input_dim))[0].T
-
-
 def mixture_loss_and_grads(
     heads: Sequence[HeadParams],
     inputs,
@@ -520,8 +496,7 @@ def init_stack(
     labels = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 4 or labels.shape != (Z.shape[0], Z.shape[2]):
         raise ValueError("need (E, n, S, P) input stacks with one label per support row")
-    if kind not in HEAD_KINDS:
-        raise ValueError(f"unknown head kind {kind!r}")
+    check_kind(kind)
     E, n, _, P = Z.shape
     if kind == "linear":
         return np.zeros((E, n, way, P + 1))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ifsl.episodes import Episode, sample_episode
-from ifsl.heads import HeadParams
+from ifsl.heads import _unstack_heads, stack_heads
 from ifsl.knowledge import FeatureDataset, KnowledgeBase
 from ifsl.numerics import softmax_rows
 from ifsl.synth import SynthConfig, gen_confounded
@@ -281,17 +281,14 @@ def reference_fit(support_x, support_y, predictor, cfg, init=None) -> list:
     weight_decay = cfg.weight_decay
     if predictor.cfg.strategy in ("class", "combined"):
         weight_decay *= 1 + predictor.kb.m**2
+    way, width = predictor.way, predictor.head_input_dim
     if init is not None:
-        heads = [HeadParams(h.kind, h.W.copy(), None if h.b is None else h.b.copy()) for h in init]
+        heads = _unstack_heads(*stack_heads(init))  # views of a copy
+    elif predictor.head_kind == "linear":
+        heads = _unstack_heads("linear", np.zeros((len(blocks), way, width + 1)))
     else:
-        heads = []
-        for Z in blocks:
-            way, width = predictor.way, Z.shape[1]
-            if predictor.head_kind == "linear":
-                heads.append(HeadParams("linear", W=np.zeros((way, width)), b=np.zeros(way)))
-                continue
-            cents = np.stack([Z[y == k].mean(axis=0) for k in range(way)])
-            heads.append(HeadParams("cosine", W=reference_unit_rows(cents)))
+        cents = [np.stack([Z[y == k].mean(axis=0) for k in range(way)]) for Z in blocks]
+        heads = _unstack_heads("cosine", reference_unit_rows(np.array(cents)))
     cycler = ReferenceCycler(X.shape[0], np.random.default_rng(cfg.seed))
     for _ in range(cfg.iterations):
         if cfg.batch_size is None:

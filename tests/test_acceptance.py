@@ -20,7 +20,7 @@ from ifsl.causal_graph import (
 )
 from ifsl.cli import main
 from ifsl.evalmetrics import accuracy_report, hardness_report
-from ifsl.heads import FitConfig, HeadParams, logits_batch, mixture_loss_and_grads
+from ifsl.heads import FitConfig, _logits, mixture_loss_and_grads
 from ifsl.knowledge import PartitionConfig, save_features, save_features_csv, save_kb
 from ifsl.meta import evaluate_inits, meta_train, zero_meta_init
 from ifsl.numerics import softmax
@@ -64,18 +64,17 @@ def test_criterion_02_linear_head_exactness():
         k = int(rng.integers(2, 8))
         dim = int(rng.integers(2, 10))
         m = int(rng.integers(1, 9))
-        head = HeadParams(
-            "linear", W=rng.standard_normal((k, 2 * dim)), b=rng.standard_normal(k)
-        )
+        # one head [W | b] of a linear stack, scored on one-row blocks
+        theta = np.column_stack([rng.standard_normal((k, 2 * dim)), rng.standard_normal(k)])
         x = rng.standard_normal(dim)
         contexts = rng.standard_normal((m, dim))
         priors = rng.dirichlet(np.ones(m))
         summed = np.sum(
-            [p * logits_batch(head, np.concatenate([x, c])[None, :])[0]
+            [p * _logits("linear", theta, np.concatenate([x, c])[None, :])[:, 0]
              for p, c in zip(priors, contexts)],
             axis=0,
         )
-        pooled = logits_batch(head, np.concatenate([x, priors @ contexts])[None, :])[0]
+        pooled = _logits("linear", theta, np.concatenate([x, priors @ contexts])[None, :])[:, 0]
         worst = max(worst, float(np.max(np.abs(summed - pooled))))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-12 and elapsed < 1.0

@@ -13,17 +13,17 @@ from ifsl.adjust import (
     class_context,
     nwgm,
 )
-from ifsl.heads import FitConfig, HeadParams, fit_head, fit_stack, init_heads, logits_batch
+from ifsl.heads import FitConfig, _unstack_heads, fit_head, fit_stack, init_heads, stack_probs
 from ifsl.knowledge import KnowledgeBase, PartitionConfig
 from ifsl.meta import evaluate_inits, meta_train, zero_meta_init
-from ifsl.numerics import softmax, softmax_rows
+from ifsl.numerics import softmax
 
 from conftest import make_blob_dataset, make_kb, reference_inputs
 
 
-def _head_probs(h: HeadParams, z: np.ndarray) -> np.ndarray:
+def _head_probs(h, z: np.ndarray) -> np.ndarray:
     """One head's softmax output for a single input, scored as a one-row batch."""
-    return softmax_rows(logits_batch(h, z[None, :]))[0]
+    return stack_probs(h.kind, h.theta[None, None], z[None, None, None])[0, 0]
 
 
 def _feature_strata(X, n, t):
@@ -162,11 +162,11 @@ def kb16():
 
 def _probe_heads(predictor, seed=0):
     rng = np.random.default_rng(seed)
-    heads = []
+    thetas = []
     for _ in range(predictor.n_heads):
         W = rng.standard_normal((predictor.way, predictor.head_input_dim))
-        heads.append(HeadParams("linear", W=W, b=rng.standard_normal(predictor.way)))
-    return heads
+        thetas.append(np.column_stack([W, rng.standard_normal(predictor.way)]))
+    return _unstack_heads("linear", np.array(thetas))
 
 
 @pytest.mark.parametrize(
@@ -207,7 +207,7 @@ def test_predictor_validates_head_shapes(kb16):
     bad = _probe_heads(Predictor(cfg, kb16, 16, 3, "linear"))[:2]
     with pytest.raises(ValueError, match="expected 4 heads"):
         p.probs_batch(bad, np.zeros((1, 16)))
-    wrong_dim = [HeadParams("linear", W=np.zeros((3, 5)), b=np.zeros(3)) for _ in range(4)]
+    wrong_dim = _unstack_heads("linear", np.zeros((4, 3, 6)))
     with pytest.raises(ValueError, match="input dim"):
         p.probs_batch(wrong_dim, np.zeros((1, 16)))
 
@@ -221,8 +221,8 @@ def test_a_non_finite_head_stack_is_refused(entry):
     ds = make_blob_dataset(n_classes=5, per_class=6, dim=4, seed=3)
     p = Predictor(AdjustmentConfig("none"), None, 4, 5, "linear")
     stack = np.full((1, 5, 5), np.nan)
-    heads = [HeadParams("linear", np.zeros((5, 4)), np.zeros(5))]
-    heads[0].theta[0, 0] = np.nan  # HeadParams(...) refuses NaN; a later write does not
+    heads = _unstack_heads("linear", np.zeros((1, 5, 5)))
+    heads[0].theta[0, 0] = np.nan  # _unstack_heads refuses NaN; a later write does not
     mi = zero_meta_init(5, 4, tasks=2)
     mi.theta[0, 0, 0] = np.nan
     cfg = FitConfig(iterations=2, batch_size=None, learning_rate=0.01, weight_decay=0.0)
@@ -330,7 +330,7 @@ def test_backdoor_exact_classwise_single_class_matches_predict():
     rng = np.random.default_rng(18)
     for _ in range(50):
         x = rng.standard_normal(16)
-        exact = backdoor_exact_classwise(heads[0], x, kb1)
+        exact = backdoor_exact_classwise("linear", heads[0].theta, x, kb1)
         assert np.allclose(exact, p.probs_batch(heads, x[None, :])[0], atol=1e-12)
 
 
@@ -342,10 +342,24 @@ def test_backdoor_exact_classwise_symmetric_two_strata():
         pre_weights=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         pre_bias=np.zeros(2),
     )
-    head = HeadParams("linear", W=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.zeros(2))
-    out = backdoor_exact_classwise(head, np.array([0.0, 2.0]), kb)
+    theta = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])  # [W | b]
+    out = backdoor_exact_classwise("linear", theta, np.array([0.0, 2.0]), kb)
     assert out[0] == pytest.approx(0.5, abs=1e-12)
     assert out[1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_backdoor_exact_classwise_refuses_a_head_it_cannot_score():
+    # the head is one (K, P') stack slice of a known kind, P the feature size
+    kb = make_kb(m=3, dim=4, seed=21)
+    x = np.ones(4)
+    with pytest.raises(ValueError, match="unknown head kind 'mlp'"):
+        backdoor_exact_classwise("mlp", np.zeros((3, 4)), x, kb)
+    with pytest.raises(ValueError, match="inputs of dimension 3"):
+        backdoor_exact_classwise("linear", np.zeros((3, 4)), x, kb)
+    with pytest.raises(ValueError, match="2-D matrix"):
+        backdoor_exact_classwise("cosine", np.zeros((1, 3, 4)), x, kb)
+    with pytest.raises(ValueError, match="finite"):
+        backdoor_exact_classwise("centroid", np.full((3, 4), np.nan), x, kb)
 
 
 def test_backdoor_exact_classwise_argmax_agreement():
@@ -362,7 +376,7 @@ def test_backdoor_exact_classwise_argmax_agreement():
     for _ in range(200):
         heads = _probe_heads(p, seed=int(rng.integers(0, 2**31)))
         x = rng.standard_normal(8)
-        exact = backdoor_exact_classwise(heads[0], x, kb)
+        exact = backdoor_exact_classwise("linear", heads[0].theta, x, kb)
         fast = p.probs_batch(heads, x[None, :])[0]
         if exact.max() > 0.6:
             confident += 1

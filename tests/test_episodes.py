@@ -103,6 +103,16 @@ def test_episode_validation():
         Episode(**{**kwargs, "class_map": np.array([3, 3])})
     with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
         Episode(**{**kwargs, "query_y": np.array([0, 0, 1, 2])})
+    # one sample index per support and per query row
+    with pytest.raises(ValueError, match=r"support_idx must have shape \(4,\)"):
+        Episode(**{**kwargs, "support_idx": np.arange(4).reshape(4, 1)})
+    with pytest.raises(ValueError, match=r"query_idx must have shape \(4,\)"):
+        Episode(**{**kwargs, "query_idx": np.arange(4, 9)})
+    X2 = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"support_idx must have shape \(2,\)"):
+        Episode(2, 1, 1, X2, [0, 1], X2, [0, 1], [5, 7], support_idx=[[0]], query_idx=[9, 10, 11])
+    with pytest.raises(ValueError, match=r"query_idx must have shape \(2,\)"):
+        Episode(2, 1, 1, X2, [0, 1], X2, [0, 1], [5, 7], support_idx=[0, 1], query_idx=[9, 10, 11])
 
 
 @pytest.mark.parametrize("shape, message", [

@@ -6,6 +6,8 @@ never escape a loader as another exception; ``ifsl episodes`` on a mutated
 file exits 0 or 3.
 """
 
+import contextlib
+import io
 import struct
 
 import numpy as np
@@ -94,9 +96,17 @@ def test_cli_on_mutated_files_exits_0_or_3(files, data, kind):
     mutated = root / f"cli.{kind}"
     mutated.write_bytes(data.draw(mutations(originals[kind], _SIZE_FIELDS[kind])))
     paths = {"features": root / "ok.features", "kb": root / "ok.kb", kind: mutated}
-    code = main([
-        "episodes", "--features", str(paths["features"]), "--kb", str(paths["kb"]),
-        "--way", "2", "--shot", "1", "--query", "2", "--episodes", "2", "--iterations", "3",
-        "--out", str(root / "report.json"),
-    ])
-    assert code in (0, 3)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "episodes", "--features", str(paths["features"]), "--kb", str(paths["kb"]),
+            "--way", "2", "--shot", "1", "--query", "2", "--episodes", "2", "--iterations", "3",
+            "--out", str(root / "report.json"),
+        ])
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"format error: {mutated}: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert code == 0
+        assert out.getvalue().startswith("mean_acc=") and out.getvalue().count("\n") == 1

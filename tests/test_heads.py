@@ -16,14 +16,15 @@ from ifsl.heads import (
     _Workspace,
     _class_means,
     _label_index,
+    _logits,
     _split,
+    _stack_inputs,
     _unstack_heads,
     batch_rows,
     fit_head,
     fit_stack,
     init_heads,
     init_stack,
-    logits_batch,
     mixture_loss_and_grads,
     sgd_step,
     stack_heads,
@@ -46,88 +47,96 @@ from conftest import (
 
 
 # --- logits ---------------------------------------------------------------------
-# single inputs are scored as one-row batches
+# one head is a (K, P') slice of a stack, [W | b] for linear heads; single
+# inputs are scored as one-row batches
+
+
+def _logit_rows(kind, theta, Z):
+    """(B, K) logits of the one head ``theta`` on a (B, P) block, through the
+    input stack and logits that ``stack_probs`` scores."""
+    theta = np.asarray(theta, dtype=np.float64)
+    V = _stack_inputs(kind, np.asarray(Z)[None, None], theta.shape[-1] - (kind == "linear"))
+    return _logits(kind, theta[None, None], V)[0, 0].T
 
 
 def test_linear_logits_examples():
-    zero = HeadParams("linear", W=np.zeros((2, 2)), b=np.zeros(2))
-    assert np.array_equal(logits_batch(zero, np.array([[5.0, -3.0]]))[0], [0.0, 0.0])
+    zero = np.zeros((2, 3))
+    assert np.array_equal(_logit_rows("linear", zero, [[5.0, -3.0]])[0], [0.0, 0.0])
 
-    ident = HeadParams("linear", W=np.eye(2), b=np.zeros(2))
-    assert np.array_equal(logits_batch(ident, np.array([[3.0, -1.0]]))[0], [3.0, -1.0])
+    ident = np.column_stack([np.eye(2), np.zeros(2)])
+    assert np.array_equal(_logit_rows("linear", ident, [[3.0, -1.0]])[0], [3.0, -1.0])
 
-    h = HeadParams("linear", W=[[1.0, 1.0], [0.0, 2.0]], b=[1.0, 0.0])
-    assert np.array_equal(logits_batch(h, np.array([[1.0, 1.0]]))[0], [3.0, 2.0])
+    h = [[1.0, 1.0, 1.0], [0.0, 2.0, 0.0]]
+    assert np.array_equal(_logit_rows("linear", h, [[1.0, 1.0]])[0], [3.0, 2.0])
 
 
 def test_cosine_logits_examples():
-    h = HeadParams("cosine", W=[[1.0, 0.0], [0.0, 1.0]])
-    out = logits_batch(h, np.array([[1.0, 0.0]]))[0]
+    out = _logit_rows("cosine", [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]])[0]
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(0.0)
 
-    scaled = HeadParams("cosine", W=[[2.0, 0.0], [0.0, 1.0]])
-    assert logits_batch(scaled, np.array([[5.0, 0.0]]))[0, 0] == pytest.approx(1.0)
+    scaled = [[2.0, 0.0], [0.0, 1.0]]
+    assert _logit_rows("cosine", scaled, [[5.0, 0.0]])[0, 0] == pytest.approx(1.0)
 
 
 def test_cosine_rescaling_invariance():
     rng = np.random.default_rng(0)
     W = rng.standard_normal((3, 4))
     z = rng.standard_normal((1, 4))
-    base = logits_batch(HeadParams("cosine", W=W), z)
+    base = _logit_rows("cosine", W, z)
     scaled_rows = W * rng.uniform(0.5, 4.0, size=(3, 1))
-    assert np.allclose(logits_batch(HeadParams("cosine", W=scaled_rows), z), base, atol=1e-12)
-    assert np.allclose(logits_batch(HeadParams("cosine", W=W), 7.3 * z), base, atol=1e-12)
+    assert np.allclose(_logit_rows("cosine", scaled_rows, z), base, atol=1e-12)
+    assert np.allclose(_logit_rows("cosine", W, 7.3 * z), base, atol=1e-12)
 
 
 def test_centroid_logits_examples():
-    h = HeadParams("centroid", W=[[0.0, 0.0], [1.0, 0.0]])
-    out = logits_batch(h, np.array([[1.0, 0.0]]))[0]
+    h = [[0.0, 0.0], [1.0, 0.0]]
+    out = _logit_rows("centroid", h, [[1.0, 0.0]])[0]
     assert np.array_equal(out, [-1.0, 0.0])
     assert out.argmax() == 1
     # sitting on a centroid scores 0, the maximum
-    assert logits_batch(h, np.array([[0.0, 0.0]]))[0, 0] == 0.0
+    assert _logit_rows("centroid", h, [[0.0, 0.0]])[0, 0] == 0.0
 
 
 def test_centroid_equals_expanded_linear_argmax():
     # -||z - c||^2 = 2 c.z - ||c||^2 - ||z||^2, so argmax matches W=2c, b=-||c||^2
     rng = np.random.default_rng(4)
     cents = rng.standard_normal((4, 6))
-    cent_head = HeadParams("centroid", W=cents)
-    lin_head = HeadParams(
-        "linear", W=2.0 * cents, b=-np.sum(cents * cents, axis=1)
-    )
+    lin_head = np.column_stack([2.0 * cents, -np.sum(cents * cents, axis=1)])
     for _ in range(100):
         z = rng.standard_normal((1, 6)) * rng.uniform(0.1, 5)
-        assert logits_batch(cent_head, z).argmax() == logits_batch(lin_head, z).argmax()
+        expected = _logit_rows("linear", lin_head, z).argmax()
+        assert _logit_rows("centroid", cents, z).argmax() == expected
 
 
 def test_head_probs_sum_to_one():
     rng = np.random.default_rng(5)
     heads = [
-        HeadParams("linear", W=rng.standard_normal((3, 4)), b=rng.standard_normal(3)),
-        HeadParams("cosine", W=rng.standard_normal((3, 4))),
-        HeadParams("centroid", W=rng.standard_normal((3, 4))),
+        ("linear", np.column_stack([rng.standard_normal((3, 4)), rng.standard_normal(3)])),
+        ("cosine", rng.standard_normal((3, 4))),
+        ("centroid", rng.standard_normal((3, 4))),
     ]
-    for h in heads:
-        p = softmax_rows(logits_batch(h, rng.standard_normal((1, 4))))[0]
+    for kind, theta in heads:
+        p = softmax_rows(_logit_rows(kind, theta, rng.standard_normal((1, 4))))[0]
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
 
 
 def test_head_params_validation():
+    # heads are views that _unstack_heads builds from a stack, which it
+    # refuses with fewer than 2 classes; a hand-made view of an unknown kind
+    # is refused where it is stacked, and an input block of another width
+    # where it is scored
     with pytest.raises(ValueError, match="at least 2 classes"):
-        HeadParams("linear", W=np.zeros((1, 3)), b=np.zeros(1))
-    with pytest.raises(ValueError, match="no bias"):
-        HeadParams("cosine", W=np.zeros((2, 3)), b=np.zeros(2))
-    with pytest.raises(ValueError, match="bias"):
-        HeadParams("linear", W=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="no bias"):
-        HeadParams("centroid", W=np.zeros((2, 3)), b=np.zeros(2))
-    with pytest.raises(ValueError, match="unknown head kind"):
-        HeadParams("mlp", W=np.zeros((2, 3)), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        logits_batch(HeadParams("linear", W=np.eye(2), b=np.zeros(2)), np.array([[1.0, 2.0, 3.0]]))
+        _unstack_heads("linear", np.zeros((1, 1, 4)))
+    mlp = [HeadParams("mlp", np.zeros((2, 3)))]
+    with pytest.raises(ValueError, match="unknown head kind 'mlp'"):
+        stack_heads(mlp)
+    predictor = Predictor(AdjustmentConfig("none"), None, 3, 2, "centroid")
+    with pytest.raises(ValueError, match="unknown head kind 'mlp'"):
+        predictor.probs_from_inputs(mlp, np.zeros((1, 1, 3)))
+    with pytest.raises(ValueError, match="inputs of dimension 2"):
+        stack_probs("linear", np.zeros((1, 1, 2, 3)), np.zeros((1, 1, 1, 3)))
 
 
 # --- centroids --------------------------------------------------------------------
@@ -200,26 +209,26 @@ def _ce(h, z, y, weight_decay=0.0):
 
 
 def test_ce_loss_zero_params_ln2():
-    h = HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))
+    (h,) = _unstack_heads("linear", np.zeros((1, 2, 4)))
     loss, _ = _ce(h, [1.0, -4.0, 2.0], 0)
     assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_ce_loss_includes_weight_penalty():
-    h = HeadParams("linear", W=np.full((2, 2), 2.0), b=np.zeros(2))
+    (h,) = _unstack_heads("linear", np.array([[[2.0, 2.0, 0.0], [2.0, 2.0, 0.0]]]))
     loss, _ = _ce(h, [0.0, 0.0], 0, weight_decay=0.1)
     assert loss == pytest.approx(math.log(2.0) + 0.05 * 16.0, abs=1e-12)
 
 
 def test_ce_loss_invalid_label():
-    h = HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))
+    (h,) = _unstack_heads("linear", np.zeros((1, 2, 4)))
     with pytest.raises(ValueError):
         _ce(h, [0.0, 0.0, 0.0], 2)
 
 
 def test_saturated_head_small_loss_and_gradient():
     # logits strongly favor the true class: loss and gradient nearly vanish
-    h = HeadParams("linear", W=np.array([[20.0, 0.0], [-20.0, 0.0]]), b=np.zeros(2))
+    (h,) = _unstack_heads("linear", np.array([[[20.0, 0.0, 0.0], [-20.0, 0.0, 0.0]]]))
     loss, dtheta = _ce(h, [1.0, 0.0], 0)
     assert loss < 1e-3
     assert np.linalg.norm(dtheta) < 1e-2
@@ -258,14 +267,11 @@ def fd_gradient(heads, inputs, labels, weight_decay, step=1e-6):
 
 
 def _random_heads(kind, n_heads, way, input_dim, rng):
-    heads = []
+    thetas = []
     for _ in range(n_heads):
         W = rng.standard_normal((way, input_dim))
-        if kind == "linear":
-            heads.append(HeadParams("linear", W=W, b=rng.standard_normal(way)))
-        else:
-            heads.append(HeadParams("cosine", W=W))
-    return heads
+        thetas.append(np.column_stack([W, rng.standard_normal(way)]) if kind == "linear" else W)
+    return _unstack_heads(kind, np.array(thetas))
 
 
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
@@ -308,7 +314,7 @@ def test_gradients_through_adjustment_predictors(strategy, kind):
 
 
 def test_mixture_loss_validation():
-    h = HeadParams("linear", W=np.zeros((2, 2)), b=np.zeros(2))
+    (h,) = _unstack_heads("linear", np.zeros((1, 2, 3)))
     with pytest.raises(ValueError, match="empty batch"):
         mixture_loss_and_grads([h], [np.zeros((0, 2))], np.array([], dtype=int))
     with pytest.raises(ValueError):
@@ -321,10 +327,9 @@ def test_mixture_loss_validation():
 def test_large_logit_gap_gives_finite_loss_and_gradients(n_heads):
     # head i scores the true class 0 at 0 and class 1 at 1000 + 10 i, so the
     # true class's probability underflows in every head
-    heads = [
-        HeadParams("linear", W=np.array([[0.0], [1.0]]), b=np.array([0.0, 10.0 * i]))
-        for i in range(n_heads)
-    ]
+    heads = _unstack_heads(
+        "linear", np.array([[[0.0, 0.0], [1.0, 10.0 * i]] for i in range(n_heads)])
+    )
     inputs = np.full((n_heads, 1, 1), 1000.0)
     loss, dtheta = mixture_loss_and_grads(heads, inputs, np.array([0]))
     dW, db = _split("linear", dtheta)
@@ -510,7 +515,7 @@ def test_fit_head_full_batch_loss_non_increasing():
 def test_fit_head_respects_init():
     X, y = _separable_support()
     predictor = Predictor(AdjustmentConfig("none"), None, 2, 2, "linear")
-    init = [HeadParams("linear", W=np.ones((2, 2)), b=np.ones(2))]
+    init = _unstack_heads("linear", np.ones((1, 2, 3)))
     heads = fit_head(X, y, predictor, FitConfig(iterations=0), init=init)
     assert np.array_equal(heads[0].W, init[0].W)
     assert heads[0] is not init[0]  # fit works on a copy
@@ -688,9 +693,7 @@ def test_fits_leave_init_unchanged(kind):
     fitted = fit_stack(Z, np.stack([y, y]), predictor, cfg, [0, 1], init)
     assert not np.array_equal(_split(kind, fitted)[0][0], W)
     assert np.array_equal(init, theta)
-    heads = [
-        HeadParams(kind, W=W[i].copy(), b=None if b is None else b[i].copy()) for i in range(len(W))
-    ]
+    heads = _unstack_heads(kind, theta.copy())
     fit_head(X, y, predictor, cfg, init=heads)
     for i, h in enumerate(heads):
         assert np.array_equal(h.W, W[i]) and (b is None or np.array_equal(h.b, b[i]))
@@ -771,7 +774,7 @@ def test_sgd_step_leaves_grads_unchanged():
     assert np.array_equal(dtheta, dtheta0)
     stack_sgd_step(expected, dtheta0, 0.1)
     assert np.array_equal(theta, expected) and not np.array_equal(theta[0], dtheta0[0])
-    mixed = [heads[0], HeadParams("cosine", W=heads[1].W)]
+    mixed = [heads[0], *_unstack_heads("cosine", theta[1:, :, :-1])]
     with pytest.raises(ValueError, match="share a kind"):
         sgd_step(mixed, dtheta, 0.1)
 
@@ -779,7 +782,7 @@ def test_sgd_step_leaves_grads_unchanged():
 @pytest.mark.parametrize("coupling", [-3.0, 0.0])
 def test_list_calls_reject_a_context_coupling(coupling):
     # the context is folded into the head inputs; only None is accepted
-    heads = [HeadParams("linear", W=np.zeros((2, 3)), b=np.zeros(2))]
+    heads = _unstack_heads("linear", np.zeros((1, 2, 4)))
     grads = mixture_loss_and_grads(heads, np.ones((1, 2, 3)), np.array([0, 1]))[1]
     with pytest.raises(ValueError, match="coupling"):
         sgd_step(heads, grads, 0.1, coupling)
@@ -892,8 +895,10 @@ def test_fitted_context_weights_are_tied(strategy, kind):
     Q = rng.standard_normal((40, 8))
     for h, Z, C in zip(heads, predictor.support_inputs(Q), _tied_inputs(predictor, Q)):
         assert np.abs(h.W).max() > 0.0
-        tied = HeadParams(kind, W=np.concatenate([h.W, -3.0 * h.W], axis=1), b=h.b)
-        folded, concat = logits_batch(h, Z), logits_batch(tied, C)
+        tied = np.concatenate([h.W, -3.0 * h.W], axis=1)
+        if kind == "linear":
+            tied = np.column_stack([tied, h.b])
+        folded, concat = _logit_rows(kind, h.theta, Z), _logit_rows(kind, tied, C)
         if kind == "linear":
             assert np.allclose(folded, concat, rtol=0.0, atol=1e-12)
         else:
@@ -1017,7 +1022,7 @@ def test_stacked_cosine_gradients_match_two_pass_reference(
     assert dW.shape == W.shape  # cosine heads have no bias column
     expected = np.empty_like(W)
     for e in range(E):
-        heads = [HeadParams("cosine", W=W[e, i].copy()) for i in range(n)]
+        heads = _unstack_heads("cosine", W[e].copy())
         _, grads = reference_mixture(heads, list(Z[e]), y[e], weight_decay)
         expected[e] = [g for g, _ in grads]
     norms = np.linalg.norm(W, axis=-1)

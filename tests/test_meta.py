@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ifsl.adjust import AdjustmentConfig, Predictor, class_context
 from ifsl.episodes import _CHUNK, episode_rng, sample_episode
 from ifsl.heads import (
-    FitConfig, HeadParams, fit_head, fit_stack, mixture_loss_and_grads, sgd_step, stack_heads,
+    FitConfig, _unstack_heads, fit_head, fit_stack, mixture_loss_and_grads, sgd_step, stack_heads,
 )
 from ifsl.knowledge import FormatError, PartitionConfig
 from ifsl.meta import (
@@ -101,7 +101,9 @@ def test_adapt_matches_full_batch_fit(ds):
     rng = np.random.default_rng(1)
     X = ds.features[:9]
     y = np.array([0, 1, 2] * 3)
-    theta = [HeadParams("linear", W=rng.standard_normal((3, 8)), b=rng.standard_normal(3))]
+    theta = _unstack_heads(
+        "linear", np.column_stack([rng.standard_normal((3, 8)), rng.standard_normal(3)])[None]
+    )
     adapted = adapt(theta, predictor, X, y, inner_lr=0.05, inner_steps=7)
     fitted = fit_head(
         X, y, predictor,
@@ -137,7 +139,7 @@ def test_adapt_matches_full_batch_fit_with_tied_context(ds):
 
 def test_adapt_zero_steps_returns_copy(ds):
     predictor = Predictor(AdjustmentConfig("none"), None, ds.dim, 2, "linear")
-    theta = [HeadParams("linear", W=np.ones((2, 8)), b=np.zeros(2))]
+    theta = _unstack_heads("linear", np.concatenate([np.ones((1, 2, 8)), np.zeros((1, 2, 1))], -1))
     out = adapt(theta, predictor, ds.features[:4], np.array([0, 0, 1, 1]), 0.1, 0)
     assert np.array_equal(out[0].W, theta[0].W)
     assert out[0] is not theta[0]
@@ -324,11 +326,8 @@ def test_adapt_leaves_theta_unchanged(ds, strategy):
     kb = make_kb(m=3, dim=8, seed=47)
     predictor = Predictor(AdjustmentConfig(strategy), kb, ds.dim, 3, "linear")
     rng = np.random.default_rng(48)
-    theta = [
-        HeadParams(
-            "linear", W=rng.standard_normal((3, predictor.head_input_dim)), b=rng.standard_normal(3)
-        )
-    ]
+    W = rng.standard_normal((3, predictor.head_input_dim))
+    theta = _unstack_heads("linear", np.column_stack([W, rng.standard_normal(3)])[None])
     before = [(h.W.copy(), h.b.copy()) for h in theta]
     adapted = adapt(theta, predictor, ds.features[:6], np.array([0, 1, 2] * 2), 0.05, 4)
     assert not np.array_equal(adapted[0].W, theta[0].W)
@@ -409,8 +408,11 @@ def test_head_layout_gives_the_same_bits(ds, tmp_path):
     for h in views:
         assert h.theta.base is trained.theta
         assert not h.W.flags.c_contiguous and not h.b.flags.c_contiguous
-    contiguous = [HeadParams("linear", W=h.W.copy(), b=h.b.copy()) for h in views]
-    assert all(h.theta.flags.c_contiguous and h.theta.base is None for h in contiguous)
+    contiguous = [_unstack_heads("linear", h.theta[None].copy())[0] for h in views]
+    assert all(
+        h.theta.flags.c_contiguous and not np.shares_memory(h.theta, trained.theta)
+        for h in contiguous
+    )
     other = replace_theta(trained, contiguous)
     save_meta(trained, tmp_path / "views.bin")
     save_meta(other, tmp_path / "contiguous.bin")
@@ -431,7 +433,7 @@ def test_head_layout_gives_the_same_bits(ds, tmp_path):
 
 def test_replace_theta_keeps_hyperparameters():
     mi = zero_meta_init(2, 3, inner_lr=0.5, inner_steps=9, outer_lr=0.25, tasks=7)
-    new = [HeadParams("linear", W=np.ones((2, 3)), b=np.full(2, 2.0))]
+    new = _unstack_heads("linear", np.array([[[1.0, 1.0, 1.0, 2.0]] * 2]))
     out = replace_theta(mi, new)
     assert out.kind == "linear"
     assert np.array_equal(out.theta, [[[1.0, 1.0, 1.0, 2.0]] * 2])
@@ -554,7 +556,7 @@ def test_adapt_and_fit_head_check_a_start_once(ds, monkeypatch):
     assert seen == ["linear"] * 2
     # a centroid start has a cosine start's width, and is refused by its kind
     cosine = Predictor(AdjustmentConfig("none"), None, ds.dim, 3, "cosine")
-    centroids = [HeadParams("centroid", np.ones((3, ds.dim)))]
+    centroids = _unstack_heads("centroid", np.ones((1, 3, ds.dim)))
     with pytest.raises(ValueError, match="expected 'cosine' heads, got 'centroid'"):
         fit_head(X, y, cosine, FitConfig(iterations=2), init=centroids)
     assert seen == ["linear"] * 2
