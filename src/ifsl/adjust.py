@@ -171,9 +171,12 @@ def backdoor_exact_classwise(kind: str, theta, x, kb: KnowledgeBase) -> np.ndarr
     only approximately (usually in the argmax), and for m = 1 exactly.
     """
     check_kind(kind)
+    theta = as_matrix(theta)
+    if theta.shape[0] < 2:
+        raise ValueError("heads need at least 2 classes")
     v = as_vector(x, size=kb.dim)
     Z = v - kb.m * pretrain_probs(kb, v[None, :])[0][:, None] * kb.class_means
-    return stack_probs(kind, as_matrix(theta)[None, None], Z[None, None])[0].mean(axis=0)
+    return stack_probs(kind, theta[None, None], Z[None, None])[0].mean(axis=0)
 
 
 def nwgm(logit_sets, priors) -> np.ndarray:

@@ -133,20 +133,14 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _write_query_csv(path: str, results) -> None:
-    """One row per query of every episode, written column by column."""
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([getattr(r, name) for r in results])
-
-    sizes = [r.true.size for r in results]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "query", "true", "predicted", "correct", "hardness"])
-        writer.writerows(zip(
-            np.repeat(np.arange(len(results)), sizes).tolist(),
-            np.concatenate([np.arange(size) for size in sizes]).tolist(),
-            column("true").tolist(), column("predicted").tolist(),
-            column("correct").astype(np.int64).tolist(), map(repr, column("hardness").tolist()),
-        ))
+        for e, r in enumerate(results):
+            for q in range(r.true.size):
+                writer.writerow(
+                    [e, q, int(r.true[q]), int(r.predicted[q]), int(r.correct[q]), repr(float(r.hardness[q]))]
+                )
 
 
 def _task_flags(p: argparse.ArgumentParser) -> None:

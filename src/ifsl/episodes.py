@@ -45,13 +45,16 @@ class Episode:
         si = np.asarray(self.support_idx, dtype=np.int64)
         qi = np.asarray(self.query_idx, dtype=np.int64)
         for name, arr, expect in (
-            ("support_y", sy, sx.shape[0]), ("query_y", qy, qx.shape[0]),
-            ("support_idx", si, sx.shape[0]), ("query_idx", qi, qx.shape[0]),
+            ("support_y", sy, sx.shape[0]),
+            ("query_y", qy, qx.shape[0]),
         ):
             if arr.shape != (expect,):
                 raise ValueError(f"{name} must have shape ({expect},)")
-            if name.endswith("_y") and (arr.min() < 0 or arr.max() >= self.way):
+            if arr.min() < 0 or arr.max() >= self.way:
                 raise ValueError(f"{name} entries must lie in [0, {self.way - 1}]")
+        for name, arr, expect in (("support_idx", si, sx.shape[0]), ("query_idx", qi, qx.shape[0])):
+            if arr.shape != (expect,):
+                raise ValueError(f"{name} must have shape ({expect},)")
         if np.intersect1d(si, qi).size:
             raise ValueError("support and query must use disjoint sample indices")
         cm = np.asarray(self.class_map, dtype=np.int64)

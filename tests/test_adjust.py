@@ -13,17 +13,18 @@ from ifsl.adjust import (
     class_context,
     nwgm,
 )
-from ifsl.heads import FitConfig, _unstack_heads, fit_head, fit_stack, init_heads, stack_probs
+from ifsl.heads import FitConfig, _unstack_heads, fit_head, fit_stack, init_heads
 from ifsl.knowledge import KnowledgeBase, PartitionConfig
 from ifsl.meta import evaluate_inits, meta_train, zero_meta_init
 from ifsl.numerics import softmax
 
-from conftest import make_blob_dataset, make_kb, reference_inputs
+from conftest import make_blob_dataset, make_kb, reference_inputs, reference_probs
 
 
 def _head_probs(h, z: np.ndarray) -> np.ndarray:
-    """One head's softmax output for a single input, scored as a one-row batch."""
-    return stack_probs(h.kind, h.theta[None, None], z[None, None, None])[0, 0]
+    """One head's softmax output for a single input, computed by the
+    package-independent reference as a one-row batch."""
+    return reference_probs([h], [z[None, :]])[0]
 
 
 def _feature_strata(X, n, t):
@@ -332,6 +333,9 @@ def test_backdoor_exact_classwise_single_class_matches_predict():
         x = rng.standard_normal(16)
         exact = backdoor_exact_classwise("linear", heads[0].theta, x, kb1)
         assert np.allclose(exact, p.probs_batch(heads, x[None, :])[0], atol=1e-12)
+        # with one stratum the sum is one softmax of the ``class`` input
+        (z,) = reference_inputs(p, x)
+        assert np.allclose(exact, _head_probs(heads[0], z), atol=1e-12)
 
 
 def test_backdoor_exact_classwise_symmetric_two_strata():
@@ -354,6 +358,8 @@ def test_backdoor_exact_classwise_refuses_a_head_it_cannot_score():
     x = np.ones(4)
     with pytest.raises(ValueError, match="unknown head kind 'mlp'"):
         backdoor_exact_classwise("mlp", np.zeros((3, 4)), x, kb)
+    with pytest.raises(ValueError, match="heads need at least 2 classes"):
+        backdoor_exact_classwise("linear", np.zeros((1, 5)), x, kb)
     with pytest.raises(ValueError, match="inputs of dimension 3"):
         backdoor_exact_classwise("linear", np.zeros((3, 4)), x, kb)
     with pytest.raises(ValueError, match="2-D matrix"):
