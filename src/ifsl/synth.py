@@ -10,8 +10,7 @@ support class to a single stratum while queries escape with some probability.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,8 +44,8 @@ class SynthConfig:
             raise ValueError("need at least one sample per stratum per class")
         if not 0.0 <= self.mismatch_rate <= 1.0:
             raise ValueError(f"mismatch rate must lie in [0, 1], got {self.mismatch_rate}")
-        if self.beta < 0.0 or self.sigma < 0.0:
-            raise ValueError("beta and sigma must be >= 0")
+        if not (0.0 <= self.beta < np.inf and 0.0 <= self.sigma < np.inf):  # NaN fails too
+            raise ValueError("beta and sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,17 @@ def gen_confounded(cfg: SynthConfig) -> SynthOutput:
     pretrain = FeatureDataset(pre_feats, pre_labels, cfg.pretrain_classes)
 
     # novel classes: deterministic round-robin tags keep every (class, stratum)
-    # cell equally filled for confounded episode sampling
+    # cell equally filled for confounded episode sampling. One noise draw, then
+    # each stratum's directions added in place: no second novel-sized array, and
+    # (sums and products commute) the bits of drawing and summing class by class
     tags = np.arange(per) % cfg.strata
-    nov_feats = np.empty((cfg.novel_classes * per, cfg.dim))
+    nov_feats = rng.standard_normal((cfg.novel_classes, per, cfg.dim))
+    nov_feats *= cfg.sigma
+    novel_dirs = class_dirs[cfg.pretrain_classes :, None]
+    for s in range(cfg.strata):
+        nov_feats[:, s :: cfg.strata] += novel_dirs + cfg.beta * conf_dirs[s]
     nov_labels = np.repeat(np.arange(cfg.novel_classes), per)
-    for j in range(cfg.novel_classes):
-        noise = rng.standard_normal((per, cfg.dim))
-        nov_feats[j * per : (j + 1) * per] = (
-            class_dirs[cfg.pretrain_classes + j] + cfg.beta * conf_dirs[tags] + cfg.sigma * noise
-        )
-    novel = FeatureDataset(nov_feats, nov_labels, cfg.novel_classes)
+    novel = FeatureDataset(nov_feats.reshape(-1, cfg.dim), nov_labels, cfg.novel_classes)
     novel_strata = np.tile(tags, cfg.novel_classes)
 
     return SynthOutput(pretrain, novel, novel_strata, class_dirs, conf_dirs, mixtures)
@@ -124,12 +124,11 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     This is ``fit_stack``'s full-batch fit of one linear head from zero on
     the N pretrain rows, with each step's gradient computed in two fixed row
     blocks at once: the first ceil(N/2) rows on the calling thread, the rest
-    on one worker thread that lives for this call. A 1-row set has one block
-    and no worker, and a process allowed one CPU computes both blocks on the
-    calling thread, where a worker would only take turns with it. Each block
-    has its own ``_Workspace(..., ones=False)``, which reads the block's rows
-    in place (a ones column would copy the set) and leaves its block's
-    gradient alone, with no weight decay and no step. The step then sums the
+    on one worker thread that lives for this call, whatever the CPU count.
+    A 1-row set has one block and no worker. Each block has its own
+    ``_Workspace(..., ones=False)``, which reads the block's rows in place (a
+    ones column would copy the set) and leaves its block's gradient alone,
+    with no weight decay and no step. The step then sums the
     block gradients in block order, each weighted by its share of the rows,
     adds the weight decay once on the weight columns and steps theta. The
     split depends only on N, so the knowledge base depends only on the data:
@@ -155,23 +154,14 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     dtheta, decay = np.empty(theta.shape), np.empty((1, 1, K, dim))
     W, dW = theta[..., :-1], dtheta[..., :-1]
     weight_decay, learning_rate = _KB_FIT.weight_decay, _KB_FIT.learning_rate
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threaded = bool(rest) and (cpus or 1) > 1
-
-    def rest_grads() -> None:
-        for ws, *batch, _ in rest:
-            ws.grads(*batch)
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         for _ in range(_KB_FIT.iterations):
-            pending = worker.submit(rest_grads) if threaded else None
+            pending = [worker.submit(ws.grads, *batch) for ws, *batch, _ in rest]
             own.grads(V, at_label)
             np.multiply(own.dtheta, share, dtheta)
-            if pending is None:
-                rest_grads()
-            else:
-                pending.result()
-            for ws, _, _, ws_share in rest:
+            for (ws, _, _, ws_share), done in zip(rest, pending):
+                done.result()
                 np.add(dtheta, np.multiply(ws.dtheta, ws_share, ws.dtheta), dtheta)
             np.add(dW, np.multiply(W, weight_decay, decay), dW)
             stack_sgd_step(theta, dtheta, learning_rate)
@@ -407,6 +397,8 @@ class LinearScmConfig:
     def __post_init__(self):
         if self.samples < 3:
             raise ValueError("need at least 3 samples")
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError("coefficients and noise scales must be finite")
         if self.noise_x < 0.0 or self.noise_y < 0.0:
             raise ValueError("noise scales must be >= 0")
 

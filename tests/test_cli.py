@@ -50,12 +50,23 @@ def _doc_sans_meta(path):
     return doc
 
 
+def _assert_summaries(capsys, *reports):
+    # each episodes or hardness run with --out printed one summary line of the
+    # report it wrote there on stdout, and nothing on stderr
+    out, err = capsys.readouterr()
+    docs = [json.loads(r.read_text()) for r in reports]
+    assert err == "" and out.splitlines() == [
+        f"mean_acc={d['mean_acc']:.2f} ci95={d['ci95']:.2f} episodes={d['episodes']}" for d in docs
+    ]
+
+
 # --- reports -----------------------------------------------------------------------
 
 
-def test_episodes_report_validates_against_schema(data_dir, tmp_path):
+def test_episodes_report_validates_against_schema(data_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert _episodes(data_dir, out) == 0
+    _assert_summaries(capsys, out)
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["episodes"] == 5
@@ -64,13 +75,14 @@ def test_episodes_report_validates_against_schema(data_dir, tmp_path):
     assert 0.0 <= doc["mean_acc"] <= 100.0
 
 
-def test_hardness_report_validates_and_bins(data_dir, tmp_path):
+def test_hardness_report_validates_and_bins(data_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
         ["hardness", "--features", str(data_dir / "novel.features"),
          "--kb", str(data_dir / "kb.bin"), "--out", str(out), "--bins", "4", *EPISODE_ARGS]
     )
     assert code == 0
+    _assert_summaries(capsys, out)
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert len(doc["hardness_bins"]) == 4
@@ -78,15 +90,16 @@ def test_hardness_report_validates_and_bins(data_dir, tmp_path):
     assert doc["config"]["command"] == "hardness"
 
 
-def test_rerun_is_byte_identical_outside_meta(data_dir, tmp_path):
+def test_rerun_is_byte_identical_outside_meta(data_dir, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert _episodes(data_dir, a) == 0
     assert _episodes(data_dir, b) == 0
+    _assert_summaries(capsys, a, b)
     da, db = _doc_sans_meta(a), _doc_sans_meta(b)
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
-def test_ifsl_threads_environment_variable_is_ignored(data_dir, tmp_path, monkeypatch):
+def test_ifsl_threads_environment_variable_is_ignored(data_dir, tmp_path, monkeypatch, capsys):
     # no input names a thread count: IFSL_THREADS changes neither the exit code nor the report
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     monkeypatch.delenv("IFSL_THREADS", raising=False)
@@ -94,6 +107,7 @@ def test_ifsl_threads_environment_variable_is_ignored(data_dir, tmp_path, monkey
     monkeypatch.setenv("IFSL_THREADS", "lots")
     assert _episodes(data_dir, b) == 0
     assert _doc_sans_meta(a) == _doc_sans_meta(b)
+    _assert_summaries(capsys, a, b)
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -135,7 +149,7 @@ def test_episode_commands_refuse_bad_counts_before_reading(
     assert not out.exists() and not bins_csv.exists() and not init.exists()
 
 
-def test_csv_feature_input(data_dir, tmp_path):
+def test_csv_feature_input(data_dir, tmp_path, capsys):
     out_bin, out_csv = tmp_path / "bin.json", tmp_path / "csv.json"
     assert _episodes(data_dir, out_bin) == 0
     code = main(
@@ -143,6 +157,7 @@ def test_csv_feature_input(data_dir, tmp_path):
          "--kb", str(data_dir / "kb.bin"), "--out", str(out_csv), *EPISODE_ARGS]
     )
     assert code == 0
+    _assert_summaries(capsys, out_bin, out_csv)
     da, db = _doc_sans_meta(out_bin), _doc_sans_meta(out_csv)
     # same data, same results; only the recorded input path differs
     da["config"].pop("features")
@@ -150,7 +165,7 @@ def test_csv_feature_input(data_dir, tmp_path):
     assert da == db
 
 
-def test_query_and_bin_csv_dumps(data_dir, tmp_path):
+def test_query_and_bin_csv_dumps(data_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     qcsv = tmp_path / "queries.csv"
     bcsv = tmp_path / "bins.csv"
@@ -160,6 +175,7 @@ def test_query_and_bin_csv_dumps(data_dir, tmp_path):
          "--query-csv", str(qcsv), "--bins-csv", str(bcsv), *EPISODE_ARGS]
     )
     assert code == 0
+    _assert_summaries(capsys, out)
     with open(qcsv) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["episode", "query", "true", "predicted", "correct", "hardness"]
@@ -170,7 +186,7 @@ def test_query_and_bin_csv_dumps(data_dir, tmp_path):
     assert len(brows) == 1 + 4
 
 
-def test_adjusted_run_defaults_to_lower_lr(data_dir, tmp_path):
+def test_adjusted_run_defaults_to_lower_lr(data_dir, tmp_path, capsys):
     out = tmp_path / "adj.json"
     assert _episodes(data_dir, out, ["--adjust", "feature", "--strata", "4"]) == 0
     doc = json.loads(out.read_text())
@@ -179,6 +195,7 @@ def test_adjusted_run_defaults_to_lower_lr(data_dir, tmp_path):
     plain = tmp_path / "plain.json"
     assert _episodes(data_dir, plain) == 0
     assert json.loads(plain.read_text())["config"]["lr"] == 1e-2
+    _assert_summaries(capsys, out, plain)
 
 
 def test_stdout_report_when_no_out(data_dir, capsys):
@@ -199,7 +216,7 @@ def test_version_flag(capsys):
     assert "0.1.0" in capsys.readouterr().out
 
 
-def test_config_errors_exit_2(data_dir, tmp_path):
+def test_config_errors_exit_2(data_dir, tmp_path, capsys):
     # stratum count that does not divide the feature dimension
     assert _episodes(data_dir, tmp_path / "x.json", ["--adjust", "feature", "--n", "7"]) == 2
     # degenerate episode shape
@@ -210,33 +227,60 @@ def test_config_errors_exit_2(data_dir, tmp_path):
     gpath = tmp_path / "bad-graph.json"
     gpath.write_text(json.dumps({"nodes": None, "edges": []}))
     assert main(["scm", "dsep", "--graph-file", str(gpath), "--x", "X", "--y", "Y"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "config error: stratum count 7 does not divide feature dimension 16",
+        "config error: episodes need at least 2 classes, got way=1",
+        "config error: unknown graph 'loopy', expected one of "
+        "['fsl', 'fsl-sampling', 'msl-sampling']",
+        "config error: malformed graph document: nodes must be a list of names",
+    ]
 
 
-def test_format_errors_exit_3(data_dir, tmp_path):
+def test_format_errors_exit_3(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.features"
     bad.write_bytes(b"junkjunkjunkjunk")
     code = main(["episodes", "--features", str(bad), "--kb", str(data_dir / "kb.bin"),
                  *EPISODE_ARGS])
     assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"format error: {bad}: bad magic at byte 0, expected b'IFSLFEA1'\n"
     badkb = tmp_path / "bad.kb"
     badkb.write_bytes(b"\x00" * 24)
     code = main(["episodes", "--features", str(data_dir / "novel.features"),
                  "--kb", str(badkb), *EPISODE_ARGS])
     assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"format error: {badkb}: bad magic at byte 0, expected b'IFSLKB01'\n"
 
 
-def test_missing_file_exits_1(data_dir, tmp_path):
-    code = main(["episodes", "--features", str(tmp_path / "nope.features"),
-                 "--kb", str(data_dir / "kb.bin"), *EPISODE_ARGS])
+def test_missing_file_exits_1(data_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.features"
+    code = main(["episodes", "--features", str(missing), "--kb", str(data_dir / "kb.bin"),
+                 *EPISODE_ARGS])
     assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
-def test_argparse_rejection_exits_2(data_dir, tmp_path, monkeypatch):
+def test_argparse_rejection_exits_2(data_dir, tmp_path, monkeypatch, capsys):
+    def last_error():  # argparse prints a usage block, then one error line
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ifsl")
+        return err.splitlines()[-1]
+
     assert main(["episodes", "--features", "x"]) == 2  # --kb missing
+    assert last_error() == "ifsl episodes: error: the following arguments are required: --kb"
     assert main(["definitely-not-a-command"]) == 2
+    assert last_error().startswith(
+        "ifsl: error: argument command: invalid choice: 'definitely-not-a-command'"
+    )
     # episodes has no hardness bins to write; --bins-csv belongs to hardness
     bins = tmp_path / "bins.csv"
     assert _episodes(data_dir, tmp_path / "r.json", ["--bins-csv", str(bins)]) == 2
+    assert last_error() == f"ifsl: error: unrecognized arguments: --bins-csv {bins}"
     assert not bins.exists()
     # synth takes no thread count; the flag is refused before any data is generated
     def no_data(*args, **kwargs):
@@ -245,6 +289,7 @@ def test_argparse_rejection_exits_2(data_dir, tmp_path, monkeypatch):
     monkeypatch.setattr("ifsl.cli.gen_confounded", no_data)
     outdir = tmp_path / "gen"
     assert main(["synth", "--out-dir", str(outdir), *SYNTH_ARGS, "--threads", "1"]) == 2
+    assert last_error() == "ifsl: error: unrecognized arguments: --threads 1"
     assert not outdir.exists()
 
 
@@ -297,6 +342,7 @@ def test_scm_backdoor_verdicts(tmp_path, capsys):
 
     assert main(["scm", "backdoor", *common]) == 0
     assert json.loads(out.read_text())["result"] is False
+    assert capsys.readouterr().out == "[] is NOT backdoor-admissible for X -> Y\n"
 
 
 def test_scm_graph_file_override(tmp_path, capsys):
@@ -347,8 +393,11 @@ def test_synth_writes_artifacts_and_report(tmp_path, capsys):
         assert doc[arm]["episodes"] == 6
     assert doc["baseline"]["config"]["adjust"] == "none"
     assert doc["adjusted"]["config"]["adjust"] == "combined"
-    summary = capsys.readouterr().out
-    assert "baseline=" in summary and "gap=" in summary
+    base, adj = doc["baseline"], doc["adjusted"]
+    assert capsys.readouterr() == (
+        f"baseline={base['mean_acc']:.2f}±{base['ci95']:.2f} "
+        f"adjusted={adj['mean_acc']:.2f}±{adj['ci95']:.2f} "
+        f"gap={doc['gap']:.2f}±{doc['gap_ci95']:.2f}\n", "")
 
 
 @pytest.mark.parametrize("flags", [
@@ -362,6 +411,8 @@ def test_synth_writes_artifacts_and_report(tmp_path, capsys):
     ["--threshold", "-1"],
     ["--mismatch", "1.5"],
     ["--bins", "100"],  # SYNTH_ARGS give 6 * 3 * 5 = 90 queries
+    ["--beta", "nan"],
+    ["--sigma", "inf"],
 ])
 def test_synth_bad_flag_is_refused_before_any_data(tmp_path, capsys, monkeypatch, flags):
     def no_data(*args, **kwargs):
@@ -416,10 +467,13 @@ def test_synth_value_beyond_f32_writes_no_files(tmp_path, capsys):
     assert not report.exists()
 
 
-def test_synth_rerun_identical_outside_meta(tmp_path):
+def test_synth_rerun_identical_outside_meta(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synth", "--out-dir", str(tmp_path / "g1"), "--out", str(a), *SYNTH_ARGS]) == 0
     assert main(["synth", "--out-dir", str(tmp_path / "g2"), "--out", str(b), *SYNTH_ARGS]) == 0
+    out, err = capsys.readouterr()
+    first, second = out.splitlines()  # one summary line per run, the same for both
+    assert err == "" and first.startswith("baseline=") and first == second
     da, db = _doc_sans_meta(a), _doc_sans_meta(b)
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
     # the generated binaries are byte-identical too
@@ -427,10 +481,11 @@ def test_synth_rerun_identical_outside_meta(tmp_path):
         assert (tmp_path / "g1" / name).read_bytes() == (tmp_path / "g2" / name).read_bytes()
 
 
-def test_synth_kb_file_is_the_pretrain_knowledge_base(tmp_path):
+def test_synth_kb_file_is_the_pretrain_knowledge_base(tmp_path, capsys):
     # kb.bin holds fit_kb of the generated pretrain set, byte for byte
-    outdir = tmp_path / "gen"
-    assert main(["synth", "--out-dir", str(outdir), "--out", str(tmp_path / "r.json"), *SYNTH_ARGS]) == 0
+    outdir, report = tmp_path / "gen", tmp_path / "r.json"
+    assert main(["synth", "--out-dir", str(outdir), "--out", str(report), *SYNTH_ARGS]) == 0
+    assert capsys.readouterr().err == ""
     cfg = SynthConfig(**json.loads((outdir / "synth.json").read_text())["config"])
     save_kb(fit_kb(gen_confounded(cfg).pretrain), tmp_path / "expected.kb")
     assert (outdir / "kb.bin").read_bytes() == (tmp_path / "expected.kb").read_bytes()
@@ -439,7 +494,7 @@ def test_synth_kb_file_is_the_pretrain_knowledge_base(tmp_path):
 # --- meta --------------------------------------------------------------------------
 
 
-def test_meta_command_trains_and_serializes(data_dir, tmp_path):
+def test_meta_command_trains_and_serializes(data_dir, tmp_path, capsys):
     report = tmp_path / "meta.json"
     blob = tmp_path / "init.meta"
     code = main(
@@ -449,6 +504,9 @@ def test_meta_command_trains_and_serializes(data_dir, tmp_path):
     )
     assert code == 0
     doc = json.loads(report.read_text())
+    assert capsys.readouterr() == (
+        f"meta_acc={doc['mean_acc']:.2f} zero_acc={doc['zero_mean_acc']:.2f} "
+        f"gap={doc['gap']:.2f}\n", "")
     assert doc["episodes"] == 20
     assert set(doc) >= {"mean_acc", "zero_mean_acc", "gap", "ci95", "zero_ci95"}
     assert doc["gap"] == pytest.approx(doc["mean_acc"] - doc["zero_mean_acc"], abs=1e-9)
@@ -457,7 +515,7 @@ def test_meta_command_trains_and_serializes(data_dir, tmp_path):
     assert mi.tasks == 30 and mi.inner_steps == 5
 
 
-def test_meta_takes_the_strata_and_threshold_aliases(data_dir, tmp_path):
+def test_meta_takes_the_strata_and_threshold_aliases(data_dir, tmp_path, capsys):
     # --n and --t name --strata and --threshold in meta as in the other commands
     def run(name, *flags):
         out, blob = tmp_path / f"{name}.json", tmp_path / f"{name}.meta"
@@ -468,6 +526,8 @@ def test_meta_takes_the_strata_and_threshold_aliases(data_dir, tmp_path):
              "--tasks", "9", "--eval-tasks", "5", "--inner-steps", "3", "--seed", "4", *flags]
         )
         assert code == 0
+        stdout, err = capsys.readouterr()
+        assert err == "" and stdout.startswith("meta_acc=")
         return _doc_sans_meta(out), blob.read_bytes()
 
     short = run("short", "--n", "4", "--t", "1e-3")
@@ -475,15 +535,16 @@ def test_meta_takes_the_strata_and_threshold_aliases(data_dir, tmp_path):
     assert short != run("default")  # 8 strata by default
 
 
-def test_meta_requires_kb_for_class_adjustment(data_dir, tmp_path):
+def test_meta_requires_kb_for_class_adjustment(data_dir, tmp_path, capsys):
     code = main(
         ["meta", "--features", str(data_dir / "novel.features"),
          "--adjust", "class", "--tasks", "1", "--eval-tasks", "1"]
     )
     assert code == 2
+    assert capsys.readouterr() == ("", "config error: --adjust class requires --kb\n")
 
 
-def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path, monkeypatch):
+def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path, monkeypatch, capsys):
     # no held-out task leaves no accuracy to average; the report must not
     # carry NaN, and the count is refused before any training or file
     def no_training(*args, **kwargs):
@@ -497,6 +558,7 @@ def test_meta_without_eval_tasks_is_a_config_error(data_dir, tmp_path, monkeypat
          "--eval-tasks", "0"]
     )
     assert code == 2
+    assert capsys.readouterr() == ("", "config error: evaluation task count must be >= 1, got 0\n")
     assert not out.exists() and not blob.exists()
 
 

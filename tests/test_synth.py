@@ -1,7 +1,6 @@
 """Confounded data generation, stratum-tied episodes, and the linear-SCM demo."""
 
 import collections
-import os
 import re
 import sys
 import threading
@@ -64,6 +63,39 @@ def test_gen_confounded_deterministic():
     assert not np.array_equal(a.novel.features, c.novel.features)
 
 
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(),
+    SynthConfig(dim=16, novel_classes=5, strata=3, samples_per_class=37, seed=9),
+], ids=["default", "small"])
+def test_gen_confounded_equals_a_class_by_class_draw(cfg):
+    # the novel set's noise is one draw; it must give the bytes of one draw
+    # per class, in class order, after the pretrain rows' draws
+    out = gen_confounded(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    per, total = cfg.samples_per_class, cfg.pretrain_classes + cfg.novel_classes
+    rng.standard_normal((total + cfg.strata, cfg.dim))  # class and stratum directions
+    mixtures = rng.dirichlet(np.full(cfg.strata, 0.5), size=cfg.pretrain_classes)
+    pre_rows = []
+    for j in range(cfg.pretrain_classes):
+        strata = rng.choice(cfg.strata, size=per, p=mixtures[j])
+        noise = rng.standard_normal((per, cfg.dim))
+        pre_rows.append(out.class_dirs[j] + cfg.beta * out.conf_dirs[strata] + cfg.sigma * noise)
+    tags = np.arange(per) % cfg.strata
+    rows, labels = [], []
+    for j in range(cfg.novel_classes):
+        noise = rng.standard_normal((per, cfg.dim))
+        rows.append(
+            out.class_dirs[cfg.pretrain_classes + j] + cfg.beta * out.conf_dirs[tags]
+            + cfg.sigma * noise
+        )
+        labels.append(np.full(per, j))
+    assert out.mixtures.tobytes() == mixtures.tobytes()
+    assert out.pretrain.features.tobytes() == np.concatenate(pre_rows).tobytes()
+    assert out.novel.features.tobytes() == np.concatenate(rows).tobytes()
+    assert np.array_equal(out.novel.labels, np.concatenate(labels))
+    assert np.array_equal(out.novel_strata, np.tile(tags, cfg.novel_classes))
+
+
 def test_gen_confounded_shapes_and_unit_directions():
     out = gen_confounded(SMALL)
     assert out.pretrain.features.shape == (4 * 80, 16)
@@ -122,8 +154,10 @@ def test_synth_config_validation():
         SynthConfig(strata=8, samples_per_class=4)
     with pytest.raises(ValueError, match="novel"):
         SynthConfig(novel_classes=1)
-    with pytest.raises(ValueError, match=">= 0"):
-        SynthConfig(beta=-1.0)
+    for field, value in (("beta", -1.0), ("sigma", -0.5), ("beta", np.nan), ("sigma", np.inf),
+                         ("beta", -np.inf)):
+        with pytest.raises(ValueError, match="beta and sigma must be finite and >= 0"):
+            SynthConfig(**{field: value})
 
 
 # --- confounded episodes --------------------------------------------------------------
@@ -759,10 +793,9 @@ def test_fit_kb_equals_its_two_blocks_on_one_thread(synth, request):
 
 def test_fit_kb_is_repeatable_and_joins_its_worker(small_out, monkeypatch):
     # the calling thread computes the first row block and one worker thread
-    # the second, or the calling thread both when the process may run on
-    # one CPU only; the worker is gone when fit_kb returns, and repeated
-    # calls give the same bytes, also when the threads swap the interpreter
-    # lock every microsecond
+    # the second, whatever CPUs the process may run on; the worker is gone
+    # when fit_kb returns, and repeated calls give the same bytes, also when
+    # the threads swap the interpreter lock every microsecond
     threads = []
 
     class Recorded(_Workspace):
@@ -779,26 +812,19 @@ def test_fit_kb_is_repeatable_and_joins_its_worker(small_out, monkeypatch):
 
     first = fit_kb(small_out.pretrain)
     monkeypatch.setattr(ifsl.synth, "_Workspace", Recorded)
-    this = {threading.get_ident()}
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        threads.clear()
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            second = fit_kb(small_out.pretrain)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert len(threads) == 2 and threads[0] == this
-        if len(cpus) == 1:
-            assert threads[1] == this
-        else:
-            assert len(threads[1]) == 1 and threads[1] != this
-        for name in ("class_means", "pre_weights", "pre_bias"):
-            a, b = getattr(first, name), getattr(second, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        second = fit_kb(small_out.pretrain)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threads[0] == {threading.get_ident()}
+    assert len(threads[1]) == 1 and threads[1] != threads[0]
+    for name in ("class_means", "pre_weights", "pre_bias"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("rows", [1, 3, 101])
@@ -832,6 +858,19 @@ def test_fit_kb_memory_stays_small(default_synth):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+def test_gen_confounded_memory_stays_small():
+    # the default config's two 8000 x 64 sets take 7.8 MB; the one noise draw
+    # of the novel set is its feature array, and no other novel-sized array
+    # is made (a whole-array sum of directions and noise peaked at 17.7 MB)
+    tracemalloc.start()
+    try:
+        gen_confounded(SynthConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 def test_knowledge_base_is_fitted_on_first_read(monkeypatch):
@@ -897,6 +936,12 @@ def test_scm_config_validation():
         LinearScmConfig(samples=2)
     with pytest.raises(ValueError, match="noise scales"):
         LinearScmConfig(noise_x=-1.0)
+    # a non-finite field would give NaN estimates (causal_effect=inf after a RuntimeWarning)
+    for field in ("instrument_coef", "confounder_to_x", "causal_effect", "confounder_to_y",
+                  "noise_x", "noise_y"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                LinearScmConfig(**{field: value})
 
 
 def test_iv_result_fields():
