@@ -16,8 +16,13 @@ takes or returns theta, never a ``(W, b)`` pair, and takes its inputs as
 (E, n, B, P) stratum stacks. Scoring computes W V^T + b. A fitting step
 reads its inputs with a trailing column of ones, [V | 1] (see
 :func:`_step_inputs`), so the logits are one matmul theta [V | 1]^T, and one
-matmul G [V | 1] gives dW and db together; cosine inputs stay V. A fitting
-step holds its logits class-outermost, in a (K, E, n, B) buffer G that the
+matmul G [V | 1] gives dW and db together; cosine inputs stay V. A step
+of n > 1 heads first copies its batch's transpose into a contiguous
+(E, n, P', B) buffer and computes the logits from that, so the BLAS runs its
+plain small-matrix kernel rather than its transposed one, which costs about
+2.5x as much per product; a lone head per episode reads the transposed view
+(see :class:`_Workspace`). A fitting step holds its logits
+class-outermost, in a (K, E, n, B) buffer G that the
 matmuls write and read through its (E, n, K, B) view: the softmax's maximum
 and sum over classes are each one pass over K contiguous blocks of E*n*B
 entries, and the step turns that one buffer into the exponentials and then
@@ -237,7 +242,20 @@ class _Workspace:
     log-mean-exp over heads; the gradient ``dtheta`` of ``theta``; with a
     weight decay, a decay array of theta's shape that is 0 on the bias
     column; and, for cosine heads, the unit rows, their divisors and a
-    weight-shaped scratch. A linear workspace built with ``ones=False``
+    weight-shaped scratch. For n > 1 heads it also holds an (E, n, P', B)
+    buffer that each step fills with the batch's transpose, so the logits
+    ``theta @ V^T`` are E*n products of contiguous matrices, which OpenBLAS
+    runs through its NN kernel: at the ``combined`` shape
+    (E, n, K, P', B) = (6, 8, 5, 9, 4) the copy and the products take
+    about 6 µs against 9 µs for the products on the transposed view (one
+    core, OpenBLAS 0.3.31). The copy costs a fixed 2.5 µs or so, more than
+    a stack of n = 1 heads saves on its E products, so those keep reading
+    the transposed view; that also keeps the ``none`` and ``class`` bits,
+    since the two kernels round differently once P' >= 16. Every caller
+    (``fit_stack``, ``meta_train``'s inner and outer steps,
+    :func:`stack_loss_and_grads` and so the list API) steps through this
+    routine, so all of them read the same layout and agree bit for bit.
+    A linear workspace built with ``ones=False``
     steps on inputs without the ones column, V rather than [V | 1]: it adds
     the bias column to the logits and sums dL/dlogits into the bias
     gradient on its own, through views of ``theta`` and ``dtheta``. Its one
@@ -278,6 +296,8 @@ class _Workspace:
             U = np.empty(theta.shape)
             d, row_dot = np.empty((2, E, n, K, 1))
         plain = linear and not ones  # inputs V, not [V | 1]
+        # n > 1: V^T copied into one contiguous buffer per step (see above)
+        V_T = np.empty((E, n, theta.shape[-1] - plain, rows)) if n > 1 else None
         scores = U if not linear else W if plain else theta  # scored against V^T
         grad_out = dW if plain else dtheta  # written by G @ V
         b_G = b.transpose(2, 0, 1)[..., None] if plain else None  # b in G's layout
@@ -286,6 +306,7 @@ class _Workspace:
             np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp, np.log
         )
         add_reduce, max_reduce, take, put = np.add.reduce, np.maximum.reduce, G.take, G.put
+        copyto = np.copyto
 
         def grads(
             V: np.ndarray, at_label: np.ndarray, with_loss: bool = False,
@@ -323,7 +344,11 @@ class _Workspace:
             """
             if not linear:
                 normalize_rows_with_divisors(theta, out=(U, d))
-            matmul(scores, V.swapaxes(-1, -2), G_heads)
+            if V_T is None:
+                matmul(scores, V.swapaxes(-1, -2), G_heads)
+            else:
+                copyto(V_T, V.swapaxes(-1, -2))
+                matmul(scores, V_T, G_heads)
             if plain:
                 add(G, b_G, G)
             subtract(G, max_reduce(G, 0, None, col_max), G)

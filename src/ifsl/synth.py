@@ -168,10 +168,21 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     return KnowledgeBase(means, theta[0, 0, :, :-1], theta[0, 0, :, -1])
 
 
-def _choose(rng: np.random.Generator, sizes, counts) -> np.ndarray:
+def _choice_bounds(s: int, k: int) -> tuple[bool, list[int]]:
+    """Whether ``Generator.choice(s, k, replace=False)`` shuffles the tail of
+    ``arange(s)``, and the bounds of its bounded-integer draws (see
+    :func:`_choose`)."""
+    if s > 10000 and k > s // 50:
+        return True, list(range(s - 1, max(s - k, 1) - 1, -1))
+    return False, [*range(s - k, s), *range(k - 1, 0, -1)]
+
+
+def _choose(rng: np.random.Generator, sizes, counts, known: dict | None = None) -> np.ndarray:
     """The values of ``[rng.choice(s, k, replace=False) for s, k in zip(sizes,
     counts)]``, concatenated, with ``rng`` left in the same state, taken from
-    one ``rng.integers`` call. Each k lies in [0, s].
+    one ``rng.integers`` call. Each k lies in [0, s]. ``known`` holds the
+    :func:`_choice_bounds` of each (s, k) seen so far; a caller that chooses
+    from the same cells again passes the same dict, and this fills it.
 
     Without replacement, ``Generator.choice(s, k)`` draws bounded integers
     with the primitive that ``integers`` uses for array bounds (a bound of 0
@@ -188,15 +199,15 @@ def _choose(rng: np.random.Generator, sizes, counts) -> np.ndarray:
     This follows numpy 2.4's ``Generator.choice``;
     ``test_choose_equals_choice_calls`` pins it against the installed numpy.
     """
+    if known is None:
+        known = {}
     cells, bounds = [], []
     for s, k in zip(sizes, counts):
-        tail = s > 10000 and k > s // 50
-        if tail:
-            bounds += range(s - 1, max(s - k, 1) - 1, -1)
-        else:
-            bounds += range(s - k, s)
-            bounds += range(k - 1, 0, -1)
-        cells.append((s, k, tail, len(bounds)))
+        plan = known.get((s, k))
+        if plan is None:
+            plan = known[s, k] = _choice_bounds(s, k)
+        bounds += plan[1]
+        cells.append((s, k, plan[0], len(bounds)))
     draws = rng.integers(0, np.array(bounds, dtype=np.int64), endpoint=True).tolist()
     out, at = [], 0
     for s, k, tail, end in cells:
@@ -233,6 +244,15 @@ class _ConfoundedSampler:
     are those of one ``rng.choice`` without replacement per cell it needs,
     in (class, stratum) order, all taken from one ``rng.integers`` call
     (:func:`_choose`).
+
+    What every draw would otherwise rebuild is also computed here, once: the
+    class slots ``arange(way) % n_strata`` into a permutation of the strata,
+    each query's class and the first cell of that class, the first cell of
+    every class (to which its assigned stratum is added) and the shot
+    offsets of the support rows. ``_bounds`` keeps :func:`_choose`'s bound
+    list of each (cell size, count) met so far, so a draw from cells seen
+    before builds none. Each draw makes the same rng calls, in the same
+    order, as a fresh sampler's.
     """
 
     def __init__(
@@ -265,37 +285,43 @@ class _ConfoundedSampler:
         # 16 bits sorts by radix
         self.rows = np.argsort(key.astype(np.min_scalar_type(cells - 1)), kind="stable")
         self.starts = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=cells))])
+        # what every draw would otherwise rebuild
+        self._slots = np.arange(way) % n_strata  # class i takes the i-th stratum of a permutation
+        self._query_class = np.repeat(np.arange(way), query)  # each query's class slot
+        self._query_base = self._query_class * n_strata  # its class's first cell
+        self._own_base = np.arange(way) * n_strata
+        self._shot_row = np.arange(shot)
+        self._bounds = {}  # _choose's bound lists by (cell size, count)
 
     def _plan(self, rng: np.random.Generator):
         """What :meth:`__call__` draws from ``rng`` before any row: the
         classes, the mismatch mask and the rows each (class, stratum) cell
         gives. An episode that needs more rows of a cell than it holds is
         refused."""
-        way, shot, query, n_strata = self.way, self.shot, self.query, self.n_strata
-        chosen = np.sort(_choose(rng, [self.novel.n_classes], [way]))
+        way, shot, n_strata = self.way, self.shot, self.n_strata
+        chosen = np.sort(_choose(rng, [self.novel.n_classes], [way], self._bounds))
         # spread assigned strata over a fresh permutation so collisions only occur
         # when the episode has more classes than strata
-        assigned = rng.permutation(n_strata)[np.arange(way) % n_strata]
+        assigned = rng.permutation(n_strata)[self._slots]
 
-        mismatch = rng.random(way * query) < self.mismatch_rate
-        query_strata = np.repeat(assigned, query)
+        mismatch = rng.random(self._query_class.size) < self.mismatch_rate
+        query_strata = assigned[self._query_class]
         # a mismatched query draws one of the n_strata - 1 other strata: j skips its own
-        j = rng.integers(0, n_strata - 1, size=int(mismatch.sum()))
+        j = rng.integers(0, n_strata - 1, size=np.count_nonzero(mismatch))
         query_strata[mismatch] = j + (j >= query_strata[mismatch])
 
         # rows each (class, stratum) cell gives: the class's support rows and its queries
-        cells = np.repeat(np.arange(way), query) * n_strata + query_strata
+        cells = self._query_base + query_strata
         needed = np.bincount(cells, minlength=way * n_strata)
-        own = np.arange(way) * n_strata + assigned
+        own = self._own_base + assigned
         needed[own] += shot
         # one draw per nonempty cell in (class, stratum) order, read off the index
         live = np.flatnonzero(needed)
         at = chosen[live // n_strata] * n_strata + live % n_strata  # the dataset's cells
         first = self.starts[at]
         sizes, need = self.starts[at + 1] - first, needed[live]
-        short = np.flatnonzero(sizes < need)
-        if short.size:
-            c = short[0]
+        if (sizes < need).any():
+            c = np.flatnonzero(sizes < need)[0]
             raise ValueError(
                 f"class {at[c] // n_strata} stratum {at[c] % n_strata} holds {sizes[c]} "
                 f"samples, episode needs {need[c]}"
@@ -315,13 +341,16 @@ class _ConfoundedSampler:
     def __call__(self, rng: np.random.Generator) -> tuple[Episode, np.ndarray]:
         way, shot, query = self.way, self.shot, self.query
         chosen, mismatch, cells, needed, own, first, sizes, need = self._plan(rng)
-        drawn = self.rows[first.repeat(need) + _choose(rng, sizes.tolist(), need.tolist())]
+        picks = _choose(rng, sizes.tolist(), need.tolist(), self._bounds)
+        drawn = self.rows[first.repeat(need) + picks]
         # a class's support rows lead its own cell's draw; the queries take the
         # rest of every cell in turn
-        support_pos = ((np.cumsum(needed) - needed)[own][:, None] + np.arange(shot)).ravel()
+        support_pos = ((np.cumsum(needed) - needed)[own][:, None] + self._shot_row).ravel()
         si = drawn[support_pos]
+        is_query = np.ones(drawn.size, dtype=bool)
+        is_query[support_pos] = False
         qi = np.empty(way * query, dtype=np.int64)
-        qi[np.argsort(cells, kind="stable")] = np.delete(drawn, support_pos)
+        qi[np.argsort(cells, kind="stable")] = drawn[is_query]
 
         return Episode._sampled(self.novel.features, way, shot, query, chosen, si, qi), mismatch
 

@@ -273,7 +273,15 @@ def _doc_sans_meta(path):
     return json.dumps(doc, sort_keys=True)
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def _printed(capsys) -> list[str]:
+    """The stdout lines printed since the last read; nothing went to stderr."""
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out.splitlines()
+
+
+def test_criterion_10_cli_determinism(tmp_path, capsys):
+    # each run's summary line is captured and checked against the report it wrote
     ds = make_blob_dataset(n_classes=6, per_class=30, dim=16, seed=110)
     kb = make_kb(m=4, dim=16, seed=111)
     save_features(ds, tmp_path / "novel.features")
@@ -291,6 +299,10 @@ def test_criterion_10_cli_determinism(tmp_path):
     checks["episodes rerun"] = _doc_sans_meta(tmp_path / "a.json") == _doc_sans_meta(
         tmp_path / "b.json"
     )
+    docs = [json.loads((tmp_path / f"{name}.json").read_text()) for name in ("a", "b")]
+    assert _printed(capsys) == [
+        f"mean_acc={d['mean_acc']:.2f} ci95={d['ci95']:.2f} episodes={d['episodes']}" for d in docs
+    ]
 
     synth_args = [
         "synth", "--dim", "16", "--pretrain-classes", "3", "--novel-classes", "4",
@@ -307,6 +319,13 @@ def test_criterion_10_cli_determinism(tmp_path):
         (tmp_path / "s1" / f).read_bytes() == (tmp_path / "s2" / f).read_bytes()
         for f in ("pretrain.features", "novel.features", "kb.bin", "synth.json")
     )
+    docs = [json.loads((tmp_path / f"{name}.json").read_text()) for name in ("s1", "s2")]
+    assert _printed(capsys) == [
+        f"baseline={d['baseline']['mean_acc']:.2f}±{d['baseline']['ci95']:.2f} "
+        f"adjusted={d['adjusted']['mean_acc']:.2f}±{d['adjusted']['ci95']:.2f} "
+        f"gap={d['gap']:.2f}±{d['gap_ci95']:.2f}"
+        for d in docs
+    ]
 
     for name in ("q1", "q2"):
         assert main(["scm", "dsep", "--x", "X", "--y", "Y", "--z", "D",
@@ -314,6 +333,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     checks["scm rerun"] = (tmp_path / "q1.json").read_bytes() == (
         tmp_path / "q2.json"
     ).read_bytes()
+    assert _printed(capsys) == ["['X'] and ['Y'] are NOT d-separated given ['D']"] * 2
+    assert json.loads((tmp_path / "q1.json").read_text())["result"] is False
 
     meta_args = [
         "meta", "--features", str(tmp_path / "novel.features"), "--way", "3",
@@ -325,9 +346,15 @@ def test_criterion_10_cli_determinism(tmp_path):
     checks["meta rerun"] = _doc_sans_meta(tmp_path / "m1.json") == _doc_sans_meta(
         tmp_path / "m2.json"
     )
+    docs = [json.loads((tmp_path / f"{name}.json").read_text()) for name in ("m1", "m2")]
+    assert _printed(capsys) == [
+        f"meta_acc={d['mean_acc']:.2f} zero_acc={d['zero_mean_acc']:.2f} gap={d['gap']:.2f}"
+        for d in docs
+    ]
 
     ok = all(checks.values())
-    assert _verdict(
-        10, ok,
-        "; ".join(f"{k}: {'ok' if v else 'MISMATCH'}" for k, v in checks.items()),
-    )
+    with capsys.disabled():  # the verdict line is printed, as every criterion's is
+        assert _verdict(
+            10, ok,
+            "; ".join(f"{k}: {'ok' if v else 'MISMATCH'}" for k, v in checks.items()),
+        )

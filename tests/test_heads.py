@@ -600,28 +600,35 @@ def test_fit_head_matches_per_head_reference(default_synth, strategy, kind):
 @pytest.mark.parametrize("batch_size", [4, None])
 def test_stacked_fit_equals_per_episode_fit_head(default_synth, strategy, kind, batch_size):
     # E episodes fitted as one (E, n, K, P) stack give each episode the very
-    # weights fit_head gives it alone, with its own seed
+    # weights fit_head gives it alone, with its own seed; 2 strata of the
+    # 64-dim features give heads of P' = 33 inputs, where BLAS kernels that
+    # read the batch in different layouts round differently
     novel, tags, kb = default_synth.novel, default_synth.novel_strata, default_synth.kb
-    predictor = Predictor(AdjustmentConfig(strategy), kb, novel.dim, 5, kind)
     eps = [
         sample_confounded_episode(novel, tags, 5, 1, 15, 1.0, np.random.default_rng(70 + e))[0]
         for e in range(6)
     ]
     seeds = [1000 + 17 * e for e in range(6)]
     cfg = FitConfig(iterations=40, batch_size=batch_size, learning_rate=5e-3)
-    theta = fit_stack(
-        predictor.support_inputs(np.stack([ep.support_x for ep in eps])),
-        np.stack([ep.support_y for ep in eps]), predictor, cfg, seeds,
-    )
-    # linear stacks carry the bias as one more column
-    width = predictor.head_input_dim + (kind == "linear")
-    assert theta.shape == (6, predictor.n_heads, 5, width)
-    W, b = _split(kind, theta)
-    for e, (ep, seed) in enumerate(zip(eps, seeds)):
-        alone = fit_head(ep.support_x, ep.support_y, predictor, replace(cfg, seed=seed))
-        assert np.array_equal(W[e], np.stack([h.W for h in alone]))
-        if kind == "linear":
-            assert np.array_equal(b[e], np.stack([h.b for h in alone]))
+    partitions = [PartitionConfig()]
+    if strategy in ("feature", "combined"):
+        partitions.append(PartitionConfig(n=2, t=1e-3))
+    for partition in partitions:
+        adj = AdjustmentConfig(strategy, partition=partition)
+        predictor = Predictor(adj, kb, novel.dim, 5, kind)
+        theta = fit_stack(
+            predictor.support_inputs(np.stack([ep.support_x for ep in eps])),
+            np.stack([ep.support_y for ep in eps]), predictor, cfg, seeds,
+        )
+        # linear stacks carry the bias as one more column
+        width = predictor.head_input_dim + (kind == "linear")
+        assert theta.shape == (6, predictor.n_heads, 5, width)
+        W, b = _split(kind, theta)
+        for e, (ep, seed) in enumerate(zip(eps, seeds)):
+            alone = fit_head(ep.support_x, ep.support_y, predictor, replace(cfg, seed=seed))
+            assert np.array_equal(W[e], np.stack([h.W for h in alone]))
+            if kind == "linear":
+                assert np.array_equal(b[e], np.stack([h.b for h in alone]))
 
 
 def test_fit_stack_validates_its_stack():

@@ -273,23 +273,27 @@ def _list_api_loop(ds, predictor, mi, rng, shot=1, query=4):
 @pytest.mark.parametrize("kind", ["linear", "cosine"])
 def test_meta_train_equals_list_api_loop_across_chunks(ds, kind, tasks):
     # tasks are drawn in chunks; the weights and the rng state left behind
-    # are those of the task-by-task loop
-    kb = make_kb(m=3, dim=8, seed=45)
-    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
-    predictor = Predictor(cfg, kb, ds.dim, 3, kind)
-    start = fit_head(
-        ds.features[:6], np.array([0, 1, 2] * 2), predictor,
-        FitConfig(iterations=4, learning_rate=0.05),
-    )
-    mi = MetaInit(*stack_heads(start), inner_steps=3, outer_lr=0.05, tasks=tasks)
-    rng = np.random.default_rng(50)
-    trained = meta_train(ds, 3, 1, 4, cfg, mi, kb, rng)
-    ref_rng = np.random.default_rng(50)
-    theta = _list_api_loop(ds, predictor, mi, ref_rng)
-    for a, b in zip(trained.theta0, theta):
-        assert np.array_equal(a.W, b.W)
-        assert (a.b is None and b.b is None) or np.array_equal(a.b, b.b)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # are those of the task-by-task loop. On 64-dim features each of the 2
+    # heads reads P' = 33 inputs, where BLAS kernels that read the batch in
+    # another layout round differently, so every route must step through the
+    # workspace's own layout
+    wide = make_blob_dataset(n_classes=6, per_class=20, dim=64, seed=41)
+    for data, kb in ((ds, make_kb(m=3, dim=8, seed=45)), (wide, make_kb(m=3, dim=64, seed=45))):
+        cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=2, t=1e-3))
+        predictor = Predictor(cfg, kb, data.dim, 3, kind)
+        start = fit_head(
+            data.features[:6], np.array([0, 1, 2] * 2), predictor,
+            FitConfig(iterations=4, learning_rate=0.05),
+        )
+        mi = MetaInit(*stack_heads(start), inner_steps=3, outer_lr=0.05, tasks=tasks)
+        rng = np.random.default_rng(50)
+        trained = meta_train(data, 3, 1, 4, cfg, mi, kb, rng)
+        ref_rng = np.random.default_rng(50)
+        theta = _list_api_loop(data, predictor, mi, ref_rng)
+        for a, b in zip(trained.theta0, theta):
+            assert np.array_equal(a.W, b.W)
+            assert (a.b is None and b.b is None) or np.array_equal(a.b, b.b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("split", [[1, 1, 1], [3, 5, 9], [_CHUNK, 2, _CHUNK + 3]])

@@ -291,33 +291,34 @@ def test_run_confounded_threads_match_serial(small_out):
         assert np.array_equal(a, b)
 
 
-def test_paired_arms_match_solo_runs(small_out):
+def test_paired_arms_match_solo_runs(small_out, default_synth):
     # every arm of one paired pass sees the episodes, fit seeds and hardness
-    # that a solo run_confounded call for that arm sees
-    part = PartitionConfig(n=4, t=1e-3)
-    arms = [
-        ("linear", AdjustmentConfig("none"), FitConfig(iterations=20, learning_rate=1e-2)),
-        ("linear", AdjustmentConfig("combined", partition=part), FitConfig(iterations=20)),
-        ("cosine", AdjustmentConfig("feature", partition=part), FitConfig(iterations=20, seed=5)),
-        ("centroid", AdjustmentConfig("class"), FitConfig()),
-    ]
-    sample = partial(
-        sample_confounded_episode, small_out.novel, small_out.novel_strata, 3, 1, 3, 0.5
-    )
-    paired, masks = run_arms(sample, arms, small_out.kb, 6, 19)
-    assert len(paired) == len(arms) and len(masks) == 6
-    for (classifier, adj_cfg, fit_cfg), results in zip(arms, paired):
-        solo, solo_masks = run_confounded(
-            small_out.novel, small_out.novel_strata, small_out.kb, 3, 1, 3, 6, 0.5,
-            classifier, adj_cfg, fit_cfg, seed=19,
-        )
-        assert len(results) == len(solo) == 6
-        for a, b in zip(results, solo):
-            assert np.array_equal(a.predicted, b.predicted)
-            assert np.array_equal(a.hardness, b.hardness)
-            assert np.array_equal(a.correct, b.correct)
-        for a, b in zip(masks, solo_masks):
-            assert np.array_equal(a, b)
+    # that a solo run_confounded call for that arm sees; on the default
+    # synth's 64-dim features, 2 strata give heads of P' = 33 inputs
+    for out, n in ((small_out, 4), (default_synth, 2)):
+        part = PartitionConfig(n=n, t=1e-3)
+        arms = [
+            ("linear", AdjustmentConfig("none"), FitConfig(iterations=20, learning_rate=1e-2)),
+            ("linear", AdjustmentConfig("combined", partition=part), FitConfig(iterations=20)),
+            ("cosine", AdjustmentConfig("feature", partition=part),
+             FitConfig(iterations=20, seed=5)),
+            ("centroid", AdjustmentConfig("class"), FitConfig()),
+        ]
+        sample = partial(sample_confounded_episode, out.novel, out.novel_strata, 3, 1, 3, 0.5)
+        paired, masks = run_arms(sample, arms, out.kb, 6, 19)
+        assert len(paired) == len(arms) and len(masks) == 6
+        for (classifier, adj_cfg, fit_cfg), results in zip(arms, paired):
+            solo, solo_masks = run_confounded(
+                out.novel, out.novel_strata, out.kb, 3, 1, 3, 6, 0.5,
+                classifier, adj_cfg, fit_cfg, seed=19,
+            )
+            assert len(results) == len(solo) == 6
+            for a, b in zip(results, solo):
+                assert np.array_equal(a.predicted, b.predicted)
+                assert np.array_equal(a.hardness, b.hardness)
+                assert np.array_equal(a.correct, b.correct)
+            for a, b in zip(masks, solo_masks):
+                assert np.array_equal(a, b)
 
 
 def _tagged_dataset(n_classes: int, strata: int, per_cell: int):
@@ -451,6 +452,44 @@ def test_indexed_sampler_equals_per_cell_scan(
                       (mask, ref_mask)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    layout=st.sampled_from(["uneven", "missing"]),
+    way=st.integers(2, 7),
+    shot=st.integers(1, 3),
+    query=st.integers(1, 6),
+    strata=st.integers(3, 5),
+    mismatch_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reused_sampler_equals_a_fresh_sampler_per_draw(
+    layout, way, shot, query, strata, mismatch_rate, seed
+):
+    # a sampler keeps _choose's bounds by (cell size, count) across draws;
+    # over cells of uneven sizes it holds several, and every draw still gives
+    # the rows, mask, rng state and refusals of a sampler built for that draw
+    args = (*_UNEVEN[layout, strata], way, shot, query, mismatch_rate)
+    reused = ifsl.synth._ConfoundedSampler(*args)
+    drawn = 0
+    for i in range(8):
+        rng_new, rng_ref = episode_rng(seed, i), episode_rng(seed, i)
+        try:
+            ref_ep, ref_mask = ifsl.synth._ConfoundedSampler(*args)(rng_ref)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                reused(rng_new)
+            assert str(raised.value) == str(exc)
+            continue
+        ep, mask = reused(rng_new)
+        drawn += 1
+        for got, want in ((ep.class_map, ref_ep.class_map), (ep.support_idx, ref_ep.support_idx),
+                          (ep.query_idx, ref_ep.query_idx), (mask, ref_mask)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    # the classes' key and at least one cell's
+    assert not drawn or len(reused._bounds) >= 2
 
 
 def _assert_choose_equals_choice_calls(sizes, counts, seed):
@@ -652,11 +691,11 @@ def _arrays(per_arm, masks) -> list:
     return out
 
 
-def _meta_arrays(novel, kb) -> list:
+def _meta_arrays(novel, kb, n: int = 4) -> list:
     """Head stack, rng state and IFSLMET1 bytes of ``meta_train`` at 0, 1, 9 and
     19 tasks, then ``evaluate_inits`` accuracies over 19 tasks, for linear and
-    cosine ``combined`` heads."""
-    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=4, t=1e-3))
+    cosine ``combined`` heads of ``n`` strata."""
+    cfg = AdjustmentConfig("combined", partition=PartitionConfig(n=n, t=1e-3))
     out = []
     for kind in ("linear", "cosine"):
         predictor = Predictor(cfg, kb, novel.dim, 3, kind)
@@ -675,10 +714,22 @@ def _meta_arrays(novel, kb) -> list:
     return out
 
 
-def test_results_do_not_depend_on_chunk_size(small_out, monkeypatch):
+def test_results_do_not_depend_on_chunk_size(small_out, default_synth, monkeypatch):
     # 17 episodes (19 meta tasks) cross every chunk boundary of chunk sizes 1,
-    # 7 and the default, for every loop that draws episodes in chunks
+    # 7 and the default, for every loop that draws episodes in chunks; the
+    # default synth's 64-dim features under 2 strata add heads of P' = 33
+    # inputs, where the layout a step reads its batch in shows in the bits
     novel, tags, kb = small_out.novel, small_out.novel_strata, small_out.kb
+    wide = PartitionConfig(n=2, t=1e-3)
+    wide_arms = [
+        ("linear", AdjustmentConfig("combined", partition=wide),
+         FitConfig(iterations=15, learning_rate=5e-3)),
+        ("cosine", AdjustmentConfig("feature", partition=wide),
+         FitConfig(iterations=15, batch_size=None)),
+    ]
+    wide_sample = partial(
+        sample_confounded_episode, default_synth.novel, default_synth.novel_strata, 3, 1, 3, 1.0
+    )
     part = PartitionConfig(n=4, t=1e-3)
     arms = [
         ("linear", AdjustmentConfig("none"), FitConfig(iterations=15)),
@@ -695,14 +746,19 @@ def test_results_do_not_depend_on_chunk_size(small_out, monkeypatch):
         paired = _arrays(*run_arms(sample, arms, kb, 17, 23))
         solo, solo_masks = run_confounded(novel, tags, kb, 3, 1, 3, 17, 1.0, *arms[1], seed=23)
         (many,), _ = run_arms(plain_sampler(novel, 3, 2, 4), arms[2:3], kb, 17, 23)
+        wide_paired = _arrays(*run_arms(wide_sample, wide_arms, default_synth.kb, 17, 23))
         runs.append(
             paired + _arrays([solo], solo_masks) + _arrays([many], []) + _meta_arrays(novel, kb)
+            + wide_paired + _meta_arrays(default_synth.novel, default_synth.kb, n=2)
         )
     first, *others = runs
     # per kind and task count: the head stack, rng state and file bytes; then
     # one accuracy table per kind
     meta = 2 * (4 * 3 + 1)
-    assert len(first) == 17 * (1 + 4 * len(arms)) + 17 * (1 + 4) + 17 * 4 + meta
+    assert len(first) == (
+        17 * (1 + 4 * len(arms)) + 17 * (1 + 4) + 17 * 4 + meta
+        + 17 * (1 + 4 * len(wide_arms)) + meta
+    )
     for other in others:
         assert len(other) == len(first)
         for a, b in zip(first, other):
