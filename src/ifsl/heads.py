@@ -17,10 +17,10 @@ takes or returns theta, never a ``(W, b)`` pair, and takes its inputs as
 reads its inputs with a trailing column of ones, [V | 1] (see
 :func:`_step_inputs`), so the logits are one matmul theta [V | 1]^T, and one
 matmul G [V | 1] gives dW and db together; cosine inputs stay V. A step
-of n > 1 heads first copies its batch's transpose into a contiguous
-(E, n, P', B) buffer and computes the logits from that, so the BLAS runs its
-plain small-matrix kernel rather than its transposed one, which costs about
-2.5x as much per product; a lone head per episode reads the transposed view
+of n > 1 heads on narrow inputs (fewer than 16 columns) first copies its
+batch's transpose into a contiguous (E, n, P', B) buffer and computes the
+logits from that, so the BLAS runs its plain small-matrix kernel, which is
+the cheaper one at those widths; every other step reads the transposed view
 (see :class:`_Workspace`). A fitting step holds its logits
 class-outermost, in a (K, E, n, B) buffer G that the
 matmuls write and read through its (E, n, K, B) view: the softmax's maximum
@@ -242,19 +242,22 @@ class _Workspace:
     log-mean-exp over heads; the gradient ``dtheta`` of ``theta``; with a
     weight decay, a decay array of theta's shape that is 0 on the bias
     column; and, for cosine heads, the unit rows, their divisors and a
-    weight-shaped scratch. For n > 1 heads it also holds an (E, n, P', B)
-    buffer that each step fills with the batch's transpose, so the logits
-    ``theta @ V^T`` are E*n products of contiguous matrices, which OpenBLAS
-    runs through its NN kernel: at the ``combined`` shape
-    (E, n, K, P', B) = (6, 8, 5, 9, 4) the copy and the products take
-    about 6 µs against 9 µs for the products on the transposed view (one
-    core, OpenBLAS 0.3.31). The copy costs a fixed 2.5 µs or so, more than
-    a stack of n = 1 heads saves on its E products, so those keep reading
-    the transposed view; that also keeps the ``none`` and ``class`` bits,
-    since the two kernels round differently once P' >= 16. Every caller
-    (``fit_stack``, ``meta_train``'s inner and outer steps,
+    weight-shaped scratch. For n > 1 heads whose inputs have fewer than 16
+    columns (P' < 16 counting the ones column, such as the ``feature`` and
+    ``combined`` heads of 64-dim features in 8 strata, P' = 9) it also holds
+    an (E, n, P', B) buffer that each step fills with the batch's transpose,
+    so the logits ``theta @ V^T`` are E*n products of contiguous matrices,
+    which OpenBLAS runs through its NN kernel. Timed on one core (OpenBLAS
+    0.3.31; E = 8, K = 5, B = 4, 64 // n features a head), the copy and the NN
+    products take 0.81-0.96 of the view's time for n = 5..8 (P' = 13..9)
+    but 1.2-2.6x for n = 2..4 (P' = 33..17), where the transposed kernel is
+    the faster one, and stacks of n = 1 heads gain nothing at any width; so
+    only narrow n > 1 stacks copy. The choice reads n and P', never E, and
+    every caller (``fit_stack``, ``meta_train``'s inner and outer steps,
     :func:`stack_loss_and_grads` and so the list API) steps through this
-    routine, so all of them read the same layout and agree bit for bit.
+    routine, so all of them read the same layout and agree bit for bit. On
+    that build the two kernels also give the same bits for P' < 16, so the
+    copy moves no result there; another BLAS build may round them apart.
     A linear workspace built with ``ones=False``
     steps on inputs without the ones column, V rather than [V | 1]: it adds
     the bias column to the logits and sums dL/dlogits into the bias
@@ -296,8 +299,9 @@ class _Workspace:
             U = np.empty(theta.shape)
             d, row_dot = np.empty((2, E, n, K, 1))
         plain = linear and not ones  # inputs V, not [V | 1]
-        # n > 1: V^T copied into one contiguous buffer per step (see above)
-        V_T = np.empty((E, n, theta.shape[-1] - plain, rows)) if n > 1 else None
+        width = theta.shape[-1] - plain  # of V, the inner dimension of the logits
+        # narrow n > 1 stacks: V^T copied into one contiguous buffer per step (see above)
+        V_T = np.empty((E, n, width, rows)) if n > 1 and width < 16 else None
         scores = U if not linear else W if plain else theta  # scored against V^T
         grad_out = dW if plain else dtheta  # written by G @ V
         b_G = b.transpose(2, 0, 1)[..., None] if plain else None  # b in G's layout

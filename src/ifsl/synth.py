@@ -168,21 +168,10 @@ def fit_kb(pretrain: FeatureDataset) -> KnowledgeBase:
     return KnowledgeBase(means, theta[0, 0, :, :-1], theta[0, 0, :, -1])
 
 
-def _choice_bounds(s: int, k: int) -> tuple[bool, list[int]]:
-    """Whether ``Generator.choice(s, k, replace=False)`` shuffles the tail of
-    ``arange(s)``, and the bounds of its bounded-integer draws (see
-    :func:`_choose`)."""
-    if s > 10000 and k > s // 50:
-        return True, list(range(s - 1, max(s - k, 1) - 1, -1))
-    return False, [*range(s - k, s), *range(k - 1, 0, -1)]
-
-
-def _choose(rng: np.random.Generator, sizes, counts, known: dict | None = None) -> np.ndarray:
+def _choose(rng: np.random.Generator, sizes, counts) -> np.ndarray:
     """The values of ``[rng.choice(s, k, replace=False) for s, k in zip(sizes,
     counts)]``, concatenated, with ``rng`` left in the same state, taken from
-    one ``rng.integers`` call. Each k lies in [0, s]. ``known`` holds the
-    :func:`_choice_bounds` of each (s, k) seen so far; a caller that chooses
-    from the same cells again passes the same dict, and this fills it.
+    one ``rng.integers`` call. Each k lies in [0, s].
 
     Without replacement, ``Generator.choice(s, k)`` draws bounded integers
     with the primitive that ``integers`` uses for array bounds (a bound of 0
@@ -199,15 +188,15 @@ def _choose(rng: np.random.Generator, sizes, counts, known: dict | None = None) 
     This follows numpy 2.4's ``Generator.choice``;
     ``test_choose_equals_choice_calls`` pins it against the installed numpy.
     """
-    if known is None:
-        known = {}
     cells, bounds = [], []
     for s, k in zip(sizes, counts):
-        plan = known.get((s, k))
-        if plan is None:
-            plan = known[s, k] = _choice_bounds(s, k)
-        bounds += plan[1]
-        cells.append((s, k, plan[0], len(bounds)))
+        tail = s > 10000 and k > s // 50
+        if tail:
+            bounds += range(s - 1, max(s - k, 1) - 1, -1)
+        else:
+            bounds += range(s - k, s)
+            bounds += range(k - 1, 0, -1)
+        cells.append((s, k, tail, len(bounds)))
     draws = rng.integers(0, np.array(bounds, dtype=np.int64), endpoint=True).tolist()
     out, at = [], 0
     for s, k, tail, end in cells:
@@ -249,10 +238,8 @@ class _ConfoundedSampler:
     class slots ``arange(way) % n_strata`` into a permutation of the strata,
     each query's class and the first cell of that class, the first cell of
     every class (to which its assigned stratum is added) and the shot
-    offsets of the support rows. ``_bounds`` keeps :func:`_choose`'s bound
-    list of each (cell size, count) met so far, so a draw from cells seen
-    before builds none. Each draw makes the same rng calls, in the same
-    order, as a fresh sampler's.
+    offsets of the support rows. Each draw makes the same rng calls, in the
+    same order, as a fresh sampler's.
     """
 
     def __init__(
@@ -291,7 +278,6 @@ class _ConfoundedSampler:
         self._query_base = self._query_class * n_strata  # its class's first cell
         self._own_base = np.arange(way) * n_strata
         self._shot_row = np.arange(shot)
-        self._bounds = {}  # _choose's bound lists by (cell size, count)
 
     def _plan(self, rng: np.random.Generator):
         """What :meth:`__call__` draws from ``rng`` before any row: the
@@ -299,7 +285,7 @@ class _ConfoundedSampler:
         gives. An episode that needs more rows of a cell than it holds is
         refused."""
         way, shot, n_strata = self.way, self.shot, self.n_strata
-        chosen = np.sort(_choose(rng, [self.novel.n_classes], [way], self._bounds))
+        chosen = np.sort(_choose(rng, [self.novel.n_classes], [way]))
         # spread assigned strata over a fresh permutation so collisions only occur
         # when the episode has more classes than strata
         assigned = rng.permutation(n_strata)[self._slots]
@@ -341,7 +327,7 @@ class _ConfoundedSampler:
     def __call__(self, rng: np.random.Generator) -> tuple[Episode, np.ndarray]:
         way, shot, query = self.way, self.shot, self.query
         chosen, mismatch, cells, needed, own, first, sizes, need = self._plan(rng)
-        picks = _choose(rng, sizes.tolist(), need.tolist(), self._bounds)
+        picks = _choose(rng, sizes.tolist(), need.tolist())
         drawn = self.rows[first.repeat(need) + picks]
         # a class's support rows lead its own cell's draw; the queries take the
         # rest of every cell in turn
